@@ -3,7 +3,8 @@
 Every command prints one canonical JSON report to stdout; identical
 inputs and seed give byte-identical output.  Exit codes: 0 for success
 or PASS, 2 when a checked claim FAILs or EXCEEDS its stated scope, 1 on
-usage or computation errors.
+usage or computation errors, which print "error (KIND): message" to
+stderr with KIND one of usage, invariant or instability.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .moduli import (
     DEFAULT_SEED,
     FAIL,
     PASS,
+    WindowInstabilityError,
     build_cancellation_system,
     canonical_json,
     make_report,
@@ -69,7 +71,18 @@ def _parse_point(text):
 
 
 def _fail(exc):
-    click.echo(f"error: {exc}", err=True)
+    """Exit 1 with the error and its kind on stderr.
+
+    The package reports bad input as ValueError or OSError; an
+    AssertionError or any other exception is a broken internal invariant.
+    """
+    if isinstance(exc, WindowInstabilityError):
+        kind = "instability"
+    elif isinstance(exc, (ValueError, OSError)):
+        kind = "usage"
+    else:
+        kind = "invariant"
+    click.echo(f"error ({kind}): {exc}", err=True)
     sys.exit(1)
 
 

@@ -15,14 +15,16 @@ Two independent routes decide when a deformation direction is trivial:
   engine decisions on whether a direction is trivial.
 
 Both work over exact rationals; symbolic coefficients in the base point
-are carried by ParamPoly so one master matrix per configuration serves
-every numeric evaluation.
+(and, for the oracle, the direction) are carried by ParamPoly, so one
+system per configuration is built and every decision only evaluates it.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import random
+from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -142,9 +144,8 @@ def _point_poly(k, j, coeffs):
     for mon, c in zip(basis, coeffs):
         if isinstance(c, int):
             c = Fraction(c)
-        if c or isinstance(c, ParamPoly):
-            if c:
-                terms[mon] = c
+        if c:
+            terms[mon] = c
     return LaurentPoly(terms)
 
 
@@ -229,10 +230,6 @@ class MasterSystem:
                 for e in col
             ])
         return out
-
-    def nonzero_tags(self):
-        return [t for t, col in zip(self.tags, self.columns)
-                if any(bool(e) for e in col)]
 
 
 def _check_stray_content(k, j, entry, rows_set, tag):
@@ -669,6 +666,14 @@ def certify_generic_rank(k, j, sigma, seed=DEFAULT_SEED, formula="derived"):
 # full gauge oracle
 
 
+_ORACLE_BUMP = 2  # window bump of the stability check
+
+
+def _oracle_hi(j, bump):
+    """Top z-degree of the oracle's unit window."""
+    return 4 * j + 4 + bump
+
+
 def _oracle_families(k, j, bump):
     """Unknown inventory of the full intertwining system.
 
@@ -678,7 +683,7 @@ def _oracle_families(k, j, bump):
     compatible with the gauge normalization (diagonal classical parts
     are pinned to 1, the classical upper-right slots to 0).
     """
-    hi = 4 * j + 4 + bump
+    hi = _oracle_hi(j, bump)
 
     def upoly(n, g):
         if g == 0:
@@ -755,7 +760,89 @@ def _collect(poly, ei, ej, hord, sign, j, store):
             store.pop(key, None)
 
 
-def _oracle_solvable(k, j, sigma, p_poly, delta_poly, bump):
+def _affine_form(c):
+    """Pairs (variable, coefficient) of an entry affine in (p, delta).
+
+    Variable 0 is the constant term, variable 1 + r the r-th parameter.
+    """
+    if not isinstance(c, ParamPoly):
+        return ((0, c),)
+    form = []
+    for ev, coeff in c.terms():
+        deg = sum(ev)
+        if deg > 1:
+            raise AssertionError(
+                f"oracle entry {c.render()} is not affine in (p, delta)")
+        form.append((1 + ev.index(1) if deg else 0, coeff))
+    return tuple(form)
+
+
+@dataclass(frozen=True, slots=True)
+class OracleSystem:
+    """Full intertwining system of one configuration, affine in (p, delta).
+
+    Built once at the widest window; a narrower window keeps the unknowns
+    whose unit has z-degree up to its top.  Unknowns and rows are numbered
+    in sorted key order, so the solver meets them in the order of their
+    keys.  Column c holds the entries col_start[c] to col_start[c + 1];
+    entry e sits in row entry_row[e] and has the value of form
+    entry_form[e].  A form is a tuple of (variable, integer coefficient)
+    pairs (see _affine_form); the whole system is scaled by the common
+    denominator of its symbolic coefficients, 1 for the catalog
+    bivectors, which leaves its solvability unchanged.
+    """
+
+    j: int
+    forms: tuple
+    col_n: array
+    col_start: array
+    entry_row: array
+    entry_form: array
+    rhs_row: array
+    rhs_form: array
+
+    def form_values(self, point, delta):
+        """Every form at (point, delta), as a Fraction.
+
+        The forms are summed in integers over the common denominator d of
+        the coordinates, then divided by d.
+        """
+        coords = point + delta
+        d = math.lcm(*(c.denominator for c in coords))
+        x = [d] + [c.numerator * (d // c.denominator) for c in coords]
+        return [Fraction(sum(coeff * x[v] for v, coeff in form), d)
+                for form in self.forms]
+
+    def solvable(self, values, bump):
+        """Whether the system in the window of the bump is solvable.
+
+        Entries that vanish at the point are dropped, and with them the
+        columns left empty; also returns the number of unknowns left.
+        """
+        hi = _oracle_hi(self.j, bump)
+        columns = {}
+        for c, n in enumerate(self.col_n):
+            if n > hi:
+                continue
+            col = {}
+            for e in range(self.col_start[c], self.col_start[c + 1]):
+                v = values[self.entry_form[e]]
+                if v:
+                    col[self.entry_row[e]] = v
+            if col:
+                columns[c] = col
+        rhs = {r: values[f] for r, f in zip(self.rhs_row, self.rhs_form)
+               if values[f]}
+        return linalg.solvable_sparse(columns, rhs), len(columns)
+
+
+def _build_oracle_system(k, j, sigma):
+    dim = direction_dimension(k, j)
+    params = (tuple(f"p{r}" for r in range(dim))
+              + tuple(f"d{r}" for r in range(dim)))
+    coeffs = [ParamPoly.variable(params, name) for name in params]
+    p_poly = _point_poly(k, j, coeffs[:dim])
+    delta_poly = _point_poly(k, j, coeffs[dim:])
     zero = LaurentPoly.zero()
     Tq = Matrix2([
         [FormalFunction([LaurentPoly.monomial(j, 0, 0)]),
@@ -765,11 +852,17 @@ def _oracle_solvable(k, j, sigma, p_poly, delta_poly, bump):
     ])
     Tp = transition_matrix(j, p_poly)
 
+    forms = {}  # affine form -> form id
+
+    def compiled(store):
+        return [(row, forms.setdefault(_affine_form(c), len(forms)))
+                for row, c in store.items()]
+
     # star is bilinear in the gauge entries, so the contribution of a
     # single unit w sitting at entry (ei, ej) is T * (w E) resp. (w E) * T,
     # which only has one nonzero column resp. row
     columns = {}
-    for key, (ui, uj), hord, w in _oracle_families(k, j, bump):
+    for key, (ui, uj), hord, w in _oracle_families(k, j, _ORACLE_BUMP):
         side = key[0]
         W = (FormalFunction([w]) if hord == 0
              else FormalFunction([zero, w]))
@@ -787,7 +880,7 @@ def _oracle_solvable(k, j, sigma, p_poly, delta_poly, bump):
                     if not d[h].is_zero():
                         _collect(d[h], ui, ej, h, 1, j, col)
         if col:
-            columns[key] = col
+            columns[key] = compiled(col)
 
     rhs = {}
     for ei in range(2):
@@ -796,8 +889,39 @@ def _oracle_solvable(k, j, sigma, p_poly, delta_poly, bump):
                 d = Tp.entry(ei, ej)[h] - Tq.entry(ei, ej)[h]
                 if not d.is_zero():
                     _collect(d, ei, ej, h, 1, j, rhs)
+    rhs = compiled(rhs)
 
-    return linalg.solvable_sparse(columns, rhs), len(columns)
+    rows = set(row for row, _ in rhs)
+    for col in columns.values():
+        rows.update(row for row, _ in col)
+    row_id = {row: n for n, row in enumerate(sorted(rows))}
+    scale = math.lcm(*(c.denominator for form in forms for _, c in form))
+    col_n, col_start = array("i"), array("i", [0])
+    entry_row, entry_form = array("i"), array("i")
+    for key in sorted(columns):
+        col_n.append(key[3])
+        for row, f in columns[key]:
+            entry_row.append(row_id[row])
+            entry_form.append(f)
+        col_start.append(len(entry_row))
+    return OracleSystem(
+        j=j,
+        forms=tuple(tuple((v, int(c * scale)) for v, c in form)
+                    for form in forms),
+        col_n=col_n, col_start=col_start,
+        entry_row=entry_row, entry_form=entry_form,
+        rhs_row=array("i", (row_id[row] for row, _ in rhs)),
+        rhs_form=array("i", (f for _, f in rhs)),
+    )
+
+
+def _get_oracle_system(k, j, sigma):
+    key = ("oracle", k, j, sigma.cache_key())
+    system = _MASTERS.get(key)
+    if system is None:
+        system = _build_oracle_system(k, j, sigma)
+        _MASTERS[key] = system
+    return system
 
 
 @dataclass
@@ -830,15 +954,16 @@ def full_gauge_oracle(k, j, sigma, point, delta, check_stability=True):
     Solves the complete intertwining system between the transition
     matrices at the base point and at the perturbed direction, with
     independent gauge unknowns on both charts.  No reduction from the
-    engine is reused.
+    engine is reused.  The system is built on the first call for a
+    configuration and cached; a call evaluates it at (point, delta).
     """
     pt = _coerce_point(k, j, point)
     dl = _coerce_point(k, j, delta)
-    p_poly = _point_poly(k, j, pt)
-    delta_poly = _point_poly(k, j, dl)
-    decision, nunk = _oracle_solvable(k, j, sigma, p_poly, delta_poly, 0)
+    system = _get_oracle_system(k, j, sigma)
+    values = system.form_values(pt, dl)
+    decision, nunk = system.solvable(values, 0)
     if check_stability:
-        wide, _ = _oracle_solvable(k, j, sigma, p_poly, delta_poly, 2)
+        wide, _ = system.solvable(values, _ORACLE_BUMP)
         if wide != decision:
             raise WindowInstabilityError(
                 f"oracle decision flipped under window bump "

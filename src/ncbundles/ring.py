@@ -141,11 +141,6 @@ class ParamPoly:
 
     __hash__ = None
 
-    def total_degree(self):
-        if not self._terms:
-            return 0
-        return max(sum(ev) for ev in self._terms)
-
     def evaluate(self, values):
         """values: dict name -> Fraction/int.  Returns a Fraction."""
         vals = [
@@ -402,21 +397,9 @@ class LaurentPoly:
         """Drop all terms with total u-degree i+s > n."""
         return LaurentPoly({m: c for m, c in self._t.items() if m.i + m.s <= n})
 
-    def filter(self, pred):
-        return LaurentPoly({m: c for m, c in self._t.items() if pred(m)})
-
     def map_exponents(self, fn):
         """Apply a bijection on exponent triples (used for chart changes)."""
         return LaurentPoly({fn(m): c for m, c in self._t.items()})
-
-    def u_grade_part(self, i, s):
-        """Coefficient in z of the u1^i u2^s slice, as a Laurent poly in z."""
-        return LaurentPoly(
-            {Monomial(m.l, 0, 0): c for m, c in self._t.items() if m.i == i and m.s == s}
-        )
-
-    def z_degrees(self):
-        return sorted({m.l for m in self._t})
 
     def evaluate_params(self, values):
         """Specialize all ParamPoly coefficients at the given parameter values."""

@@ -1,10 +1,19 @@
 """Shared strategies and helpers for the test suite."""
 
+import os
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import HealthCheck, settings, strategies as st
 
+import ncbundles
 from ncbundles import LaurentPoly, Monomial
+
+# CLI tests run `python -m ncbundles.cli` in child processes; they must
+# import the package this suite imports, also when it is not installed
+_ROOT = str(Path(ncbundles.__file__).resolve().parent.parent)
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [_ROOT, os.environ.get("PYTHONPATH")]))
 
 settings.register_profile(
     "suite",

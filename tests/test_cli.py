@@ -8,7 +8,7 @@ import jsonschema
 import pytest
 from click.testing import CliRunner
 
-from ncbundles import REPORT_SCHEMA
+from ncbundles import REPORT_SCHEMA, WindowInstabilityError, cli
 from ncbundles.cli import main
 
 
@@ -64,12 +64,33 @@ def test_stalk_emit_matrix():
 def test_stalk_error_paths():
     assert invoke("stalk", "--k", "1", "--j", "2", "--sigma", "u1*gen1",
                   "--point", "1,oops,0,0").exit_code == 1
-    assert invoke("stalk", "--k", "1", "--j", "2", "--sigma", "gen9",
-                  "--point", "1,0,0,0").exit_code == 1
-    assert invoke("stalk", "--k", "3", "--j", "2", "--sigma", "gen1",
-                  "--point", "1,0,0,0").exit_code == 1
-    assert invoke("stalk", "--k", "1", "--j", "2", "--sigma", "u1*gen1",
-                  "--point", "0,0,0,0").exit_code == 1
+    # bad input the package rejects is reported as a usage error
+    for k, sigma, point in (("1", "gen9", "1,0,0,0"),
+                            ("3", "gen1", "1,0,0,0"),
+                            ("1", "u1*gen1", "0,0,0,0"),
+                            ("1", "u1*gen1", "1,0,0")):
+        res = invoke("stalk", "--k", k, "--j", "2", "--sigma", sigma,
+                     "--point", point)
+        assert res.exit_code == 1
+        assert res.stdout == ""
+        assert res.stderr.startswith("error (usage): "), res.stderr
+
+
+@pytest.mark.parametrize("exc, kind", [
+    (AssertionError("identity shift column mismatch"), "invariant"),
+    (KeyError("row"), "invariant"),
+    (WindowInstabilityError("rank moved under window bump"), "instability"),
+])
+def test_error_kind_engine_failure(monkeypatch, exc, kind):
+    def broken(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "stalk_dimension", broken)
+    res = invoke("stalk", "--k", "1", "--j", "2", "--sigma", "u1*gen1",
+                 "--point", "1,0,1,0")
+    assert res.exit_code == 1
+    assert res.stdout == ""
+    assert res.stderr == f"error ({kind}): {exc}\n"
 
 
 def test_star_check_passes():

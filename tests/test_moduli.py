@@ -25,7 +25,7 @@ from ncbundles import (
     stratify,
     verify_claims,
 )
-from ncbundles import linalg
+from ncbundles import linalg, moduli
 from ncbundles.moduli import (
     DEFAULT_SEED,
     canonical_json,
@@ -321,6 +321,45 @@ def test_oracle_rejects_outside_span():
     pt = [Fraction(1), Fraction(0), Fraction(0), Fraction(0)]
     delta = [Fraction(0), Fraction(0), Fraction(1), Fraction(0)]
     assert not full_gauge_oracle(1, 2, sigma, pt, delta).decision
+
+
+def unit(dim, r, c=1):
+    return [Fraction(c) if n == r else Fraction(0) for n in range(dim)]
+
+
+@pytest.mark.parametrize("k, j, spec, point, delta, decision, unknowns", [
+    (1, 2, "gen1", unit(4, 0), unit(4, 3), False, 482),
+    (2, 3, "u1*gen4", unit(8, 4), unit(8, 7), False, 630),
+    (1, 3, "gen1", unit(8, 1, Fraction(2, 3)), unit(8, 0), True, 630),
+])
+def test_oracle_degenerate_points(k, j, spec, point, delta, decision,
+                                  unknowns):
+    # zero coordinates make symbolic entries of the oracle system vanish;
+    # the decision and the count of nonempty unknown columns are pinned
+    rep = full_gauge_oracle(k, j, parse_sigma_spec(spec, k), point, delta)
+    assert (rep.decision, rep.unknowns) == (decision, unknowns)
+
+
+def test_oracle_rational_multiplier():
+    # the symbolic oracle coefficients have denominator 3 here, so the
+    # compiled system is scaled to integer forms
+    rep = oracle_check(configs=((1, 2, "2/3*u1*gen1"),), trials_point=2,
+                       trials_delta=4)
+    assert rep["total_decisions"] == 8
+    assert rep["status"] == "PASS", rep["mismatches"][:3]
+
+
+def test_oracle_cold_equals_warm(monkeypatch):
+    sigma = parse_sigma_spec("u1*gen4", 2)
+    rng = random.Random(17)
+    pt = random_point(2, 3, rng)
+    delta = random_point(2, 3, rng)
+    # an empty cache for this test only, as in a fresh process
+    monkeypatch.setattr(moduli, "_MASTERS", {})
+    cold = full_gauge_oracle(2, 3, sigma, pt, delta)
+    assert ("oracle", 2, 3, sigma.cache_key()) in moduli._MASTERS
+    warm = full_gauge_oracle(2, 3, sigma, pt, delta)
+    assert cold == warm
 
 
 def test_oracle_check_small_battery():
