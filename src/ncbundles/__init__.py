@@ -6,7 +6,6 @@ quantized by a degree-one star product.
 __version__ = "0.1.0"
 
 from .bundles import (
-    ExtensionClass,
     Matrix2,
     NormalizationResult,
     canonical_right_inverse,
@@ -14,6 +13,19 @@ from .bundles import (
     normalize_line_bundle,
     star_matrix_mul,
     transition_matrix,
+)
+from .claims import certify_generic_rank, stratify, verify_claims
+from .engine import (
+    GaugeWindows,
+    MasterSystem,
+    StalkReport,
+    WindowInstabilityError,
+    build_cancellation_system,
+    compute_windows,
+    generic_rank,
+    is_extremal,
+    obstruction_basis,
+    stalk_dimension,
 )
 from .geometry import (
     GLOBAL,
@@ -28,29 +40,12 @@ from .geometry import (
     to_V_chart,
     v_exponent,
 )
-from .moduli import (
-    DirectionMatrix,
-    GaugeWindows,
-    REPORT_SCHEMA,
-    StalkReport,
-    WindowInstabilityError,
-    build_cancellation_system,
-    certify_generic_rank,
-    compute_windows,
-    full_gauge_oracle,
-    generic_rank,
-    obstruction_basis,
-    oracle_check,
-    stalk_dimension,
-    stratify,
-    verify_claims,
-)
+from .oracle import full_gauge_oracle, oracle_check
 from .poisson import (
     Bivector,
     associator_defect,
     catalog,
     generator,
-    is_extremal,
     is_extremal_literal,
     jacobi_defect,
     parse_sigma_spec,
@@ -65,12 +60,11 @@ from .ring import (
 
 __all__ = [
     "Bivector",
-    "DirectionMatrix",
-    "ExtensionClass",
     "FormalFunction",
     "GLOBAL",
     "GaugeWindows",
     "LaurentPoly",
+    "MasterSystem",
     "Matrix2",
     "Monomial",
     "OBSTRUCTION",
@@ -78,7 +72,6 @@ __all__ = [
     "V_ONLY",
     "NormalizationResult",
     "ParamPoly",
-    "REPORT_SCHEMA",
     "StalkReport",
     "WindowInstabilityError",
     "associator_defect",

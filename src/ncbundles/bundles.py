@@ -46,27 +46,6 @@ def extension_basis(k, j, max_u=1, epsilon=None):
     return sorted(seen, key=lambda m: (m.i + m.s, m.s, -m.l))
 
 
-@dataclass(frozen=True)
-class ExtensionClass:
-    """Coefficient vector on the extension basis, plus optional hbar-part."""
-
-    k: int
-    j: int
-    coeffs: tuple
-
-    def basis(self):
-        return extension_basis(self.k, self.j, 1)
-
-    def to_poly(self):
-        terms = {}
-        for mon, c in zip(self.basis(), self.coeffs):
-            if isinstance(c, int):
-                c = Fraction(c)
-            if c:
-                terms[mon] = c
-        return LaurentPoly(terms)
-
-
 class Matrix2:
     """2x2 matrix of truncated hbar-series."""
 

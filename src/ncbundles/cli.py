@@ -9,6 +9,7 @@ stderr with KIND one of usage, invariant or instability.
 
 from __future__ import annotations
 
+import json
 import os
 import random
 import sys
@@ -17,21 +18,18 @@ from fractions import Fraction
 import click
 
 from .bundles import normalize_line_bundle
-from .geometry import h1_obstruction_basis
-from .moduli import (
+from .claims import stratify, verify_claims
+from .engine import (
     DEFAULT_SEED,
     FAIL,
     PASS,
     WindowInstabilityError,
     build_cancellation_system,
-    canonical_json,
-    make_report,
-    oracle_check,
     rand_fraction,
     stalk_dimension,
-    stratify,
-    verify_claims,
 )
+from .geometry import h1_obstruction_basis
+from .oracle import oracle_check
 from .poisson import (
     associator_defect,
     catalog,
@@ -41,6 +39,40 @@ from .poisson import (
 from .ring import FormalFunction, LaurentPoly, Monomial, parse_poly
 
 click.UsageError.exit_code = 1
+
+REPORT_SCHEMA = {
+    "$schema": "http://json-schema.org/draft-07/schema#",
+    "title": "ncbundles report envelope",
+    "type": "object",
+    "required": ["tool", "kind", "config", "seed", "result"],
+    "properties": {
+        "tool": {"const": "ncbundles"},
+        "kind": {
+            "enum": ["h1", "star-check", "normalize", "stalk",
+                     "stratify", "verify", "oracle-check"],
+        },
+        "config": {"type": "object"},
+        "seed": {"type": ["integer", "null"]},
+        "result": {"type": "object"},
+    },
+    "additionalProperties": False,
+}
+
+
+def make_report(kind, config, seed, result):
+    return {
+        "tool": "ncbundles",
+        "kind": kind,
+        "config": config,
+        "seed": seed,
+        "result": result,
+    }
+
+
+def canonical_json(obj):
+    """Deterministic serialization: same report, same bytes."""
+    return json.dumps(obj, sort_keys=True, indent=2,
+                      separators=(",", ": ")) + "\n"
 
 
 def _resolve_seed(seed):

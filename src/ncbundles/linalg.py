@@ -80,13 +80,6 @@ def rank(columns, nrows=None):
     return cs.rank
 
 
-def in_column_span(columns, target):
-    cs = ColumnSpace(len(target))
-    for col in columns:
-        cs.add(col)
-    return cs.contains(target)
-
-
 def presolve_singletons(columns, rhs):
     """Drop rows that contain a variable appearing in no other row.
 

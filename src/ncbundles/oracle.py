@@ -1,0 +1,404 @@
+"""The full gauge oracle: the second, independent route to triviality.
+
+It solves the complete 2x2 intertwining equation
+A_V * T_q = T_p * A_U mod hbar^2, mod u^2, with independent windowed
+unknowns on both sides and no manual elimination, and is used to
+cross-check the engine's decisions on whether a direction is trivial.
+One system per configuration is built with ParamPoly coefficients in
+the base point and the direction; every decision only evaluates it.
+"""
+
+from __future__ import annotations
+
+import math
+import random
+from array import array
+from dataclasses import dataclass
+from fractions import Fraction
+
+from . import linalg
+from .bundles import Matrix2, extension_basis, transition_matrix
+from .engine import (
+    DEFAULT_SEED,
+    FAIL,
+    PASS,
+    Report,
+    WindowInstabilityError,
+    _build_master,
+    _coerce_point,
+    cached,
+    direction_dimension,
+    rand_fraction,
+    random_point,
+    require_positive,
+)
+from .poisson import parse_sigma_spec
+from .ring import FormalFunction, LaurentPoly, ParamPoly
+
+_ORACLE_BUMP = 2  # window bump of the stability check
+
+
+def _oracle_hi(j, bump):
+    """Top z-degree of the oracle's unit window."""
+    return 4 * j + 4 + bump
+
+
+def _oracle_families(k, j, bump):
+    """Unknown inventory of the full intertwining system.
+
+    U-side units are z^n times a u-grade; V-side units are xi^n times a
+    fibre coordinate of the other chart, written in U-coordinates.  Both
+    sides carry classical and first-order slots in every matrix entry
+    compatible with the gauge normalization (diagonal classical parts
+    are pinned to 1, the classical upper-right slots to 0).
+    """
+    hi = _oracle_hi(j, bump)
+
+    def upoly(n, g):
+        if g == 0:
+            return LaurentPoly.monomial(n, 0, 0)
+        if g == 1:
+            return LaurentPoly.monomial(n, 1, 0)
+        return LaurentPoly.monomial(n, 0, 1)
+
+    def vpoly(n, g):
+        if g == 0:
+            return LaurentPoly.monomial(-n, 0, 0)
+        if g == 1:
+            return LaurentPoly.monomial(k - n, 1, 0)
+        return LaurentPoly.monomial(2 - k - n, 0, 1)
+
+    u_slots = [
+        ("a", (0, 0), 0, (1, 2)),
+        ("d", (1, 1), 0, (1, 2)),
+        ("c", (1, 0), 0, (0, 1, 2)),
+        ("ap", (0, 0), 1, (0, 1, 2)),
+        ("dp", (1, 1), 1, (0, 1, 2)),
+        ("cp", (1, 0), 1, (0, 1, 2)),
+        ("b", (0, 1), 1, (0, 1, 2)),
+    ]
+    v_slots = [
+        ("al", (0, 0), 0, (1, 2)),
+        ("de", (1, 1), 0, (1, 2)),
+        ("g", (1, 0), 0, (0, 1, 2)),
+        ("alp", (0, 0), 1, (0, 1, 2)),
+        ("dep", (1, 1), 1, (0, 1, 2)),
+        ("gp", (1, 0), 1, (0, 1, 2)),
+        ("be", (0, 1), 1, (0, 1, 2)),
+    ]
+    fams = []
+    for name, entry, hord, grades in u_slots:
+        for g in grades:
+            for n in range(hi + 1):
+                fams.append((("U", name, g, n), entry, hord, upoly(n, g)))
+    for name, entry, hord, grades in v_slots:
+        for g in grades:
+            for n in range(hi + 1):
+                fams.append((("V", name, g, n), entry, hord, vpoly(n, g)))
+    return fams
+
+
+def _dispensed(key, j):
+    """Suppressed always-slack diagonal rows at first order.
+
+    The u-free first-order rows of the diagonal entries at high degree
+    would pin the free integration constants of the diagonal hbar-parts
+    and with them collapse legitimate shift columns; they carry no
+    obstruction content.  Low-degree u-free diagonal rows are kept.
+    """
+    ei, ej, hord, l, i, s = key
+    if hord != 1 or i or s:
+        return False
+    if (ei, ej) == (0, 0):
+        return l >= j + 1
+    if (ei, ej) == (1, 1):
+        return l >= -j + 1
+    return False
+
+
+def _collect(poly, ei, ej, hord, sign, j, store):
+    for mon, c in poly.truncate_neighborhood(1).terms():
+        key = (ei, ej, hord, mon.l, mon.i, mon.s)
+        if _dispensed(key, j):
+            continue
+        val = c if sign == 1 else -c
+        total = store.get(key, 0) + val
+        if total:
+            store[key] = total
+        else:
+            store.pop(key, None)
+
+
+def _affine_form(c):
+    """Pairs (variable, coefficient) of an entry affine in (p, delta).
+
+    Variable 0 is the constant term, variable 1 + r the r-th parameter.
+    """
+    if not isinstance(c, ParamPoly):
+        return ((0, c),)
+    form = []
+    for ev, coeff in c.terms():
+        deg = sum(ev)
+        if deg > 1:
+            raise AssertionError(
+                f"oracle entry {c.render()} is not affine in (p, delta)")
+        form.append((1 + ev.index(1) if deg else 0, coeff))
+    return tuple(form)
+
+
+@dataclass(frozen=True, slots=True)
+class OracleSystem:
+    """Full intertwining system of one configuration, affine in (p, delta).
+
+    Built once at the widest window; a narrower window keeps the unknowns
+    whose unit has z-degree up to its top.  Unknowns and rows are numbered
+    in sorted key order, so the solver meets them in the order of their
+    keys.  Column c holds the entries col_start[c] to col_start[c + 1];
+    entry e sits in row entry_row[e] and has the value of form
+    entry_form[e].  A form is a tuple of (variable, integer coefficient)
+    pairs (see _affine_form); the whole system is scaled by the common
+    denominator of its symbolic coefficients, 1 for the catalog
+    bivectors, which leaves its solvability unchanged.
+    """
+
+    j: int
+    forms: tuple
+    col_n: array
+    col_start: array
+    entry_row: array
+    entry_form: array
+    rhs_row: array
+    rhs_form: array
+
+    def form_values(self, point, delta):
+        """Every form at (point, delta), as a Fraction.
+
+        The forms are summed in integers over the common denominator d of
+        the coordinates, then divided by d.
+        """
+        coords = point + delta
+        d = math.lcm(*(c.denominator for c in coords))
+        x = [d] + [c.numerator * (d // c.denominator) for c in coords]
+        return [Fraction(sum(coeff * x[v] for v, coeff in form), d)
+                for form in self.forms]
+
+    def solvable(self, values, bump):
+        """Whether the system in the window of the bump is solvable.
+
+        Entries that vanish at the point are dropped, and with them the
+        columns left empty; also returns the number of unknowns left.
+        """
+        hi = _oracle_hi(self.j, bump)
+        columns = {}
+        for c, n in enumerate(self.col_n):
+            if n > hi:
+                continue
+            col = {}
+            for e in range(self.col_start[c], self.col_start[c + 1]):
+                v = values[self.entry_form[e]]
+                if v:
+                    col[self.entry_row[e]] = v
+            if col:
+                columns[c] = col
+        rhs = {r: values[f] for r, f in zip(self.rhs_row, self.rhs_form)
+               if values[f]}
+        return linalg.solvable_sparse(columns, rhs), len(columns)
+
+
+def _build_oracle_system(k, j, sigma):
+    dim = direction_dimension(k, j)
+    params = (tuple(f"p{r}" for r in range(dim))
+              + tuple(f"d{r}" for r in range(dim)))
+    coeffs = [ParamPoly.variable(params, name) for name in params]
+    basis = extension_basis(k, j, 1)
+    p_poly = LaurentPoly(dict(zip(basis, coeffs[:dim])))
+    delta_poly = LaurentPoly(dict(zip(basis, coeffs[dim:])))
+    zero = LaurentPoly.zero()
+    Tq = Matrix2([
+        [FormalFunction([LaurentPoly.monomial(j, 0, 0)]),
+         FormalFunction([p_poly, delta_poly])],
+        [FormalFunction([zero]),
+         FormalFunction([LaurentPoly.monomial(-j, 0, 0)])],
+    ])
+    Tp = transition_matrix(j, p_poly)
+
+    forms = {}  # affine form -> form id
+
+    def compiled(store):
+        return [(row, forms.setdefault(_affine_form(c), len(forms)))
+                for row, c in store.items()]
+
+    # star is bilinear in the gauge entries, so the contribution of a
+    # single unit w sitting at entry (ei, ej) is T * (w E) resp. (w E) * T,
+    # which only has one nonzero column resp. row
+    columns = {}
+    for key, (ui, uj), hord, w in _oracle_families(k, j, _ORACLE_BUMP):
+        side = key[0]
+        W = (FormalFunction([w]) if hord == 0
+             else FormalFunction([zero, w]))
+        col = {}
+        if side == "U":
+            for ei in range(2):
+                d = sigma.star(Tp.entry(ei, ui), W, 1)
+                for h in range(2):
+                    if not d[h].is_zero():
+                        _collect(d[h], ei, uj, h, -1, j, col)
+        else:
+            for ej in range(2):
+                d = sigma.star(W, Tq.entry(uj, ej), 1)
+                for h in range(2):
+                    if not d[h].is_zero():
+                        _collect(d[h], ui, ej, h, 1, j, col)
+        if col:
+            columns[key] = compiled(col)
+
+    rhs = {}
+    for ei in range(2):
+        for ej in range(2):
+            for h in range(2):
+                d = Tp.entry(ei, ej)[h] - Tq.entry(ei, ej)[h]
+                if not d.is_zero():
+                    _collect(d, ei, ej, h, 1, j, rhs)
+    rhs = compiled(rhs)
+
+    rows = set(row for row, _ in rhs)
+    for col in columns.values():
+        rows.update(row for row, _ in col)
+    row_id = {row: n for n, row in enumerate(sorted(rows))}
+    scale = math.lcm(*(c.denominator for form in forms for _, c in form))
+    col_n, col_start = array("i"), array("i", [0])
+    entry_row, entry_form = array("i"), array("i")
+    for key in sorted(columns):
+        col_n.append(key[3])
+        for row, f in columns[key]:
+            entry_row.append(row_id[row])
+            entry_form.append(f)
+        col_start.append(len(entry_row))
+    return OracleSystem(
+        j=j,
+        forms=tuple(tuple((v, int(c * scale)) for v, c in form)
+                    for form in forms),
+        col_n=col_n, col_start=col_start,
+        entry_row=entry_row, entry_form=entry_form,
+        rhs_row=array("i", (row_id[row] for row, _ in rhs)),
+        rhs_form=array("i", (f for _, f in rhs)),
+    )
+
+
+@dataclass
+class OracleReport(Report):
+    k: int
+    j: int
+    sigma: dict
+    point: tuple
+    delta: tuple
+    decision: bool
+    unknowns: int
+    stability_checked: bool
+
+
+def full_gauge_oracle(k, j, sigma, point, delta, check_stability=True):
+    """Decide triviality of a deformation direction from first principles.
+
+    Solves the complete intertwining system between the transition
+    matrices at the base point and at the perturbed direction, with
+    independent gauge unknowns on both charts.  No reduction from the
+    engine is reused.  The system is built on the first call for a
+    configuration and cached; a call evaluates it at (point, delta).
+    """
+    pt = _coerce_point(k, j, point)
+    dl = _coerce_point(k, j, delta)
+    system = cached(_build_oracle_system, k, j, sigma)
+    values = system.form_values(pt, dl)
+    decision, nunk = system.solvable(values, 0)
+    if check_stability:
+        wide, _ = system.solvable(values, _ORACLE_BUMP)
+        if wide != decision:
+            raise WindowInstabilityError(
+                f"oracle decision flipped under window bump "
+                f"(k={k}, j={j}, point={pt}, delta={dl})"
+            )
+    return OracleReport(
+        k=k, j=j, sigma=sigma.describe(), point=pt, delta=dl,
+        decision=decision, unknowns=nunk,
+        stability_checked=check_stability,
+    )
+
+
+STANDARD_ORACLE_CONFIGS = (
+    (1, 2, "gen1"),
+    (1, 3, "gen1"),
+    (1, 2, "u1*gen1"),
+    (1, 3, "u1*gen1"),
+    (2, 2, "gen4"),
+    (2, 3, "gen4"),
+    (2, 2, "u1*gen4"),
+    (2, 3, "u1*gen4"),
+)
+
+
+def oracle_check(configs=None, trials_point=10, trials_delta=10,
+                 seed=DEFAULT_SEED, check_stability=True):
+    """Engine vs oracle agreement over a battery of decisions.
+
+    For every configuration and random base point, tests a mix of
+    directions built inside the engine column span and raw random
+    directions; both routes must agree on every single decision.
+    """
+    require_positive(trials_point=trials_point, trials_delta=trials_delta)
+    if configs is None:
+        configs = STANDARD_ORACLE_CONFIGS
+    mismatches = []
+    per_config = []
+    total = 0
+    for idx, (k, j, sig_text) in enumerate(configs):
+        sigma = parse_sigma_spec(sig_text, k)
+        master = cached(_build_master, k, j, sigma, "derived", 0)
+        dim = direction_dimension(k, j)
+        rng = random.Random(seed + 7919 * idx)
+        agree = 0
+        count = 0
+        for _ in range(trials_point):
+            pt = random_point(k, j, rng)
+            cols = master.evaluate(pt)
+            cs = linalg.ColumnSpace(dim)
+            for col in cols:
+                cs.add(col)
+            for t in range(trials_delta):
+                if t % 2 == 0:
+                    i1 = rng.randrange(len(cols))
+                    i2 = rng.randrange(len(cols))
+                    c1, c2 = rand_fraction(rng), rand_fraction(rng)
+                    delta = [c1 * a + c2 * b
+                             for a, b in zip(cols[i1], cols[i2])]
+                else:
+                    delta = [rand_fraction(rng) for _ in range(dim)]
+                engine = cs.contains(delta)
+                oracle = full_gauge_oracle(
+                    k, j, sigma, pt, delta,
+                    check_stability=check_stability,
+                ).decision
+                count += 1
+                total += 1
+                if engine == oracle:
+                    agree += 1
+                else:
+                    mismatches.append({
+                        "config": [k, j, sig_text],
+                        "point": [str(c) for c in pt],
+                        "delta": [str(c) for c in delta],
+                        "engine": engine,
+                        "oracle": oracle,
+                    })
+        per_config.append({
+            "config": [k, j, sig_text],
+            "decisions": count,
+            "agreements": agree,
+        })
+    return {
+        "total_decisions": total,
+        "total_mismatches": len(mismatches),
+        "mismatches": mismatches,
+        "per_config": per_config,
+        "status": PASS if not mismatches else FAIL,
+    }

@@ -186,15 +186,3 @@ def is_extremal_literal(sigma):
         if not sigma.bracket(f, g).truncate_neighborhood(1).is_zero():
             return False
     return True
-
-
-def is_extremal(sigma, j=2):
-    """Operational extremality used by the moduli computations.
-
-    True when every gauge-direction column of the cancellation system
-    vanishes identically, leaving only the shift columns.  Deviates from
-    the literal ideal-membership test on some multiplied bivectors.
-    """
-    from .moduli import is_extremal as _impl
-
-    return _impl(sigma, j)

@@ -401,16 +401,6 @@ class LaurentPoly:
         """Apply a bijection on exponent triples (used for chart changes)."""
         return LaurentPoly({fn(m): c for m, c in self._t.items()})
 
-    def evaluate_params(self, values):
-        """Specialize all ParamPoly coefficients at the given parameter values."""
-        t = {}
-        for m, c in self._t.items():
-            if isinstance(c, ParamPoly):
-                c = c.evaluate(values)
-            if c != 0:
-                t[m] = c
-        return LaurentPoly(t)
-
     # -- text form ---------------------------------------------------------
 
     def render(self):
@@ -518,10 +508,6 @@ class FormalFunction:
             if not isinstance(c, LaurentPoly):
                 raise TypeError("FormalFunction coefficients must be LaurentPoly")
         self.coeffs = coeffs
-
-    @classmethod
-    def classical(cls, p, order=1):
-        return cls([p] + [LaurentPoly.zero()] * order)
 
     @property
     def order(self):

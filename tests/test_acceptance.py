@@ -24,7 +24,6 @@ from ncbundles import (
     LaurentPoly,
     Matrix2,
     Monomial,
-    REPORT_SCHEMA,
     associator_defect,
     build_cancellation_system,
     canonical_right_inverse,
@@ -44,9 +43,9 @@ from ncbundles import (
     verify_claims,
 )
 from ncbundles import linalg
-from ncbundles.moduli import (
+from ncbundles.cli import REPORT_SCHEMA
+from ncbundles.engine import (
     DEFAULT_SEED,
-    _get_master,
     direction_dimension,
     rand_fraction,
     random_point,
@@ -106,8 +105,8 @@ def test_criterion_02a_basic_rigidity_random(k, spec):
     rng = random.Random(DEFAULT_SEED + 2)
     for j in (2, 3, 4, 5):
         dim = direction_dimension(k, j)
-        master = _get_master(k, j, sigma, "derived", 0)
-        wide = _get_master(k, j, sigma, "derived", 2)
+        master = build_cancellation_system(k, j, sigma)
+        wide = build_cancellation_system(k, j, sigma, bump=2)
         for t in range(50):
             pt = random_point(k, j, rng)
             r = linalg.rank(master.evaluate(pt), nrows=len(master.rows))
@@ -128,8 +127,8 @@ def test_criterion_02b_basic_rigidity_axes(k, spec):
     decisions = 0
     for j in (2, 3, 4, 5):
         dim = direction_dimension(k, j)
-        master = _get_master(k, j, sigma, "derived", 0)
-        wide = _get_master(k, j, sigma, "derived", 2)
+        master = build_cancellation_system(k, j, sigma)
+        wide = build_cancellation_system(k, j, sigma, bump=2)
         special = []
         for axis, pt in enumerate(single_coordinate_points(k, j)):
             r = linalg.rank(master.evaluate(pt), nrows=len(master.rows))
@@ -184,7 +183,7 @@ def test_criterion_02c_remaining_w2_generators_reported():
         sigma = parse_sigma_spec(spec, 2)
         for j in (2, 3, 4, 5):
             dim = direction_dimension(2, j)
-            master = _get_master(2, j, sigma, "derived", 0)
+            master = build_cancellation_system(2, j, sigma)
             for _ in range(50):
                 pt = random_point(2, j, rng)
                 r = linalg.rank(master.evaluate(pt), nrows=len(master.rows))

@@ -1,0 +1,46 @@
+"""The benchmark's trace hooks (perfbench/spans.py) against the package.
+
+The tracer wraps package functions by name, from outside; a renamed or
+moved hooked name would only show when the traced benchmark runs.
+"""
+
+from pathlib import Path
+
+import pytest
+
+import ncbundles
+import ncbundles.cli  # noqa: F401  (the benchmark's report serializer)
+from ncbundles import engine, full_gauge_oracle, linalg, parse_sigma_spec
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture
+def bench(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+    import workloads
+
+    return spans, workloads
+
+
+def test_trace_hooks_install_and_uninstall(bench):
+    spans, workloads = bench
+    plain_add = linalg.ColumnSpace.add
+    tracer = spans.Tracer()
+    try:
+        tracer.install(ncbundles, workloads)  # raises on a missing name
+        assert linalg.ColumnSpace.add is not plain_add
+    finally:
+        tracer.uninstall()
+    assert linalg.ColumnSpace.add is plain_add
+
+
+def test_clear_master_caches_empties_the_oracle_cache(bench, monkeypatch):
+    _, workloads = bench
+    monkeypatch.setattr(engine, "_MASTERS", {})
+    sigma = parse_sigma_spec("gen1", 1)
+    full_gauge_oracle(1, 2, sigma, [1, 1, 1, 1], [0, 0, 0, 1])
+    assert engine._MASTERS
+    workloads.clear_master_caches(ncbundles)
+    assert not engine._MASTERS

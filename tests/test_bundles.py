@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from ncbundles import (
-    ExtensionClass,
     FormalFunction,
     LaurentPoly,
     Matrix2,
@@ -63,12 +62,6 @@ def test_extension_basis_epsilon_halves():
         assert all(m.i >= 1 for m in e0)
         assert all(m.s >= 1 for m in e1)
         assert sorted(e0 + e1) == sorted(full)
-
-
-def test_extension_class_to_poly():
-    coeffs = [Fraction(1), Fraction(0), Fraction(0), Fraction(2)]
-    cls = ExtensionClass(1, 2, coeffs)
-    assert cls.to_poly() == P("z*u1 + 2*u2")
 
 
 def test_transition_matrix_shape():

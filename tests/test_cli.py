@@ -8,8 +8,8 @@ import jsonschema
 import pytest
 from click.testing import CliRunner
 
-from ncbundles import REPORT_SCHEMA, WindowInstabilityError, cli
-from ncbundles.cli import main
+from ncbundles import WindowInstabilityError, cli
+from ncbundles.cli import REPORT_SCHEMA, main
 
 
 runner = CliRunner()
@@ -156,6 +156,25 @@ def test_stratify_worker_count_invariant():
     b = invoke(*base, "--workers", "2")
     sa, sb = json.loads(a.stdout), json.loads(b.stdout)
     assert sa["result"] == sb["result"]
+
+
+STRATIFY = ("stratify", "--k", "1", "--j", "2", "--sigma", "u1*gen1")
+
+
+@pytest.mark.parametrize("args, name", [
+    (STRATIFY + ("--workers", "0"), "workers"),
+    (STRATIFY + ("--draws", "0"), "draws"),
+    (STRATIFY + ("--pattern-cap", "0"), "pattern_cap"),
+    (("verify", "--k", "1", "--j", "2", "--sigma", "gen1", "--trials", "0"),
+     "trials"),
+    (("oracle-check", "--trials", "0"), "trials_point"),
+])
+def test_count_below_one_is_usage_error(args, name):
+    # a count of 0 would check nothing and still report PASS
+    res = invoke(*args)
+    assert res.exit_code == 1
+    assert res.stdout == ""
+    assert res.stderr == f"error (usage): {name} must be at least 1, got 0\n"
 
 
 def test_oracle_check_command():

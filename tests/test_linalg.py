@@ -68,22 +68,30 @@ def test_rank_against_naive():
         assert linalg.rank(cols, nrows=nrows) == naive_rank(cols, nrows)
 
 
+def column_space(cols, nrows):
+    space = linalg.ColumnSpace(nrows)
+    for col in cols:
+        space.add(col)
+    return space
+
+
 def test_in_column_span_consistency():
     rng = random.Random(7)
     for _ in range(25):
         nrows = rng.randint(2, 6)
         cols = frac_matrix(rng, nrows, rng.randint(1, 5), density=0.7)
+        space = column_space(cols, nrows)
         weights = [Fraction(rng.randint(-3, 3)) for _ in cols]
         combo = [sum((w * col[r] for w, col in zip(weights, cols)),
                      Fraction(0)) for r in range(nrows)]
-        assert linalg.in_column_span(cols, combo)
+        assert space.contains(combo)
         outside = list(combo)
         # appending a fresh axis direction usually leaves the span;
         # verify against rank growth instead of guessing
         outside[rng.randrange(nrows)] += Fraction(1)
         expected = linalg.rank(cols + [outside], nrows=nrows) == \
             linalg.rank(cols, nrows=nrows)
-        assert linalg.in_column_span(cols, outside) == expected
+        assert space.contains(outside) == expected
 
 
 def sparse_system(rng, nrows, nvars, density):
@@ -102,7 +110,7 @@ def dense_solvable(columns, rhs, nrows):
     for col in columns.values():
         cols.append([col.get((r,), Fraction(0)) for r in range(nrows)])
     target = [rhs.get((r,), Fraction(0)) for r in range(nrows)]
-    return linalg.in_column_span(cols, target)
+    return column_space(cols, nrows).contains(target)
 
 
 def test_solvable_sparse_matches_dense():

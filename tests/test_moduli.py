@@ -1,7 +1,9 @@
 """Cancellation systems, stalk dimensions, stratification, oracle."""
 
 import json
+import os
 import random
+from concurrent.futures import Future
 from fractions import Fraction
 
 import jsonschema
@@ -10,7 +12,6 @@ import pytest
 from ncbundles import (
     LaurentPoly,
     Monomial,
-    REPORT_SCHEMA,
     WindowInstabilityError,
     build_cancellation_system,
     certify_generic_rank,
@@ -25,12 +26,11 @@ from ncbundles import (
     stratify,
     verify_claims,
 )
-from ncbundles import linalg, moduli
-from ncbundles.moduli import (
+from ncbundles import claims, engine, linalg
+from ncbundles.cli import REPORT_SCHEMA, canonical_json, make_report
+from ncbundles.engine import (
     DEFAULT_SEED,
-    canonical_json,
     direction_dimension,
-    make_report,
     rand_fraction,
     random_point,
     single_coordinate_points,
@@ -163,7 +163,7 @@ def test_lambda0_column_is_base_point(k, j, spec):
     sigma = parse_sigma_spec(spec, k)
     pt = random_point(k, j, rng)
     mat = build_cancellation_system(k, j, sigma, pt)
-    assert mat.column(("lambda", 0)) == pt
+    assert mat.columns[mat.tags.index(("lambda", 0))] == pt
 
 
 @pytest.mark.parametrize("k,j,spec", CONFIGS)
@@ -277,6 +277,35 @@ def test_stratify_deterministic_and_worker_invariant():
     assert canonical_json(a) == canonical_json(c)
 
 
+def test_stratify_pool_capped_at_cpu_count(monkeypatch):
+    sizes = []
+
+    class InlinePool:
+        """Records the pool size and runs each submission in this process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(claims, "ProcessPoolExecutor", InlinePool)
+    sigma = parse_sigma_spec("u1*gen1", 1)
+    serial = stratify(1, 2, sigma, draws=2, seed=5)
+    pooled = stratify(1, 2, sigma, draws=2, seed=5, workers=10_000)
+    # 15 support patterns: never more processes than patterns or cores
+    assert sizes == [min(15, os.cpu_count() or 1)]
+    assert pooled == serial
+
+
 def test_stratify_symbolic_minors_certificate():
     sigma = parse_sigma_spec("u1*gen1", 1)
     rep = stratify(1, 2, sigma, strategy="symbolic-minors", draws=2)
@@ -311,8 +340,11 @@ def test_oracle_matches_engine_span_membership():
     pt = [Fraction(0), Fraction(1), Fraction(0), Fraction(0)]
     delta = [Fraction(1), Fraction(0), Fraction(0), Fraction(0)]
     mat = build_cancellation_system(1, 2, sigma, pt)
-    engine = linalg.in_column_span(mat.columns, delta)
-    assert engine  # lambda_1 column is exactly (p1, 0, p3, 0) = delta
+    space = linalg.ColumnSpace(len(mat.rows))
+    for col in mat.columns:
+        space.add(col)
+    # lambda_1 column is exactly (p1, 0, p3, 0) = delta
+    assert space.contains(delta)
     assert full_gauge_oracle(1, 2, sigma, pt, delta).decision
 
 
@@ -355,9 +387,10 @@ def test_oracle_cold_equals_warm(monkeypatch):
     pt = random_point(2, 3, rng)
     delta = random_point(2, 3, rng)
     # an empty cache for this test only, as in a fresh process
-    monkeypatch.setattr(moduli, "_MASTERS", {})
+    monkeypatch.setattr(engine, "_MASTERS", {})
     cold = full_gauge_oracle(2, 3, sigma, pt, delta)
-    assert ("oracle", 2, 3, sigma.cache_key()) in moduli._MASTERS
+    assert list(engine._MASTERS) == [
+        ("_build_oracle_system", 2, 3, sigma.cache_key())]
     warm = full_gauge_oracle(2, 3, sigma, pt, delta)
     assert cold == warm
 
@@ -405,8 +438,8 @@ def test_rand_fraction_range():
     rng = random.Random(DEFAULT_SEED)
     for _ in range(200):
         q = rand_fraction(rng)
-        assert q != 0
-        assert abs(q.numerator) <= 97 * 97
+        assert 1 <= abs(q.numerator) <= 97
+        assert 1 <= q.denominator <= 97
 
 
 def test_report_envelope_schema():

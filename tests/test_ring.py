@@ -148,12 +148,3 @@ def test_param_poly_render():
     assert p0.render() == "p0"
     assert (p0 * p1 + p0 * p1).render() == "2*p0*p1"
     assert (p0 - p0).render() == "0"
-
-
-def test_laurent_over_params_evaluates_pointwise():
-    p0 = ParamPoly.variable(PARAMS, "p0")
-    p1 = ParamPoly.variable(PARAMS, "p1")
-    f = LaurentPoly({Monomial(2, 1, 0): p0, Monomial(-1, 0, 1): p1 * 2})
-    g = f.evaluate_params(
-        {"p0": Fraction(3), "p1": Fraction(1, 2), "p2": Fraction(0)})
-    assert g == P("3*z^2*u1 + z^-1*u2")
