@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .geometry import cech_split, classify, v_exponent
+from .geometry import cech_split
 from .ring import FormalFunction, LaurentPoly, Monomial
 
 

@@ -16,6 +16,7 @@ from .engine import (
     FAIL,
     PASS,
     _build_master,
+    build_cancellation_system,
     cached,
     direction_dimension,
     is_extremal,
@@ -40,13 +41,13 @@ def _masked_point(k, j, mask, rng):
             for r in range(dim)]
 
 
-def _scan_masks(sigma, k, j, formula, masks, seed, draws, check_stability):
+def _scan_masks(sigma, k, j, masks, seed, draws):
     out = []
     for mask in masks:
         for t in range(draws):
             rng = random.Random(_point_seed(seed, mask, t))
             pt = _masked_point(k, j, mask, rng)
-            _, space = point_space(k, j, sigma, formula, pt, check_stability)
+            _, space = point_space(k, j, sigma, "derived", pt)
             out.append((mask, t, space.rank, [str(c) for c in pt]))
     return out
 
@@ -63,8 +64,7 @@ def _select_masks(k, j, seed, pattern_cap):
 
 
 def stratify(k, j, sigma, strategy="support-patterns", seed=DEFAULT_SEED,
-             draws=5, pattern_cap=4096, workers=1, formula="derived",
-             check_stability=True):
+             draws=5, pattern_cap=4096, workers=1):
     """Scan support patterns of the base point for stalk strata.
 
     strategy="support-patterns" samples every nonzero support pattern
@@ -84,18 +84,16 @@ def stratify(k, j, sigma, strategy="support-patterns", seed=DEFAULT_SEED,
     if workers > 1:
         chunks = [c for c in (masks[i::workers] for i in range(workers)) if c]
         size = min(len(chunks), os.cpu_count() or 1)
+        # built before the pool starts, so forked workers inherit it
+        cached(_build_master, k, j, sigma, "derived")
         with ProcessPoolExecutor(max_workers=size) as pool:
-            futs = [
-                pool.submit(_scan_masks, sigma, k, j, formula, chunk, seed,
-                            draws, check_stability)
-                for chunk in chunks
-            ]
+            futs = [pool.submit(_scan_masks, sigma, k, j, chunk, seed, draws)
+                    for chunk in chunks]
             for f in futs:
                 results.extend(f.result())
         results.sort(key=lambda rec: (rec[0], rec[1]))
     else:
-        results = _scan_masks(sigma, k, j, formula, masks, seed, draws,
-                              check_stability)
+        results = _scan_masks(sigma, k, j, masks, seed, draws)
 
     strata = {}
     max_corank = -1
@@ -125,16 +123,14 @@ def stratify(k, j, sigma, strategy="support-patterns", seed=DEFAULT_SEED,
         "strata": {str(c): strata[c] for c in sorted(strata)},
         "max_corank": max_corank,
         "max_corank_witness": max_witness,
-        "stability_checked": check_stability,
+        "stability_checked": True,
     }
     if strategy == "symbolic-minors":
-        report["certificate"] = certify_generic_rank(k, j, sigma,
-                                                     seed=seed,
-                                                     formula=formula)
+        report["certificate"] = certify_generic_rank(k, j, sigma, seed=seed)
     return report
 
 
-def certify_generic_rank(k, j, sigma, seed=DEFAULT_SEED, formula="derived"):
+def certify_generic_rank(k, j, sigma, seed=DEFAULT_SEED):
     """Certify the generic rank with a symbolically nonzero minor.
 
     Locates a full-rank submatrix at a random point, then evaluates its
@@ -142,7 +138,7 @@ def certify_generic_rank(k, j, sigma, seed=DEFAULT_SEED, formula="derived"):
     with the structural upper bound min(#rows, #columns not identically
     zero) this pins the generic rank exactly when the two agree.
     """
-    master = cached(_build_master, k, j, sigma, formula, 0)
+    master = build_cancellation_system(k, j, sigma)
     nrows = len(master.rows)
     live = [i for i, col in enumerate(master.columns)
             if any(bool(e) for e in col)]
@@ -186,8 +182,7 @@ def certify_generic_rank(k, j, sigma, seed=DEFAULT_SEED, formula="derived"):
 # claim verification
 
 
-def verify_claims(k, j, sigma, seed=DEFAULT_SEED, trials=20,
-                  formula="derived"):
+def verify_claims(k, j, sigma, seed=DEFAULT_SEED, trials=20):
     """Check the structural claims for one configuration.
 
     Emits one PASS/FAIL/EXCEEDS record per claim and never reconciles a
@@ -195,18 +190,22 @@ def verify_claims(k, j, sigma, seed=DEFAULT_SEED, trials=20,
     claims cover (special points, coranks beyond the stated bound).
     """
     require_positive(trials=trials)
+
+    def rank_at(q):
+        return point_space(k, j, sigma, "derived", q)[1].rank
+
     claims = []
-    master = cached(_build_master, k, j, sigma, formula, 0)
+    derived = cached(_build_master, k, j, sigma, "derived")
     claims.append({
         "name": "identity-shift-column",
         "status": PASS,
         "detail": "asserted during construction",
     })
 
-    printed = cached(_build_master, k, j, sigma, "printed", 0)
-    same = (master.tags == printed.tags and all(
+    printed = cached(_build_master, k, j, sigma, "printed")
+    same = (derived.tags == printed.tags and all(
         all(a == b for a, b in zip(ca, cb))
-        for ca, cb in zip(master.columns, printed.columns)
+        for ca, cb in zip(derived.columns, printed.columns)
     ))
     claims.append({
         "name": "closed-form-agreement",
@@ -217,9 +216,8 @@ def verify_claims(k, j, sigma, seed=DEFAULT_SEED, trials=20,
 
     rng = random.Random(seed)
     pt = random_point(k, j, rng)
-    base_rank = linalg.rank(master.evaluate(pt), nrows=len(master.rows))
-    scaled = [Fraction(7, 3) * c for c in pt]
-    s_rank = linalg.rank(master.evaluate(scaled), nrows=len(master.rows))
+    base_rank = rank_at(pt)
+    s_rank = rank_at([Fraction(7, 3) * c for c in pt])
     claims.append({
         "name": "scaling-invariance",
         "status": PASS if base_rank == s_rank else FAIL,
@@ -234,8 +232,7 @@ def verify_claims(k, j, sigma, seed=DEFAULT_SEED, trials=20,
         bad = []
         for _ in range(trials):
             q = random_point(k, j, rng)
-            r = linalg.rank(master.evaluate(q), nrows=len(master.rows))
-            if r != dim:
+            if rank_at(q) != dim:
                 bad.append([str(c) for c in q])
         claims.append({
             "name": "generic-rigidity",
@@ -245,7 +242,7 @@ def verify_claims(k, j, sigma, seed=DEFAULT_SEED, trials=20,
         })
         special = []
         for pt1 in single_coordinate_points(k, j):
-            r = linalg.rank(master.evaluate(pt1), nrows=len(master.rows))
+            r = rank_at(pt1)
             if r != dim:
                 special.append({
                     "point": [str(c) for c in pt1],
@@ -263,8 +260,7 @@ def verify_claims(k, j, sigma, seed=DEFAULT_SEED, trials=20,
         bad = []
         for _ in range(trials):
             q = random_point(k, j, rng)
-            r = linalg.rank(master.evaluate(q), nrows=len(master.rows))
-            if dim - r != expected:
+            if dim - rank_at(q) != expected:
                 bad.append([str(c) for c in q])
         claims.append({
             "name": "extremal-generic-stalk",
@@ -275,7 +271,7 @@ def verify_claims(k, j, sigma, seed=DEFAULT_SEED, trials=20,
         bound = 4 * j - k - 4
         cap = 512 if dim > 10 else (1 << dim) - 1
         masks = _select_masks(k, j, seed, cap)
-        recs = _scan_masks(sigma, k, j, formula, masks, seed, 2, False)
+        recs = _scan_masks(sigma, k, j, masks, seed, 2)
         seen = {}
         for mask, t, r, ptxt in recs:
             seen.setdefault(dim - r, {"mask": mask, "point": ptxt})

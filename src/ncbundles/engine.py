@@ -9,8 +9,9 @@ a point is the corank.  The full gauge oracle (oracle.py) decides the
 same triviality question without this reduction.
 
 Everything is exact over the rationals.  A direction matrix is built once
-per configuration, symbolic in the base point (ParamPoly), and cached in
-_MASTERS next to the oracle's systems; a point only evaluates it.
+per configuration, at the window of the stability check and symbolic in
+the base point (ParamPoly), and cached in _MASTERS next to the oracle's
+systems; a point only evaluates it.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from fractions import Fraction
 
 from . import linalg
 from .bundles import (
-    Matrix2,
     canonical_right_inverse,
     extension_basis,
     star_matrix_mul,
@@ -35,6 +35,7 @@ FAIL = "FAIL"
 EXCEEDS = "EXCEEDS"
 
 DEFAULT_SEED = 97
+STABILITY_BUMP = 2  # window bump of the stability check, engine and oracle
 
 
 class WindowInstabilityError(RuntimeError):
@@ -129,37 +130,31 @@ def _symbolic_point(k, j):
     return params, coeffs
 
 
-def _gauge_matrix(tag):
-    """2x2 gauge matrix for a single unit direction, identity elsewhere."""
-    one = LaurentPoly.const(1)
+def _direction_entry_derived(sigma, T, R, tag):
+    """Upper-right entry of T * (1 + W E_ab) * R for the unit W of a column.
+
+    T * R = 1 mod hbar^2, so by bilinearity of the star product only
+    (T_0a * W) * R_b1 is left.
+    """
     zero = LaurentPoly.zero()
     fam, n = tag
-    ent = [[[one, zero], [zero, zero]], [[zero, zero], [one, zero]]]
     if fam == "lambda":
-        ent[1][1][1] = LaurentPoly.monomial(n, 0, 0)
-    elif fam in ("a1", "a2"):
-        g = (1, 0) if fam == "a1" else (0, 1)
-        ent[0][0][0] = ent[0][0][0] + LaurentPoly.monomial(n, *g)
-    elif fam in ("d1", "d2"):
-        g = (1, 0) if fam == "d1" else (0, 1)
-        ent[1][1][0] = ent[1][1][0] + LaurentPoly.monomial(n, *g)
+        a = b = 1
+        W = FormalFunction([zero, LaurentPoly.monomial(n, 0, 0)])
+    elif fam in ("a1", "a2", "d1", "d2"):
+        a = b = 0 if fam[0] == "a" else 1
+        W = LaurentPoly.monomial(n, *((1, 0) if fam[1] == "1" else (0, 1)))
     elif fam == "c0":
-        ent[1][0][0] = LaurentPoly.monomial(n, 0, 0)
+        a, b = 1, 0
+        W = LaurentPoly.monomial(n, 0, 0)
     else:
         raise ValueError(f"unknown column family {fam}")
-    return Matrix2([[FormalFunction(list(c)) for c in row] for row in ent])
-
-
-def _direction_entry_derived(sigma, j, p_poly, tag):
-    T = transition_matrix(j, p_poly)
-    R = canonical_right_inverse(sigma, j, FormalFunction([p_poly]))
-    A = _gauge_matrix(tag)
-    M = star_matrix_mul(sigma, star_matrix_mul(sigma, T, A, 1), R, 1)
-    if not M.entry(0, 1)[0].truncate_neighborhood(1).is_zero():
+    M = sigma.star(sigma.star(T.entry(0, a), W, 1), R.entry(b, 1), 1)
+    if not M[0].truncate_neighborhood(1).is_zero():
         raise AssertionError(
             f"classical upper-right residue for column {tag}"
         )
-    return M.entry(0, 1)[1].truncate_neighborhood(1)
+    return M[1].truncate_neighborhood(1)
 
 
 def _direction_entry_printed(sigma, j, p_poly, tag):
@@ -186,20 +181,22 @@ def _direction_entry_printed(sigma, j, p_poly, tag):
 class MasterSystem:
     """Direction matrix of one configuration.
 
-    The cached master has point None and entries symbolic in the base
-    point; build_cancellation_system returns a copy evaluated at a point.
+    The cached master has point None, entries symbolic in the base point
+    and the columns of the stability window, the first `narrow` of them
+    those of the bump-0 window.  build_cancellation_system returns one
+    window of it, symbolic or evaluated at a point.
     """
 
     k: int
     j: int
     formula: str
-    bump: int
     params: tuple
     basis: list
     rows: list
     tags: list
     windows: GaugeWindows
     columns: list
+    narrow: int
     point: tuple | None = None
 
     def evaluate(self, point):
@@ -211,12 +208,6 @@ class MasterSystem:
                 for e in col
             ])
         return out
-
-    @property
-    def rank(self):
-        if self.point is None:
-            raise ValueError("rank needs a numeric base point")
-        return linalg.rank(self.columns, nrows=len(self.rows))
 
     def entries_rowmajor(self):
         out = []
@@ -242,14 +233,17 @@ def _check_stray_content(k, j, entry, rows_set, tag):
             )
 
 
-def _build_master(k, j, sigma, formula, bump):
+def _build_master(k, j, sigma, formula):
     params, coeffs = _symbolic_point(k, j)
     basis = extension_basis(k, j, 1)
     p_poly = LaurentPoly({m: c for m, c in zip(basis, coeffs)})
     rows = obstruction_basis(k, j)
     rows_set = set(rows)
-    win = compute_windows(k, j, sigma, bump)
-    tags = _column_tags(win)
+    # a column depends on its tag alone, so the bump-0 window is a prefix
+    tags = _column_tags(compute_windows(k, j, sigma))
+    narrow = len(tags)
+    win = compute_windows(k, j, sigma, STABILITY_BUMP)
+    tags += [t for t in _column_tags(win) if t not in tags]
 
     # identity gauge sanity: T * R must be the identity mod hbar^2
     T = transition_matrix(j, p_poly)
@@ -263,11 +257,12 @@ def _build_master(k, j, sigma, formula, bump):
             if not ident.entry(a, b)[1].is_zero():
                 raise AssertionError("right inverse failed at order 1")
 
-    entry_fn = (_direction_entry_derived if formula == "derived"
-                else _direction_entry_printed)
     columns = []
     for tag in tags:
-        ent = entry_fn(sigma, j, p_poly, tag)
+        if formula == "derived":
+            ent = _direction_entry_derived(sigma, T, R, tag)
+        else:
+            ent = _direction_entry_printed(sigma, j, p_poly, tag)
         _check_stray_content(k, j, ent, rows_set, tag)
         columns.append([ent.coefficient(m) for m in rows])
 
@@ -277,8 +272,8 @@ def _build_master(k, j, sigma, formula, bump):
         if c != ParamPoly.variable(params, f"p{r}"):
             raise AssertionError("identity shift column mismatch")
 
-    return MasterSystem(k, j, formula, bump, params, basis, rows, tags,
-                        win, columns)
+    return MasterSystem(k, j, formula, params, basis, rows, tags, win,
+                        columns, narrow)
 
 
 _MASTERS = {}
@@ -319,11 +314,18 @@ def _coerce_point(k, j, point):
 
 def build_cancellation_system(k, j, sigma, point=None, formula="derived",
                               bump=0):
-    """Direction matrix for one configuration.
+    """Direction matrix for one configuration, in the window of the bump.
 
-    point=None keeps the entries symbolic in the base point coordinates.
+    bump is 0 or STABILITY_BUMP.  point=None keeps the entries symbolic
+    in the base point coordinates.
     """
-    master = cached(_build_master, k, j, sigma, formula, bump)
+    master = cached(_build_master, k, j, sigma, formula)
+    if bump == 0:
+        n = master.narrow
+        master = replace(master, windows=compute_windows(k, j, sigma),
+                         tags=master.tags[:n], columns=master.columns[:n])
+    elif bump != STABILITY_BUMP:
+        raise ValueError(f"bump must be 0 or {STABILITY_BUMP}, got {bump}")
     if point is None:
         return replace(master, columns=[list(c) for c in master.columns])
     pt = _coerce_point(k, j, point)
@@ -356,40 +358,42 @@ class StalkReport(Report):
     stability_checked: bool
 
 
-def point_space(k, j, sigma, formula, point, check_stability):
-    """The master and the echelon span of its columns at a point.
+def point_space(k, j, sigma, formula, point):
+    """The master and the echelon span of its bump-0 columns at a point.
 
-    With check_stability, the rank must not move when the windows are
-    bumped by 2, or WindowInstabilityError is raised.
+    The rest of the master's columns, those of the stability window, are
+    added to the same span; if one enlarges it, WindowInstabilityError is
+    raised.
     """
-    master = cached(_build_master, k, j, sigma, formula, 0)
+    master = cached(_build_master, k, j, sigma, formula)
     space = linalg.ColumnSpace(len(master.rows))
-    for col in master.evaluate(point):
+    cols = master.evaluate(point)
+    for col in cols[:master.narrow]:
         space.add(col)
-    if check_stability:
-        wide = cached(_build_master, k, j, sigma, formula, 2)
-        wide_rank = linalg.rank(wide.evaluate(point), nrows=len(wide.rows))
-        if wide_rank != space.rank:
-            raise WindowInstabilityError(
-                f"rank moved {space.rank} -> {wide_rank} under window bump "
-                f"(k={k}, j={j}, point={point})"
-            )
+    rank = space.rank
+    for col in cols[master.narrow:]:
+        space.add(col)
+    if space.rank != rank:
+        raise WindowInstabilityError(
+            f"rank moved {rank} -> {space.rank} under window bump "
+            f"(k={k}, j={j}, point={point})"
+        )
     return master, space
 
 
-def stalk_dimension(k, j, sigma, point, formula="derived",
-                    check_stability=True):
+def stalk_dimension(k, j, sigma, point, formula="derived"):
     """Stalk of the deformation sheaf at a nonzero base point."""
     pt = _coerce_point(k, j, point)
     if all(c == 0 for c in pt):
         raise ValueError("stalk is undefined at the zero base point")
-    master, space = point_space(k, j, sigma, formula, pt, check_stability)
+    master, space = point_space(k, j, sigma, formula, pt)
     quotient = [master.rows[r].render() for r in space.non_pivot_rows()]
     return StalkReport(
         k=k, j=j, sigma=sigma.describe(), point=pt, rank=space.rank,
         stalk=direction_dimension(k, j) - space.rank,
-        quotient_rows=quotient, windows=master.windows.as_dict(),
-        formula=formula, stability_checked=check_stability,
+        quotient_rows=quotient,
+        windows=compute_windows(k, j, sigma).as_dict(),
+        formula=formula, stability_checked=True,
     )
 
 
@@ -421,16 +425,14 @@ def single_coordinate_points(k, j):
     return pts
 
 
-def generic_rank(k, j, sigma, trials=20, seed=DEFAULT_SEED,
-                 formula="derived"):
+def generic_rank(k, j, sigma, trials=20, seed=DEFAULT_SEED):
     """Maximum rank over random base points, with a witness."""
     rng = random.Random(seed)
-    master = cached(_build_master, k, j, sigma, formula, 0)
     best = -1
     witness = None
     for _ in range(trials):
         pt = random_point(k, j, rng)
-        r = linalg.rank(master.evaluate(pt), nrows=len(master.rows))
+        r = point_space(k, j, sigma, "derived", pt)[1].rank
         if r > best:
             best = r
             witness = pt
@@ -445,7 +447,7 @@ def is_extremal(sigma, j=2):
     the literal ideal-membership test (poisson.is_extremal_literal) on
     some multiplied bivectors.
     """
-    master = cached(_build_master, sigma.k, j, sigma, "derived", 0)
+    master = build_cancellation_system(sigma.k, j, sigma)
     for tag, col in zip(master.tags, master.columns):
         if tag[0] != "lambda" and any(bool(e) for e in col):
             return False

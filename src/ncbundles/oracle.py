@@ -22,10 +22,11 @@ from .engine import (
     DEFAULT_SEED,
     FAIL,
     PASS,
+    STABILITY_BUMP,
     Report,
     WindowInstabilityError,
-    _build_master,
     _coerce_point,
+    build_cancellation_system,
     cached,
     direction_dimension,
     rand_fraction,
@@ -34,8 +35,6 @@ from .engine import (
 )
 from .poisson import parse_sigma_spec
 from .ring import FormalFunction, LaurentPoly, ParamPoly
-
-_ORACLE_BUMP = 2  # window bump of the stability check
 
 
 def _oracle_hi(j, bump):
@@ -232,7 +231,7 @@ def _build_oracle_system(k, j, sigma):
     # single unit w sitting at entry (ei, ej) is T * (w E) resp. (w E) * T,
     # which only has one nonzero column resp. row
     columns = {}
-    for key, (ui, uj), hord, w in _oracle_families(k, j, _ORACLE_BUMP):
+    for key, (ui, uj), hord, w in _oracle_families(k, j, STABILITY_BUMP):
         side = key[0]
         W = (FormalFunction([w]) if hord == 0
              else FormalFunction([zero, w]))
@@ -312,7 +311,7 @@ def full_gauge_oracle(k, j, sigma, point, delta, check_stability=True):
     values = system.form_values(pt, dl)
     decision, nunk = system.solvable(values, 0)
     if check_stability:
-        wide, _ = system.solvable(values, _ORACLE_BUMP)
+        wide, _ = system.solvable(values, STABILITY_BUMP)
         if wide != decision:
             raise WindowInstabilityError(
                 f"oracle decision flipped under window bump "
@@ -353,14 +352,13 @@ def oracle_check(configs=None, trials_point=10, trials_delta=10,
     total = 0
     for idx, (k, j, sig_text) in enumerate(configs):
         sigma = parse_sigma_spec(sig_text, k)
-        master = cached(_build_master, k, j, sigma, "derived", 0)
         dim = direction_dimension(k, j)
         rng = random.Random(seed + 7919 * idx)
         agree = 0
         count = 0
         for _ in range(trials_point):
             pt = random_point(k, j, rng)
-            cols = master.evaluate(pt)
+            cols = build_cancellation_system(k, j, sigma, pt).columns
             cs = linalg.ColumnSpace(dim)
             for col in cols:
                 cs.add(col)

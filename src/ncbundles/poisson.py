@@ -13,8 +13,6 @@ in.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .geometry import is_global_poly
 from .ring import FormalFunction, LaurentPoly, parse_poly
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 VARS = ("z", "u1", "u2")
 

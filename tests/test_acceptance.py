@@ -157,8 +157,7 @@ def test_criterion_02b_basic_rigidity_axes(k, spec):
         rows = [m.render() for m in master.rows]
         for wit in special:
             pt = [Fraction(c) for c in wit["point"]]
-            # the sweep above already compared this point's bump-2 rank
-            rep = stalk_dimension(k, j, sigma, pt, check_stability=False)
+            rep = stalk_dimension(k, j, sigma, pt)
             for row in rep.quotient_rows:
                 delta = [Fraction(int(rows[q] == row)) for q in range(dim)]
                 decisions += 1
@@ -227,11 +226,11 @@ def test_criterion_03_w1_extremal_family():
 
     assert generic_rank(1, 3, sigma, trials=10)[0] == 4
 
-    rep = stratify(1, 3, sigma, draws=2, check_stability=False)
+    rep = stratify(1, 3, sigma, draws=2)
     assert set(rep["strata"]) == {"4", "5", "6", "7"}, rep["strata"].keys()
     for corank, rec in rep["strata"].items():
         pt = [Fraction(c) for c in rec["witness"]["point"]]
-        got = stalk_dimension(1, 3, sigma, pt, check_stability=False).stalk
+        got = stalk_dimension(1, 3, sigma, pt).stalk
         assert got == int(corank), f"witness failed re-verification: {rec}"
 
     for j in (2, 3, 4, 5, 6):
@@ -283,7 +282,7 @@ def test_criterion_04_w2_extremal_family():
     assert bound["detail"]["bound"] == 6
     assert bound["detail"]["max_corank"] == 7
     wit = [Fraction(c) for c in bound["detail"]["witness"]["point"]]
-    r = stalk_dimension(2, 3, sigma, wit, check_stability=False)
+    r = stalk_dimension(2, 3, sigma, wit)
     assert r.stalk == 7, "exceedance witness failed re-verification"
 
     summary("criterion 4: PASS (6x3 pattern exact, generic stalk 3, j=2 "

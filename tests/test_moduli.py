@@ -1,5 +1,6 @@
 """Cancellation systems, stalk dimensions, stratification, oracle."""
 
+import dataclasses
 import json
 import os
 import random
@@ -172,9 +173,8 @@ def test_scaling_invariance(k, j, spec):
     sigma = parse_sigma_spec(spec, k)
     pt = random_point(k, j, rng)
     scaled = [Fraction(-5, 7) * c for c in pt]
-    m1 = build_cancellation_system(k, j, sigma, pt)
-    m2 = build_cancellation_system(k, j, sigma, scaled)
-    assert m1.rank == m2.rank
+    r1 = stalk_dimension(k, j, sigma, pt).rank
+    assert stalk_dimension(k, j, sigma, scaled).rank == r1
 
 
 @pytest.mark.parametrize("k,j,spec", CONFIGS)
@@ -247,6 +247,49 @@ def test_window_instability_is_runtime_error():
     assert issubclass(WindowInstabilityError, RuntimeError)
 
 
+def test_one_master_per_configuration(monkeypatch):
+    sigma = parse_sigma_spec("gen1", 1)
+    monkeypatch.setattr(engine, "_MASTERS", {})
+    stalk_dimension(1, 2, sigma, [1, 2, 3, 4])
+    assert list(engine._MASTERS) == [
+        ("_build_master", 1, 2, sigma.cache_key(), "derived")]
+
+
+@pytest.mark.parametrize("k,j,spec", CONFIGS)
+def test_bump0_system_is_master_prefix(k, j, spec):
+    sigma = parse_sigma_spec(spec, k)
+    narrow = build_cancellation_system(k, j, sigma)
+    wide = build_cancellation_system(k, j, sigma, bump=2)
+    assert narrow.tags == engine._column_tags(compute_windows(k, j, sigma))
+    assert wide.tags[:len(narrow.tags)] == narrow.tags
+    assert wide.columns[:len(narrow.columns)] == narrow.columns
+    assert narrow.windows == compute_windows(k, j, sigma)
+    assert wide.windows == compute_windows(k, j, sigma, bump=2)
+
+
+def test_bump_outside_stability_window_rejected():
+    with pytest.raises(ValueError, match="bump must be 0 or 2"):
+        build_cancellation_system(1, 2, parse_sigma_spec("gen1", 1), bump=1)
+
+
+def test_stability_check_can_fail(monkeypatch):
+    sigma = parse_sigma_spec("u1*gen1", 1)
+    pt = [1, 1, 0, 0]
+    rep = stalk_dimension(1, 2, sigma, pt)
+    monkeypatch.setattr(engine, "_MASTERS", {})
+    master = engine.cached(engine._build_master, 1, 2, sigma, "derived")
+    # the first column past the bump-0 window leaves the span at pt
+    row = [m.render() for m in master.rows].index(rep.quotient_rows[0])
+    planted = [Fraction(int(r == row)) for r in range(len(master.rows))]
+    columns = list(master.columns)
+    columns[master.narrow] = planted
+    key = ("_build_master", 1, 2, sigma.cache_key(), "derived")
+    engine._MASTERS[key] = dataclasses.replace(master, columns=columns)
+    with pytest.raises(WindowInstabilityError,
+                       match=f"rank moved {rep.rank} -> {rep.rank + 1} "):
+        stalk_dimension(1, 2, sigma, pt)
+
+
 def test_stratify_m2u_strata():
     sigma = parse_sigma_spec("u1*gen1", 1)
     rep = stratify(1, 2, sigma, draws=3)
@@ -260,12 +303,11 @@ def test_stratify_m2u_strata():
 
 def test_stratify_e1_coranks():
     sigma = parse_sigma_spec("u1*gen1", 1)
-    rep = stratify(1, 3, sigma, draws=2, check_stability=False)
+    rep = stratify(1, 3, sigma, draws=2)
     assert set(rep["strata"]) == {"4", "5", "6", "7"}
     for corank, rec in rep["strata"].items():
         pt = [Fraction(c) for c in rec["witness"]["point"]]
-        assert stalk_dimension(1, 3, sigma, pt,
-                               check_stability=False).stalk == int(corank)
+        assert stalk_dimension(1, 3, sigma, pt).stalk == int(corank)
 
 
 def test_stratify_deterministic_and_worker_invariant():
@@ -279,12 +321,14 @@ def test_stratify_deterministic_and_worker_invariant():
 
 def test_stratify_pool_capped_at_cpu_count(monkeypatch):
     sizes = []
+    inherited = []
 
     class InlinePool:
         """Records the pool size and runs each submission in this process."""
 
         def __init__(self, max_workers):
             sizes.append(max_workers)
+            inherited.append(key in engine._MASTERS)
 
         def __enter__(self):
             return self
@@ -299,10 +343,14 @@ def test_stratify_pool_capped_at_cpu_count(monkeypatch):
 
     monkeypatch.setattr(claims, "ProcessPoolExecutor", InlinePool)
     sigma = parse_sigma_spec("u1*gen1", 1)
+    key = ("_build_master", 1, 2, sigma.cache_key(), "derived")
     serial = stratify(1, 2, sigma, draws=2, seed=5)
+    monkeypatch.setattr(engine, "_MASTERS", {})
     pooled = stratify(1, 2, sigma, draws=2, seed=5, workers=10_000)
     # 15 support patterns: never more processes than patterns or cores
     assert sizes == [min(15, os.cpu_count() or 1)]
+    # the master is built before the pool starts, so workers inherit it
+    assert inherited == [True]
     assert pooled == serial
 
 
