@@ -16,7 +16,6 @@ from .engine import (
     FAIL,
     PASS,
     _build_master,
-    build_cancellation_system,
     cached,
     direction_dimension,
     is_extremal,
@@ -47,8 +46,8 @@ def _scan_masks(sigma, k, j, masks, seed, draws):
         for t in range(draws):
             rng = random.Random(_point_seed(seed, mask, t))
             pt = _masked_point(k, j, mask, rng)
-            _, space = point_space(k, j, sigma, "derived", pt)
-            out.append((mask, t, space.rank, [str(c) for c in pt]))
+            rank = point_space(k, j, sigma, "derived", pt).space.rank
+            out.append((mask, t, rank, [str(c) for c in pt]))
     return out
 
 
@@ -133,23 +132,18 @@ def stratify(k, j, sigma, strategy="support-patterns", seed=DEFAULT_SEED,
 def certify_generic_rank(k, j, sigma, seed=DEFAULT_SEED):
     """Certify the generic rank with a symbolically nonzero minor.
 
-    Locates a full-rank submatrix at a random point, then evaluates its
-    determinant symbolically in the base point coordinates.  Together
-    with the structural upper bound min(#rows, #columns not identically
-    zero) this pins the generic rank exactly when the two agree.
+    Locates a full-rank submatrix of the bump-0 columns at a random,
+    window-stable point (point_space), then evaluates its determinant
+    symbolically in the base point coordinates.  Together with the
+    structural upper bound min(#rows, #columns not identically zero)
+    this pins the generic rank exactly when the two agree.
     """
-    master = build_cancellation_system(k, j, sigma)
-    nrows = len(master.rows)
-    live = [i for i, col in enumerate(master.columns)
-            if any(bool(e) for e in col)]
     rng = random.Random(seed)
     pt = random_point(k, j, rng)
-    cols = master.evaluate(pt)
-    cs = linalg.ColumnSpace(nrows)
-    picked = []
-    for i in live:
-        if cs.add(cols[i]):
-            picked.append(i)
+    master, _, cs, picked = point_space(k, j, sigma, "derived", pt)
+    nrows = len(master.rows)
+    live = [i for i, col in enumerate(master.columns[:master.narrow])
+            if any(bool(e) for e in col)]
     r = cs.rank
     pivots = cs.pivot_rows()
     upper = min(nrows, len(live))
@@ -192,7 +186,7 @@ def verify_claims(k, j, sigma, seed=DEFAULT_SEED, trials=20):
     require_positive(trials=trials)
 
     def rank_at(q):
-        return point_space(k, j, sigma, "derived", q)[1].rank
+        return point_space(k, j, sigma, "derived", q).space.rank
 
     claims = []
     derived = cached(_build_master, k, j, sigma, "derived")

@@ -245,17 +245,16 @@ def stalk_cmd(k, j, sigma_text, point, formula, emit_matrix):
     pt = _parse_point(point)
     try:
         sigma = parse_sigma_spec(sigma_text, k)
-        rep = stalk_dimension(k, j, sigma, pt, formula=formula)
+        result = stalk_dimension(k, j, sigma, pt, formula=formula).as_dict()
+        if emit_matrix:
+            mat = build_cancellation_system(k, j, sigma, pt, formula=formula)
+            result["matrix"] = {
+                "rows": [m.render() for m in mat.rows],
+                "columns": [list(t) for t in mat.tags],
+                "entries_rowmajor": mat.entries_rowmajor(),
+            }
     except Exception as exc:
         _fail(exc)
-    result = rep.as_dict()
-    if emit_matrix:
-        mat = build_cancellation_system(k, j, sigma, pt, formula=formula)
-        result["matrix"] = {
-            "rows": [m.render() for m in mat.rows],
-            "columns": [list(t) for t in mat.tags],
-            "entries_rowmajor": mat.entries_rowmajor(),
-        }
     config = {"k": k, "j": j, "sigma": sigma_text, "point": point,
               "formula": formula}
     _emit(make_report("stalk", config, None, result))

@@ -12,6 +12,12 @@ Everything is exact over the rationals.  A direction matrix is built once
 per configuration, at the window of the stability check and symbolic in
 the base point (ParamPoly), and cached in _MASTERS next to the oracle's
 systems; a point only evaluates it.
+
+A derived column, the hbar-part of (T_0a * W) * R_b1 for a monomial unit
+W, is not computed by star products: beyond bilinearity, the Leibniz rule
+for {t0 w, r0} and {f, w} = sum_d dw/dd P_d(f) (Bivector.bracket_pieces)
+make it a few monomial shifts of polynomials cached per gauge entry
+(_leibniz_pieces).  Both identities are exact.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import linalg
 from .bundles import (
@@ -28,7 +35,8 @@ from .bundles import (
     transition_matrix,
 )
 from .geometry import v_exponent
-from .ring import FormalFunction, LaurentPoly, Monomial, ParamPoly
+from .poisson import monomial_pairing
+from .ring import VARS, FormalFunction, LaurentPoly, Monomial, ParamPoly
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -130,31 +138,50 @@ def _symbolic_point(k, j):
     return params, coeffs
 
 
-def _direction_entry_derived(sigma, T, R, tag):
+def _leibniz_pieces(sigma, T, R, a, b):
+    """Polynomials that give every derived column of gauge entry (a, b).
+
+    With t = T_0a and r = R_b1, a column is the hbar-part of
+    (t * W) * r for its unit W.  For a monomial w the Leibniz rule
+    {t0 w, r0} = w {t0, r0} + t0 {w, r0} and {f, w} = sum_d dw/dd P_d(f)
+    make (t * w) * r = w t0 r0 + hbar (w A + sum_d dw/dd B_d) with
+    A = t1 r0 + t0 r1 + {t0, r0} and B_d = r0 P_d(t0) - t0 P_d(r0).
+    They are cut to the first neighbourhood: a shift by a monomial never
+    lowers the u-degree, so no term cut here reaches a column.
+    """
+    t, r = T.entry(0, a), R.entry(b, 1)
+    pt, pr = sigma.bracket_pieces(t[0]), sigma.bracket_pieces(r[0])
+    zero = LaurentPoly.zero()
+    B = {d: (r[0] * pt.get(d, zero) - t[0] * pr.get(d, zero))
+         .truncate_neighborhood(1) for d in VARS}
+    A = t[1] * r[0] + t[0] * r[1] + sigma.bracket(t[0], r[0])
+    return ((t[0] * r[0]).truncate_neighborhood(1),
+            A.truncate_neighborhood(1), B)
+
+
+def _direction_entry_derived(pieces, tag):
     """Upper-right entry of T * (1 + W E_ab) * R for the unit W of a column.
 
     T * R = 1 mod hbar^2, so by bilinearity of the star product only
-    (T_0a * W) * R_b1 is left.
+    (T_0a * W) * R_b1 is left, built from pieces[a, b] (_leibniz_pieces).
     """
-    zero = LaurentPoly.zero()
     fam, n = tag
-    if fam == "lambda":
-        a = b = 1
-        W = FormalFunction([zero, LaurentPoly.monomial(n, 0, 0)])
-    elif fam in ("a1", "a2", "d1", "d2"):
+    if fam == "lambda":  # W = hbar z^n, so only w t0 r0 is left
+        return pieces[1, 1][0].shift((n, 0, 0))
+    if fam in ("a1", "a2", "d1", "d2"):
         a = b = 0 if fam[0] == "a" else 1
-        W = LaurentPoly.monomial(n, *((1, 0) if fam[1] == "1" else (0, 1)))
+        w = (n, 1, 0) if fam[1] == "1" else (n, 0, 1)
     elif fam == "c0":
         a, b = 1, 0
-        W = LaurentPoly.monomial(n, 0, 0)
+        w = (n, 0, 0)
     else:
         raise ValueError(f"unknown column family {fam}")
-    M = sigma.star(sigma.star(T.entry(0, a), W, 1), R.entry(b, 1), 1)
-    if not M[0].truncate_neighborhood(1).is_zero():
+    t0r0, A, B = pieces[a, b]
+    if t0r0.shift(w).truncate_neighborhood(1):
         raise AssertionError(
             f"classical upper-right residue for column {tag}"
         )
-    return M[1].truncate_neighborhood(1)
+    return (A.shift(w) + monomial_pairing(B, w)).truncate_neighborhood(1)
 
 
 def _direction_entry_printed(sigma, j, p_poly, tag):
@@ -257,10 +284,12 @@ def _build_master(k, j, sigma, formula):
             if not ident.entry(a, b)[1].is_zero():
                 raise AssertionError("right inverse failed at order 1")
 
+    pieces = {ab: _leibniz_pieces(sigma, T, R, *ab)
+              for ab in ((0, 0), (1, 1), (1, 0))}
     columns = []
     for tag in tags:
         if formula == "derived":
-            ent = _direction_entry_derived(sigma, T, R, tag)
+            ent = _direction_entry_derived(pieces, tag)
         else:
             ent = _direction_entry_printed(sigma, j, p_poly, tag)
         _check_stray_content(k, j, ent, rows_set, tag)
@@ -358,18 +387,27 @@ class StalkReport(Report):
     stability_checked: bool
 
 
-def point_space(k, j, sigma, formula, point):
-    """The master and the echelon span of its bump-0 columns at a point.
+class PointSpace(NamedTuple):
+    """A master at a point and the echelon span of all its columns."""
 
-    The rest of the master's columns, those of the stability window, are
-    added to the same span; if one enlarges it, WindowInstabilityError is
-    raised.
+    master: MasterSystem
+    columns: list  # every column of the master, evaluated at the point
+    space: linalg.ColumnSpace
+    grew: list  # indices of the bump-0 columns that enlarged the span
+
+
+def point_space(k, j, sigma, formula, point):
+    """The master at a point and the span of its columns, checked.
+
+    The bump-0 columns, the master's prefix, are added first; grew lists
+    those that enlarged the span.  The rest, the columns of the stability
+    window, are added to the same span; if one enlarges it,
+    WindowInstabilityError is raised.
     """
     master = cached(_build_master, k, j, sigma, formula)
     space = linalg.ColumnSpace(len(master.rows))
     cols = master.evaluate(point)
-    for col in cols[:master.narrow]:
-        space.add(col)
+    grew = [i for i, col in enumerate(cols[:master.narrow]) if space.add(col)]
     rank = space.rank
     for col in cols[master.narrow:]:
         space.add(col)
@@ -378,7 +416,7 @@ def point_space(k, j, sigma, formula, point):
             f"rank moved {rank} -> {space.rank} under window bump "
             f"(k={k}, j={j}, point={point})"
         )
-    return master, space
+    return PointSpace(master, cols, space, grew)
 
 
 def stalk_dimension(k, j, sigma, point, formula="derived"):
@@ -386,7 +424,7 @@ def stalk_dimension(k, j, sigma, point, formula="derived"):
     pt = _coerce_point(k, j, point)
     if all(c == 0 for c in pt):
         raise ValueError("stalk is undefined at the zero base point")
-    master, space = point_space(k, j, sigma, formula, pt)
+    master, _, space, _ = point_space(k, j, sigma, formula, pt)
     quotient = [master.rows[r].render() for r in space.non_pivot_rows()]
     return StalkReport(
         k=k, j=j, sigma=sigma.describe(), point=pt, rank=space.rank,
@@ -432,7 +470,7 @@ def generic_rank(k, j, sigma, trials=20, seed=DEFAULT_SEED):
     witness = None
     for _ in range(trials):
         pt = random_point(k, j, rng)
-        r = point_space(k, j, sigma, "derived", pt)[1].rank
+        r = point_space(k, j, sigma, "derived", pt).space.rank
         if r > best:
             best = r
             witness = pt

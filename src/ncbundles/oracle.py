@@ -6,6 +6,11 @@ unknowns on both sides and no manual elimination, and is used to
 cross-check the engine's decisions on whether a direction is trivial.
 One system per configuration is built with ParamPoly coefficients in
 the base point and the direction; every decision only evaluates it.
+
+The star product of a transition entry with a monomial unit is built
+from the bracket pieces of the entry ({f, w} = sum_d dw/dd P_d(f), an
+exact identity) as a few monomial shifts (_unit_product), not by a star
+product per unit.
 """
 
 from __future__ import annotations
@@ -26,15 +31,15 @@ from .engine import (
     Report,
     WindowInstabilityError,
     _coerce_point,
-    build_cancellation_system,
     cached,
     direction_dimension,
+    point_space,
     rand_fraction,
     random_point,
     require_positive,
 )
-from .poisson import parse_sigma_spec
-from .ring import FormalFunction, LaurentPoly, ParamPoly
+from .poisson import monomial_pairing, parse_sigma_spec
+from .ring import FormalFunction, LaurentPoly, Monomial, ParamPoly
 
 
 def _oracle_hi(j, bump):
@@ -53,19 +58,19 @@ def _oracle_families(k, j, bump):
     """
     hi = _oracle_hi(j, bump)
 
-    def upoly(n, g):
+    def umon(n, g):
         if g == 0:
-            return LaurentPoly.monomial(n, 0, 0)
+            return Monomial(n, 0, 0)
         if g == 1:
-            return LaurentPoly.monomial(n, 1, 0)
-        return LaurentPoly.monomial(n, 0, 1)
+            return Monomial(n, 1, 0)
+        return Monomial(n, 0, 1)
 
-    def vpoly(n, g):
+    def vmon(n, g):
         if g == 0:
-            return LaurentPoly.monomial(-n, 0, 0)
+            return Monomial(-n, 0, 0)
         if g == 1:
-            return LaurentPoly.monomial(k - n, 1, 0)
-        return LaurentPoly.monomial(2 - k - n, 0, 1)
+            return Monomial(k - n, 1, 0)
+        return Monomial(2 - k - n, 0, 1)
 
     u_slots = [
         ("a", (0, 0), 0, (1, 2)),
@@ -89,11 +94,11 @@ def _oracle_families(k, j, bump):
     for name, entry, hord, grades in u_slots:
         for g in grades:
             for n in range(hi + 1):
-                fams.append((("U", name, g, n), entry, hord, upoly(n, g)))
+                fams.append((("U", name, g, n), entry, hord, umon(n, g)))
     for name, entry, hord, grades in v_slots:
         for g in grades:
             for n in range(hi + 1):
-                fams.append((("V", name, g, n), entry, hord, vpoly(n, g)))
+                fams.append((("V", name, g, n), entry, hord, vmon(n, g)))
     return fams
 
 
@@ -204,6 +209,20 @@ class OracleSystem:
         return linalg.solvable_sparse(columns, rhs), len(columns)
 
 
+def _unit_product(side, t0, t1, pieces, hord, w):
+    """Both hbar-orders of t * W ("U") or W * t ("V"), t = t0 + hbar t1.
+
+    W is the monomial w (hord 0) or hbar w (hord 1), and pieces are the
+    bracket pieces of t0.  With {t0, w} = sum_d dw/dd P_d(t0), both
+    orders are monomial shifts: t * w = t0 w + hbar (t1 w + {t0, w}) and
+    w * t = w t0 + hbar (w t1 - {t0, w}).
+    """
+    if hord:
+        return LaurentPoly.zero(), t0.shift(w)
+    br = monomial_pairing(pieces, w)
+    return t0.shift(w), t1.shift(w) + (br if side == "U" else -br)
+
+
 def _build_oracle_system(k, j, sigma):
     dim = direction_dimension(k, j)
     params = (tuple(f"p{r}" for r in range(dim))
@@ -230,24 +249,25 @@ def _build_oracle_system(k, j, sigma):
     # star is bilinear in the gauge entries, so the contribution of a
     # single unit w sitting at entry (ei, ej) is T * (w E) resp. (w E) * T,
     # which only has one nonzero column resp. row
+    def with_pieces(T):
+        return {(a, b): (T.entry(a, b)[0], T.entry(a, b)[1],
+                         sigma.bracket_pieces(T.entry(a, b)[0]))
+                for a in range(2) for b in range(2)}
+
+    tp, tq = with_pieces(Tp), with_pieces(Tq)
     columns = {}
     for key, (ui, uj), hord, w in _oracle_families(k, j, STABILITY_BUMP):
-        side = key[0]
-        W = (FormalFunction([w]) if hord == 0
-             else FormalFunction([zero, w]))
         col = {}
-        if side == "U":
+        if key[0] == "U":
             for ei in range(2):
-                d = sigma.star(Tp.entry(ei, ui), W, 1)
+                d = _unit_product("U", *tp[ei, ui], hord, w)
                 for h in range(2):
-                    if not d[h].is_zero():
-                        _collect(d[h], ei, uj, h, -1, j, col)
+                    _collect(d[h], ei, uj, h, -1, j, col)
         else:
             for ej in range(2):
-                d = sigma.star(W, Tq.entry(uj, ej), 1)
+                d = _unit_product("V", *tq[uj, ej], hord, w)
                 for h in range(2):
-                    if not d[h].is_zero():
-                        _collect(d[h], ui, ej, h, 1, j, col)
+                    _collect(d[h], ui, ej, h, 1, j, col)
         if col:
             columns[key] = compiled(col)
 
@@ -358,10 +378,8 @@ def oracle_check(configs=None, trials_point=10, trials_delta=10,
         count = 0
         for _ in range(trials_point):
             pt = random_point(k, j, rng)
-            cols = build_cancellation_system(k, j, sigma, pt).columns
-            cs = linalg.ColumnSpace(dim)
-            for col in cols:
-                cs.add(col)
+            master, cols, cs, _ = point_space(k, j, sigma, "derived", pt)
+            cols = cols[:master.narrow]  # the mixes draw from bump 0
             for t in range(trials_delta):
                 if t % 2 == 0:
                     i1 = rng.randrange(len(cols))

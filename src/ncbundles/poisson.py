@@ -14,7 +14,7 @@ in.
 from __future__ import annotations
 
 from .geometry import is_global_poly
-from .ring import FormalFunction, LaurentPoly, parse_poly
+from .ring import VARS, FormalFunction, LaurentPoly, parse_poly
 
 _PAIRS = (("z", "u1"), ("z", "u2"), ("u1", "u2"))
 
@@ -52,6 +52,19 @@ class Bivector:
             gx, gy = g.partial(x), g.partial(y)
             acc = acc + h * (fx * gy - fy * gx)
         return acc
+
+    def bracket_pieces(self, f):
+        """The pieces P_d(f) with {f, g} = sum_d dg/dd * P_d(f) for all g.
+
+        Keyed by coordinate name; a piece that vanishes is left out.  The
+        bracket is a derivation in g, so a bracket with a monomial g is a
+        few monomial shifts of these pieces (see monomial_pairing).
+        """
+        pieces = {}
+        for h, (x, y) in self.terms:
+            for d, piece in ((y, h * f.partial(x)), (x, -(h * f.partial(y)))):
+                pieces[d] = pieces[d] + piece if d in pieces else piece
+        return {d: p for d, p in pieces.items() if not p.is_zero()}
 
     def star(self, F, G, order=None):
         """Truncated star product of two hbar-series."""
@@ -106,6 +119,20 @@ class Bivector:
         body = " + ".join(f"({h.render()}) d{x}^d{y}"
                           for h, (x, y) in self.terms) or "0"
         return f"Bivector(k={self.k}, {body})"
+
+
+def monomial_pairing(pieces, mon):
+    """sum_d dw/dd * pieces[d] for the monomial w = z^l u1^i u2^s.
+
+    With pieces = sigma.bracket_pieces(f) this is {f, w}.
+    """
+    acc = LaurentPoly.zero()
+    for n, (d, e) in enumerate(zip(VARS, mon)):
+        if e and d in pieces:
+            dmon = list(mon)
+            dmon[n] -= 1
+            acc = acc + pieces[d].shift(dmon, e)
+    return acc
 
 
 def catalog(k):

@@ -57,7 +57,8 @@ class ParamPoly:
 
     Exponent vectors are tuples aligned with ``params``.  Instances are
     immutable by convention; all operators return new objects.  Mixed
-    arithmetic with Fraction/int promotes the scalar.
+    arithmetic with Fraction/int promotes the scalar, except that a
+    product with one scales the coefficients directly.
     """
 
     __slots__ = ("params", "_terms")
@@ -122,6 +123,13 @@ class ParamPoly:
         return self._coerce(other) + (-self)
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            if not other:
+                return ParamPoly(self.params)
+            out = ParamPoly.__new__(ParamPoly)
+            out.params = self.params
+            out._terms = {ev: c * other for ev, c in self._terms.items()}
+            return out
         other = self._coerce(other)
         out = {}
         for ev1, c1 in self._terms.items():
@@ -356,6 +364,26 @@ class LaurentPoly:
         if _coeff_is_zero(c):
             return LaurentPoly.zero()
         return LaurentPoly({m: c * v for m, v in self._t.items()})
+
+    def shift(self, mon, c=1):
+        """self * c * z^l u1^i u2^s for mon = (l, i, s) and a rational c.
+
+        One pass over the terms: every monomial moves by mon and every
+        coefficient is scaled by c.
+        """
+        l, i, s = mon
+        if i < 0 or s < 0:
+            raise ValueError(f"negative fibre exponent in {mon}")
+        if not c:
+            return LaurentPoly.zero()
+        out = LaurentPoly.__new__(LaurentPoly)
+        if c == 1:  # coefficients are immutable, so they can be shared
+            out._t = {Monomial(m.l + l, m.i + i, m.s + s): v
+                      for m, v in self._t.items()}
+        else:
+            out._t = {Monomial(m.l + l, m.i + i, m.s + s): v * c
+                      for m, v in self._t.items()}
+        return out
 
     def __pow__(self, n):
         if n < 0:

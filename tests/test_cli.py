@@ -93,6 +93,18 @@ def test_error_kind_engine_failure(monkeypatch, exc, kind):
     assert res.stderr == f"error ({kind}): {exc}\n"
 
 
+def test_emit_matrix_failure_is_reported(monkeypatch):
+    def broken(*args, **kwargs):
+        raise AssertionError("identity shift column mismatch")
+
+    monkeypatch.setattr(cli, "build_cancellation_system", broken)
+    res = invoke("stalk", "--k", "1", "--j", "2", "--sigma", "u1*gen1",
+                 "--point", "1,0,1,0", "--emit-matrix")
+    assert res.exit_code == 1
+    assert res.stdout == ""
+    assert res.stderr.startswith("error (invariant): ")
+
+
 def test_star_check_passes():
     res = invoke("star-check", "--k", "1", "--trials", "2", "--seed", "3")
     assert res.exit_code == 0

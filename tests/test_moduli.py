@@ -11,12 +11,15 @@ import jsonschema
 import pytest
 
 from ncbundles import (
+    FormalFunction,
     LaurentPoly,
     Monomial,
     WindowInstabilityError,
     build_cancellation_system,
+    canonical_right_inverse,
     certify_generic_rank,
     compute_windows,
+    extension_basis,
     full_gauge_oracle,
     generic_rank,
     is_extremal,
@@ -25,9 +28,10 @@ from ncbundles import (
     parse_sigma_spec,
     stalk_dimension,
     stratify,
+    transition_matrix,
     verify_claims,
 )
-from ncbundles import claims, engine, linalg
+from ncbundles import claims, engine, linalg, oracle
 from ncbundles.cli import REPORT_SCHEMA, canonical_json, make_report
 from ncbundles.engine import (
     DEFAULT_SEED,
@@ -288,6 +292,74 @@ def test_stability_check_can_fail(monkeypatch):
     with pytest.raises(WindowInstabilityError,
                        match=f"rank moved {rep.rank} -> {rep.rank + 1} "):
         stalk_dimension(1, 2, sigma, pt)
+
+
+def star_route_entry(sigma, T, R, tag):
+    """A derived column by two star products, (T_0a * W) * R_b1."""
+    zero = LaurentPoly.zero()
+    fam, n = tag
+    if fam == "lambda":
+        a = b = 1
+        W = FormalFunction([zero, LaurentPoly.monomial(n, 0, 0)])
+    elif fam == "c0":
+        a, b = 1, 0
+        W = FormalFunction([LaurentPoly.monomial(n, 0, 0)])
+    else:
+        a = b = 0 if fam[0] == "a" else 1
+        g = (1, 0) if fam[1] == "1" else (0, 1)
+        W = FormalFunction([LaurentPoly.monomial(n, *g)])
+    M = sigma.star(sigma.star(T.entry(0, a), W, 1), R.entry(b, 1), 1)
+    assert M[0].truncate_neighborhood(1).is_zero(), tag
+    return M[1].truncate_neighborhood(1)
+
+
+LEIBNIZ_SPECS = (
+    [(1, s) for s in ("gen1", "gen2", "gen3", "gen4", "u1*gen1",
+                      "2/3*u1*gen1")]
+    + [(2, s) for s in ("gen1", "gen2", "gen3", "gen4", "gen5", "u1*gen4",
+                        "3/7*gen4")])
+
+
+@pytest.mark.parametrize("j", [2, 3, 4, 5])
+@pytest.mark.parametrize("k, spec", LEIBNIZ_SPECS)
+def test_derived_master_matches_star_route(k, j, spec):
+    sigma = parse_sigma_spec(spec, k)
+    _, coeffs = engine._symbolic_point(k, j)
+    p_poly = LaurentPoly(dict(zip(extension_basis(k, j, 1), coeffs)))
+    T = transition_matrix(j, p_poly)
+    R = canonical_right_inverse(sigma, j, FormalFunction([p_poly]))
+    want = {}
+    for bump in (0, 2):
+        master = build_cancellation_system(k, j, sigma, bump=bump)
+        for tag, col in zip(master.tags, master.columns):
+            if tag not in want:
+                ent = star_route_entry(sigma, T, R, tag)
+                want[tag] = [ent.coefficient(m) for m in master.rows]
+            assert [(type(e), e) for e in col] == [
+                (type(e), e) for e in want[tag]], tag
+
+
+def star_route_unit_product(sigma):
+    """oracle._unit_product by one star product per unit and entry."""
+    def product(side, t0, t1, pieces, hord, w):
+        t = FormalFunction([t0, t1])
+        mono = LaurentPoly.monomial(*w)
+        W = FormalFunction([LaurentPoly.zero(), mono] if hord else [mono])
+        d = sigma.star(t, W, 1) if side == "U" else sigma.star(W, t, 1)
+        return d[0], d[1]
+
+    return product
+
+
+@pytest.mark.parametrize("k, j, spec", [
+    (1, 2, "gen3"), (1, 3, "2/3*u1*gen1"), (2, 2, "gen5"), (2, 3, "3/7*gen4"),
+])
+def test_oracle_system_matches_star_route(monkeypatch, k, j, spec):
+    sigma = parse_sigma_spec(spec, k)
+    system = oracle._build_oracle_system(k, j, sigma)
+    monkeypatch.setattr(oracle, "_unit_product",
+                        star_route_unit_product(sigma))
+    assert oracle._build_oracle_system(k, j, sigma) == system
 
 
 def test_stratify_m2u_strata():

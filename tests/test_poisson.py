@@ -10,6 +10,7 @@ from ncbundles import (
     FormalFunction,
     LaurentPoly,
     Monomial,
+    ParamPoly,
     associator_defect,
     catalog,
     generator,
@@ -20,7 +21,9 @@ from ncbundles import (
     parse_sigma_spec,
 )
 
-from conftest import laurent_polys
+from ncbundles.poisson import monomial_pairing
+
+from conftest import fractions, laurent_polys, monomials
 
 P = parse_poly
 
@@ -143,6 +146,33 @@ def test_structural_defects_vanish(sigma):
         G = FormalFunction([g, random_poly(rng)])
         H = FormalFunction([h, random_poly(rng)])
         assert associator_defect(sigma, F, G, H, 1).is_zero()
+
+
+PARAMS = ("p0", "p1")
+
+
+@st.composite
+def param_laurent_polys(draw):
+    """Laurent polynomials with Fraction or ParamPoly coefficients."""
+    terms = {}
+    for mon, c in draw(st.dictionaries(monomials, fractions,
+                                       max_size=4)).items():
+        name = draw(st.sampled_from((None,) + PARAMS))
+        terms[mon] = (c if name is None
+                      else ParamPoly.variable(PARAMS, name) * c
+                      + draw(fractions))
+    return LaurentPoly(terms)
+
+
+@given(st.sampled_from(all_sigmas()), param_laurent_polys(),
+       st.builds(Monomial, st.integers(min_value=-6, max_value=3),
+                 st.integers(min_value=0, max_value=2),
+                 st.integers(min_value=0, max_value=2)))
+def test_bracket_pieces_give_monomial_brackets(sigma, f, w):
+    pieces = sigma.bracket_pieces(f)
+    assert all(not p.is_zero() for p in pieces.values())
+    assert (sigma.bracket(f, LaurentPoly.monomial(*w))
+            == monomial_pairing(pieces, w))
 
 
 def random_poly(rng):

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from ncbundles import FormalFunction, LaurentPoly, Monomial, parse_poly
 from ncbundles.ring import ParamPoly
 
-from conftest import fractions, laurent_polys
+from conftest import fractions, laurent_polys, monomials
 
 P = parse_poly
 
@@ -123,6 +123,16 @@ def test_truncate_is_algebra_morphism(f, g, n):
     assert lhs == rhs
 
 
+@given(laurent_polys(), monomials, st.one_of(st.just(1), fractions))
+def test_shift_is_product_with_monomial(f, mon, c):
+    assert f.shift(mon, c) == f * LaurentPoly.monomial(*mon, c)
+
+
+def test_shift_rejects_negative_fibre_exponent():
+    with pytest.raises(ValueError, match="negative fibre exponent"):
+        parse_poly("z*u1").shift((0, -1, 0))
+
+
 PARAMS = ("p0", "p1", "p2")
 
 
@@ -140,6 +150,22 @@ def test_param_specialization_commutes(A, B, vals):
     point = dict(zip(PARAMS, vals))
     assert (A + B).evaluate(point) == A.evaluate(point) + B.evaluate(point)
     assert (A * B).evaluate(point) == A.evaluate(point) * B.evaluate(point)
+
+
+@given(param_polys(), st.one_of(st.integers(min_value=-9, max_value=9),
+                                fractions))
+def test_param_scalar_product_matches_constant_product(A, c):
+    want = A * ParamPoly.const(PARAMS, c)
+    for got in (A * c, c * A):
+        assert got == want
+        assert all(coeff != 0 for _, coeff in got.terms())
+
+
+def test_param_scalar_product_by_zero_keeps_no_terms():
+    A = ParamPoly.variable(PARAMS, "p0") + 3
+    for zero in (0, Fraction(0)):
+        assert (A * zero).terms() == []
+        assert A * zero == A * ParamPoly.const(PARAMS, zero)
 
 
 def test_param_poly_render():
