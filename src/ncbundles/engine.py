@@ -402,14 +402,23 @@ def point_space(k, j, sigma, formula, point):
     The bump-0 columns, the master's prefix, are added first; grew lists
     those that enlarged the span.  The rest, the columns of the stability
     window, are added to the same span; if one enlarges it,
-    WindowInstabilityError is raised.
+    WindowInstabilityError is raised.  Both loops stop once the span is
+    full, since no column can enlarge it then.
     """
     master = cached(_build_master, k, j, sigma, formula)
-    space = linalg.ColumnSpace(len(master.rows))
+    nrows = len(master.rows)
+    space = linalg.ColumnSpace(nrows)
     cols = master.evaluate(point)
-    grew = [i for i, col in enumerate(cols[:master.narrow]) if space.add(col)]
+    grew = []
+    for i, col in enumerate(cols[:master.narrow]):
+        if space.rank == nrows:
+            break
+        if space.add(col):
+            grew.append(i)
     rank = space.rank
     for col in cols[master.narrow:]:
+        if space.rank == nrows:
+            break
         space.add(col)
     if space.rank != rank:
         raise WindowInstabilityError(

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import jsonschema
 import pytest
+from click.testing import CliRunner
 
 from ncbundles import (
     FormalFunction,
@@ -32,7 +33,7 @@ from ncbundles import (
     verify_claims,
 )
 from ncbundles import claims, engine, linalg, oracle
-from ncbundles.cli import REPORT_SCHEMA, canonical_json, make_report
+from ncbundles.cli import REPORT_SCHEMA, canonical_json, main, make_report
 from ncbundles.engine import (
     DEFAULT_SEED,
     direction_dimension,
@@ -436,6 +437,64 @@ def test_stratify_symbolic_minors_certificate():
     basic = certify_generic_rank(1, 2, parse_sigma_spec("gen1", 1))
     assert basic["rank_observed"] == 4
     assert basic["certified"]
+
+    # past the former 12x12 cap of the symbolic expansion
+    for k, spec in ((1, "gen1"), (2, "gen4")):
+        cert = certify_generic_rank(k, 5, parse_sigma_spec(spec, k))
+        assert cert["rank_observed"] == cert["structural_upper"] == 16
+        assert cert["certified"] and cert["minor_nonzero"]
+        assert len(cert["minor_rows"]) == len(cert["minor_cols"]) == 16
+
+
+def test_certificate_rejects_minor_singular_at_witness(monkeypatch):
+    real = engine.point_space
+
+    def dependent_pick(k, j, sigma, formula, point):
+        ps = real(k, j, sigma, formula, point)
+        # the first bump-0 column that did not grow the span lies in the
+        # span of the grown columns before it
+        dep = next(i for i in range(ps.master.narrow) if i not in ps.grew)
+        assert dep < ps.grew[-1]
+        return ps._replace(grew=ps.grew[:-1] + [dep])
+
+    monkeypatch.setattr(claims, "point_space", dependent_pick)
+    sigma = parse_sigma_spec("gen1", 1)
+    with pytest.raises(AssertionError, match="singular at its witness"):
+        certify_generic_rank(1, 2, sigma)
+
+    res = CliRunner().invoke(main, [
+        "stratify", "--k", "1", "--j", "2", "--sigma", "gen1",
+        "--strategy", "symbolic-minors", "--draws", "1"])
+    assert res.exit_code == 1
+    assert res.stdout == ""
+    assert res.stderr.startswith("error (invariant): "), res.stderr
+
+
+@pytest.mark.parametrize("point", ["full-support", "axis"])
+def test_point_space_stops_at_full_rank(monkeypatch, point):
+    k, j, sigma = 1, 5, parse_sigma_spec("gen1", 1)
+    pt = (random_point(k, j, random.Random(3)) if point == "full-support"
+          else single_coordinate_points(k, j)[0])
+    plain_add = linalg.ColumnSpace.add
+    calls = []
+
+    def spy(space, vec):
+        assert space.rank < space.nrows, "column added to a full span"
+        calls.append(vec)
+        return plain_add(space, vec)
+
+    monkeypatch.setattr(linalg.ColumnSpace, "add", spy)
+    master, cols, space, grew = engine.point_space(k, j, sigma, "derived",
+                                                   pt)
+    monkeypatch.setattr(linalg.ColumnSpace, "add", plain_add)
+    # the stop leaves grew and the span as a pass over every column has them
+    full = linalg.ColumnSpace(len(master.rows))
+    assert grew == [i for i, col in enumerate(cols[:master.narrow])
+                    if full.add(col)]
+    assert space.pivot_rows() == full.pivot_rows()
+    if point == "full-support":
+        assert space.rank == len(master.rows)
+        assert len(calls) < len(cols)
 
 
 def test_stratify_rejects_unknown_strategy():
