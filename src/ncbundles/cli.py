@@ -26,6 +26,7 @@ from .engine import (
     WindowInstabilityError,
     build_cancellation_system,
     rand_fraction,
+    require_positive,
     stalk_dimension,
 )
 from .geometry import h1_obstruction_basis
@@ -164,6 +165,7 @@ def star_check_cmd(k, sigma_text, trials, seed):
     """Property battery for the star product on W_k."""
     seed = _resolve_seed(seed)
     try:
+        require_positive(trials=trials)
         sigmas = ([parse_sigma_spec(sigma_text, k)] if sigma_text
                   else catalog(k))
     except ValueError as exc:

@@ -9,9 +9,9 @@ a point is the corank.  The full gauge oracle (oracle.py) decides the
 same triviality question without this reduction.
 
 Everything is exact over the rationals.  A direction matrix is built once
-per configuration, at the window of the stability check and symbolic in
-the base point (ParamPoly), and cached in _MASTERS next to the oracle's
-systems; a point only evaluates it.
+per configuration at the stability window, bump-0 columns first, with
+entries symbolic in the base point compiled into one ring.FormTable, as
+the oracle's systems are; a point only evaluates that table.
 
 A derived column, the hbar-part of (T_0a * W) * R_b1 for a monomial unit
 W, is not computed by star products: beyond bilinearity, the Leibniz rule
@@ -23,6 +23,7 @@ make it a few monomial shifts of polynomials cached per gauge entry
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from typing import NamedTuple
@@ -36,7 +37,14 @@ from .bundles import (
 )
 from .geometry import v_exponent
 from .poisson import monomial_pairing
-from .ring import VARS, FormalFunction, LaurentPoly, Monomial, ParamPoly
+from .ring import (
+    VARS,
+    FormalFunction,
+    FormTable,
+    LaurentPoly,
+    Monomial,
+    ParamPoly,
+)
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -208,33 +216,27 @@ def _direction_entry_printed(sigma, j, p_poly, tag):
 class MasterSystem:
     """Direction matrix of one configuration.
 
-    The cached master has point None, entries symbolic in the base point
-    and the columns of the stability window, the first `narrow` of them
-    those of the bump-0 window.  build_cancellation_system returns one
-    window of it, symbolic or evaluated at a point.
+    The cached master has entries symbolic in the base point and the
+    columns of the stability window, the first `narrow` of them those of
+    the bump-0 window.  Entry r of column c is form ids[c * len(rows) + r]
+    of `table`, built once with the master.  build_cancellation_system
+    returns one window of it, symbolic or evaluated at a point.
     """
 
-    k: int
-    j: int
-    formula: str
-    params: tuple
-    basis: list
     rows: list
     tags: list
     windows: GaugeWindows
     columns: list
     narrow: int
-    point: tuple | None = None
+    table: FormTable
+    ids: array
 
     def evaluate(self, point):
-        env = {name: val for name, val in zip(self.params, point)}
-        out = []
-        for col in self.columns:
-            out.append([
-                e.evaluate(env) if isinstance(e, ParamPoly) else e
-                for e in col
-            ])
-        return out
+        """Every column of this window at the point, as Fractions."""
+        values = self.table.values(point)
+        n = len(self.rows)
+        return [[values[f] for f in self.ids[c * n:(c + 1) * n]]
+                for c in range(len(self.columns))]
 
     def entries_rowmajor(self):
         out = []
@@ -301,8 +303,8 @@ def _build_master(k, j, sigma, formula):
         if c != ParamPoly.variable(params, f"p{r}"):
             raise AssertionError("identity shift column mismatch")
 
-    return MasterSystem(k, j, formula, params, basis, rows, tags, win,
-                        columns, narrow)
+    table, ids = FormTable.compile(e for col in columns for e in col)
+    return MasterSystem(rows, tags, win, columns, narrow, table, ids)
 
 
 _MASTERS = {}
@@ -358,7 +360,7 @@ def build_cancellation_system(k, j, sigma, point=None, formula="derived",
     if point is None:
         return replace(master, columns=[list(c) for c in master.columns])
     pt = _coerce_point(k, j, point)
-    return replace(master, point=pt, columns=master.evaluate(pt))
+    return replace(master, columns=master.evaluate(pt))
 
 
 class Report:

@@ -4,8 +4,8 @@ It solves the complete 2x2 intertwining equation
 A_V * T_q = T_p * A_U mod hbar^2, mod u^2, with independent windowed
 unknowns on both sides and no manual elimination, and is used to
 cross-check the engine's decisions on whether a direction is trivial.
-One system per configuration is built with ParamPoly coefficients in
-the base point and the direction; every decision only evaluates it.
+One system per configuration is built, bump-0 unknowns first, as the
+engine's masters are; a decision only evaluates its ring.FormTable.
 
 The star product of a transition entry with a monomial unit is built
 from the bracket pieces of the entry ({f, w} = sum_d dw/dd P_d(f), an
@@ -15,11 +15,9 @@ product per unit.
 
 from __future__ import annotations
 
-import math
 import random
 from array import array
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg
 from .bundles import Matrix2, extension_basis, transition_matrix
@@ -39,7 +37,7 @@ from .engine import (
     require_positive,
 )
 from .poisson import monomial_pairing, parse_sigma_spec
-from .ring import FormalFunction, LaurentPoly, Monomial, ParamPoly
+from .ring import FormalFunction, FormTable, LaurentPoly, Monomial, ParamPoly
 
 
 def _oracle_hi(j, bump):
@@ -133,80 +131,38 @@ def _collect(poly, ei, ej, hord, sign, j, store):
             store.pop(key, None)
 
 
-def _affine_form(c):
-    """Pairs (variable, coefficient) of an entry affine in (p, delta).
-
-    Variable 0 is the constant term, variable 1 + r the r-th parameter.
-    """
-    if not isinstance(c, ParamPoly):
-        return ((0, c),)
-    form = []
-    for ev, coeff in c.terms():
-        deg = sum(ev)
-        if deg > 1:
-            raise AssertionError(
-                f"oracle entry {c.render()} is not affine in (p, delta)")
-        form.append((1 + ev.index(1) if deg else 0, coeff))
-    return tuple(form)
-
-
 @dataclass(frozen=True, slots=True)
 class OracleSystem:
     """Full intertwining system of one configuration, affine in (p, delta).
 
-    Built once at the widest window; a narrower window keeps the unknowns
-    whose unit has z-degree up to its top.  Unknowns and rows are numbered
-    in sorted key order, so the solver meets them in the order of their
-    keys.  Column c holds the entries col_start[c] to col_start[c + 1];
-    entry e sits in row entry_row[e] and has the value of form
-    entry_form[e].  A form is a tuple of (variable, integer coefficient)
-    pairs (see _affine_form); the whole system is scaled by the common
-    denominator of its symbolic coefficients, 1 for the catalog
-    bivectors, which leaves its solvability unchanged.
+    Built once at the stability window, with the unknowns of the bump-0
+    window first: they are its first `narrow` columns.  Each group and
+    the rows are numbered in sorted key order, so the solver meets them
+    in the order of their keys.  Segment c of the entries, col_start[c]
+    to col_start[c + 1], is column c, and the last segment is the
+    right-hand side; entry e sits in row entry_row[e] and has the value
+    of form entry_form[e] of `table`.
     """
 
-    j: int
-    forms: tuple
-    col_n: array
+    table: FormTable
+    narrow: int
     col_start: array
     entry_row: array
     entry_form: array
-    rhs_row: array
-    rhs_form: array
 
-    def form_values(self, point, delta):
-        """Every form at (point, delta), as a Fraction.
+    def segments(self, values):
+        """Each segment's entries nonzero at the table's values, by row."""
+        rows, start = self.entry_row, self.col_start
+        vals = [values[f] for f in self.entry_form]
+        return [{r: v for r, v in zip(rows[a:b], vals[a:b]) if v}
+                for a, b in zip(start, start[1:])]
 
-        The forms are summed in integers over the common denominator d of
-        the coordinates, then divided by d.
-        """
-        coords = point + delta
-        d = math.lcm(*(c.denominator for c in coords))
-        x = [d] + [c.numerator * (d // c.denominator) for c in coords]
-        return [Fraction(sum(coeff * x[v] for v, coeff in form), d)
-                for form in self.forms]
 
-    def solvable(self, values, bump):
-        """Whether the system in the window of the bump is solvable.
-
-        Entries that vanish at the point are dropped, and with them the
-        columns left empty; also returns the number of unknowns left.
-        """
-        hi = _oracle_hi(self.j, bump)
-        columns = {}
-        for c, n in enumerate(self.col_n):
-            if n > hi:
-                continue
-            col = {}
-            for e in range(self.col_start[c], self.col_start[c + 1]):
-                v = values[self.entry_form[e]]
-                if v:
-                    col[self.entry_row[e]] = v
-            if col:
-                columns[c] = col
-        rhs = {r: values[f] for r, f in zip(self.rhs_row, self.rhs_form)
-               if values[f]}
-        return linalg.solvable_sparse(columns, rhs), len(columns)
+def _solvable(segments, ncols):
+    """Whether the system in its first ncols unknowns is solvable, and
+    how many of them are left once the columns empty at the point go."""
+    columns = {c: col for c, col in enumerate(segments[:ncols]) if col}
+    return linalg.solvable_sparse(columns, segments[-1]), len(columns)
 
 
 def _unit_product(side, t0, t1, pieces, hord, w):
@@ -240,12 +196,6 @@ def _build_oracle_system(k, j, sigma):
     ])
     Tp = transition_matrix(j, p_poly)
 
-    forms = {}  # affine form -> form id
-
-    def compiled(store):
-        return [(row, forms.setdefault(_affine_form(c), len(forms)))
-                for row, c in store.items()]
-
     # star is bilinear in the gauge entries, so the contribution of a
     # single unit w sitting at entry (ei, ej) is T * (w E) resp. (w E) * T,
     # which only has one nonzero column resp. row
@@ -269,39 +219,29 @@ def _build_oracle_system(k, j, sigma):
                 for h in range(2):
                     _collect(d[h], ui, ej, h, 1, j, col)
         if col:
-            columns[key] = compiled(col)
+            columns[key] = col
 
     rhs = {}
     for ei in range(2):
         for ej in range(2):
             for h in range(2):
                 d = Tp.entry(ei, ej)[h] - Tq.entry(ei, ej)[h]
-                if not d.is_zero():
-                    _collect(d, ei, ej, h, 1, j, rhs)
-    rhs = compiled(rhs)
-
-    rows = set(row for row, _ in rhs)
-    for col in columns.values():
-        rows.update(row for row, _ in col)
-    row_id = {row: n for n, row in enumerate(sorted(rows))}
-    scale = math.lcm(*(c.denominator for form in forms for _, c in form))
-    col_n, col_start = array("i"), array("i", [0])
-    entry_row, entry_form = array("i"), array("i")
-    for key in sorted(columns):
-        col_n.append(key[3])
-        for row, f in columns[key]:
+                _collect(d, ei, ej, h, 1, j, rhs)
+    hi = _oracle_hi(j, 0)
+    order = sorted(columns, key=lambda key: (key[3] > hi, key))
+    row_id = {row: n for n, row in
+              enumerate(sorted(set(rhs).union(*columns.values())))}
+    col_start, entry_row, entries = array("i", [0]), array("i"), []
+    for store in [columns[key] for key in order] + [rhs]:
+        for row, c in store.items():
             entry_row.append(row_id[row])
-            entry_form.append(f)
+            entries.append(c)
         col_start.append(len(entry_row))
-    return OracleSystem(
-        j=j,
-        forms=tuple(tuple((v, int(c * scale)) for v, c in form)
-                    for form in forms),
-        col_n=col_n, col_start=col_start,
-        entry_row=entry_row, entry_form=entry_form,
-        rhs_row=array("i", (row_id[row] for row, _ in rhs)),
-        rhs_form=array("i", (f for _, f in rhs)),
-    )
+    table, entry_form = FormTable.compile(entries)
+    return OracleSystem(table=table,
+                        narrow=sum(key[3] <= hi for key in order),
+                        col_start=col_start, entry_row=entry_row,
+                        entry_form=entry_form)
 
 
 @dataclass
@@ -328,10 +268,10 @@ def full_gauge_oracle(k, j, sigma, point, delta, check_stability=True):
     pt = _coerce_point(k, j, point)
     dl = _coerce_point(k, j, delta)
     system = cached(_build_oracle_system, k, j, sigma)
-    values = system.form_values(pt, dl)
-    decision, nunk = system.solvable(values, 0)
+    segments = system.segments(system.table.values(pt + dl))
+    decision, nunk = _solvable(segments, system.narrow)
     if check_stability:
-        wide, _ = system.solvable(values, STABILITY_BUMP)
+        wide, _ = _solvable(segments, len(segments) - 1)
         if wide != decision:
             raise WindowInstabilityError(
                 f"oracle decision flipped under window bump "
@@ -357,7 +297,7 @@ STANDARD_ORACLE_CONFIGS = (
 
 
 def oracle_check(configs=None, trials_point=10, trials_delta=10,
-                 seed=DEFAULT_SEED, check_stability=True):
+                 seed=DEFAULT_SEED):
     """Engine vs oracle agreement over a battery of decisions.
 
     For every configuration and random base point, tests a mix of
@@ -390,10 +330,7 @@ def oracle_check(configs=None, trials_point=10, trials_delta=10,
                 else:
                     delta = [rand_fraction(rng) for _ in range(dim)]
                 engine = cs.contains(delta)
-                oracle = full_gauge_oracle(
-                    k, j, sigma, pt, delta,
-                    check_stability=check_stability,
-                ).decision
+                oracle = full_gauge_oracle(k, j, sigma, pt, delta).decision
                 count += 1
                 total += 1
                 if engine == oracle:

@@ -14,8 +14,12 @@ u2-degree, then z-degree.  The canonical text form of a term is
 
 from __future__ import annotations
 
+import math
 import re
+from array import array
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 from typing import NamedTuple
 
 VARS = ("z", "u1", "u2")
@@ -182,6 +186,56 @@ class ParamPoly:
 
     def __repr__(self):
         return f"ParamPoly({self.render()})"
+
+
+class FormTable(NamedTuple):
+    """Distinct ParamPoly or rational entries, evaluated together at a point.
+
+    Each distinct entry is stored once as an integer form: pairs
+    (monomial id, coefficient), with the coefficients times `scale`, the
+    common denominator of all of them.  A monomial is the tuple of its
+    variables, padded to the top degree of the entries with variable 0,
+    which stands for the constant 1; variable 1 + r is the r-th parameter.
+    """
+
+    degree: int
+    scale: int
+    monomials: tuple
+    forms: tuple
+
+    @classmethod
+    def compile(cls, entries):
+        """The table of the distinct entries and the form id of each."""
+        ids, keys = array("i"), {}  # rational form -> form id
+        for e in entries:
+            terms = e.terms() if isinstance(e, ParamPoly) else [((), e)]
+            key = tuple((ev if any(ev) else (), c) for ev, c in terms if c)
+            ids.append(keys.setdefault(key, len(keys)))
+        degree = max((sum(ev) for key in keys for ev, _ in key), default=0)
+        scale = math.lcm(*(c.denominator for key in keys for _, c in key))
+        exponents = {}  # exponent vector -> monomial id
+        forms = tuple(tuple((exponents.setdefault(ev, len(exponents)),
+                             int(c * scale)) for ev, c in key)
+                      for key in keys)
+        monomials = tuple(
+            (0,) * (degree - sum(ev))
+            + tuple(1 + r for r, n in enumerate(ev) for _ in range(n))
+            for ev in exponents)
+        return cls(degree, scale, monomials, forms), ids
+
+    def values(self, coords):
+        """Every form at the point coords, as a Fraction.
+
+        The forms are summed in integers, with variable 0 at the common
+        denominator d of the coordinates and variable 1 + r at d times
+        coordinate r, then divided by scale * d^degree.
+        """
+        d = math.lcm(*(c.denominator for c in coords))
+        x = [d] + [c.numerator * (d // c.denominator) for c in coords]
+        mons = [reduce(mul, (x[i] for i in m), 1) for m in self.monomials]
+        den = self.scale * d ** self.degree
+        return [Fraction(sum(c * mons[m] for m, c in form), den)
+                for form in self.forms]
 
 
 def _coeff_is_zero(c):

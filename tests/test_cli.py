@@ -180,6 +180,7 @@ STRATIFY = ("stratify", "--k", "1", "--j", "2", "--sigma", "u1*gen1")
     (("verify", "--k", "1", "--j", "2", "--sigma", "gen1", "--trials", "0"),
      "trials"),
     (("oracle-check", "--trials", "0"), "trials_point"),
+    (("star-check", "--k", "1", "--trials", "0"), "trials"),
 ])
 def test_count_below_one_is_usage_error(args, name):
     # a count of 0 would check nothing and still report PASS

@@ -1,6 +1,5 @@
 """Cancellation systems, stalk dimensions, stratification, oracle."""
 
-import dataclasses
 import json
 import os
 import random
@@ -281,15 +280,20 @@ def test_stability_check_can_fail(monkeypatch):
     sigma = parse_sigma_spec("u1*gen1", 1)
     pt = [1, 1, 0, 0]
     rep = stalk_dimension(1, 2, sigma, pt)
-    monkeypatch.setattr(engine, "_MASTERS", {})
     master = engine.cached(engine._build_master, 1, 2, sigma, "derived")
-    # the first column past the bump-0 window leaves the span at pt
+    # the first column past the bump-0 window leaves the span at pt; it
+    # is planted in the build, so it reaches the master's form table
+    tag = master.tags[master.narrow]
     row = [m.render() for m in master.rows].index(rep.quotient_rows[0])
-    planted = [Fraction(int(r == row)) for r in range(len(master.rows))]
-    columns = list(master.columns)
-    columns[master.narrow] = planted
-    key = ("_build_master", 1, 2, sigma.cache_key(), "derived")
-    engine._MASTERS[key] = dataclasses.replace(master, columns=columns)
+    real = engine._direction_entry_derived
+
+    def planted(pieces, t):
+        if t == tag:
+            return LaurentPoly.monomial(*master.rows[row])
+        return real(pieces, t)
+
+    monkeypatch.setattr(engine, "_MASTERS", {})
+    monkeypatch.setattr(engine, "_direction_entry_derived", planted)
     with pytest.raises(WindowInstabilityError,
                        match=f"rank moved {rep.rank} -> {rep.rank + 1} "):
         stalk_dimension(1, 2, sigma, pt)
@@ -325,10 +329,12 @@ LEIBNIZ_SPECS = (
 @pytest.mark.parametrize("k, spec", LEIBNIZ_SPECS)
 def test_derived_master_matches_star_route(k, j, spec):
     sigma = parse_sigma_spec(spec, k)
-    _, coeffs = engine._symbolic_point(k, j)
+    params, coeffs = engine._symbolic_point(k, j)
     p_poly = LaurentPoly(dict(zip(extension_basis(k, j, 1), coeffs)))
     T = transition_matrix(j, p_poly)
     R = canonical_right_inverse(sigma, j, FormalFunction([p_poly]))
+    points = [random_point(k, j, random.Random(j)),
+              single_coordinate_points(k, j)[-1]]
     want = {}
     for bump in (0, 2):
         master = build_cancellation_system(k, j, sigma, bump=bump)
@@ -338,6 +344,13 @@ def test_derived_master_matches_star_route(k, j, spec):
                 want[tag] = [ent.coefficient(m) for m in master.rows]
             assert [(type(e), e) for e in col] == [
                 (type(e), e) for e in want[tag]], tag
+        # the form table against ParamPoly.evaluate, entry by entry
+        for pt in points:
+            env = dict(zip(params, pt))
+            assert [[(type(v), v) for v in col]
+                    for col in master.evaluate(pt)] == [
+                [(Fraction, e.evaluate(env) if hasattr(e, "evaluate") else e)
+                 for e in want[tag]] for tag in master.tags]
 
 
 def star_route_unit_product(sigma):
@@ -576,8 +589,7 @@ def test_oracle_cold_equals_warm(monkeypatch):
 
 def test_oracle_check_small_battery():
     rep = oracle_check(configs=((1, 2, "gen1"), (2, 2, "u1*gen4")),
-                       trials_point=2, trials_delta=2,
-                       check_stability=False)
+                       trials_point=2, trials_delta=2)
     assert rep["status"] == "PASS"
     assert rep["total_decisions"] == 8
     assert rep["total_mismatches"] == 0

@@ -1,12 +1,13 @@
 """Exact Laurent polynomial and hbar-series arithmetic."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
 
 from ncbundles import FormalFunction, LaurentPoly, Monomial, parse_poly
-from ncbundles.ring import ParamPoly
+from ncbundles.ring import FormTable, ParamPoly
 
 from conftest import fractions, laurent_polys, monomials
 
@@ -174,3 +175,30 @@ def test_param_poly_render():
     assert p0.render() == "p0"
     assert (p0 * p1 + p0 * p1).render() == "2*p0*p1"
     assert (p0 - p0).render() == "0"
+
+
+@st.composite
+def table_entries(draw):
+    """A rational, possibly 0, or a ParamPoly of degree 0 to 3."""
+    if draw(st.booleans()):
+        return draw(st.one_of(st.just(Fraction(0)), fractions))
+    exponents = st.tuples(*[st.integers(0, 3)] * len(PARAMS)).filter(
+        lambda ev: sum(ev) <= 3)
+    return ParamPoly(PARAMS, draw(st.dictionaries(exponents, fractions,
+                                                  max_size=4)))
+
+
+@given(st.lists(table_entries(), min_size=1, max_size=6),
+       st.lists(st.integers(0, 5), max_size=8),
+       st.tuples(*[st.one_of(st.just(Fraction(0)), fractions)] * len(PARAMS)))
+def test_form_table_matches_param_evaluate(distinct, repeats, point):
+    # equal entries that are distinct objects, as a master's entries are
+    entries = distinct + [distinct[r % len(distinct)] + 0 for r in repeats]
+    table, ids = FormTable.compile(entries)
+    values = table.values(point)
+    env = dict(zip(PARAMS, point))
+    for e, f in zip(entries, ids):
+        want = e.evaluate(env) if isinstance(e, ParamPoly) else e
+        assert type(values[f]) is Fraction and values[f] == want
+    for a, b in combinations(range(len(entries)), 2):
+        assert (ids[a] == ids[b]) == (entries[a] == entries[b])
