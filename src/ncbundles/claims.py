@@ -263,27 +263,23 @@ def verify_claims(k, j, sigma, seed=DEFAULT_SEED, trials=20):
         })
         bound = 4 * j - k - 4
         cap = 512 if dim > 10 else (1 << dim) - 1
-        masks = _select_masks(k, j, seed, cap)
-        recs = _scan_masks(sigma, k, j, masks, seed, 2)
-        seen = {}
-        for mask, t, r, ptxt in recs:
-            seen.setdefault(dim - r, {"mask": mask, "point": ptxt})
-        max_corank = max(seen)
+        scan = stratify(k, j, sigma, seed=seed, draws=2, pattern_cap=cap)
+        max_corank = scan["max_corank"]
         claims.append({
             "name": "max-corank-bound",
             "status": PASS if max_corank <= bound else EXCEEDS,
             "detail": {
                 "bound": bound,
                 "max_corank": max_corank,
-                "witness": seen[max_corank],
+                "witness": scan["max_corank_witness"],
             },
         })
-        lo = min(seen)
-        contiguous = all(c in seen for c in range(lo, max_corank + 1))
+        achieved = [int(c) for c in scan["strata"]]  # ascending
+        contiguous = achieved == list(range(achieved[0], max_corank + 1))
         claims.append({
             "name": "corank-contiguity",
             "status": PASS if contiguous else EXCEEDS,
-            "detail": {"achieved": sorted(seen)},
+            "detail": {"achieved": achieved},
         })
 
     worst = PASS

@@ -14,13 +14,14 @@ class ColumnSpace:
     """Incremental echelon basis of a span of dense column vectors.
 
     Invariant: every basis vector is zero at the pivot rows of all other
-    basis vectors, so one forward pass fully reduces a new vector and
-    ranks, pivots and membership tests are reproducible.
+    basis vectors, so one pass over the basis, in any order, fully
+    reduces a new vector to the same result, and ranks, pivots and
+    membership tests are reproducible.
     """
 
     def __init__(self, nrows):
         self.nrows = nrows
-        self.basis = []  # list of (pivot_row, vector), sorted by pivot
+        self.basis = []  # list of (pivot_row, vector), in insertion order
 
     def _reduce(self, vec):
         vec = list(vec)
@@ -49,7 +50,6 @@ class ColumnSpace:
                             if red[q]:
                                 bv[q] -= f * red[q]
                 self.basis.append((r, red))
-                self.basis.sort(key=lambda b: b[0])
                 return True
         return False
 
@@ -69,11 +69,8 @@ class ColumnSpace:
         return [r for r in range(self.nrows) if r not in piv]
 
 
-def rank(columns, nrows=None):
-    """Rank of the span of dense columns."""
-    columns = list(columns)
-    if nrows is None:
-        nrows = len(columns[0]) if columns else 0
+def rank(columns, nrows):
+    """Rank of the span of dense columns of length nrows."""
     cs = ColumnSpace(nrows)
     for col in columns:
         cs.add(col)

@@ -5,7 +5,8 @@ A_V * T_q = T_p * A_U mod hbar^2, mod u^2, with independent windowed
 unknowns on both sides and no manual elimination, and is used to
 cross-check the engine's decisions on whether a direction is trivial.
 One system per configuration is built, bump-0 unknowns first, as the
-engine's masters are; a decision only evaluates its ring.FormTable.
+engine's masters are; a decision only evaluates its ring.FormTable, and
+its stability check solves again, with all unknowns, only a bump-0 "no".
 
 The star product of a transition entry with a monomial unit is built
 from the bracket pieces of the entry ({f, w} = sum_d dw/dd P_d(f), an
@@ -20,7 +21,7 @@ from array import array
 from dataclasses import dataclass
 
 from . import linalg
-from .bundles import Matrix2, extension_basis, transition_matrix
+from .bundles import extension_basis, transition_matrix
 from .engine import (
     DEFAULT_SEED,
     FAIL,
@@ -37,7 +38,7 @@ from .engine import (
     require_positive,
 )
 from .poisson import monomial_pairing, parse_sigma_spec
-from .ring import FormalFunction, FormTable, LaurentPoly, Monomial, ParamPoly
+from .ring import FormTable, LaurentPoly, Monomial, ParamPoly
 
 
 def _oracle_hi(j, bump):
@@ -45,58 +46,39 @@ def _oracle_hi(j, bump):
     return 4 * j + 4 + bump
 
 
+# gauge slots: U name, V name, matrix entry, hbar-order, u-grades g
+_SLOTS = (
+    ("a", "al", (0, 0), 0, (1, 2)),
+    ("d", "de", (1, 1), 0, (1, 2)),
+    ("c", "g", (1, 0), 0, (0, 1, 2)),
+    ("ap", "alp", (0, 0), 1, (0, 1, 2)),
+    ("dp", "dep", (1, 1), 1, (0, 1, 2)),
+    ("cp", "gp", (1, 0), 1, (0, 1, 2)),
+    ("b", "be", (0, 1), 1, (0, 1, 2)),
+)
+
+
 def _oracle_families(k, j, bump):
     """Unknown inventory of the full intertwining system.
 
     U-side units are z^n times a u-grade; V-side units are xi^n times a
-    fibre coordinate of the other chart, written in U-coordinates.  Both
-    sides carry classical and first-order slots in every matrix entry
-    compatible with the gauge normalization (diagonal classical parts
-    are pinned to 1, the classical upper-right slots to 0).
+    fibre coordinate of the other chart, written in U-coordinates:
+    z^(vdeg[g] - n) u_g with vdeg = (0, k, 2 - k).  Both sides carry
+    classical and first-order slots in every matrix entry compatible
+    with the gauge normalization (diagonal classical parts are pinned
+    to 1, the classical upper-right slots to 0).
     """
     hi = _oracle_hi(j, bump)
-
-    def umon(n, g):
-        if g == 0:
-            return Monomial(n, 0, 0)
-        if g == 1:
-            return Monomial(n, 1, 0)
-        return Monomial(n, 0, 1)
-
-    def vmon(n, g):
-        if g == 0:
-            return Monomial(-n, 0, 0)
-        if g == 1:
-            return Monomial(k - n, 1, 0)
-        return Monomial(2 - k - n, 0, 1)
-
-    u_slots = [
-        ("a", (0, 0), 0, (1, 2)),
-        ("d", (1, 1), 0, (1, 2)),
-        ("c", (1, 0), 0, (0, 1, 2)),
-        ("ap", (0, 0), 1, (0, 1, 2)),
-        ("dp", (1, 1), 1, (0, 1, 2)),
-        ("cp", (1, 0), 1, (0, 1, 2)),
-        ("b", (0, 1), 1, (0, 1, 2)),
-    ]
-    v_slots = [
-        ("al", (0, 0), 0, (1, 2)),
-        ("de", (1, 1), 0, (1, 2)),
-        ("g", (1, 0), 0, (0, 1, 2)),
-        ("alp", (0, 0), 1, (0, 1, 2)),
-        ("dep", (1, 1), 1, (0, 1, 2)),
-        ("gp", (1, 0), 1, (0, 1, 2)),
-        ("be", (0, 1), 1, (0, 1, 2)),
-    ]
+    vdeg = (0, k, 2 - k)
     fams = []
-    for name, entry, hord, grades in u_slots:
-        for g in grades:
-            for n in range(hi + 1):
-                fams.append((("U", name, g, n), entry, hord, umon(n, g)))
-    for name, entry, hord, grades in v_slots:
-        for g in grades:
-            for n in range(hi + 1):
-                fams.append((("V", name, g, n), entry, hord, vmon(n, g)))
+    for side in ("U", "V"):
+        for u_name, v_name, entry, hord, grades in _SLOTS:
+            name = u_name if side == "U" else v_name
+            for g in grades:
+                for n in range(hi + 1):
+                    l = n if side == "U" else vdeg[g] - n
+                    fams.append(((side, name, g, n), entry, hord,
+                                 Monomial(l, int(g == 1), int(g == 2))))
     return fams
 
 
@@ -187,13 +169,7 @@ def _build_oracle_system(k, j, sigma):
     basis = extension_basis(k, j, 1)
     p_poly = LaurentPoly(dict(zip(basis, coeffs[:dim])))
     delta_poly = LaurentPoly(dict(zip(basis, coeffs[dim:])))
-    zero = LaurentPoly.zero()
-    Tq = Matrix2([
-        [FormalFunction([LaurentPoly.monomial(j, 0, 0)]),
-         FormalFunction([p_poly, delta_poly])],
-        [FormalFunction([zero]),
-         FormalFunction([LaurentPoly.monomial(-j, 0, 0)])],
-    ])
+    Tq = transition_matrix(j, p_poly, delta_poly)
     Tp = transition_matrix(j, p_poly)
 
     # star is bilinear in the gauge entries, so the contribution of a
@@ -221,12 +197,11 @@ def _build_oracle_system(k, j, sigma):
         if col:
             columns[key] = col
 
-    rhs = {}
+    rhs, diff = {}, Tp - Tq
     for ei in range(2):
         for ej in range(2):
             for h in range(2):
-                d = Tp.entry(ei, ej)[h] - Tq.entry(ei, ej)[h]
-                _collect(d, ei, ej, h, 1, j, rhs)
+                _collect(diff.entry(ei, ej)[h], ei, ej, h, 1, j, rhs)
     hi = _oracle_hi(j, 0)
     order = sorted(columns, key=lambda key: (key[3] > hi, key))
     row_id = {row: n for n, row in
@@ -263,20 +238,22 @@ def full_gauge_oracle(k, j, sigma, point, delta, check_stability=True):
     matrices at the base point and at the perturbed direction, with
     independent gauge unknowns on both charts.  No reduction from the
     engine is reused.  The system is built on the first call for a
-    configuration and cached; a call evaluates it at (point, delta).
+    configuration and cached.  With check_stability, a bump-0 "no" that
+    all unknowns solve raises WindowInstabilityError.
     """
     pt = _coerce_point(k, j, point)
     dl = _coerce_point(k, j, delta)
     system = cached(_build_oracle_system, k, j, sigma)
     segments = system.segments(system.table.values(pt + dl))
     decision, nunk = _solvable(segments, system.narrow)
-    if check_stability:
-        wide, _ = _solvable(segments, len(segments) - 1)
-        if wide != decision:
-            raise WindowInstabilityError(
-                f"oracle decision flipped under window bump "
-                f"(k={k}, j={j}, point={pt}, delta={dl})"
-            )
+    # a bump-0 solution padded with zeros solves the wider system, so a
+    # "yes" cannot move; only a "no" is re-solved with every unknown
+    if (check_stability and not decision
+            and _solvable(segments, len(segments) - 1)[0]):
+        raise WindowInstabilityError(
+            f"oracle decision flipped under window bump "
+            f"(k={k}, j={j}, point={pt}, delta={dl})"
+        )
     return OracleReport(
         k=k, j=j, sigma=sigma.describe(), point=pt, delta=dl,
         decision=decision, unknowns=nunk,
@@ -309,13 +286,11 @@ def oracle_check(configs=None, trials_point=10, trials_delta=10,
         configs = STANDARD_ORACLE_CONFIGS
     mismatches = []
     per_config = []
-    total = 0
     for idx, (k, j, sig_text) in enumerate(configs):
         sigma = parse_sigma_spec(sig_text, k)
         dim = direction_dimension(k, j)
         rng = random.Random(seed + 7919 * idx)
         agree = 0
-        count = 0
         for _ in range(trials_point):
             pt = random_point(k, j, rng)
             master, cols, cs, _ = point_space(k, j, sigma, "derived", pt)
@@ -331,8 +306,6 @@ def oracle_check(configs=None, trials_point=10, trials_delta=10,
                     delta = [rand_fraction(rng) for _ in range(dim)]
                 engine = cs.contains(delta)
                 oracle = full_gauge_oracle(k, j, sigma, pt, delta).decision
-                count += 1
-                total += 1
                 if engine == oracle:
                     agree += 1
                 else:
@@ -345,11 +318,11 @@ def oracle_check(configs=None, trials_point=10, trials_delta=10,
                     })
         per_config.append({
             "config": [k, j, sig_text],
-            "decisions": count,
+            "decisions": trials_point * trials_delta,
             "agreements": agree,
         })
     return {
-        "total_decisions": total,
+        "total_decisions": sum(c["decisions"] for c in per_config),
         "total_mismatches": len(mismatches),
         "mismatches": mismatches,
         "per_config": per_config,

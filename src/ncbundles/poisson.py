@@ -43,14 +43,13 @@ class Bivector:
         self.spec_text = spec_text
 
     def bracket(self, f, g):
-        """Poisson bracket of two Laurent polynomials."""
+        """Poisson bracket {f, g} = sum_d dg/dd * P_d(f) of two Laurent
+        polynomials, from the pieces P_d(f) of bracket_pieces."""
         acc = LaurentPoly.zero()
         if f.is_zero() or g.is_zero():
             return acc
-        for h, (x, y) in self.terms:
-            fx, fy = f.partial(x), f.partial(y)
-            gx, gy = g.partial(x), g.partial(y)
-            acc = acc + h * (fx * gy - fy * gx)
+        for d, piece in self.bracket_pieces(f).items():
+            acc = acc + g.partial(d) * piece
         return acc
 
     def bracket_pieces(self, f):

@@ -11,6 +11,7 @@ import pytest
 import ncbundles
 import ncbundles.cli  # noqa: F401  (the benchmark's report serializer)
 from ncbundles import engine, full_gauge_oracle, linalg, parse_sigma_spec
+from ncbundles.oracle import STANDARD_ORACLE_CONFIGS
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -44,3 +45,8 @@ def test_clear_master_caches_empties_the_oracle_cache(bench, monkeypatch):
     assert engine._MASTERS
     workloads.clear_master_caches(ncbundles)
     assert not engine._MASTERS
+
+
+def test_oracle_battery_runs_the_standard_configs(bench):
+    _, workloads = bench
+    assert workloads.OracleBattery.CONFIGS == STANDARD_ORACLE_CONFIGS

@@ -1,14 +1,17 @@
 """Cancellation systems, stalk dimensions, stratification, oracle."""
 
+import dataclasses
 import json
 import os
 import random
+from array import array
 from concurrent.futures import Future
 from fractions import Fraction
 
 import jsonschema
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from ncbundles import (
     FormalFunction,
@@ -35,11 +38,15 @@ from ncbundles import claims, engine, linalg, oracle
 from ncbundles.cli import REPORT_SCHEMA, canonical_json, main, make_report
 from ncbundles.engine import (
     DEFAULT_SEED,
+    _coerce_point,
     direction_dimension,
     rand_fraction,
     random_point,
     single_coordinate_points,
 )
+from ncbundles.oracle import STANDARD_ORACLE_CONFIGS
+
+from conftest import fractions
 
 
 def sym(entry):
@@ -551,6 +558,16 @@ def unit(dim, r, c=1):
     return [Fraction(c) if n == r else Fraction(0) for n in range(dim)]
 
 
+def bump0_yes_stays_yes(k, j, sigma, point, delta):
+    """Whether the oracle's bump-0 decision, when solvable, is solvable
+    with all unknowns too; full_gauge_oracle only re-solves a "no"."""
+    system = engine.cached(oracle._build_oracle_system, k, j, sigma)
+    segments = system.segments(system.table.values(
+        _coerce_point(k, j, point) + _coerce_point(k, j, delta)))
+    narrow, _ = oracle._solvable(segments, system.narrow)
+    return not narrow or oracle._solvable(segments, len(segments) - 1)[0]
+
+
 @pytest.mark.parametrize("k, j, spec, point, delta, decision, unknowns", [
     (1, 2, "gen1", unit(4, 0), unit(4, 3), False, 482),
     (2, 3, "u1*gen4", unit(8, 4), unit(8, 7), False, 630),
@@ -560,8 +577,54 @@ def test_oracle_degenerate_points(k, j, spec, point, delta, decision,
                                   unknowns):
     # zero coordinates make symbolic entries of the oracle system vanish;
     # the decision and the count of nonempty unknown columns are pinned
-    rep = full_gauge_oracle(k, j, parse_sigma_spec(spec, k), point, delta)
+    sigma = parse_sigma_spec(spec, k)
+    rep = full_gauge_oracle(k, j, sigma, point, delta)
     assert (rep.decision, rep.unknowns) == (decision, unknowns)
+    assert bump0_yes_stays_yes(k, j, sigma, point, delta)
+
+
+@pytest.mark.parametrize("k, j, spec", STANDARD_ORACLE_CONFIGS)
+@settings(max_examples=10)
+@given(data=st.data())
+def test_oracle_bump0_yes_stays_yes(k, j, spec, data):
+    # at random and axis points, directions in and outside the engine's
+    # bump-0 span; a "yes" padded with zeros solves the wider system
+    sigma = parse_sigma_spec(spec, k)
+    dim = direction_dimension(k, j)
+    point = data.draw(st.one_of(
+        st.lists(fractions, min_size=dim, max_size=dim),
+        st.builds(unit, st.just(dim), st.integers(0, dim - 1), fractions)))
+    master, cols, _, _ = engine.point_space(k, j, sigma, "derived", point)
+    cols = st.sampled_from(cols[:master.narrow])
+    mix = st.builds(lambda a, b, c1, c2: [c1 * x + c2 * y
+                                          for x, y in zip(a, b)],
+                    cols, cols, fractions, fractions)
+    delta = data.draw(st.one_of(
+        mix, st.lists(fractions, min_size=dim, max_size=dim),
+        st.builds(unit, st.just(dim), st.integers(0, dim - 1))))
+    assert bump0_yes_stays_yes(k, j, sigma, point, delta)
+
+
+def test_oracle_stability_check_can_fail(monkeypatch):
+    # the decision of test_oracle_rejects_outside_span, with one column
+    # equal to the right-hand side planted past the bump-0 prefix: only
+    # the stability window's unknowns solve the system
+    sigma = parse_sigma_spec("u1*gen1", 1)
+    pt, delta = unit(4, 0), unit(4, 2)
+    real = engine.cached(oracle._build_oracle_system, 1, 2, sigma)
+    a, b = real.col_start[-2], real.col_start[-1]
+    planted = dataclasses.replace(
+        real, col_start=real.col_start + array("i", [2 * b - a]),
+        entry_row=real.entry_row + real.entry_row[a:b],
+        entry_form=real.entry_form + real.entry_form[a:b])
+    monkeypatch.setitem(engine._MASTERS,
+                        ("_build_oracle_system", 1, 2, sigma.cache_key()),
+                        planted)
+    assert not full_gauge_oracle(1, 2, sigma, pt, delta,
+                                 check_stability=False).decision
+    with pytest.raises(WindowInstabilityError,
+                       match="oracle decision flipped under window bump"):
+        full_gauge_oracle(1, 2, sigma, pt, delta)
 
 
 def test_oracle_rational_multiplier():
