@@ -16,6 +16,7 @@ from .engine import (
     FAIL,
     PASS,
     _build_master,
+    build_cancellation_system,
     cached,
     direction_dimension,
     is_extremal,
@@ -145,13 +146,11 @@ def certify_generic_rank(k, j, sigma, seed=DEFAULT_SEED):
     """
     rng = random.Random(seed)
     pt = random_point(k, j, rng)
-    master, cols, cs, picked = point_space(k, j, sigma, "derived", pt)
-    nrows = len(master.rows)
-    live = [i for i, col in enumerate(master.columns[:master.narrow])
-            if any(bool(e) for e in col)]
+    _, cols, cs, picked = point_space(k, j, sigma, "derived", pt)
+    system = build_cancellation_system(k, j, sigma)
     r = cs.rank
     pivots = cs.pivot_rows()
-    upper = min(nrows, len(live))
+    upper = min(len(system.rows), sum(any(col) for col in system.columns))
     sub = [[cols[i][p] for p in pivots] for i in picked]
     if linalg.rank(sub, nrows=r) != r:
         raise AssertionError(
@@ -161,8 +160,8 @@ def certify_generic_rank(k, j, sigma, seed=DEFAULT_SEED):
     return {
         "rank_observed": r,
         "structural_upper": upper,
-        "minor_rows": [master.rows[p].render() for p in pivots],
-        "minor_cols": [list(master.tags[i]) for i in picked],
+        "minor_rows": [system.rows[p].render() for p in pivots],
+        "minor_cols": [list(system.tags[i]) for i in picked],
         "certified": certified,
         "detail": "nonzero maximal minor meets structural upper bound"
                   if certified

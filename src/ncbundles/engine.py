@@ -26,6 +26,7 @@ import random
 from array import array
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
+from functools import partial
 from typing import NamedTuple
 
 from . import linalg
@@ -286,14 +287,15 @@ def _build_master(k, j, sigma, formula):
             if not ident.entry(a, b)[1].is_zero():
                 raise AssertionError("right inverse failed at order 1")
 
-    pieces = {ab: _leibniz_pieces(sigma, T, R, *ab)
-              for ab in ((0, 0), (1, 1), (1, 0))}
+    if formula == "derived":
+        pieces = {ab: _leibniz_pieces(sigma, T, R, *ab)
+                  for ab in ((0, 0), (1, 1), (1, 0))}
+        entry = partial(_direction_entry_derived, pieces)
+    else:
+        entry = partial(_direction_entry_printed, sigma, j, p_poly)
     columns = []
     for tag in tags:
-        if formula == "derived":
-            ent = _direction_entry_derived(pieces, tag)
-        else:
-            ent = _direction_entry_printed(sigma, j, p_poly, tag)
+        ent = entry(tag)
         _check_stray_content(k, j, ent, rows_set, tag)
         columns.append([ent.coefficient(m) for m in rows])
 
@@ -393,7 +395,7 @@ class PointSpace(NamedTuple):
     """A master at a point and the echelon span of all its columns."""
 
     master: MasterSystem
-    columns: list  # every column of the master, evaluated at the point
+    columns: list  # the bump-0 columns of the master, at the point
     space: linalg.ColumnSpace
     grew: list  # indices of the bump-0 columns that enlarged the span
 
@@ -404,30 +406,21 @@ def point_space(k, j, sigma, formula, point):
     The bump-0 columns, the master's prefix, are added first; grew lists
     those that enlarged the span.  The rest, the columns of the stability
     window, are added to the same span; if one enlarges it,
-    WindowInstabilityError is raised.  Both loops stop once the span is
-    full, since no column can enlarge it then.
+    WindowInstabilityError is raised.
     """
     master = cached(_build_master, k, j, sigma, formula)
-    nrows = len(master.rows)
-    space = linalg.ColumnSpace(nrows)
+    space = linalg.ColumnSpace(len(master.rows))
     cols = master.evaluate(point)
-    grew = []
-    for i, col in enumerate(cols[:master.narrow]):
-        if space.rank == nrows:
-            break
-        if space.add(col):
-            grew.append(i)
+    narrow = cols[:master.narrow]
+    grew = space.extend(narrow)
     rank = space.rank
-    for col in cols[master.narrow:]:
-        if space.rank == nrows:
-            break
-        space.add(col)
+    space.extend(cols[master.narrow:])
     if space.rank != rank:
         raise WindowInstabilityError(
             f"rank moved {rank} -> {space.rank} under window bump "
             f"(k={k}, j={j}, point={point})"
         )
-    return PointSpace(master, cols, space, grew)
+    return PointSpace(master, narrow, space, grew)
 
 
 def stalk_dimension(k, j, sigma, point, formula="derived"):

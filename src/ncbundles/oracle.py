@@ -293,8 +293,7 @@ def oracle_check(configs=None, trials_point=10, trials_delta=10,
         agree = 0
         for _ in range(trials_point):
             pt = random_point(k, j, rng)
-            master, cols, cs, _ = point_space(k, j, sigma, "derived", pt)
-            cols = cols[:master.narrow]  # the mixes draw from bump 0
+            _, cols, cs, _ = point_space(k, j, sigma, "derived", pt)
             for t in range(trials_delta):
                 if t % 2 == 0:
                     i1 = rng.randrange(len(cols))

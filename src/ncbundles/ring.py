@@ -238,12 +238,6 @@ class FormTable(NamedTuple):
                 for form in self.forms]
 
 
-def _coeff_is_zero(c):
-    if isinstance(c, ParamPoly):
-        return c.is_zero()
-    return c == 0
-
-
 def _render_term(coeff, factors):
     """Render one term as (sign, body) where body omits unit coefficients."""
     if isinstance(coeff, ParamPoly):
@@ -293,11 +287,11 @@ class LaurentPoly:
                     mon = Monomial(*mon)
                 if mon.i < 0 or mon.s < 0:
                     raise ValueError(f"negative fibre exponent in {mon}")
-                if _coeff_is_zero(c):
+                if not c:
                     continue
                 if mon in t:
                     c = t[mon] + c
-                    if _coeff_is_zero(c):
+                    if not c:
                         del t[mon]
                         continue
                 t[mon] = c
@@ -354,7 +348,7 @@ class LaurentPoly:
             return NotImplemented
         if self._t.keys() != other._t.keys():
             return False
-        return all(_coeff_is_zero(self._t[m] - other._t[m]) for m in self._t)
+        return all(not self._t[m] - other._t[m] for m in self._t)
 
     __hash__ = None
 
@@ -367,7 +361,7 @@ class LaurentPoly:
         for mon, c in other._t.items():
             if mon in t:
                 c2 = t[mon] + c
-                if _coeff_is_zero(c2):
+                if not c2:
                     del t[mon]
                 else:
                     t[mon] = c2
@@ -402,10 +396,10 @@ class LaurentPoly:
                 c = c1 * c2
                 if mon in t:
                     c = t[mon] + c
-                    if _coeff_is_zero(c):
+                    if not c:
                         del t[mon]
                         continue
-                elif _coeff_is_zero(c):
+                elif not c:
                     continue
                 t[mon] = c
         out = LaurentPoly.__new__(LaurentPoly)
@@ -415,7 +409,7 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def scale(self, c):
-        if _coeff_is_zero(c):
+        if not c:
             return LaurentPoly.zero()
         return LaurentPoly({m: c * v for m, v in self._t.items()})
 
@@ -565,6 +559,8 @@ def parse_poly(text):
             if r:
                 num = int(r.group(1))
                 den = int(r.group(2)) if r.group(2) else 1
+                if not den:
+                    raise ValueError(f"zero denominator in factor {factor!r}")
                 coeff *= Fraction(num, den)
                 continue
             raise ValueError(f"cannot parse factor {factor!r} in {text!r}")

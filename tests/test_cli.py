@@ -76,6 +76,23 @@ def test_stalk_error_paths():
         assert res.stderr.startswith("error (usage): "), res.stderr
 
 
+@pytest.mark.parametrize("command", ["stalk", "star-check", "normalize"])
+def test_zero_denominator_is_usage_error(tmp_path, command):
+    f = tmp_path / "f.txt"
+    f.write_text("1/0*z\n")
+    args = {
+        "stalk": ("stalk", "--k", "1", "--j", "2", "--sigma", "1/0*gen1",
+                  "--point", "1,1,1,1"),
+        "star-check": ("star-check", "--k", "1", "--sigma", "1/0*gen1"),
+        "normalize": ("normalize", "--k", "1", "--sigma", "gen1",
+                      "--f", str(f)),
+    }[command]
+    res = invoke(*args)
+    assert res.exit_code == 1
+    assert res.stdout == ""
+    assert res.stderr.startswith("error (usage): "), res.stderr
+
+
 @pytest.mark.parametrize("exc, kind", [
     (AssertionError("identity shift column mismatch"), "invariant"),
     (KeyError("row"), "invariant"),

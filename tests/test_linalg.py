@@ -94,6 +94,36 @@ def test_in_column_span_consistency():
         assert space.contains(outside) == expected
 
 
+@given(data=st.data())
+def test_extend_matches_adding_every_vector(data):
+    # full-rank, zero and repeated columns, in any order
+    nrows = data.draw(st.integers(1, 5))
+    fresh = st.lists(st.fractions(-4, 4, max_denominator=3),
+                     min_size=nrows, max_size=nrows)
+    zero = st.just([Fraction(0)] * nrows)
+    unit = st.integers(0, nrows - 1).map(
+        lambda r: [Fraction(int(q == r)) for q in range(nrows)])
+    cols = []
+    for _ in range(data.draw(st.integers(0, 2 * nrows + 2))):
+        repeat = [st.sampled_from(cols)] if cols else []
+        cols.append(list(data.draw(st.one_of([fresh, zero, unit] + repeat))))
+    full = linalg.ColumnSpace(nrows)
+    every = [i for i, col in enumerate(cols) if full.add(col)]
+    space = linalg.ColumnSpace(nrows)
+    read = []
+
+    def columns():
+        for col in cols:
+            assert space.rank < nrows, "vector read from a full span"
+            read.append(col)
+            yield col
+
+    assert space.extend(columns()) == every
+    assert space.rank == full.rank == linalg.rank(cols, nrows)
+    assert space.pivot_rows() == full.pivot_rows()
+    assert len(read) == (every[-1] + 1 if full.rank == nrows else len(cols))
+
+
 def sparse_system(rng, nrows, nvars, density):
     columns = {}
     for v in range(nvars):
@@ -133,6 +163,25 @@ def test_solvable_sparse_matches_dense():
             rhs = {k: c for k, c in rhs.items() if c}
         got = linalg.solvable_sparse(columns, rhs)
         assert got == dense_solvable(columns, rhs, nrows)
+
+
+def test_solvable_sparse_stops_at_full_rank(monkeypatch):
+    # no column is a singleton, so presolve keeps both rows, and the first
+    # two columns already span them
+    columns = {"x0": {(0,): Fraction(1), (1,): Fraction(1)},
+               "x1": {(0,): Fraction(1), (1,): Fraction(2)},
+               "x2": {(0,): Fraction(2), (1,): Fraction(3)}}
+    plain_add = linalg.ColumnSpace.add
+    calls = []
+
+    def spy(space, vec):
+        assert space.rank < space.nrows, "column added to a full span"
+        calls.append(vec)
+        return plain_add(space, vec)
+
+    monkeypatch.setattr(linalg.ColumnSpace, "add", spy)
+    assert linalg.solvable_sparse(columns, {(1,): Fraction(5)})
+    assert len(calls) == 2
 
 
 def test_presolve_preserves_solvability_and_terminates():

@@ -98,6 +98,11 @@ def test_parse_rejects_garbage():
         parse_poly("3x")
 
 
+def test_parse_rejects_zero_denominator():
+    with pytest.raises(ValueError, match="zero denominator in factor '1/0'"):
+        parse_poly("z - 1/0*u1")
+
+
 @given(laurent_polys())
 def test_render_parse_round_trip(f):
     assert parse_poly(f.render()) == f
