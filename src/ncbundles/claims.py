@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import linalg
@@ -83,6 +82,9 @@ def stratify(k, j, sigma, strategy="support-patterns", seed=DEFAULT_SEED,
     masks = _select_masks(k, j, seed, pattern_cap)
     results = []
     if workers > 1:
+        # imported here, so the package loads without multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         chunks = [c for c in (masks[i::workers] for i in range(workers)) if c]
         size = min(len(chunks), os.cpu_count() or 1)
         # built before the pool starts, so forked workers inherit it

@@ -135,7 +135,8 @@ def solvable_sparse(columns, rhs):
     """Whether sum_v x_v * col_v = rhs has a solution, exactly.
 
     Runs the singleton presolve first, then a dense consistency check on
-    the surviving rows in sorted row-key order.
+    the surviving rows in sorted row-key order; columns that span every
+    surviving row answer it without reducing the right-hand side.
     """
     cols, rhs = presolve_singletons(columns, rhs)
     row_keys = set(rhs).union(*cols.values())
@@ -151,7 +152,7 @@ def solvable_sparse(columns, rhs):
 
     cs = ColumnSpace(len(order))
     cs.extend(dense(cols[v]) for v in sorted(cols))
-    return cs.contains(dense(rhs))
+    return cs.rank == len(order) or cs.contains(dense(rhs))
 
 
 # Nothing in the package calls this; it goes with the benchmark change

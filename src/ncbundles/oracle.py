@@ -7,6 +7,10 @@ cross-check the engine's decisions on whether a direction is trivial.
 One system per configuration is built, bump-0 unknowns first, as the
 engine's masters are; a decision only evaluates its ring.FormTable, and
 its stability check solves again, with all unknowns, only a bump-0 "no".
+The singleton presolve depends only on which entries vanish, which the
+set of vanishing forms fixes, so the system keeps one presolve plan per
+such set and window, and a decision solves the plan's few surviving
+columns at its values.
 
 The star product of a transition entry with a monomial unit is built
 from the bracket pieces of the entry ({f, w} = sum_d dw/dd P_d(f), an
@@ -18,7 +22,8 @@ from __future__ import annotations
 
 import random
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import linalg
 from .bundles import extension_basis, transition_matrix
@@ -113,6 +118,30 @@ def _collect(poly, ei, ej, hord, sign, j, store):
             store.pop(key, None)
 
 
+class _Plan(NamedTuple):
+    """The presolved system of one support and window, as form ids.
+
+    Each surviving column, in sorted column order, is ((row, form), ...),
+    and rhs holds the surviving (row, form) pairs of the right-hand side;
+    unknowns counts the window's columns nonempty on the support.
+    """
+
+    columns: tuple
+    rhs: tuple
+    unknowns: int
+
+    def solvable(self, values):
+        """Whether the survivors, at the table's values, are solvable.
+
+        The survivors are a fixed point of the presolve, so the one in
+        solvable_sparse removes nothing from them.
+        """
+        columns = {c: {r: values[f] for r, f in col}
+                   for c, col in enumerate(self.columns)}
+        return linalg.solvable_sparse(columns,
+                                      {r: values[f] for r, f in self.rhs})
+
+
 @dataclass(frozen=True, slots=True)
 class OracleSystem:
     """Full intertwining system of one configuration, affine in (p, delta).
@@ -123,7 +152,8 @@ class OracleSystem:
     in the order of their keys.  Segment c of the entries, col_start[c]
     to col_start[c + 1], is column c, and the last segment is the
     right-hand side; entry e sits in row entry_row[e] and has the value
-    of form entry_form[e] of `table`.
+    of form entry_form[e] of `table`.  `plans` holds the presolve plan
+    of each (vanishing forms, window) met so far.
     """
 
     table: FormTable
@@ -131,20 +161,37 @@ class OracleSystem:
     col_start: array
     entry_row: array
     entry_form: array
+    plans: dict = field(default_factory=dict, init=False, compare=False,
+                        repr=False)
 
-    def segments(self, values):
-        """Each segment's entries nonzero at the table's values, by row."""
-        rows, start = self.entry_row, self.col_start
-        vals = [values[f] for f in self.entry_form]
-        return [{r: v for r, v in zip(rows[a:b], vals[a:b]) if v}
-                for a, b in zip(start, start[1:])]
+    def plan(self, zero, ncols):
+        """The presolve plan of the first ncols unknowns at a point where
+        exactly the forms in zero vanish.
 
-
-def _solvable(segments, ncols):
-    """Whether the system in its first ncols unknowns is solvable, and
-    how many of them are left once the columns empty at the point go."""
-    columns = {c: col for c, col in enumerate(segments[:ncols]) if col}
-    return linalg.solvable_sparse(columns, segments[-1]), len(columns)
+        The singleton presolve reads only which entries are present, and
+        entry e is nonzero at the point exactly when entry_form[e] is not
+        in zero, so one presolve of that support, with the entry's index
+        plus one standing in for each value (presolve drops falsy ones),
+        leaves the same survivors as a presolve of the values would at
+        every such point.
+        """
+        key = (zero, ncols)
+        if key not in self.plans:
+            rows, forms = self.entry_row, self.entry_form
+            start = self.col_start
+            segments = [{rows[e]: e + 1 for e in range(a, b)
+                         if forms[e] not in zero}
+                        for a, b in zip(start, start[1:])]
+            columns = {c: col for c, col in enumerate(segments[:ncols])
+                       if col}
+            cols, rhs = linalg.presolve_singletons(columns, segments[-1])
+            self.plans[key] = _Plan(
+                columns=tuple(tuple((r, forms[e - 1])
+                                    for r, e in cols[c].items())
+                              for c in sorted(cols)),
+                rhs=tuple((r, forms[e - 1]) for r, e in rhs.items()),
+                unknowns=len(columns))
+        return self.plans[key]
 
 
 def _unit_product(side, t0, t1, pieces, hord, w):
@@ -244,19 +291,22 @@ def full_gauge_oracle(k, j, sigma, point, delta, check_stability=True):
     pt = _coerce_point(k, j, point)
     dl = _coerce_point(k, j, delta)
     system = cached(_build_oracle_system, k, j, sigma)
-    segments = system.segments(system.table.values(pt + dl))
-    decision, nunk = _solvable(segments, system.narrow)
+    values = system.table.values(pt + dl)
+    zero = frozenset(f for f, v in enumerate(values) if not v)
+    narrow = system.plan(zero, system.narrow)
+    decision = narrow.solvable(values)
     # a bump-0 solution padded with zeros solves the wider system, so a
     # "yes" cannot move; only a "no" is re-solved with every unknown
+    wide = len(system.col_start) - 2
     if (check_stability and not decision
-            and _solvable(segments, len(segments) - 1)[0]):
+            and system.plan(zero, wide).solvable(values)):
         raise WindowInstabilityError(
             f"oracle decision flipped under window bump "
             f"(k={k}, j={j}, point={pt}, delta={dl})"
         )
     return OracleReport(
         k=k, j=j, sigma=sigma.describe(), point=pt, delta=dl,
-        decision=decision, unknowns=nunk,
+        decision=decision, unknowns=narrow.unknowns,
         stability_checked=check_stability,
     )
 

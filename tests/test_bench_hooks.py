@@ -50,3 +50,32 @@ def test_clear_master_caches_empties_the_oracle_cache(bench, monkeypatch):
 def test_oracle_battery_runs_the_standard_configs(bench):
     _, workloads = bench
     assert workloads.OracleBattery.CONFIGS == STANDARD_ORACLE_CONFIGS
+
+
+def test_clear_master_caches_drops_the_presolve_plans(bench, monkeypatch):
+    # the traced benchmark empties the caches before each of its two
+    # passes and needs equal counts from both, so a decision after
+    # clear_master_caches must presolve its full system again
+    _, workloads = bench
+    monkeypatch.setattr(engine, "_MASTERS", {})
+    real = linalg.presolve_singletons
+    calls = []
+
+    def spy(columns, rhs):
+        calls.append(len(columns))
+        return real(columns, rhs)
+
+    monkeypatch.setattr(linalg, "presolve_singletons", spy)
+    sigma = parse_sigma_spec("gen1", 1)
+
+    def decide():
+        calls.clear()
+        full_gauge_oracle(1, 2, sigma, [1, 1, 1, 1], [0, 0, 0, 1])
+        return list(calls)
+
+    cold, warm = decide(), decide()
+    workloads.clear_master_caches(ncbundles)
+    assert decide() == cold
+    # a "no": plans presolve the 482 bump-0 and then all 556 unknowns,
+    # and each solve presolves only its plan's survivors
+    assert cold == [482, warm[0], 556, warm[1]] and max(warm) < 482

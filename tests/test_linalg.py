@@ -167,7 +167,8 @@ def test_solvable_sparse_matches_dense():
 
 def test_solvable_sparse_stops_at_full_rank(monkeypatch):
     # no column is a singleton, so presolve keeps both rows, and the first
-    # two columns already span them
+    # two columns already span them: the answer is yes without reducing
+    # the third column or the right-hand side
     columns = {"x0": {(0,): Fraction(1), (1,): Fraction(1)},
                "x1": {(0,): Fraction(1), (1,): Fraction(2)},
                "x2": {(0,): Fraction(2), (1,): Fraction(3)}}
@@ -179,7 +180,11 @@ def test_solvable_sparse_stops_at_full_rank(monkeypatch):
         calls.append(vec)
         return plain_add(space, vec)
 
+    def no_contains(space, vec):
+        raise AssertionError("right-hand side reduced against a full span")
+
     monkeypatch.setattr(linalg.ColumnSpace, "add", spy)
+    monkeypatch.setattr(linalg.ColumnSpace, "contains", no_contains)
     assert linalg.solvable_sparse(columns, {(1,): Fraction(5)})
     assert len(calls) == 2
 

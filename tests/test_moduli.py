@@ -434,7 +434,7 @@ def test_stratify_pool_capped_at_cpu_count(monkeypatch):
             future.set_result(fn(*args))
             return future
 
-    monkeypatch.setattr(claims, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
     sigma = parse_sigma_spec("u1*gen1", 1)
     key = ("_build_master", 1, 2, sigma.cache_key(), "derived")
     serial = stratify(1, 2, sigma, draws=2, seed=5)
@@ -557,14 +557,31 @@ def unit(dim, r, c=1):
     return [Fraction(c) if n == r else Fraction(0) for n in range(dim)]
 
 
+def presolve_of_values(k, j, sigma, point, delta):
+    """The oracle's bump-0 decision, its unknowns and whether every
+    unknown solves the system, each by one presolve and solve of the
+    entries' values at the point, with no presolve plan."""
+    system = engine.cached(oracle._build_oracle_system, k, j, sigma)
+    values = system.table.values(
+        _coerce_point(k, j, point) + _coerce_point(k, j, delta))
+    rows, forms = system.entry_row, system.entry_form
+    start = system.col_start
+    segments = [{rows[e]: values[forms[e]] for e in range(a, b)
+                 if values[forms[e]]} for a, b in zip(start, start[1:])]
+
+    def solve(ncols):
+        columns = {c: col for c, col in enumerate(segments[:ncols]) if col}
+        return linalg.solvable_sparse(columns, segments[-1]), len(columns)
+
+    decision, unknowns = solve(system.narrow)
+    return decision, unknowns, solve(len(segments) - 1)[0]
+
+
 def bump0_yes_stays_yes(k, j, sigma, point, delta):
     """Whether the oracle's bump-0 decision, when solvable, is solvable
     with all unknowns too; full_gauge_oracle only re-solves a "no"."""
-    system = engine.cached(oracle._build_oracle_system, k, j, sigma)
-    segments = system.segments(system.table.values(
-        _coerce_point(k, j, point) + _coerce_point(k, j, delta)))
-    narrow, _ = oracle._solvable(segments, system.narrow)
-    return not narrow or oracle._solvable(segments, len(segments) - 1)[0]
+    decision, _, wide = presolve_of_values(k, j, sigma, point, delta)
+    return not decision or wide
 
 
 @pytest.mark.parametrize("k, j, spec, point, delta, decision, unknowns", [
@@ -602,6 +619,52 @@ def test_oracle_bump0_yes_stays_yes(k, j, spec, data):
         mix, st.lists(fractions, min_size=dim, max_size=dim),
         st.builds(unit, st.just(dim), st.integers(0, dim - 1))))
     assert bump0_yes_stays_yes(k, j, sigma, point, delta)
+
+
+@pytest.mark.parametrize("k, j, spec", STANDARD_ORACLE_CONFIGS)
+@settings(max_examples=10)
+@given(data=st.data())
+def test_oracle_plan_matches_presolve_of_values(k, j, spec, data):
+    # the cached presolve plan of a support against a presolve of the
+    # values, at random and axis points, for engine-column mixes, random,
+    # unit and zero directions, and again at (c p, c delta), which has the
+    # same support (every table form is homogeneous) and other values
+    sigma = parse_sigma_spec(spec, k)
+    dim = direction_dimension(k, j)
+    point = data.draw(st.one_of(
+        st.lists(fractions, min_size=dim, max_size=dim),
+        st.builds(unit, st.just(dim), st.integers(0, dim - 1), fractions)))
+    _, cols, _, _ = engine.point_space(k, j, sigma, "derived", point)
+    cols = st.sampled_from(cols)
+    mix = st.builds(lambda a, b, c1, c2: [c1 * x + c2 * y
+                                          for x, y in zip(a, b)],
+                    cols, cols, fractions, fractions)
+    delta = data.draw(st.one_of(
+        mix, st.lists(fractions, min_size=dim, max_size=dim),
+        st.builds(unit, st.just(dim), st.integers(0, dim - 1)),
+        st.just(unit(dim, 0, 0))))
+    scale = data.draw(fractions.filter(lambda c: c != 1))
+    system = engine.cached(oracle._build_oracle_system, k, j, sigma)
+    supports, plans = set(), None
+    for pt, dl in ((point, delta),
+                   ([scale * c for c in point], [scale * c for c in delta])):
+        values = system.table.values(
+            _coerce_point(k, j, pt) + _coerce_point(k, j, dl))
+        supports.add(frozenset(f for f, v in enumerate(values) if not v))
+        decision, unknowns, wide = presolve_of_values(k, j, sigma, pt, dl)
+        rep = full_gauge_oracle(k, j, sigma, pt, dl, check_stability=False)
+        assert (rep.decision, rep.unknowns) == (decision, unknowns)
+        if not decision and wide:
+            with pytest.raises(WindowInstabilityError):
+                full_gauge_oracle(k, j, sigma, pt, dl)
+        else:
+            checked = full_gauge_oracle(k, j, sigma, pt, dl)
+            assert checked == dataclasses.replace(rep,
+                                                  stability_checked=True)
+        if plans is None:
+            plans = len(system.plans)
+    assert len(supports) == 1
+    assert len(system.plans) == plans
 
 
 def test_oracle_stability_check_can_fail(monkeypatch):
