@@ -15,13 +15,13 @@ from .engine import (
     FAIL,
     PASS,
     _build_master,
-    build_cancellation_system,
     cached,
     direction_dimension,
     is_extremal,
     point_space,
     rand_fraction,
     random_point,
+    require_directions,
     require_positive,
     single_coordinate_points,
 )
@@ -78,6 +78,7 @@ def stratify(k, j, sigma, strategy="support-patterns", seed=DEFAULT_SEED,
     if strategy not in ("support-patterns", "symbolic-minors"):
         raise ValueError(f"unknown strategy {strategy!r}")
     require_positive(draws=draws, pattern_cap=pattern_cap, workers=workers)
+    require_directions(j)
     dim = direction_dimension(k, j)
     masks = _select_masks(k, j, seed, pattern_cap)
     results = []
@@ -148,11 +149,10 @@ def certify_generic_rank(k, j, sigma, seed=DEFAULT_SEED):
     """
     rng = random.Random(seed)
     pt = random_point(k, j, rng)
-    _, cols, cs, picked = point_space(k, j, sigma, "derived", pt)
-    system = build_cancellation_system(k, j, sigma)
+    master, cols, cs, picked = point_space(k, j, sigma, "derived", pt)
     r = cs.rank
     pivots = cs.pivot_rows()
-    upper = min(len(system.rows), sum(any(col) for col in system.columns))
+    upper = min(len(master.rows), len(master.nonzero_narrow()))
     sub = [[cols[i][p] for p in pivots] for i in picked]
     if linalg.rank(sub, nrows=r) != r:
         raise AssertionError(
@@ -162,8 +162,8 @@ def certify_generic_rank(k, j, sigma, seed=DEFAULT_SEED):
     return {
         "rank_observed": r,
         "structural_upper": upper,
-        "minor_rows": [system.rows[p].render() for p in pivots],
-        "minor_cols": [list(system.tags[i]) for i in picked],
+        "minor_rows": [master.rows[p].render() for p in pivots],
+        "minor_cols": [list(master.tags[i]) for i in picked],
         "certified": certified,
         "detail": "nonzero maximal minor meets structural upper bound"
                   if certified

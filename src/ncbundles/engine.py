@@ -13,6 +13,14 @@ per configuration at the stability window, bump-0 columns first, with
 entries symbolic in the base point compiled into one ring.FormTable, as
 the oracle's systems are; a point only evaluates that table.
 
+The master records which of its columns are not identically zero, and a
+point reduces only those: a zero column is the zero vector at every
+point and enlarges no span, so ranks, pivots and the stability check
+are those of a pass over every column.  In every catalog master all
+columns of the stability window past the bump-0 window are zero, so the
+stability pass reads none of them there; a nonzero column planted in
+that window is still reduced, and raises if it enlarges the span.
+
 A derived column, the hbar-part of (T_0a * W) * R_b1 for a monomial unit
 W, is not computed by star products: beyond bilinearity, the Leibniz rule
 for {t0 w, r0} and {f, w} = sum_d dw/dd P_d(f) (Bivector.bracket_pieces)
@@ -24,6 +32,7 @@ from __future__ import annotations
 
 import random
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import partial
@@ -66,6 +75,12 @@ def require_positive(**counts):
             raise ValueError(f"{name} must be at least 1, got {n}")
 
 
+def require_directions(j):
+    """Reject j < 2: the extension has no moduli directions there."""
+    if j < 2:
+        raise ValueError(f"no moduli directions below j = 2, got j={j}")
+
+
 # ---------------------------------------------------------------------------
 # bases and windows
 
@@ -82,8 +97,7 @@ def obstruction_basis(k, j):
     column of the identity gauge shift aligns index by index with the
     base point coordinates.
     """
-    if j < 2:
-        raise ValueError(f"no moduli directions below j = 2, got j={j}")
+    require_directions(j)
     return [Monomial(m.l + j, m.i, m.s) for m in extension_basis(k, j, 1)]
 
 
@@ -193,21 +207,31 @@ def _direction_entry_derived(pieces, tag):
     return (A.shift(w) + monomial_pairing(B, w)).truncate_neighborhood(1)
 
 
-def _direction_entry_printed(sigma, j, p_poly, tag):
-    br = sigma.bracket
-    zj = LaurentPoly.monomial(j, 0, 0)
+def _printed_pieces(sigma, j, p_poly):
+    """The terms of the printed formula that no column changes:
+    p, {z^j, p} and 2 p {z^j, p}."""
+    zjp = sigma.bracket(LaurentPoly.monomial(j, 0, 0), p_poly)
+    return p_poly, zjp, (p_poly * zjp).scale(2)
+
+
+def _direction_entry_printed(sigma, j, pieces, tag):
+    """The printed closed form of a column, from _printed_pieces.
+
+    lambda: p z^(n+j); a/d units e = z^n u_g:
+    z^j {p, e} - p {z^j, e} +- e {z^j, p}; c0: 2 p z^(n-j) {z^j, p}.
+    """
+    p_poly, zjp, quad = pieces
     fam, n = tag
     if fam == "lambda":
-        out = p_poly * LaurentPoly.monomial(n + j, 0, 0)
+        out = p_poly.shift((n + j, 0, 0))
     elif fam in ("a1", "a2", "d1", "d2"):
-        g = (1, 0) if fam in ("a1", "d1") else (0, 1)
-        e = LaurentPoly.monomial(n, *g)
-        out = zj * br(p_poly, e) - p_poly * br(zj, e)
-        sgn = 1 if fam in ("a1", "a2") else -1
-        out = out + (e * br(zj, p_poly)).scale(sgn)
+        w = (n, 1, 0) if fam in ("a1", "d1") else (n, 0, 1)
+        e = LaurentPoly.monomial(*w)
+        out = (sigma.bracket(p_poly, e).shift((j, 0, 0))
+               - p_poly * sigma.bracket(LaurentPoly.monomial(j, 0, 0), e))
+        out = out + zjp.shift(w, 1 if fam in ("a1", "a2") else -1)
     elif fam == "c0":
-        c = LaurentPoly.monomial(n - j, 0, 0)
-        out = (p_poly * c * br(zj, p_poly)).scale(2)
+        out = quad.shift((n - j, 0, 0))
     else:
         raise ValueError(f"unknown column family {fam}")
     return out.truncate_neighborhood(1)
@@ -219,9 +243,11 @@ class MasterSystem:
 
     The cached master has entries symbolic in the base point and the
     columns of the stability window, the first `narrow` of them those of
-    the bump-0 window.  Entry r of column c is form ids[c * len(rows) + r]
-    of `table`, built once with the master.  build_cancellation_system
-    returns one window of it, symbolic or evaluated at a point.
+    the bump-0 window; `nonzero` lists, ascending, the columns with an
+    entry that is not identically zero.  Entry r of column c is form
+    ids[c * len(rows) + r] of `table`, built once with the master.
+    build_cancellation_system returns one window of it, symbolic or
+    evaluated at a point.
     """
 
     rows: list
@@ -229,8 +255,13 @@ class MasterSystem:
     windows: GaugeWindows
     columns: list
     narrow: int
+    nonzero: tuple
     table: FormTable
     ids: array
+
+    def nonzero_narrow(self):
+        """The nonzero columns of the bump-0 window."""
+        return self.nonzero[:bisect_left(self.nonzero, self.narrow)]
 
     def evaluate(self, point):
         """Every column of this window at the point, as Fractions."""
@@ -292,7 +323,8 @@ def _build_master(k, j, sigma, formula):
                   for ab in ((0, 0), (1, 1), (1, 0))}
         entry = partial(_direction_entry_derived, pieces)
     else:
-        entry = partial(_direction_entry_printed, sigma, j, p_poly)
+        entry = partial(_direction_entry_printed, sigma, j,
+                        _printed_pieces(sigma, j, p_poly))
     columns = []
     for tag in tags:
         ent = entry(tag)
@@ -305,8 +337,10 @@ def _build_master(k, j, sigma, formula):
         if c != ParamPoly.variable(params, f"p{r}"):
             raise AssertionError("identity shift column mismatch")
 
+    nonzero = tuple(c for c, col in enumerate(columns) if any(col))
     table, ids = FormTable.compile(e for col in columns for e in col)
-    return MasterSystem(rows, tags, win, columns, narrow, table, ids)
+    return MasterSystem(rows, tags, win, columns, narrow, nonzero, table,
+                        ids)
 
 
 _MASTERS = {}
@@ -356,7 +390,8 @@ def build_cancellation_system(k, j, sigma, point=None, formula="derived",
     if bump == 0:
         n = master.narrow
         master = replace(master, windows=compute_windows(k, j, sigma),
-                         tags=master.tags[:n], columns=master.columns[:n])
+                         tags=master.tags[:n], columns=master.columns[:n],
+                         nonzero=master.nonzero_narrow())
     elif bump != STABILITY_BUMP:
         raise ValueError(f"bump must be 0 or {STABILITY_BUMP}, got {bump}")
     if point is None:
@@ -403,28 +438,30 @@ class PointSpace(NamedTuple):
 def point_space(k, j, sigma, formula, point):
     """The master at a point and the span of its columns, checked.
 
-    The bump-0 columns, the master's prefix, are added first; grew lists
-    those that enlarged the span.  The rest, the columns of the stability
-    window, are added to the same span; if one enlarges it,
-    WindowInstabilityError is raised.
+    The nonzero bump-0 columns, from the master's prefix, are added
+    first; grew lists those that enlarged the span, by column index.
+    The nonzero columns of the rest, the stability window, are added to
+    the same span; if one enlarges it, WindowInstabilityError is raised.
+    A zero column could enlarge neither span, so none is reduced.
     """
     master = cached(_build_master, k, j, sigma, formula)
     space = linalg.ColumnSpace(len(master.rows))
     cols = master.evaluate(point)
-    narrow = cols[:master.narrow]
-    grew = space.extend(narrow)
+    narrow = master.nonzero_narrow()
+    grew = [narrow[i] for i in space.extend([cols[c] for c in narrow])]
     rank = space.rank
-    space.extend(cols[master.narrow:])
+    space.extend([cols[c] for c in master.nonzero[len(narrow):]])
     if space.rank != rank:
         raise WindowInstabilityError(
             f"rank moved {rank} -> {space.rank} under window bump "
             f"(k={k}, j={j}, point={point})"
         )
-    return PointSpace(master, narrow, space, grew)
+    return PointSpace(master, cols[:master.narrow], space, grew)
 
 
 def stalk_dimension(k, j, sigma, point, formula="derived"):
     """Stalk of the deformation sheaf at a nonzero base point."""
+    require_directions(j)
     pt = _coerce_point(k, j, point)
     if all(c == 0 for c in pt):
         raise ValueError("stalk is undefined at the zero base point")
@@ -484,13 +521,11 @@ def generic_rank(k, j, sigma, trials=20, seed=DEFAULT_SEED):
 def is_extremal(sigma, j=2):
     """Operational extremality used by the moduli computations.
 
-    True when every gauge-direction column of the cancellation system
-    vanishes identically, leaving only the shift columns.  Deviates from
-    the literal ideal-membership test (poisson.is_extremal_literal) on
-    some multiplied bivectors.
+    True when every gauge-direction column of the bump-0 cancellation
+    system vanishes identically, leaving only the shift columns.
+    Deviates from the literal ideal-membership test
+    (poisson.is_extremal_literal) on some multiplied bivectors.
     """
-    master = build_cancellation_system(sigma.k, j, sigma)
-    for tag, col in zip(master.tags, master.columns):
-        if tag[0] != "lambda" and any(bool(e) for e in col):
-            return False
-    return True
+    master = cached(_build_master, sigma.k, j, sigma, "derived")
+    return all(master.tags[c][0] == "lambda"
+               for c in master.nonzero_narrow())

@@ -19,7 +19,7 @@ import re
 from array import array
 from fractions import Fraction
 from functools import reduce
-from operator import mul
+from operator import add, mul
 from typing import NamedTuple
 
 VARS = ("z", "u1", "u2")
@@ -108,17 +108,33 @@ class ParamPoly:
             return other
         return ParamPoly.const(self.params, other)
 
+    def _with_terms(self, terms):
+        """A ParamPoly over self.params with terms taken as they are.
+
+        For the results of arithmetic, whose terms are already checked
+        and hold no zero coefficient, so __init__ need not check them.
+        """
+        out = ParamPoly.__new__(ParamPoly)
+        out.params = self.params
+        out._terms = terms
+        return out
+
     def __add__(self, other):
         other = self._coerce(other)
         terms = dict(self._terms)
         for ev, c in other._terms.items():
-            terms[ev] = terms.get(ev, Fraction(0)) + c
-        return ParamPoly(self.params, terms)
+            if ev in terms:
+                c += terms[ev]
+                if not c:
+                    del terms[ev]
+                    continue
+            terms[ev] = c
+        return self._with_terms(terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ParamPoly(self.params, {ev: -c for ev, c in self._terms.items()})
+        return self._with_terms({ev: -c for ev, c in self._terms.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -129,18 +145,17 @@ class ParamPoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             if not other:
-                return ParamPoly(self.params)
-            out = ParamPoly.__new__(ParamPoly)
-            out.params = self.params
-            out._terms = {ev: c * other for ev, c in self._terms.items()}
-            return out
+                return self._with_terms({})
+            return self._with_terms(
+                {ev: c * other for ev, c in self._terms.items()})
         other = self._coerce(other)
         out = {}
         for ev1, c1 in self._terms.items():
             for ev2, c2 in other._terms.items():
-                ev = tuple(a + b for a, b in zip(ev1, ev2))
-                out[ev] = out.get(ev, Fraction(0)) + c1 * c2
-        return ParamPoly(self.params, out)
+                ev = tuple(map(add, ev1, ev2))
+                c = c1 * c2
+                out[ev] = out[ev] + c if ev in out else c
+        return self._with_terms({ev: c for ev, c in out.items() if c})
 
     __rmul__ = __mul__
 

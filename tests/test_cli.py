@@ -76,6 +76,19 @@ def test_stalk_error_paths():
         assert res.stderr.startswith("error (usage): "), res.stderr
 
 
+@pytest.mark.parametrize("args", [
+    ("stratify", "--k", "1", "--j", "1", "--sigma", "gen1"),
+    ("stalk", "--k", "1", "--j", "1", "--sigma", "gen1", "--point", "1"),
+])
+def test_j_below_two_is_usage_error(args):
+    # j = 1 has no moduli directions; a scan over none would pass vacuously
+    res = invoke(*args)
+    assert res.exit_code == 1
+    assert res.stdout == ""
+    assert res.stderr == ("error (usage): no moduli directions below "
+                          "j = 2, got j=1\n")
+
+
 @pytest.mark.parametrize("command", ["stalk", "star-check", "normalize"])
 def test_zero_denominator_is_usage_error(tmp_path, command):
     f = tmp_path / "f.txt"

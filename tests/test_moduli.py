@@ -168,6 +168,12 @@ def test_e2_reduced_generic_block():
 CONFIGS = [(1, 2, "gen1"), (1, 2, "u1*gen1"), (2, 2, "gen4"),
            (2, 3, "u1*gen4"), (1, 3, "gen3")]
 
+LEIBNIZ_SPECS = (
+    [(1, s) for s in ("gen1", "gen2", "gen3", "gen4", "u1*gen1",
+                      "2/3*u1*gen1")]
+    + [(2, s) for s in ("gen1", "gen2", "gen3", "gen4", "gen5", "u1*gen4",
+                        "3/7*gen4")])
+
 
 @pytest.mark.parametrize("k,j,spec", CONFIGS)
 def test_lambda0_column_is_base_point(k, j, spec):
@@ -188,7 +194,8 @@ def test_scaling_invariance(k, j, spec):
     assert stalk_dimension(k, j, sigma, scaled).rank == r1
 
 
-@pytest.mark.parametrize("k,j,spec", CONFIGS)
+@pytest.mark.parametrize("k,j,spec", [(k, j, spec) for j in (2, 3, 4, 5)
+                                      for k, spec in LEIBNIZ_SPECS])
 def test_printed_formula_agrees(k, j, spec):
     a = sym_matrix(k, j, spec, formula="derived")
     b = sym_matrix(k, j, spec, formula="printed")
@@ -274,6 +281,8 @@ def test_bump0_system_is_master_prefix(k, j, spec):
     assert narrow.tags == engine._column_tags(compute_windows(k, j, sigma))
     assert wide.tags[:len(narrow.tags)] == narrow.tags
     assert wide.columns[:len(narrow.columns)] == narrow.columns
+    assert narrow.nonzero == tuple(c for c in wide.nonzero
+                                   if c < len(narrow.tags))
     assert narrow.windows == compute_windows(k, j, sigma)
     assert wide.windows == compute_windows(k, j, sigma, bump=2)
 
@@ -323,13 +332,6 @@ def star_route_entry(sigma, T, R, tag):
     M = sigma.star(sigma.star(T.entry(0, a), W, 1), R.entry(b, 1), 1)
     assert M[0].truncate_neighborhood(1).is_zero(), tag
     return M[1].truncate_neighborhood(1)
-
-
-LEIBNIZ_SPECS = (
-    [(1, s) for s in ("gen1", "gen2", "gen3", "gen4", "u1*gen1",
-                      "2/3*u1*gen1")]
-    + [(2, s) for s in ("gen1", "gen2", "gen3", "gen4", "gen5", "u1*gen4",
-                        "3/7*gen4")])
 
 
 @pytest.mark.parametrize("j", [2, 3, 4, 5])
@@ -514,6 +516,36 @@ def test_point_space_stops_at_full_rank(monkeypatch, point):
     if point == "full-support":
         assert space.rank == len(master.rows)
         assert len(calls) < len(cols)
+
+
+@pytest.mark.parametrize("j", [2, 3, 4])
+@pytest.mark.parametrize("k, spec", LEIBNIZ_SPECS)
+@settings(max_examples=6)
+@given(data=st.data())
+def test_point_space_reduces_only_nonzero_columns(k, j, spec, data):
+    # at random full-support, axis and support-mask points, the span of
+    # the nonzero columns is the span of a plain pass over every column
+    sigma = parse_sigma_spec(spec, k)
+    dim = direction_dimension(k, j)
+    master = engine.cached(engine._build_master, k, j, sigma, "derived")
+    assert list(master.nonzero) == [c for c, col in enumerate(master.columns)
+                                    if any(col)]
+    full_support = st.lists(fractions, min_size=dim, max_size=dim)
+    point = data.draw(st.one_of(
+        full_support,
+        st.builds(unit, st.just(dim), st.integers(0, dim - 1), fractions),
+        st.builds(lambda mask, pt: [c if mask >> r & 1 else Fraction(0)
+                                    for r, c in enumerate(pt)],
+                  st.integers(1, (1 << dim) - 1), full_support)))
+    ps = engine.point_space(k, j, sigma, "derived", point)
+    cols = master.evaluate(_coerce_point(k, j, point))
+    plain = linalg.ColumnSpace(len(master.rows))
+    grew = [c for c, col in enumerate(cols) if plain.add(col)]
+    assert ps.columns == cols[:master.narrow]
+    assert ps.grew == grew
+    assert ps.space.rank == plain.rank
+    assert ps.space.pivot_rows() == plain.pivot_rows()
+    assert ps.space.non_pivot_rows() == plain.non_pivot_rows()
 
 
 def test_stratify_rejects_unknown_strategy():

@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from ncbundles import FormalFunction, LaurentPoly, Monomial, parse_poly
 from ncbundles.ring import FormTable, ParamPoly
@@ -172,6 +172,27 @@ def test_param_scalar_product_by_zero_keeps_no_terms():
     for zero in (0, Fraction(0)):
         assert (A * zero).terms() == []
         assert A * zero == A * ParamPoly.const(PARAMS, zero)
+
+
+@st.composite
+def cancelling_param_polys(draw):
+    """A ParamPoly of few terms with small signed coefficients, so that
+    sums and products of two of them often cancel a term."""
+    exponents = st.tuples(*[st.integers(0, 1)] * len(PARAMS))
+    coeffs = st.sampled_from([Fraction(c) for c in (-2, -1, 1, 2)])
+    return ParamPoly(PARAMS, draw(st.dictionaries(exponents, coeffs,
+                                                  max_size=3)))
+
+
+@given(cancelling_param_polys(), cancelling_param_polys())
+@example(ParamPoly.variable(PARAMS, "p0") + 1,
+         ParamPoly.variable(PARAMS, "p0") - 1)
+def test_param_arithmetic_keeps_no_zero_coefficient(A, B):
+    # the results skip the checking constructor, so rebuild them with it
+    for got in (A + B, A - B, B - A, -A, A * B, A * (-B), A + 1, 1 - A):
+        terms = got.terms()
+        assert all(c != 0 for _, c in terms)
+        assert got == ParamPoly(PARAMS, dict(terms))
 
 
 def test_param_poly_render():
