@@ -46,7 +46,7 @@ from .bundles import (
     transition_matrix,
 )
 from .geometry import v_exponent
-from .poisson import monomial_pairing
+from .poisson import monomial_pairing, pieces_pairing
 from .ring import (
     VARS,
     FormalFunction,
@@ -86,8 +86,17 @@ def require_directions(j):
 
 
 def direction_dimension(k, j):
-    """Number of first-order deformation directions, 4j - 4."""
-    return len(extension_basis(k, j, 1))
+    """Number of first-order deformation directions, 4j - 4 for j >= 2.
+
+    The size of extension_basis(k, j, 1), counted without building it:
+    its u1 block has 2j - 1 - k monomials and its u2 block 2j + k - 3.
+    """
+    if k not in (1, 2):
+        raise ValueError(f"extension bases exist only on W_1 and W_2, "
+                         f"got k={k}")
+    if j < 1:
+        raise ValueError(f"need j >= 1, got {j}")
+    return max(0, 2 * j - 1 - k) + max(0, 2 * j + k - 3)
 
 
 def obstruction_basis(k, j):
@@ -169,15 +178,16 @@ def _leibniz_pieces(sigma, T, R, a, b):
     {t0 w, r0} = w {t0, r0} + t0 {w, r0} and {f, w} = sum_d dw/dd P_d(f)
     make (t * w) * r = w t0 r0 + hbar (w A + sum_d dw/dd B_d) with
     A = t1 r0 + t0 r1 + {t0, r0} and B_d = r0 P_d(t0) - t0 P_d(r0).
-    They are cut to the first neighbourhood: a shift by a monomial never
-    lowers the u-degree, so no term cut here reaches a column.
+    {t0, r0} = sum_d dr0/dd P_d(t0) pairs the pieces of t0 that B uses.
+    All three are cut to the first neighbourhood: a shift by a monomial
+    never lowers the u-degree, so no term cut here reaches a column.
     """
     t, r = T.entry(0, a), R.entry(b, 1)
     pt, pr = sigma.bracket_pieces(t[0]), sigma.bracket_pieces(r[0])
     zero = LaurentPoly.zero()
     B = {d: (r[0] * pt.get(d, zero) - t[0] * pr.get(d, zero))
          .truncate_neighborhood(1) for d in VARS}
-    A = t[1] * r[0] + t[0] * r[1] + sigma.bracket(t[0], r[0])
+    A = t[1] * r[0] + t[0] * r[1] + pieces_pairing(pt, r[0])
     return ((t[0] * r[0]).truncate_neighborhood(1),
             A.truncate_neighborhood(1), B)
 
@@ -208,27 +218,35 @@ def _direction_entry_derived(pieces, tag):
 
 
 def _printed_pieces(sigma, j, p_poly):
-    """The terms of the printed formula that no column changes:
-    p, {z^j, p} and 2 p {z^j, p}."""
-    zjp = sigma.bracket(LaurentPoly.monomial(j, 0, 0), p_poly)
-    return p_poly, zjp, (p_poly * zjp).scale(2)
+    """The parts of the printed formula that no column changes.
+
+    p, {z^j, p}, 2 p {z^j, p} and the bracket pieces P_d(p) and P_d(z^j)
+    (Bivector.bracket_pieces), so that {p, e} and {z^j, e} for a monomial
+    unit e are monomial_pairing shifts of pieces built once per master.
+    """
+    zj = LaurentPoly.monomial(j, 0, 0)
+    zjp = sigma.bracket(zj, p_poly)
+    return (p_poly, zjp, (p_poly * zjp).scale(2),
+            sigma.bracket_pieces(p_poly), sigma.bracket_pieces(zj))
 
 
-def _direction_entry_printed(sigma, j, pieces, tag):
+def _direction_entry_printed(j, pieces, tag):
     """The printed closed form of a column, from _printed_pieces.
 
     lambda: p z^(n+j); a/d units e = z^n u_g:
     z^j {p, e} - p {z^j, e} +- e {z^j, p}; c0: 2 p z^(n-j) {z^j, p}.
+    {p, e} and {z^j, e} pair the pieces of p and z^j with e, where the
+    derived route pairs those of the gauge entries of T and R, so the
+    two routes still compute every column by different formulas.
     """
-    p_poly, zjp, quad = pieces
+    p_poly, zjp, quad, pp, pzj = pieces
     fam, n = tag
     if fam == "lambda":
         out = p_poly.shift((n + j, 0, 0))
     elif fam in ("a1", "a2", "d1", "d2"):
         w = (n, 1, 0) if fam in ("a1", "d1") else (n, 0, 1)
-        e = LaurentPoly.monomial(*w)
-        out = (sigma.bracket(p_poly, e).shift((j, 0, 0))
-               - p_poly * sigma.bracket(LaurentPoly.monomial(j, 0, 0), e))
+        out = (monomial_pairing(pp, w).shift((j, 0, 0))
+               - p_poly * monomial_pairing(pzj, w))
         out = out + zjp.shift(w, 1 if fam in ("a1", "a2") else -1)
     elif fam == "c0":
         out = quad.shift((n - j, 0, 0))
@@ -264,11 +282,19 @@ class MasterSystem:
         return self.nonzero[:bisect_left(self.nonzero, self.narrow)]
 
     def evaluate(self, point):
-        """Every column of this window at the point, as Fractions."""
+        """Every column of this window at the point, as Fractions.
+
+        Only the columns in `nonzero` are read from the table; every
+        other column holds only the zero form, so it is a fresh list of
+        zeros, one list per column.
+        """
         values = self.table.values(point)
         n = len(self.rows)
-        return [[values[f] for f in self.ids[c * n:(c + 1) * n]]
-                for c in range(len(self.columns))]
+        cols = [None] * len(self.columns)
+        for c in self.nonzero:
+            cols[c] = [values[f] for f in self.ids[c * n:(c + 1) * n]]
+        zero = Fraction(0)
+        return [[zero] * n if col is None else col for col in cols]
 
     def entries_rowmajor(self):
         out = []
@@ -323,7 +349,7 @@ def _build_master(k, j, sigma, formula):
                   for ab in ((0, 0), (1, 1), (1, 0))}
         entry = partial(_direction_entry_derived, pieces)
     else:
-        entry = partial(_direction_entry_printed, sigma, j,
+        entry = partial(_direction_entry_printed, j,
                         _printed_pieces(sigma, j, p_poly))
     columns = []
     for tag in tags:

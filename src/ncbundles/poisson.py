@@ -45,12 +45,9 @@ class Bivector:
     def bracket(self, f, g):
         """Poisson bracket {f, g} = sum_d dg/dd * P_d(f) of two Laurent
         polynomials, from the pieces P_d(f) of bracket_pieces."""
-        acc = LaurentPoly.zero()
         if f.is_zero() or g.is_zero():
-            return acc
-        for d, piece in self.bracket_pieces(f).items():
-            acc = acc + g.partial(d) * piece
-        return acc
+            return LaurentPoly.zero()
+        return pieces_pairing(self.bracket_pieces(f), g)
 
     def bracket_pieces(self, f):
         """The pieces P_d(f) with {f, g} = sum_d dg/dd * P_d(f) for all g.
@@ -118,6 +115,17 @@ class Bivector:
         body = " + ".join(f"({h.render()}) d{x}^d{y}"
                           for h, (x, y) in self.terms) or "0"
         return f"Bivector(k={self.k}, {body})"
+
+
+def pieces_pairing(pieces, g):
+    """sum_d dg/dd * pieces[d] for a Laurent polynomial g.
+
+    With pieces = sigma.bracket_pieces(f) this is {f, g}.
+    """
+    acc = LaurentPoly.zero()
+    for d, piece in pieces.items():
+        acc = acc + g.partial(d) * piece
+    return acc
 
 
 def monomial_pairing(pieces, mon):

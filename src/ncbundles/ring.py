@@ -314,6 +314,18 @@ class LaurentPoly:
 
     # -- constructors ------------------------------------------------------
 
+    @staticmethod
+    def _of(t):
+        """A LaurentPoly holding the dict t as it is.
+
+        For the results of arithmetic, whose monomials are already
+        checked and hold no zero coefficient, so __init__ need not check
+        them.
+        """
+        out = LaurentPoly.__new__(LaurentPoly)
+        out._t = t
+        return out
+
     @classmethod
     def zero(cls):
         return cls()
@@ -382,16 +394,12 @@ class LaurentPoly:
                     t[mon] = c2
             else:
                 t[mon] = c
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._t = t
-        return out
+        return LaurentPoly._of(t)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._t = {m: -c for m, c in self._t.items()}
-        return out
+        return LaurentPoly._of({m: -c for m, c in self._t.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -417,16 +425,15 @@ class LaurentPoly:
                 elif not c:
                     continue
                 t[mon] = c
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._t = t
-        return out
+        return LaurentPoly._of(t)
 
     __rmul__ = __mul__
 
     def scale(self, c):
         if not c:
             return LaurentPoly.zero()
-        return LaurentPoly({m: c * v for m, v in self._t.items()})
+        # a product of nonzero coefficients is nonzero
+        return LaurentPoly._of({m: c * v for m, v in self._t.items()})
 
     def shift(self, mon, c=1):
         """self * c * z^l u1^i u2^s for mon = (l, i, s) and a rational c.
@@ -439,14 +446,11 @@ class LaurentPoly:
             raise ValueError(f"negative fibre exponent in {mon}")
         if not c:
             return LaurentPoly.zero()
-        out = LaurentPoly.__new__(LaurentPoly)
         if c == 1:  # coefficients are immutable, so they can be shared
-            out._t = {Monomial(m.l + l, m.i + i, m.s + s): v
-                      for m, v in self._t.items()}
-        else:
-            out._t = {Monomial(m.l + l, m.i + i, m.s + s): v * c
-                      for m, v in self._t.items()}
-        return out
+            return LaurentPoly._of({Monomial(m.l + l, m.i + i, m.s + s): v
+                                    for m, v in self._t.items()})
+        return LaurentPoly._of({Monomial(m.l + l, m.i + i, m.s + s): v * c
+                                for m, v in self._t.items()})
 
     def __pow__(self, n):
         if n < 0:
@@ -463,30 +467,30 @@ class LaurentPoly:
     # -- calculus ----------------------------------------------------------
 
     def partial(self, name):
-        """Partial derivative with respect to z, u1 or u2."""
-        t = {}
-        for m, c in self._t.items():
-            if name == "z":
-                if m.l == 0:
-                    continue
-                t[Monomial(m.l - 1, m.i, m.s)] = c * m.l
-            elif name == "u1":
-                if m.i == 0:
-                    continue
-                t[Monomial(m.l, m.i - 1, m.s)] = c * m.i
-            elif name == "u2":
-                if m.s == 0:
-                    continue
-                t[Monomial(m.l, m.i, m.s - 1)] = c * m.s
-            else:
-                raise ValueError(f"unknown variable {name!r}")
-        return LaurentPoly(t)
+        """Partial derivative with respect to z, u1 or u2.
+
+        Distinct monomials stay distinct, a term of exponent 0 in the
+        variable is dropped and no fibre exponent goes below 0.
+        """
+        if name == "z":
+            t = {Monomial(m.l - 1, m.i, m.s): c * m.l
+                 for m, c in self._t.items() if m.l}
+        elif name == "u1":
+            t = {Monomial(m.l, m.i - 1, m.s): c * m.i
+                 for m, c in self._t.items() if m.i}
+        elif name == "u2":
+            t = {Monomial(m.l, m.i, m.s - 1): c * m.s
+                 for m, c in self._t.items() if m.s}
+        else:
+            raise ValueError(f"unknown variable {name!r}")
+        return LaurentPoly._of(t)
 
     # -- structure ---------------------------------------------------------
 
     def truncate_neighborhood(self, n):
         """Drop all terms with total u-degree i+s > n."""
-        return LaurentPoly({m: c for m, c in self._t.items() if m.i + m.s <= n})
+        return LaurentPoly._of(
+            {m: c for m, c in self._t.items() if m.i + m.s <= n})
 
     def map_exponents(self, fn):
         """Apply a bijection on exponent triples (used for chart changes)."""

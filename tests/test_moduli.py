@@ -86,6 +86,19 @@ def test_direction_dimension():
     for k in (1, 2):
         for j in (2, 3, 4, 5):
             assert direction_dimension(k, j) == 4 * j - 4
+        for j in range(1, 13):
+            assert direction_dimension(k, j) == len(extension_basis(k, j, 1))
+
+
+@pytest.mark.parametrize("k, j, match", [
+    (3, 2, "only on W_1 and W_2"), (0, 2, "only on W_1 and W_2"),
+    (1, 0, "need j >= 1"), (2, -1, "need j >= 1"),
+])
+def test_direction_dimension_rejects(k, j, match):
+    with pytest.raises(ValueError, match=match):
+        extension_basis(k, j, 1)
+    with pytest.raises(ValueError, match=match):
+        direction_dimension(k, j)
 
 
 def test_m2u_symbolic_fidelity():
@@ -202,6 +215,39 @@ def test_printed_formula_agrees(k, j, spec):
     assert a.tags == b.tags
     for ca, cb in zip(a.columns, b.columns):
         assert all(x == y for x, y in zip(ca, cb))
+
+
+def printed_by_brackets(sigma, j, p_poly, tag):
+    """A printed column by the bracket calls of its closed form."""
+    zj = LaurentPoly.monomial(j, 0, 0)
+    fam, n = tag
+    if fam == "lambda":
+        out = p_poly * LaurentPoly.monomial(n + j, 0, 0)
+    elif fam == "c0":
+        out = (p_poly * LaurentPoly.monomial(n - j, 0, 0)
+               * sigma.bracket(zj, p_poly)).scale(2)
+    else:
+        e = LaurentPoly.monomial(n, *((1, 0) if fam[1] == "1" else (0, 1)))
+        sign = 1 if fam[0] == "a" else -1
+        out = (zj * sigma.bracket(p_poly, e) - p_poly * sigma.bracket(zj, e)
+               + (e * sigma.bracket(zj, p_poly)).scale(sign))
+    return out.truncate_neighborhood(1)
+
+
+@pytest.mark.parametrize("j", [2, 3, 4, 5])
+@pytest.mark.parametrize("k, spec", LEIBNIZ_SPECS)
+def test_printed_master_matches_bracket_formula(k, j, spec):
+    # the printed master pairs bracket pieces of p and z^j; the closed
+    # form with one bracket call per term must give the same columns
+    sigma = parse_sigma_spec(spec, k)
+    _, coeffs = engine._symbolic_point(k, j)
+    p_poly = LaurentPoly(dict(zip(extension_basis(k, j, 1), coeffs)))
+    master = engine.cached(engine._build_master, k, j, sigma, "printed")
+    for tag, col in zip(master.tags, master.columns):
+        ent = printed_by_brackets(sigma, j, p_poly, tag)
+        assert [(type(e), e) for e in col] == [
+            (type(e), e) for e in (ent.coefficient(m) for m in master.rows)
+        ], tag
 
 
 def test_stalk_frozen_m2u():
@@ -518,6 +564,17 @@ def test_point_space_stops_at_full_rank(monkeypatch, point):
         assert len(calls) < len(cols)
 
 
+def special_points(dim):
+    """Random full-support, axis and support-mask points."""
+    full_support = st.lists(fractions, min_size=dim, max_size=dim)
+    return st.one_of(
+        full_support,
+        st.builds(unit, st.just(dim), st.integers(0, dim - 1), fractions),
+        st.builds(lambda mask, pt: [c if mask >> r & 1 else Fraction(0)
+                                    for r, c in enumerate(pt)],
+                  st.integers(1, (1 << dim) - 1), full_support))
+
+
 @pytest.mark.parametrize("j", [2, 3, 4])
 @pytest.mark.parametrize("k, spec", LEIBNIZ_SPECS)
 @settings(max_examples=6)
@@ -526,17 +583,10 @@ def test_point_space_reduces_only_nonzero_columns(k, j, spec, data):
     # at random full-support, axis and support-mask points, the span of
     # the nonzero columns is the span of a plain pass over every column
     sigma = parse_sigma_spec(spec, k)
-    dim = direction_dimension(k, j)
     master = engine.cached(engine._build_master, k, j, sigma, "derived")
     assert list(master.nonzero) == [c for c, col in enumerate(master.columns)
                                     if any(col)]
-    full_support = st.lists(fractions, min_size=dim, max_size=dim)
-    point = data.draw(st.one_of(
-        full_support,
-        st.builds(unit, st.just(dim), st.integers(0, dim - 1), fractions),
-        st.builds(lambda mask, pt: [c if mask >> r & 1 else Fraction(0)
-                                    for r, c in enumerate(pt)],
-                  st.integers(1, (1 << dim) - 1), full_support)))
+    point = data.draw(special_points(direction_dimension(k, j)))
     ps = engine.point_space(k, j, sigma, "derived", point)
     cols = master.evaluate(_coerce_point(k, j, point))
     plain = linalg.ColumnSpace(len(master.rows))
@@ -546,6 +596,26 @@ def test_point_space_reduces_only_nonzero_columns(k, j, spec, data):
     assert ps.space.rank == plain.rank
     assert ps.space.pivot_rows() == plain.pivot_rows()
     assert ps.space.non_pivot_rows() == plain.non_pivot_rows()
+
+
+@pytest.mark.parametrize("j", [2, 3, 4])
+@pytest.mark.parametrize("k, spec", LEIBNIZ_SPECS)
+@settings(max_examples=6)
+@given(data=st.data())
+def test_master_evaluate_matches_symbolic_columns(k, j, spec, data):
+    # evaluate reads only the nonzero columns from the form table; every
+    # column, zero ones included, must be its symbolic column at the point
+    sigma = parse_sigma_spec(spec, k)
+    params, _ = engine._symbolic_point(k, j)
+    pt = _coerce_point(k, j, data.draw(special_points(len(params))))
+    env = dict(zip(params, pt))
+    for bump in (0, 2):
+        master = build_cancellation_system(k, j, sigma, bump=bump)
+        cols = master.evaluate(pt)
+        assert [[(type(v), v) for v in col] for col in cols] == [
+            [(Fraction, e.evaluate(env) if hasattr(e, "evaluate") else e)
+             for e in col] for col in master.columns]
+        assert len({id(col) for col in cols}) == len(cols)
 
 
 def test_stratify_rejects_unknown_strategy():

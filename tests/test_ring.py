@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from ncbundles import FormalFunction, LaurentPoly, Monomial, parse_poly
-from ncbundles.ring import FormTable, ParamPoly
+from ncbundles.ring import VARS, FormTable, ParamPoly
 
 from conftest import fractions, laurent_polys, monomials
 
@@ -193,6 +193,26 @@ def test_param_arithmetic_keeps_no_zero_coefficient(A, B):
         terms = got.terms()
         assert all(c != 0 for _, c in terms)
         assert got == ParamPoly(PARAMS, dict(terms))
+
+
+@given(laurent_polys(), st.integers(0, 2), st.integers(0, 3),
+       st.one_of(fractions, param_polys()))
+def test_direct_results_match_checked_constructor(f, d, n, c):
+    # partial, truncate_neighborhood and scale skip the checks of
+    # __init__, so build the same terms through it and compare
+    for g in (f, f.scale(c)):
+        cases = [
+            (g.partial(VARS[d]),
+             [(m._replace(**{m._fields[d]: m[d] - 1}), v * m[d])
+              for m, v in g.terms() if m[d]]),
+            (g.truncate_neighborhood(n),
+             [(m, v) for m, v in g.terms() if m.degree_u() <= n]),
+            (g.scale(c), [(m, c * v) for m, v in g.terms()]),
+        ]
+        for got, terms in cases:
+            assert got == LaurentPoly(terms)
+            assert all(v for _, v in got.terms())
+            assert all(m.i >= 0 and m.s >= 0 for m in got.monomials())
 
 
 def test_param_poly_render():
