@@ -179,17 +179,19 @@ def _leibniz_pieces(sigma, T, R, a, b):
     make (t * w) * r = w t0 r0 + hbar (w A + sum_d dw/dd B_d) with
     A = t1 r0 + t0 r1 + {t0, r0} and B_d = r0 P_d(t0) - t0 P_d(r0).
     {t0, r0} = sum_d dr0/dd P_d(t0) pairs the pieces of t0 that B uses.
-    All three are cut to the first neighbourhood: a shift by a monomial
-    never lowers the u-degree, so no term cut here reaches a column.
+    All three are cut to the first neighbourhood, and their products
+    build no term past it (LaurentPoly.mul_truncated): a shift by a
+    monomial never lowers the u-degree, so no term cut here reaches a
+    column.
     """
     t, r = T.entry(0, a), R.entry(b, 1)
     pt, pr = sigma.bracket_pieces(t[0]), sigma.bracket_pieces(r[0])
     zero = LaurentPoly.zero()
-    B = {d: (r[0] * pt.get(d, zero) - t[0] * pr.get(d, zero))
-         .truncate_neighborhood(1) for d in VARS}
-    A = t[1] * r[0] + t[0] * r[1] + pieces_pairing(pt, r[0])
-    return ((t[0] * r[0]).truncate_neighborhood(1),
-            A.truncate_neighborhood(1), B)
+    B = {d: r[0].mul_truncated(pt.get(d, zero), 1)
+         - t[0].mul_truncated(pr.get(d, zero), 1) for d in VARS}
+    A = (t[1].mul_truncated(r[0], 1) + t[0].mul_truncated(r[1], 1)
+         + pieces_pairing(pt, r[0]).truncate_neighborhood(1))
+    return t[0].mul_truncated(r[0], 1), A, B
 
 
 def _direction_entry_derived(pieces, tag):
@@ -223,10 +225,12 @@ def _printed_pieces(sigma, j, p_poly):
     p, {z^j, p}, 2 p {z^j, p} and the bracket pieces P_d(p) and P_d(z^j)
     (Bivector.bracket_pieces), so that {p, e} and {z^j, e} for a monomial
     unit e are monomial_pairing shifts of pieces built once per master.
+    A column is cut to the first neighbourhood, and a monomial shift
+    never lowers the u-degree, so 2 p {z^j, p} is built only up to it.
     """
     zj = LaurentPoly.monomial(j, 0, 0)
     zjp = sigma.bracket(zj, p_poly)
-    return (p_poly, zjp, (p_poly * zjp).scale(2),
+    return (p_poly, zjp, p_poly.mul_truncated(zjp, 1).scale(2),
             sigma.bracket_pieces(p_poly), sigma.bracket_pieces(zj))
 
 
@@ -246,7 +250,7 @@ def _direction_entry_printed(j, pieces, tag):
     elif fam in ("a1", "a2", "d1", "d2"):
         w = (n, 1, 0) if fam in ("a1", "d1") else (n, 0, 1)
         out = (monomial_pairing(pp, w).shift((j, 0, 0))
-               - p_poly * monomial_pairing(pzj, w))
+               - p_poly.mul_truncated(monomial_pairing(pzj, w), 1))
         out = out + zjp.shift(w, 1 if fam in ("a1", "a2") else -1)
     elif fam == "c0":
         out = quad.shift((n - j, 0, 0))
@@ -307,7 +311,7 @@ class MasterSystem:
 
 
 def _check_stray_content(k, j, entry, rows_set, tag):
-    for mon, c in entry.terms():
+    for mon in entry.monomials():
         if mon in rows_set:
             continue
         if mon.degree_u() == 0:

@@ -1,8 +1,8 @@
-"""Exact linear algebra over Fraction for the small systems used here.
+"""Exact linear algebra over the rationals for the small systems used here.
 
-Dense vectors are plain lists of Fraction.  The sparse solver works on
-columns stored as {row_key: Fraction} dicts; row keys only need a total
-order.  Everything is exact, no pivoting heuristics needed.
+Dense vectors are plain lists of ints or Fractions.  The sparse solver
+works on columns stored as {row_key: value} dicts; row keys only need a
+total order.  Everything is exact, no pivoting heuristics needed.
 """
 
 from __future__ import annotations
@@ -20,6 +20,10 @@ class ColumnSpace:
     back-substitution in add is shorter, but it measured slower on the
     oracle's full spans, so the basis stays fully reduced.  extend is the
     one place that knows a full span takes no more columns.
+
+    Vectors may hold ints or Fractions.  A pivot entry is stored as a
+    Fraction when its vector enters the basis, so every division by one
+    is exact, also on integer vectors.
     """
 
     def __init__(self, nrows):
@@ -44,6 +48,7 @@ class ColumnSpace:
         red = self._reduce(vec)
         for r in range(self.nrows):
             if red[r]:
+                red[r] = Fraction(red[r])
                 # clear row r from the existing basis to keep the invariant
                 for _, bv in self.basis:
                     c = bv[r]

@@ -20,9 +20,14 @@ _PAIRS = (("z", "u1"), ("z", "u2"), ("u1", "u2"))
 
 
 class Bivector:
-    """Sum of terms h * d/dx ^ d/dy on W_k."""
+    """Sum of terms h * d/dx ^ d/dy on W_k.
 
-    __slots__ = ("k", "terms", "gen_index", "multiplier", "spec_text")
+    The terms never change after construction, so the cache key that
+    renders them is computed once, here.
+    """
+
+    __slots__ = ("k", "terms", "gen_index", "multiplier", "spec_text",
+                 "_key")
 
     def __init__(self, k, terms, gen_index=None, multiplier=None,
                  spec_text=None):
@@ -41,6 +46,8 @@ class Bivector:
         self.gen_index = gen_index
         self.multiplier = multiplier
         self.spec_text = spec_text
+        self._key = "|".join([f"k={k}"] + [f"{h.render()}@{x}^{y}"
+                                           for h, (x, y) in self.terms])
 
     def bracket(self, f, g):
         """Poisson bracket {f, g} = sum_d dg/dd * P_d(f) of two Laurent
@@ -96,10 +103,7 @@ class Bivector:
                         multiplier=mult, spec_text=None)
 
     def cache_key(self):
-        parts = [f"k={self.k}"]
-        for h, (x, y) in self.terms:
-            parts.append(f"{h.render()}@{x}^{y}")
-        return "|".join(parts)
+        return self._key
 
     def describe(self):
         """Stable dict echo for JSON reports."""

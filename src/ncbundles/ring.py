@@ -1,11 +1,13 @@
 """Exact symbolic arithmetic in the coordinate ring of the charts.
 
 Everything downstream works with Laurent polynomials in z with polynomial
-dependence on the fibre variables u1, u2.  Coefficients are either exact
-rationals (fractions.Fraction) or ParamPoly values, i.e. polynomials in a
-fixed list of named rational parameters.  ParamPoly is what makes symbolic
-point computations possible: a matrix entry like "p0 + 3/2*p3" is a ParamPoly
-in the parameters p0..p7.
+dependence on the fibre variables u1, u2.  Coefficients are exact
+rationals, a Python int or a fractions.Fraction, or ParamPoly values, i.e.
+polynomials in a fixed list of named rational parameters.  An integer stays
+an int: the mixed int/Fraction arithmetic of Python is exact, so a value
+built without division keeps integer arithmetic throughout.  ParamPoly is
+what makes symbolic point computations possible: a matrix entry like
+"p0 + 3/2*p3" is a ParamPoly in the parameters p0..p7.
 
 Canonical term order everywhere is lex on (i, s, l): u1-degree, then
 u2-degree, then z-degree.  The canonical text form of a term is
@@ -17,6 +19,7 @@ from __future__ import annotations
 import math
 import re
 from array import array
+from bisect import bisect_right
 from fractions import Fraction
 from functools import reduce
 from operator import add, mul
@@ -48,21 +51,21 @@ class Monomial(NamedTuple):
 ONE_MON = Monomial(0, 0, 0)
 
 
-def _as_fraction(x):
-    if isinstance(x, Fraction):
+def _rational(x):
+    """x itself if it is an exact rational scalar, an int or a Fraction."""
+    if isinstance(x, (int, Fraction)):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
     raise TypeError(f"expected rational scalar, got {type(x).__name__}")
 
 
 class ParamPoly:
-    """Polynomial with Fraction coefficients in a fixed tuple of parameters.
+    """Polynomial with rational coefficients in a fixed tuple of parameters.
 
-    Exponent vectors are tuples aligned with ``params``.  Instances are
-    immutable by convention; all operators return new objects.  Mixed
-    arithmetic with Fraction/int promotes the scalar, except that a
-    product with one scales the coefficients directly.
+    A coefficient is an int or a Fraction, stored as given.  Exponent
+    vectors are tuples aligned with ``params``.  Instances are immutable
+    by convention; all operators return new objects.  Mixed arithmetic
+    with Fraction/int promotes the scalar, except that a product with one
+    scales the coefficients directly.
     """
 
     __slots__ = ("params", "_terms")
@@ -73,7 +76,7 @@ class ParamPoly:
         if terms:
             width = len(self.params)
             for expv, c in dict(terms).items():
-                c = _as_fraction(c)
+                c = _rational(c)
                 if c == 0:
                     continue
                 expv = tuple(expv)
@@ -85,7 +88,7 @@ class ParamPoly:
     @classmethod
     def const(cls, params, c):
         params = tuple(params)
-        return cls(params, {tuple([0] * len(params)): _as_fraction(c)})
+        return cls(params, {tuple([0] * len(params)): _rational(c)})
 
     @classmethod
     def variable(cls, params, name):
@@ -93,7 +96,7 @@ class ParamPoly:
         idx = params.index(name)
         ev = [0] * len(params)
         ev[idx] = 1
-        return cls(params, {tuple(ev): Fraction(1)})
+        return cls(params, {tuple(ev): 1})
 
     def is_zero(self):
         return not self._terms
@@ -170,9 +173,7 @@ class ParamPoly:
 
     def evaluate(self, values):
         """values: dict name -> Fraction/int.  Returns a Fraction."""
-        vals = [
-            _as_fraction(values[name]) for name in self.params
-        ]
+        vals = [_rational(values[name]) for name in self.params]
         total = Fraction(0)
         for ev, c in self._terms.items():
             term = c
@@ -260,7 +261,7 @@ def _render_term(coeff, factors):
         if factors:
             body += "*" + "*".join(factors)
         return ("+", body)
-    coeff = _as_fraction(coeff)
+    coeff = _rational(coeff)
     sign = "+" if coeff >= 0 else "-"
     mag = abs(coeff)
     if factors:
@@ -287,8 +288,9 @@ class LaurentPoly:
     """Sparse Laurent polynomial in z, u1, u2.
 
     Internal storage is {Monomial: coeff} with zero coefficients dropped.
-    u-exponents must be nonnegative.  Coefficients may be Fraction or
-    ParamPoly (mixing is allowed; sums promote through ParamPoly).
+    u-exponents must be nonnegative.  Coefficients may be int, Fraction
+    or ParamPoly, stored as given (mixing is allowed; sums promote
+    through ParamPoly).
     """
 
     __slots__ = ("_t",)
@@ -335,7 +337,7 @@ class LaurentPoly:
         return cls({ONE_MON: c})
 
     @classmethod
-    def monomial(cls, l, i, s, c=Fraction(1)):
+    def monomial(cls, l, i, s, c=1):
         return cls({Monomial(l, i, s): c})
 
     @classmethod
@@ -364,9 +366,10 @@ class LaurentPoly:
         return set(self._t)
 
     def coefficient(self, mon):
+        """The coefficient of mon, the int 0 if the term is absent."""
         if not isinstance(mon, Monomial):
             mon = Monomial(*mon)
-        return self._t.get(mon, Fraction(0))
+        return self._t.get(mon, 0)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -412,9 +415,30 @@ class LaurentPoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, ParamPoly)):
             return self.scale(other)
+        return self._product(other, None)
+
+    __rmul__ = __mul__
+
+    def mul_truncated(self, other, n):
+        """(self * other).truncate_neighborhood(n), without the cut terms.
+
+        u-degree adds under multiplication, so a pair of terms whose
+        u-degrees sum past n is skipped, not multiplied and then dropped.
+        """
+        return self._product(other, n)
+
+    def _product(self, other, n):
+        """The product with the polynomial other, cut at u-degree n unless
+        n is None."""
+        terms = other._t.items()
+        if n is not None:  # the terms of other by u-degree: a prefix is kept
+            terms = sorted(terms, key=lambda mc: mc[0].degree_u())
+            degs = [m.i + m.s for m, _ in terms]
         t = {}
         for m1, c1 in self._t.items():
-            for m2, c2 in other._t.items():
+            kept = (terms if n is None
+                    else terms[:bisect_right(degs, n - m1.i - m1.s)])
+            for m2, c2 in kept:
                 mon = Monomial(m1.l + m2.l, m1.i + m2.i, m1.s + m2.s)
                 c = c1 * c2
                 if mon in t:
@@ -426,8 +450,6 @@ class LaurentPoly:
                     continue
                 t[mon] = c
         return LaurentPoly._of(t)
-
-    __rmul__ = __mul__
 
     def scale(self, c):
         if not c:
@@ -455,7 +477,7 @@ class LaurentPoly:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative powers: use explicit z^-1 monomials")
-        result = LaurentPoly.const(Fraction(1))
+        result = LaurentPoly.const(1)
         base = self
         while n:
             if n & 1:
@@ -531,8 +553,8 @@ _RAT_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
 def parse_poly(text):
     """Parse the canonical text syntax, e.g. "3/2*z^-1*u1*u2^2 - u2".
 
-    Accepts rational coefficients only (no parameters).  Whitespace around
-    operators is ignored.
+    Accepts rational coefficients only (no parameters); an integer
+    coefficient is an int.  Whitespace around operators is ignored.
     """
     s = text.strip()
     if not s:
@@ -558,7 +580,7 @@ def parse_poly(text):
 
     total = LaurentPoly.zero()
     for sgn, term in chunks:
-        coeff = Fraction(sgn)
+        coeff = sgn
         l = i = sdeg = 0
         for factor in term.split("*"):
             factor = factor.strip()
@@ -580,7 +602,7 @@ def parse_poly(text):
                 den = int(r.group(2)) if r.group(2) else 1
                 if not den:
                     raise ValueError(f"zero denominator in factor {factor!r}")
-                coeff *= Fraction(num, den)
+                coeff *= num if den == 1 else Fraction(num, den)
                 continue
             raise ValueError(f"cannot parse factor {factor!r} in {text!r}")
         total = total + LaurentPoly.monomial(l, i, sdeg, coeff)

@@ -124,6 +124,32 @@ def test_extend_matches_adding_every_vector(data):
     assert len(read) == (every[-1] + 1 if full.rank == nrows else len(cols))
 
 
+def test_column_space_stays_exact_on_int_vectors():
+    cs = linalg.ColumnSpace(2)
+    cs.add([1, 2])
+    cs.add([3, 4])
+    assert [bv for _, bv in cs.basis] == [[1, 0], [0, -2]]
+    assert all(type(c) is Fraction for _, bv in cs.basis for c in bv)
+
+
+@given(data=st.data())
+def test_int_vectors_match_their_fraction_copies(data):
+    nrows = data.draw(st.integers(1, 5))
+    vector = st.lists(st.integers(-4, 4), min_size=nrows, max_size=nrows)
+    cols = data.draw(st.lists(vector, max_size=2 * nrows + 1))
+    probes = data.draw(st.lists(vector, min_size=1, max_size=4))
+    ints, fracs = linalg.ColumnSpace(nrows), linalg.ColumnSpace(nrows)
+    assert ints.extend(cols) == fracs.extend(
+        [[Fraction(c) for c in col] for col in cols])
+    assert ints.rank == fracs.rank == naive_rank(cols, nrows)
+    assert ints.pivot_rows() == fracs.pivot_rows()
+    assert ints.basis == fracs.basis
+    assert not any(isinstance(c, float) for _, bv in ints.basis for c in bv)
+    for probe in probes:
+        assert ints.contains(probe) == fracs.contains(
+            [Fraction(c) for c in probe])
+
+
 def sparse_system(rng, nrows, nvars, density):
     columns = {}
     for v in range(nvars):
@@ -163,6 +189,11 @@ def test_solvable_sparse_matches_dense():
             rhs = {k: c for k, c in rhs.items() if c}
         got = linalg.solvable_sparse(columns, rhs)
         assert got == dense_solvable(columns, rhs, nrows)
+        # the same system with every entry scaled to an int
+        ints = {v: {r: int(6 * c) for r, c in col.items()}
+                for v, col in columns.items()}
+        assert linalg.solvable_sparse(
+            ints, {r: int(6 * c) for r, c in rhs.items()}) == got
 
 
 def test_solvable_sparse_stops_at_full_rank(monkeypatch):

@@ -45,6 +45,7 @@ from ncbundles.engine import (
     single_coordinate_points,
 )
 from ncbundles.oracle import STANDARD_ORACLE_CONFIGS
+from ncbundles.ring import FormTable
 
 from conftest import fractions
 
@@ -248,6 +249,42 @@ def test_printed_master_matches_bracket_formula(k, j, spec):
         assert [(type(e), e) for e in col] == [
             (type(e), e) for e in (ent.coefficient(m) for m in master.rows)
         ], tag
+
+
+@pytest.mark.parametrize("j", [2, 3, 4, 5])
+@pytest.mark.parametrize("k, spec", LEIBNIZ_SPECS)
+def test_masters_are_built_in_integers(k, j, spec):
+    # the build never divides, so a bivector with int coefficients gives
+    # int master coefficients; a Fraction comes only from a rational
+    # multiplier, and then the form table has a denominator to clear
+    sigma = parse_sigma_spec(spec, k)
+    integral = all(type(c) is int for h, _ in sigma.terms
+                   for _, c in h.terms())
+    for formula in ("derived", "printed"):
+        master = engine.cached(engine._build_master, k, j, sigma, formula)
+        types = {type(c) for col in master.columns for e in col if e
+                 for _, c in (e.terms() if hasattr(e, "terms")
+                              else [((), e)])}
+        assert (types == {int}) if integral else (types <= {int, Fraction})
+        assert (master.table.scale == 1) == (types == {int})
+
+
+@pytest.mark.parametrize("k, j, spec", STANDARD_ORACLE_CONFIGS)
+def test_oracle_systems_are_built_in_integers(monkeypatch, k, j, spec):
+    entries = []
+    compile_forms = FormTable.compile
+
+    def compile_recorded(forms):
+        forms = list(forms)
+        entries.extend(forms)
+        return compile_forms(forms)
+
+    monkeypatch.setattr(FormTable, "compile", compile_recorded)
+    system = oracle._build_oracle_system(k, j, parse_sigma_spec(spec, k))
+    assert {type(c) for e in entries
+            for _, c in (e.terms() if hasattr(e, "terms") else [((), e)])
+            if c} == {int}
+    assert system.table.scale == 1
 
 
 def test_stalk_frozen_m2u():

@@ -13,6 +13,7 @@ from ncbundles import (
     ParamPoly,
     associator_defect,
     catalog,
+    engine,
     generator,
     is_extremal,
     is_extremal_literal,
@@ -227,3 +228,28 @@ def test_multiply_rejects_nonglobal():
         generator(1, 1).multiply(P("z^-1"))
     with pytest.raises(ValueError):
         generator(2, 2).multiply(P("z*u2"))
+
+
+def test_cache_key_is_the_rendered_terms():
+    sigmas = catalog(1) + catalog(2) + [parse_sigma_spec("u1*gen1", 1),
+                                        parse_sigma_spec("u1*gen4", 2)]
+    assert [s.cache_key() for s in sigmas] == [
+        "k=1|1@z^u1", "k=1|1@z^u2", "k=1|u1@u1^u2|-z@z^u2",
+        "k=1|u2@u1^u2|z@z^u1", "k=2|1@z^u1", "k=2|1@z^u2", "k=2|z@z^u2",
+        "k=2|u1@u1^u2", "k=2|2*z*u1@u1^u2|-z^2@z^u2", "k=1|u1@z^u1",
+        "k=2|u1^2@u1^u2"]
+
+
+def test_warm_cached_lookup_renders_nothing(monkeypatch):
+    sigma = parse_sigma_spec("u1*gen1", 1)
+    engine.cached(engine._build_master, 1, 2, sigma, "derived")
+    calls = []
+    real = LaurentPoly.render
+
+    def render(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(LaurentPoly, "render", render)
+    engine.cached(engine._build_master, 1, 2, sigma, "derived")
+    assert calls == []

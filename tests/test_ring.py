@@ -4,12 +4,12 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ncbundles import FormalFunction, LaurentPoly, Monomial, parse_poly
 from ncbundles.ring import VARS, FormTable, ParamPoly
 
-from conftest import fractions, laurent_polys, monomials
+from conftest import fractions, laurent_polys, monomials, rationals
 
 P = parse_poly
 
@@ -213,6 +213,40 @@ def test_direct_results_match_checked_constructor(f, d, n, c):
             assert got == LaurentPoly(terms)
             assert all(v for _, v in got.terms())
             assert all(m.i >= 0 and m.s >= 0 for m in got.monomials())
+
+
+@st.composite
+def mixed_laurent_polys(draw):
+    """Laurent polynomials with int, Fraction and ParamPoly coefficients."""
+    coeffs = st.one_of(rationals, param_polys())
+    return LaurentPoly(draw(st.dictionaries(monomials, coeffs, max_size=5)))
+
+
+@given(mixed_laurent_polys(), mixed_laurent_polys(), st.integers(0, 2))
+@settings(max_examples=200)
+# a term of higher u-degree first keeps a shorter part of g than the next
+@example(P("u1 + 1"), P("1 + u2 + z"), 1)
+def test_mul_truncated_is_cut_product(f, g, n):
+    got = f.mul_truncated(g, n)
+    assert got == (f * g).truncate_neighborhood(n)
+    assert all(c for _, c in got.terms())
+    assert all(m.degree_u() <= n for m in got.monomials())
+
+
+def test_integer_coefficients_stay_ints():
+    f = parse_poly("3*z*u1 - u2 + 1/2*z^-1")
+    assert [type(c) for _, c in f.terms()] == [Fraction, int, int]
+    assert type(LaurentPoly.var("z").coefficient(Monomial(1, 0, 0))) is int
+    assert type(P("z").coefficient(Monomial(2, 0, 0))) is int
+    assert ParamPoly.variable(PARAMS, "p1").terms() == [((0, 1, 0), 1)]
+    assert type(ParamPoly.const(PARAMS, 4).terms()[0][1]) is int
+    g = (P("z + 2*u1") ** 3 * P("z^-1 - u2")).scale(-2)
+    assert all(type(c) is int for _, c in g.terms())
+    # an int and a Fraction mix exactly, and render alike
+    h = f + P("1/2*u2")
+    assert h.coefficient(Monomial(0, 0, 1)) == Fraction(-1, 2)
+    assert P("2*z").render() == LaurentPoly.monomial(1, 0, 0,
+                                                     Fraction(2)).render()
 
 
 def test_param_poly_render():
