@@ -11,15 +11,16 @@ from fractions import Fraction
 
 
 class ColumnSpace:
-    """Incremental echelon basis of a span of dense column vectors.
+    """Incremental forward echelon basis of a span of dense column vectors.
 
-    Invariant: every basis vector is zero at the pivot rows of all other
-    basis vectors, so one pass over the basis, in any order, fully
-    reduces a new vector to the same result, and ranks, pivots and
-    membership tests are reproducible.  A forward echelon without the
-    back-substitution in add is shorter, but it measured slower on the
-    oracle's full spans, so the basis stays fully reduced.  extend is the
-    one place that knows a full span takes no more columns.
+    A vector is reduced once, against the basis in insertion order, and
+    enters with its first nonzero row as its pivot; a basis vector never
+    changes after that.  It is zero above its pivot and at the pivots of
+    the vectors before it, so a reduced vector is the one element of
+    vec + span(basis) that is zero at every pivot: the vector that a
+    fully reduced (Gauss-Jordan) basis leaves.  So ranks, pivot rows and
+    membership are those of Gauss-Jordan.  A full span answers add and
+    contains with no arithmetic; extend reads no vector once it is full.
 
     Vectors may hold ints or Fractions.  A pivot entry is stored as a
     Fraction when its vector enters the basis, so every division by one
@@ -29,37 +30,36 @@ class ColumnSpace:
     def __init__(self, nrows):
         self.nrows = nrows
         self.basis = []  # list of (pivot_row, vector), in insertion order
+        self._below = []  # the nonzero rows below each basis pivot
+
+    def _full(self, vec):
+        """Whether the span is full; vec must have nrows entries."""
+        if len(vec) != self.nrows:
+            raise ValueError("vector length mismatch")
+        return len(self.basis) == self.nrows
 
     def _reduce(self, vec):
         vec = list(vec)
-        for pivot, bv in self.basis:
+        for (pivot, bv), below in zip(self.basis, self._below):
             c = vec[pivot]
             if c:
                 f = c / bv[pivot]
-                for r in range(self.nrows):
-                    if bv[r]:
-                        vec[r] -= f * bv[r]
+                for r in below:
+                    vec[r] -= f * bv[r]
+                vec[pivot] = 0
         return vec
 
     def add(self, vec):
         """Insert a vector; returns True if it enlarged the span."""
-        if len(vec) != self.nrows:
-            raise ValueError("vector length mismatch")
+        if self._full(vec):
+            return False
         red = self._reduce(vec)
-        for r in range(self.nrows):
-            if red[r]:
-                red[r] = Fraction(red[r])
-                # clear row r from the existing basis to keep the invariant
-                for _, bv in self.basis:
-                    c = bv[r]
-                    if c:
-                        f = c / red[r]
-                        for q in range(self.nrows):
-                            if red[q]:
-                                bv[q] -= f * red[q]
-                self.basis.append((r, red))
-                return True
-        return False
+        rows = [r for r, c in enumerate(red) if c]
+        if rows:
+            red[rows[0]] = Fraction(red[rows[0]])
+            self.basis.append((rows[0], red))
+            self._below.append(rows[1:])
+        return bool(rows)
 
     def extend(self, vectors):
         """Add the vectors in order, reading none once the span is full.
@@ -76,8 +76,7 @@ class ColumnSpace:
         return grew
 
     def contains(self, vec):
-        red = self._reduce(vec)
-        return all(not c for c in red)
+        return self._full(vec) or not any(self._reduce(vec))
 
     @property
     def rank(self):

@@ -221,18 +221,28 @@ class FormTable(NamedTuple):
 
     @classmethod
     def compile(cls, entries):
-        """The table of the distinct entries and the form id of each."""
-        ids, keys = array("i"), {}  # rational form -> form id
-        for e in entries:
-            terms = e.terms() if isinstance(e, ParamPoly) else [((), e)]
-            key = tuple((ev if any(ev) else (), c) for ev, c in terms if c)
+        """The table of the distinct entries and the form id of each.
+
+        A constant entry, rational or ParamPoly, is keyed by its value and
+        any other by the set of its terms, so equal entries share a form
+        id with no sorting of terms.
+        """
+        ids, keys = array("i"), {}  # entry key -> form id
+        for key in entries:
+            if isinstance(key, ParamPoly):
+                t = key._terms
+                key = (frozenset(t.items()) if len(t) > 1 or any(map(any, t))
+                       else sum(t.values()))
             ids.append(keys.setdefault(key, len(keys)))
-        degree = max((sum(ev) for key in keys for ev, _ in key), default=0)
-        scale = math.lcm(*(c.denominator for key in keys for _, c in key))
+        terms = [key if isinstance(key, frozenset) else [((), key)] if key
+                 else [] for key in keys]
+        degree = max((sum(ev) for form in terms for ev, _ in form), default=0)
+        scale = math.lcm(*(c.denominator for form in terms for _, c in form))
         exponents = {}  # exponent vector -> monomial id
         forms = tuple(tuple((exponents.setdefault(ev, len(exponents)),
-                             int(c * scale)) for ev, c in key)
-                      for key in keys)
+                             int(c if scale == 1 else c * scale))
+                            for ev, c in form)
+                      for form in terms)
         monomials = tuple(
             (0,) * (degree - sum(ev))
             + tuple(1 + r for r, n in enumerate(ev) for _ in range(n))

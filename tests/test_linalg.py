@@ -3,7 +3,8 @@
 import random
 from fractions import Fraction
 
-from hypothesis import given, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ncbundles import linalg
 from ncbundles.ring import ParamPoly
@@ -125,11 +126,115 @@ def test_extend_matches_adding_every_vector(data):
 
 
 def test_column_space_stays_exact_on_int_vectors():
+    # the third column is the sum of the first two, but 7 divides neither
+    # 1 nor 6, so true division on ints would round and leave a residue
+    cols = [[7, 6, 8], [1, 8, 1], [8, 14, 9]]
+    ints, fracs = linalg.ColumnSpace(3), linalg.ColumnSpace(3)
+    assert ints.extend(cols) == fracs.extend(
+        [[Fraction(c) for c in col] for col in cols]) == [0, 1]
+    assert ints.rank == fracs.rank == 2
+    assert ints.pivot_rows() == fracs.pivot_rows()
+    for probe, inside in (([8, 14, 9], True), ([13, 4, 15], True),
+                          ([1, 0, 0], False)):
+        assert ints.contains(probe) == inside
+        assert fracs.contains([Fraction(c) for c in probe]) == inside
+    assert not any(isinstance(c, float) for _, bv in ints.basis for c in bv)
+
+
+def test_contains_checks_the_vector_length():
+    # a full span answers with no arithmetic, but never a wrong length
     cs = linalg.ColumnSpace(2)
-    cs.add([1, 2])
-    cs.add([3, 4])
-    assert [bv for _, bv in cs.basis] == [[1, 0], [0, -2]]
-    assert all(type(c) is Fraction for _, bv in cs.basis for c in bv)
+    for basis_vec in ([1, 0], [0, 1]):
+        assert cs.add(basis_vec)
+        for vec in ([1], [1, 0, 0]):
+            with pytest.raises(ValueError, match="length"):
+                cs.contains(vec)
+            with pytest.raises(ValueError, match="length"):
+                cs.add(vec)
+    assert cs.rank == 2
+
+
+class GaussJordan:
+    """Fully reduced incremental basis: every basis vector is zero at the
+    pivots of all the others, kept so by back-substitution in add.  The
+    reference that ColumnSpace's forward echelon must agree with."""
+
+    def __init__(self, nrows):
+        self.nrows = nrows
+        self.basis = []
+
+    def reduce(self, vec):
+        vec = list(vec)
+        for pivot, bv in self.basis:
+            if vec[pivot]:
+                f = vec[pivot] / bv[pivot]
+                vec = [a - f * b for a, b in zip(vec, bv)]
+        return vec
+
+    def add(self, vec):
+        red = self.reduce(vec)
+        pivot = next((r for r, c in enumerate(red) if c), None)
+        if pivot is None:
+            return False
+        red[pivot] = Fraction(red[pivot])
+        for _, bv in self.basis:
+            if bv[pivot]:
+                f = bv[pivot] / red[pivot]
+                bv[:] = [a - f * b for a, b in zip(bv, red)]
+        self.basis.append((pivot, red))
+        return True
+
+    def contains(self, vec):
+        return not any(self.reduce(vec))
+
+    def pivot_rows(self):
+        return sorted(p for p, _ in self.basis)
+
+
+@st.composite
+def spans(draw):
+    """(nrows, columns, probes): Fraction, int, zero, unit and repeated
+    columns, enough of them to fill the span and go past it."""
+    nrows = draw(st.integers(1, 5))
+    fracs = st.lists(st.fractions(-4, 4, max_denominator=3),
+                     min_size=nrows, max_size=nrows)
+    ints = st.lists(st.integers(-9, 9), min_size=nrows, max_size=nrows)
+    zero = st.just([0] * nrows)
+    unit = st.integers(0, nrows - 1).map(
+        lambda r: [Fraction(int(q == r)) for q in range(nrows)])
+    cols = []
+    for _ in range(draw(st.integers(0, 2 * nrows + 2))):
+        repeat = [st.sampled_from(cols)] if cols else []
+        cols.append(list(draw(st.one_of([fracs, ints, zero, unit] + repeat))))
+    probes = draw(st.lists(st.one_of(fracs, ints, zero), max_size=3))
+    return nrows, cols, probes
+
+
+@settings(max_examples=200)
+@given(spans())
+@example((3, [[0, 0, 0], [0, 2, 1], [0, 4, 2], [1, 1, 1], [5, 0, 3],
+              [0, 0, 7], [1, 2, 3]], [[1, 2, 2], [0, 0, 0]]))
+def test_forward_echelon_matches_gauss_jordan(system):
+    nrows, cols, probes = system
+    space, ref = linalg.ColumnSpace(nrows), GaussJordan(nrows)
+    grew = [i for i, col in enumerate(cols) if ref.add(col)]
+    assert space.extend(cols) == grew
+    assert space.rank == len(ref.basis) == naive_rank(cols, nrows)
+    assert space.pivot_rows() == ref.pivot_rows()
+    assert space.non_pivot_rows() == [
+        r for r in range(nrows) if r not in ref.pivot_rows()]
+    for probe in probes + cols:
+        assert space.contains(probe) == ref.contains(probe)
+    # fill the span with unit columns, then add and test past it
+    for r in range(nrows):
+        unit = [int(q == r) for q in range(nrows)]
+        assert space.add(unit) == ref.add(unit)
+        assert space.pivot_rows() == ref.pivot_rows()
+    assert space.rank == nrows
+    for vec in probes + cols:
+        assert not space.add(vec) and space.contains(vec)
+    assert space.pivot_rows() == list(range(nrows))
+    assert space.non_pivot_rows() == []
 
 
 @given(data=st.data())
