@@ -22,7 +22,6 @@ from .engine import (
     WindowInstabilityError,
     build_cancellation_system,
     compute_windows,
-    generic_rank,
     is_extremal,
     obstruction_basis,
     stalk_dimension,
@@ -85,7 +84,6 @@ __all__ = [
     "extension_basis",
     "full_gauge_oracle",
     "generator",
-    "generic_rank",
     "global_monomials",
     "h1_obstruction_basis",
     "is_extremal",

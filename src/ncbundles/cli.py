@@ -119,7 +119,23 @@ def _fail(exc):
     sys.exit(1)
 
 
-@click.group()
+class _Commands(click.Group):
+    """A group whose commands report every failure through _fail.
+
+    click's own exceptions (usage errors, --help, --version) and
+    SystemExit pass through unchanged.
+    """
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (click.ClickException, click.exceptions.Exit, click.Abort):
+            raise
+        except Exception as exc:
+            _fail(exc)
+
+
+@click.group(cls=_Commands)
 @click.version_option()
 def main():
     """Exact deformation computations for extension bundles on W_k."""
@@ -132,10 +148,7 @@ def main():
 @click.option("--max-s", type=int, default=6, show_default=True)
 def h1_cmd(k, max_l, max_i, max_s):
     """List obstruction monomials of W_k within a degree box."""
-    try:
-        mons = h1_obstruction_basis(k, max_l, max_i, max_s)
-    except ValueError as exc:
-        _fail(exc)
+    mons = h1_obstruction_basis(k, max_l, max_i, max_s)
     result = {
         "count": len(mons),
         "monomials": [LaurentPoly.monomial(m.l, m.i, m.s).render()
@@ -164,12 +177,8 @@ def _random_poly(rng, allow_negative=True):
 def star_check_cmd(k, sigma_text, trials, seed):
     """Property battery for the star product on W_k."""
     seed = _resolve_seed(seed)
-    try:
-        require_positive(trials=trials)
-        sigmas = ([parse_sigma_spec(sigma_text, k)] if sigma_text
-                  else catalog(k))
-    except ValueError as exc:
-        _fail(exc)
+    require_positive(trials=trials)
+    sigmas = [parse_sigma_spec(sigma_text, k)] if sigma_text else catalog(k)
     rng = random.Random(seed)
     failures = []
     checked = 0
@@ -211,14 +220,11 @@ def star_check_cmd(k, sigma_text, trials, seed):
               help="File with one polynomial per line, line n = hbar^n term.")
 def normalize_cmd(k, sigma_text, order, f_file):
     """Normalize a quantized line bundle transition."""
-    try:
-        sigma = parse_sigma_spec(sigma_text, k)
-        with open(f_file, encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
-        coeffs = [parse_poly(ln) for ln in lines]
-        res = normalize_line_bundle(sigma, FormalFunction(coeffs), order)
-    except (ValueError, OSError) as exc:
-        _fail(exc)
+    sigma = parse_sigma_spec(sigma_text, k)
+    with open(f_file, encoding="utf-8") as fh:
+        lines = [ln.strip() for ln in fh if ln.strip()]
+    coeffs = [parse_poly(ln) for ln in lines]
+    res = normalize_line_bundle(sigma, FormalFunction(coeffs), order)
     result = {
         "j": res.j,
         "unit": str(res.unit),
@@ -245,18 +251,15 @@ def normalize_cmd(k, sigma_text, order, f_file):
 def stalk_cmd(k, j, sigma_text, point, formula, emit_matrix):
     """Stalk of the deformation sheaf at one base point."""
     pt = _parse_point(point)
-    try:
-        sigma = parse_sigma_spec(sigma_text, k)
-        result = stalk_dimension(k, j, sigma, pt, formula=formula).as_dict()
-        if emit_matrix:
-            mat = build_cancellation_system(k, j, sigma, pt, formula=formula)
-            result["matrix"] = {
-                "rows": [m.render() for m in mat.rows],
-                "columns": [list(t) for t in mat.tags],
-                "entries_rowmajor": mat.entries_rowmajor(),
-            }
-    except Exception as exc:
-        _fail(exc)
+    sigma = parse_sigma_spec(sigma_text, k)
+    result = stalk_dimension(k, j, sigma, pt, formula=formula).as_dict()
+    if emit_matrix:
+        mat = build_cancellation_system(k, j, sigma, pt, formula=formula)
+        result["matrix"] = {
+            "rows": [m.render() for m in mat.rows],
+            "columns": [list(t) for t in mat.tags],
+            "entries_rowmajor": mat.entries_rowmajor(),
+        }
     config = {"k": k, "j": j, "sigma": sigma_text, "point": point,
               "formula": formula}
     _emit(make_report("stalk", config, None, result))
@@ -277,13 +280,9 @@ def stratify_cmd(k, j, sigma_text, strategy, seed, draws, pattern_cap,
                  workers):
     """Scan base point support patterns for stalk strata."""
     seed = _resolve_seed(seed)
-    try:
-        sigma = parse_sigma_spec(sigma_text, k)
-        rep = stratify(k, j, sigma, strategy=strategy, seed=seed,
-                       draws=draws, pattern_cap=pattern_cap,
-                       workers=workers)
-    except Exception as exc:
-        _fail(exc)
+    sigma = parse_sigma_spec(sigma_text, k)
+    rep = stratify(k, j, sigma, strategy=strategy, seed=seed, draws=draws,
+                   pattern_cap=pattern_cap, workers=workers)
     config = {"k": k, "j": j, "sigma": sigma_text, "strategy": strategy,
               "draws": draws, "pattern_cap": pattern_cap,
               "workers": workers}
@@ -299,11 +298,8 @@ def stratify_cmd(k, j, sigma_text, strategy, seed, draws, pattern_cap,
 def verify_cmd(k, j, sigma_text, seed, trials):
     """Check the structural claims for one configuration."""
     seed = _resolve_seed(seed)
-    try:
-        sigma = parse_sigma_spec(sigma_text, k)
-        rep = verify_claims(k, j, sigma, seed=seed, trials=trials)
-    except Exception as exc:
-        _fail(exc)
+    sigma = parse_sigma_spec(sigma_text, k)
+    rep = verify_claims(k, j, sigma, seed=seed, trials=trials)
     config = {"k": k, "j": j, "sigma": sigma_text, "trials": trials}
     _emit(make_report("verify", config, seed, rep), rep["status"])
 
@@ -315,11 +311,7 @@ def verify_cmd(k, j, sigma_text, seed, trials):
 def oracle_check_cmd(trials, seed):
     """Engine vs full-gauge-oracle agreement battery."""
     seed = _resolve_seed(seed)
-    try:
-        rep = oracle_check(trials_point=trials, trials_delta=trials,
-                           seed=seed)
-    except Exception as exc:
-        _fail(exc)
+    rep = oracle_check(trials_point=trials, trials_delta=trials, seed=seed)
     config = {"trials": trials}
     _emit(make_report("oracle-check", config, seed, rep), rep["status"])
 

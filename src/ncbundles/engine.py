@@ -30,7 +30,6 @@ make it a few monomial shifts of polynomials cached per gauge entry
 
 from __future__ import annotations
 
-import random
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, fields, replace
@@ -325,6 +324,9 @@ def _check_stray_content(k, j, entry, rows_set, tag):
 
 
 def _build_master(k, j, sigma, formula):
+    if formula not in ("derived", "printed"):
+        raise ValueError(
+            f"formula must be 'derived' or 'printed', got {formula!r}")
     params, coeffs = _symbolic_point(k, j)
     basis = extension_basis(k, j, 1)
     p_poly = LaurentPoly({m: c for m, c in zip(basis, coeffs)})
@@ -532,20 +534,6 @@ def single_coordinate_points(k, j):
         pts.append([Fraction(1) if q == r else Fraction(0)
                     for q in range(dim)])
     return pts
-
-
-def generic_rank(k, j, sigma, trials=20, seed=DEFAULT_SEED):
-    """Maximum rank over random base points, with a witness."""
-    rng = random.Random(seed)
-    best = -1
-    witness = None
-    for _ in range(trials):
-        pt = random_point(k, j, rng)
-        r = point_space(k, j, sigma, "derived", pt).space.rank
-        if r > best:
-            best = r
-            witness = pt
-    return best, witness
 
 
 def is_extremal(sigma, j=2):

@@ -103,13 +103,17 @@ def presolve_singletons(columns, rhs):
     Such a row is satisfiable for any assignment of the remaining
     variables, so deleting it (with the variable) preserves solvability
     in both directions.  Cascades until a fixed point; the fixed point is
-    independent of deletion order.
+    independent of deletion order.  It reads only the support, so one
+    presolve serves every system with the same nonzero entries.
 
-    columns: {var_key: {row_key: Fraction}}, rhs: {row_key: Fraction}.
-    Returns (columns, rhs) restricted to the surviving rows.
+    columns: {var_key: rows where the variable's entry is nonzero},
+    rhs: the rows where the right-hand side is nonzero; the rows are any
+    iterable of row keys, so a {row_key: value} dict passes its keys.
+    Returns ({var_key: set of rows}, set of rows), the surviving support.
     """
-    cols = {v: dict(c) for v, c in columns.items() if c}
-    rhs = {r: c for r, c in rhs.items() if c}
+    cols = {v: set(rows) for v, rows in columns.items()}
+    cols = {v: rows for v, rows in cols.items() if rows}
+    rhs = set(rhs)
     rows_of = {}
     for v, col in cols.items():
         for r in col:
@@ -125,27 +129,25 @@ def presolve_singletons(columns, rhs):
             wcol = cols.get(w)
             if wcol is None:
                 continue
-            wcol.pop(row, None)
+            wcol.discard(row)
             if not wcol:
                 del cols[w]
             elif len(wcol) == 1:
                 queue.append(w)
         cols.pop(v, None)
-        rhs.pop(row, None)
+        rhs.discard(row)
     return cols, rhs
 
 
 def solvable_sparse(columns, rhs):
     """Whether sum_v x_v * col_v = rhs has a solution, exactly.
 
-    Runs the singleton presolve first, then a dense consistency check on
-    the surviving rows in sorted row-key order; columns that span every
-    surviving row answer it without reducing the right-hand side.
+    columns: {var_key: {row_key: value}}, rhs: {row_key: value}; zero
+    values are allowed.  One dense consistency check on the rows the
+    entries name, in sorted row-key order.  It does not presolve: the
+    caller does, as OracleSystem.plan does once per support.
     """
-    cols, rhs = presolve_singletons(columns, rhs)
-    row_keys = set(rhs).union(*cols.values())
-    if not row_keys:
-        return True
+    row_keys = set(rhs).union(*columns.values())
     order = {r: n for n, r in enumerate(sorted(row_keys))}
 
     def dense(entries):
@@ -155,8 +157,8 @@ def solvable_sparse(columns, rhs):
         return vec
 
     cs = ColumnSpace(len(order))
-    cs.extend(dense(cols[v]) for v in sorted(cols))
-    return cs.rank == len(order) or cs.contains(dense(rhs))
+    cs.extend(dense(columns[v]) for v in sorted(columns))
+    return cs.contains(dense(rhs))
 
 
 # Nothing in the package calls this; it goes with the benchmark change

@@ -9,8 +9,8 @@ engine's masters are; a decision only evaluates its ring.FormTable, and
 its stability check solves again, with all unknowns, only a bump-0 "no".
 The singleton presolve depends only on which entries vanish, which the
 set of vanishing forms fixes, so the system keeps one presolve plan per
-such set and window, and a decision solves the plan's few surviving
-columns at its values.
+such set and window, and a decision makes one dense check of the
+plan's few surviving columns at its values.
 
 The star product of a transition entry with a monomial unit is built
 from the bracket pieces of the entry ({f, w} = sum_d dw/dd P_d(f), an
@@ -131,11 +131,8 @@ class _Plan(NamedTuple):
     unknowns: int
 
     def solvable(self, values):
-        """Whether the survivors, at the table's values, are solvable.
-
-        The survivors are a fixed point of the presolve, so the one in
-        solvable_sparse removes nothing from them.
-        """
+        """Whether the survivors, at the table's values, are solvable:
+        one dense check, since the plan is already presolved."""
         columns = {c: {r: values[f] for r, f in col}
                    for c, col in enumerate(self.columns)}
         return linalg.solvable_sparse(columns,
@@ -168,28 +165,28 @@ class OracleSystem:
         """The presolve plan of the first ncols unknowns at a point where
         exactly the forms in zero vanish.
 
-        The singleton presolve reads only which entries are present, and
-        entry e is nonzero at the point exactly when entry_form[e] is not
-        in zero, so one presolve of that support, with the entry's index
-        plus one standing in for each value (presolve drops falsy ones),
-        leaves the same survivors as a presolve of the values would at
-        every such point.
+        The singleton presolve reads only the support, and entry e is
+        nonzero at the point exactly when entry_form[e] is not in zero,
+        so it runs once on the {row: form} segments of that support, and
+        a surviving column keeps its (row, form) pairs on the surviving
+        rows.  The plan holds at every point with the same vanishing forms.
         """
         key = (zero, ncols)
         if key not in self.plans:
             rows, forms = self.entry_row, self.entry_form
             start = self.col_start
-            segments = [{rows[e]: e + 1 for e in range(a, b)
+            segments = [{rows[e]: forms[e] for e in range(a, b)
                          if forms[e] not in zero}
                         for a, b in zip(start, start[1:])]
             columns = {c: col for c, col in enumerate(segments[:ncols])
                        if col}
             cols, rhs = linalg.presolve_singletons(columns, segments[-1])
             self.plans[key] = _Plan(
-                columns=tuple(tuple((r, forms[e - 1])
-                                    for r, e in cols[c].items())
+                columns=tuple(tuple((r, f) for r, f in columns[c].items()
+                                    if r in cols[c])
                               for c in sorted(cols)),
-                rhs=tuple((r, forms[e - 1]) for r, e in rhs.items()),
+                rhs=tuple((r, f) for r, f in segments[-1].items()
+                          if r in rhs),
                 unknowns=len(columns))
         return self.plans[key]
 

@@ -28,9 +28,9 @@ from ncbundles import (
     build_cancellation_system,
     canonical_right_inverse,
     catalog,
+    certify_generic_rank,
     extension_basis,
     full_gauge_oracle,
-    generic_rank,
     h1_obstruction_basis,
     jacobi_defect,
     normalize_line_bundle,
@@ -224,7 +224,8 @@ def test_criterion_03_w1_extremal_family():
     assert all(col == ["0"] * 8 for tag, col in cols.items()
                if tag[0] != "lambda")
 
-    assert generic_rank(1, 3, sigma, trials=10)[0] == 4
+    cert = certify_generic_rank(1, 3, sigma)
+    assert (cert["rank_observed"], cert["certified"]) == (4, True)
 
     rep = stratify(1, 3, sigma, draws=2)
     assert set(rep["strata"]) == {"4", "5", "6", "7"}, rep["strata"].keys()
@@ -234,8 +235,9 @@ def test_criterion_03_w1_extremal_family():
         assert got == int(corank), f"witness failed re-verification: {rec}"
 
     for j in (2, 3, 4, 5, 6):
-        rank, _ = generic_rank(1, j, sigma, trials=5)
-        stalk = direction_dimension(1, j) - rank
+        cert = certify_generic_rank(1, j, sigma)
+        assert cert["certified"]
+        stalk = direction_dimension(1, j) - cert["rank_observed"]
         assert stalk == 2 * j - 2, f"generic stalk {stalk} != {2*j-2} at j={j}"
 
     summary("criterion 3: PASS (8x4 pattern exact, generic rank 4, coranks "
@@ -263,8 +265,9 @@ def test_criterion_04_w2_extremal_family():
         ["p7", "0", "0"],
     ], "reduced 6x3 system mismatch"
 
-    rank, _ = generic_rank(2, 3, sigma, trials=10)
-    assert direction_dimension(2, 3) - rank == 3
+    cert = certify_generic_rank(2, 3, sigma)
+    assert cert["certified"]
+    assert direction_dimension(2, 3) - cert["rank_observed"] == 3
 
     rng = random.Random(DEFAULT_SEED + 4)
     for _ in range(20):

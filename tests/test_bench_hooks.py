@@ -77,5 +77,5 @@ def test_clear_master_caches_drops_the_presolve_plans(bench, monkeypatch):
     workloads.clear_master_caches(ncbundles)
     assert decide() == cold
     # a "no": plans presolve the 482 bump-0 and then all 556 unknowns,
-    # and each solve presolves only its plan's survivors
-    assert cold == [482, warm[0], 556, warm[1]] and max(warm) < 482
+    # and a warm decision reuses both plans with no presolve at all
+    assert cold == [482, 556] and warm == []

@@ -106,11 +106,14 @@ def test_zero_denominator_is_usage_error(tmp_path, command):
     assert res.stderr.startswith("error (usage): "), res.stderr
 
 
-@pytest.mark.parametrize("exc, kind", [
+ENGINE_FAILURES = [
     (AssertionError("identity shift column mismatch"), "invariant"),
     (KeyError("row"), "invariant"),
     (WindowInstabilityError("rank moved under window bump"), "instability"),
-])
+]
+
+
+@pytest.mark.parametrize("exc, kind", ENGINE_FAILURES)
 def test_error_kind_engine_failure(monkeypatch, exc, kind):
     def broken(*args, **kwargs):
         raise exc
@@ -118,6 +121,32 @@ def test_error_kind_engine_failure(monkeypatch, exc, kind):
     monkeypatch.setattr(cli, "stalk_dimension", broken)
     res = invoke("stalk", "--k", "1", "--j", "2", "--sigma", "u1*gen1",
                  "--point", "1,0,1,0")
+    assert res.exit_code == 1
+    assert res.stdout == ""
+    assert res.stderr == f"error ({kind}): {exc}\n"
+
+
+@pytest.mark.parametrize("name, args", [
+    ("h1_obstruction_basis", ("h1", "--k", "1")),
+    ("jacobi_defect", ("star-check", "--k", "1", "--trials", "1")),
+    ("normalize_line_bundle",
+     ("normalize", "--k", "1", "--sigma", "gen1", "--f", "f.txt")),
+    ("stratify", ("stratify", "--k", "1", "--j", "2", "--sigma", "gen1")),
+    ("verify_claims", ("verify", "--k", "1", "--j", "2", "--sigma", "gen1")),
+    ("oracle_check", ("oracle-check", "--trials", "1")),
+], ids=["h1", "star-check", "normalize", "stratify", "verify",
+        "oracle-check"])
+@pytest.mark.parametrize("exc, kind", ENGINE_FAILURES)
+def test_error_kind_of_every_command(monkeypatch, tmp_path, name, args, exc,
+                                     kind):
+    # every command reports a failure of the package, wherever it is raised
+    def broken(*args, **kwargs):
+        raise exc
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "f.txt").write_text("z^-1\nz\n")
+    monkeypatch.setattr(cli, name, broken)
+    res = invoke(*args)
     assert res.exit_code == 1
     assert res.stdout == ""
     assert res.stderr == f"error ({kind}): {exc}\n"

@@ -299,28 +299,37 @@ def test_solvable_sparse_matches_dense():
                 for v, col in columns.items()}
         assert linalg.solvable_sparse(
             ints, {r: int(6 * c) for r, c in rhs.items()}) == got
+        # and with explicit zero entries: a zero column and a zero row
+        padded = {v: {**col, (nrows,): Fraction(0)}
+                  for v, col in columns.items()}
+        padded["zero"] = {(rng.randrange(nrows),): Fraction(0)}
+        assert linalg.solvable_sparse(
+            padded, {**rhs, (nrows,): Fraction(0)}) == got
+
+
+def test_solvable_sparse_reads_explicit_zeros_as_zero():
+    # 0 * x = 5 has no solution; an explicit zero is not a singleton
+    assert not linalg.solvable_sparse({"x": {0: Fraction(0)}},
+                                      {0: Fraction(5)})
+    assert linalg.solvable_sparse({"x": {0: Fraction(0), 1: Fraction(2)}},
+                                  {1: Fraction(5)})
 
 
 def test_solvable_sparse_stops_at_full_rank(monkeypatch):
-    # no column is a singleton, so presolve keeps both rows, and the first
-    # two columns already span them: the answer is yes without reducing
-    # the third column or the right-hand side
+    # the first two columns already span both rows: the answer is yes
+    # without reducing the third column or the right-hand side
     columns = {"x0": {(0,): Fraction(1), (1,): Fraction(1)},
                "x1": {(0,): Fraction(1), (1,): Fraction(2)},
                "x2": {(0,): Fraction(2), (1,): Fraction(3)}}
-    plain_add = linalg.ColumnSpace.add
+    plain_reduce = linalg.ColumnSpace._reduce
     calls = []
 
     def spy(space, vec):
-        assert space.rank < space.nrows, "column added to a full span"
+        assert space.rank < space.nrows, "vector reduced against a full span"
         calls.append(vec)
-        return plain_add(space, vec)
+        return plain_reduce(space, vec)
 
-    def no_contains(space, vec):
-        raise AssertionError("right-hand side reduced against a full span")
-
-    monkeypatch.setattr(linalg.ColumnSpace, "add", spy)
-    monkeypatch.setattr(linalg.ColumnSpace, "contains", no_contains)
+    monkeypatch.setattr(linalg.ColumnSpace, "_reduce", spy)
     assert linalg.solvable_sparse(columns, {(1,): Fraction(5)})
     assert len(calls) == 2
 
@@ -334,15 +343,21 @@ def test_presolve_preserves_solvability_and_terminates():
         rhs = {(r,): Fraction(rng.randint(-2, 2)) for r in range(nrows)}
         rhs = {k: c for k, c in rhs.items() if c}
         before = dense_solvable(columns, rhs, nrows)
-        cols2, rhs2 = linalg.presolve_singletons(columns, rhs)
+        cols2, rhs2 = linalg.presolve_singletons(
+            {v: set(col) for v, col in columns.items()}, rhs)
+        assert rhs2 <= set(rhs)
         # surviving columns have no variable confined to a single row
         rows_count = {}
-        for col in cols2.values():
-            for key in col:
+        for v, rows in cols2.items():
+            assert rows and rows <= set(columns[v])
+            for key in rows:
                 rows_count[key] = rows_count.get(key, 0) + 1
-        for col in cols2.values():
-            assert len(col) != 1 or rows_count[next(iter(col))] > 1
-        after = dense_solvable(cols2, rhs2, nrows)
+        for rows in cols2.values():
+            assert len(rows) != 1 or rows_count[next(iter(rows))] > 1
+        # the value system restricted to the surviving support
+        after = dense_solvable(
+            {v: {r: columns[v][r] for r in rows} for v, rows in cols2.items()},
+            {r: rhs[r] for r in rhs2}, nrows)
         assert before == after
 
 

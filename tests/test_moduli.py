@@ -24,7 +24,6 @@ from ncbundles import (
     compute_windows,
     extension_basis,
     full_gauge_oracle,
-    generic_rank,
     is_extremal,
     obstruction_basis,
     oracle_check,
@@ -320,9 +319,10 @@ def test_stalk_report_contents():
 
 
 def test_generic_rank_values():
-    assert generic_rank(1, 3, parse_sigma_spec("u1*gen1", 1), trials=5)[0] == 4
-    assert generic_rank(2, 3, parse_sigma_spec("u1*gen4", 2), trials=5)[0] == 5
-    assert generic_rank(1, 4, parse_sigma_spec("gen1", 1), trials=5)[0] == 12
+    for k, j, spec, rank in ((1, 3, "u1*gen1", 4), (2, 3, "u1*gen4", 5),
+                             (1, 4, "gen1", 12)):
+        cert = certify_generic_rank(k, j, parse_sigma_spec(spec, k))
+        assert (cert["rank_observed"], cert["certified"]) == (rank, True)
 
 
 def test_is_extremal_catalog():
@@ -354,6 +354,20 @@ def test_one_master_per_configuration(monkeypatch):
     stalk_dimension(1, 2, sigma, [1, 2, 3, 4])
     assert list(engine._MASTERS) == [
         ("_build_master", 1, 2, sigma.cache_key(), "derived")]
+
+
+def test_unknown_formula_is_rejected(monkeypatch):
+    # an unknown formula is neither built as the printed one nor cached
+    sigma = parse_sigma_spec("gen1", 1)
+    monkeypatch.setattr(engine, "_MASTERS", {})
+    for build in (
+            lambda: stalk_dimension(1, 2, sigma, [1, 2, 3, 4],
+                                    formula="bogus"),
+            lambda: build_cancellation_system(1, 2, sigma, formula="bogus")):
+        with pytest.raises(ValueError, match="formula must be 'derived' "
+                                             "or 'printed', got 'bogus'"):
+            build()
+    assert engine._MASTERS == {}
 
 
 @pytest.mark.parametrize("k,j,spec", CONFIGS)
@@ -698,8 +712,9 @@ def unit(dim, r, c=1):
 
 def presolve_of_values(k, j, sigma, point, delta):
     """The oracle's bump-0 decision, its unknowns and whether every
-    unknown solves the system, each by one presolve and solve of the
-    entries' values at the point, with no presolve plan."""
+    unknown solves the system, each by one presolve of the support of
+    the entries' values at the point and a solve of the survivors, with
+    no presolve plan."""
     system = engine.cached(oracle._build_oracle_system, k, j, sigma)
     values = system.table.values(
         _coerce_point(k, j, point) + _coerce_point(k, j, delta))
@@ -710,7 +725,11 @@ def presolve_of_values(k, j, sigma, point, delta):
 
     def solve(ncols):
         columns = {c: col for c, col in enumerate(segments[:ncols]) if col}
-        return linalg.solvable_sparse(columns, segments[-1]), len(columns)
+        cols, rhs = linalg.presolve_singletons(columns, segments[-1])
+        survivors = {c: {r: columns[c][r] for r in rows}
+                     for c, rows in cols.items()}
+        return (linalg.solvable_sparse(
+            survivors, {r: segments[-1][r] for r in rhs}), len(columns))
 
     decision, unknowns = solve(system.narrow)
     return decision, unknowns, solve(len(segments) - 1)[0]

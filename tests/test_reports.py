@@ -1,0 +1,105 @@
+"""Pinned report corpus: every CLI command's bytes, checked against a record.
+
+tests/reports.json holds, for each invocation in CASES, its exit code, the
+SHA-256 of its stdout and the first line of its stderr.  The invocations
+run in-process through click's CliRunner, each in an empty directory that
+holds only FILES.  A change that means to alter a report re-records the
+file by running this module as a script:
+
+    PYTHONPATH=src python tests/test_reports.py
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+
+from ncbundles.cli import main
+
+CORPUS = Path(__file__).with_name("reports.json")
+FILES = {"poly.txt": "z^-1\nz\n", "bad.txt": "1/0*z\n"}
+
+# the configurations of perfbench's claims-cold workload
+VERIFY = ([(1, 3, f"gen{n}") for n in range(1, 5)]
+          + [(2, 3, f"gen{n}") for n in range(1, 6)]
+          + [(1, 3, "u1*gen1"), (2, 3, "u1*gen4"),
+             (1, 4, "gen1"), (2, 4, "gen4")])
+STRATIFY = ("stratify", "--k", "1", "--j", "2", "--sigma", "u1*gen1",
+            "--seed", "5", "--draws", "2")
+
+CASES = [
+    ("h1", "--k", "1"),
+    ("h1", "--k", "3", "--max-l", "1", "--max-i", "1", "--max-s", "4"),
+    ("star-check", "--k", "1", "--trials", "2", "--seed", "3"),
+    ("star-check", "--k", "2", "--sigma", "u1*gen4", "--trials", "2",
+     "--seed", "5"),
+    ("normalize", "--k", "1", "--sigma", "gen1", "--f", "poly.txt"),
+    ("stalk", "--k", "1", "--j", "2", "--sigma", "u1*gen1",
+     "--point", "1,0,1,0"),
+    ("stalk", "--k", "1", "--j", "2", "--sigma", "u1*gen1",
+     "--point", "1,1,0,0", "--emit-matrix"),
+    ("stalk", "--k", "2", "--j", "3", "--sigma", "gen4",
+     "--point", "1,0,2/3,0,0,-1,0,1", "--formula", "printed"),
+    STRATIFY,
+    STRATIFY + ("--workers", "2"),
+    ("stratify", "--k", "1", "--j", "3", "--sigma", "gen1",
+     "--strategy", "symbolic-minors", "--seed", "5", "--draws", "2"),
+    *[("verify", "--k", str(k), "--j", str(j), "--sigma", spec,
+       "--seed", "1") for k, j, spec in VERIFY],
+    ("verify", "--k", "1", "--j", "2", "--sigma", "gen1", "--seed", "1"),
+    ("oracle-check", "--trials", "1", "--seed", "11"),
+    # usage errors
+    ("no-such-command",),
+    ("stalk", "--k", "1"),
+    ("stalk", "--k", "1", "--j", "2", "--sigma", "u1*gen1",
+     "--point", "1,oops,0,0"),
+    ("stalk", "--k", "1", "--j", "2", "--sigma", "gen9",
+     "--point", "1,0,0,0"),
+    ("stalk", "--k", "1", "--j", "2", "--sigma", "u1*gen1",
+     "--point", "0,0,0,0"),
+    ("stalk", "--k", "1", "--j", "1", "--sigma", "gen1", "--point", "1"),
+    STRATIFY + ("--workers", "0"),
+    ("verify", "--k", "1", "--j", "2", "--sigma", "gen1", "--trials", "0"),
+    ("oracle-check", "--trials", "0"),
+    ("star-check", "--k", "1", "--sigma", "1/0*gen1"),
+    ("normalize", "--k", "1", "--sigma", "gen1", "--f", "bad.txt"),
+    ("normalize", "--k", "1", "--sigma", "gen1", "--f", "missing.txt"),
+    ("h1", "--k", "x"),
+]
+
+
+def run(args):
+    """The corpus entry of one invocation."""
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        for name, text in FILES.items():
+            Path(name).write_text(text, encoding="utf-8")
+        res = runner.invoke(main, list(args), env={"NCBUNDLES_SEED": None})
+    if res.exception is not None and not isinstance(res.exception,
+                                                    SystemExit):
+        raise res.exception
+    return {"args": list(args), "exit_code": res.exit_code,
+            "stdout_sha256": hashlib.sha256(res.stdout_bytes).hexdigest(),
+            "stderr_first_line": next(iter(res.stderr.splitlines()), "")}
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    return {tuple(e["args"]): e
+            for e in json.loads(CORPUS.read_text(encoding="utf-8"))}
+
+
+def test_corpus_covers_the_cases(corpus):
+    assert list(corpus) == CASES
+
+
+@pytest.mark.parametrize("args", CASES, ids=" ".join)
+def test_report_matches_the_corpus(corpus, args):
+    assert run(args) == corpus[args]
+
+
+if __name__ == "__main__":
+    CORPUS.write_text(json.dumps([run(args) for args in CASES], indent=1)
+                      + "\n", encoding="utf-8")
