@@ -18,6 +18,7 @@ from .engine import (
     cached,
     direction_dimension,
     is_extremal,
+    point_rank,
     point_space,
     rand_fraction,
     random_point,
@@ -46,7 +47,7 @@ def _scan_masks(sigma, k, j, masks, seed, draws):
         for t in range(draws):
             rng = random.Random(_point_seed(seed, mask, t))
             pt = _masked_point(k, j, mask, rng)
-            rank = point_space(k, j, sigma, "derived", pt).space.rank
+            rank = point_rank(k, j, sigma, "derived", pt)
             out.append((mask, t, rank, [str(c) for c in pt]))
     return out
 
@@ -186,7 +187,7 @@ def verify_claims(k, j, sigma, seed=DEFAULT_SEED, trials=20):
     require_positive(trials=trials)
 
     def rank_at(q):
-        return point_space(k, j, sigma, "derived", q).space.rank
+        return point_rank(k, j, sigma, "derived", q)
 
     claims = []
     derived = cached(_build_master, k, j, sigma, "derived")

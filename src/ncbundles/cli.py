@@ -17,6 +17,7 @@ from fractions import Fraction
 
 import click
 
+from . import __version__
 from .bundles import normalize_line_bundle
 from .claims import stratify, verify_claims
 from .engine import (
@@ -136,7 +137,7 @@ class _Commands(click.Group):
 
 
 @click.group(cls=_Commands)
-@click.version_option()
+@click.version_option(version=__version__)
 def main():
     """Exact deformation computations for extension bundles on W_k."""
 

@@ -292,12 +292,17 @@ class MasterSystem:
         zeros, one list per column.
         """
         values = self.table.values(point)
-        n = len(self.rows)
         cols = [None] * len(self.columns)
         for c in self.nonzero:
-            cols[c] = [values[f] for f in self.ids[c * n:(c + 1) * n]]
+            cols[c] = self.column(values, c)
         zero = Fraction(0)
-        return [[zero] * n if col is None else col for col in cols]
+        return [[zero] * len(self.rows) if col is None else col
+                for col in cols]
+
+    def column(self, values, c):
+        """Column c from the values of the table's forms, in row order."""
+        n = len(self.rows)
+        return [values[f] for f in self.ids[c * n:(c + 1) * n]]
 
     def entries_rowmajor(self):
         out = []
@@ -489,6 +494,37 @@ def point_space(k, j, sigma, formula, point):
             f"(k={k}, j={j}, point={point})"
         )
     return PointSpace(master, cols[:master.narrow], space, grew)
+
+
+_PRIME = 2_147_483_647  # 2^31 - 1, the modulus of point_rank's certificate
+
+
+def point_rank(k, j, sigma, formula, point):
+    """The rank point_space(k, j, sigma, formula, point).space.rank gives,
+    with no span: a full rank is certified modulo a prime.
+
+    FormTable.values divides every form by the same nonzero number,
+    scale * d^degree, so the matrix N of the forms' integer numerators
+    (FormTable.numerators_mod) has the rank of the master at the point.
+    Modulo the prime _PRIME a minor can only vanish, and the columns of
+    the whole stability window span at most upper = min(#rows, #columns
+    not identically zero), so for the nonzero bump-0 columns
+    rank_p(N) <= rank_Q(N) <= upper.  When rank_p(N) reaches upper it is
+    the exact rank, and no column of the stability window can enlarge
+    the span, so the rank is window-stable.  Otherwise (a lower stratum,
+    an axis point, or a pivot that the prime kills) the exact
+    point_space decides, and raises WindowInstabilityError where it
+    would.  The callers that read pivots, columns or grew use
+    point_space itself.
+    """
+    master = cached(_build_master, k, j, sigma, formula)
+    n = len(master.rows)
+    upper = min(n, len(master.nonzero))
+    values = master.table.numerators_mod(point, _PRIME)
+    cols = (master.column(values, c) for c in master.nonzero_narrow())
+    if linalg.rank_mod(cols, n, _PRIME) == upper:
+        return upper
+    return point_space(k, j, sigma, formula, point).space.rank
 
 
 def stalk_dimension(k, j, sigma, point, formula="derived"):

@@ -79,7 +79,11 @@ def h1_obstruction_basis(k, max_l=6, max_i=4, max_s=6):
     keeps the obstruction class.  Empty for k in {1, 2}: obstruction needs
     l <= -1 and -l + k*i + (2-k)*s <= -1, impossible when both fibre weights
     are >= 0.  For k >= 3 the count grows strictly with the s bound.
+    A bound below 0 is rejected: the box would be empty.
     """
+    for name, n in (("max_l", max_l), ("max_i", max_i), ("max_s", max_s)):
+        if n < 0:
+            raise ValueError(f"{name} must be at least 0, got {n}")
     out = []
     for i in range(max_i + 1):
         for s in range(max_s + 1):

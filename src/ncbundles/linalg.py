@@ -3,6 +3,8 @@
 Dense vectors are plain lists of ints or Fractions.  The sparse solver
 works on columns stored as {row_key: value} dicts; row keys only need a
 total order.  Everything is exact, no pivoting heuristics needed.
+rank_mod ranks integer columns modulo a prime: a lower bound of their
+rank, which a caller can only use where the bound settles the rank.
 """
 
 from __future__ import annotations
@@ -95,6 +97,35 @@ def rank(columns, nrows):
     cs = ColumnSpace(nrows)
     cs.extend(columns)
     return cs.rank
+
+
+def rank_mod(columns, nrows, prime):
+    """Rank modulo a prime of the span of integer columns of length nrows.
+
+    A forward echelon over the integers modulo prime, as ColumnSpace is
+    over the rationals, reading no column once the rank equals nrows.
+    A minor that vanishes modulo the prime may be nonzero, so the result
+    is never larger than rank(columns, nrows) and may be smaller.
+    """
+    basis = []  # (pivot row, [(row below it, entry)]), pivot entry 1
+    for col in columns:
+        if len(basis) == nrows:
+            break
+        if len(col) != nrows:
+            raise ValueError("vector length mismatch")
+        vec = list(col)  # reduced modulo prime only where it is read
+        for pivot, below in basis:
+            c = vec[pivot] % prime
+            if c:
+                for r, b in below:
+                    vec[r] -= c * b
+                vec[pivot] = 0
+        rows = [r for r, c in enumerate(vec) if c % prime]
+        if rows:
+            inv = pow(vec[rows[0]], -1, prime)
+            basis.append((rows[0], [(r, vec[r] * inv % prime)
+                                    for r in rows[1:]]))
+    return len(basis)
 
 
 def presolve_singletons(columns, rhs):

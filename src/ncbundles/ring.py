@@ -249,18 +249,37 @@ class FormTable(NamedTuple):
             for ev in exponents)
         return cls(degree, scale, monomials, forms), ids
 
-    def values(self, coords):
-        """Every form at the point coords, as a Fraction.
+    def _monomials_at(self, coords):
+        """The common denominator d of coords and every monomial at them.
 
-        The forms are summed in integers, with variable 0 at the common
-        denominator d of the coordinates and variable 1 + r at d times
-        coordinate r, then divided by scale * d^degree.
+        Variable 0 is d and variable 1 + r is d times coordinate r, so
+        every monomial is an integer.
         """
         d = math.lcm(*(c.denominator for c in coords))
         x = [d] + [c.numerator * (d // c.denominator) for c in coords]
-        mons = [reduce(mul, (x[i] for i in m), 1) for m in self.monomials]
+        return d, [reduce(mul, (x[i] for i in m), 1) for m in self.monomials]
+
+    def values(self, coords):
+        """Every form at the point coords, as a Fraction.
+
+        The forms are summed in integers over the monomials at the point
+        (_monomials_at), then divided by scale * d^degree.
+        """
+        d, mons = self._monomials_at(coords)
         den = self.scale * d ** self.degree
         return [Fraction(sum(c * mons[m] for m, c in form), den)
+                for form in self.forms]
+
+    def numerators_mod(self, coords, prime):
+        """Every form's numerator at coords modulo prime, as an int.
+
+        The numerator is the integer sum that values divides by
+        scale * d^degree, the same nonzero number for every form, so a
+        matrix of numerators has the rank of the matrix of values.
+        """
+        _, mons = self._monomials_at(coords)
+        mons = [v % prime for v in mons]
+        return [sum(c * mons[m] for m, c in form) % prime
                 for form in self.forms]
 
 

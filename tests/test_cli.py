@@ -43,6 +43,35 @@ def test_h1_nonempty_for_w3():
     assert "z^-1*u2^2" in rep["result"]["monomials"]
 
 
+@pytest.mark.parametrize("option", ["--max-l", "--max-i", "--max-s"])
+def test_h1_rejects_negative_bounds(option):
+    res = invoke("h1", "--k", "3", option, "-1")
+    assert res.exit_code == 1
+    assert res.stdout == ""
+    name = option[2:].replace("-", "_")
+    assert res.stderr == f"error (usage): {name} must be at least 0, got -1\n"
+
+
+def test_h1_accepts_zero_bounds():
+    res = invoke("h1", "--k", "3", "--max-l", "0", "--max-i", "0",
+                 "--max-s", "0")
+    assert res.exit_code == 0
+    assert report_of(res)["result"]["count"] == 0
+
+
+def test_version_needs_no_package_metadata(monkeypatch):
+    # a checkout run with PYTHONPATH=src has no installed metadata
+    import importlib.metadata
+
+    def missing(name):
+        raise importlib.metadata.PackageNotFoundError(name)
+
+    monkeypatch.setattr(importlib.metadata, "version", missing)
+    res = invoke("--version")
+    assert res.exit_code == 0
+    assert res.stdout.rstrip().endswith("version 0.1.0")
+
+
 def test_stalk_frozen_example():
     res = invoke("stalk", "--k", "1", "--j", "2", "--sigma", "u1*gen1",
                  "--point", "1,0,1,0")

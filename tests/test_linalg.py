@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -253,6 +254,57 @@ def test_int_vectors_match_their_fraction_copies(data):
     for probe in probes:
         assert ints.contains(probe) == fracs.contains(
             [Fraction(c) for c in probe])
+
+
+def det(rows):
+    """Integer determinant by expansion along the first row."""
+    if not rows:
+        return 1
+    return sum((-1) ** c * rows[0][c] * det([r[:c] + r[c + 1:]
+                                             for r in rows[1:]])
+               for c in range(len(rows)) if rows[0][c])
+
+
+def minor_rank_mod(columns, nrows, prime):
+    """The largest r with an r x r minor that is nonzero modulo prime."""
+    return max((r for r in range(1, min(nrows, len(columns)) + 1)
+                for cs in combinations(columns, r)
+                for rs in combinations(range(nrows), r)
+                if det([[col[q] for col in cs] for q in rs]) % prime),
+               default=0)
+
+
+BIG_PRIME = 2 ** 31 - 1
+
+
+@st.composite
+def int_matrices(draw):
+    """(nrows, integer columns, prime), small and large primes."""
+    nrows = draw(st.integers(1, 4))
+    vector = st.lists(st.integers(-9, 9), min_size=nrows, max_size=nrows)
+    cols = draw(st.lists(vector, max_size=2 * nrows))
+    return nrows, cols, draw(st.sampled_from([2, 3, 5, 7, BIG_PRIME]))
+
+
+@settings(max_examples=200)
+@given(int_matrices())
+@example((1, [[3]], 3))  # the prime kills the only pivot
+@example((2, [[1, 2], [3, 1]], 5))  # the 2x2 minor, -5, vanishes mod 5
+def test_rank_mod_is_the_minor_rank_modulo_the_prime(system):
+    nrows, cols, prime = system
+    got = linalg.rank_mod(cols, nrows, prime)
+    assert got == minor_rank_mod(cols, nrows, prime)
+    assert got <= linalg.rank(cols, nrows)
+    # every minor is below 4! * 9^4 < BIG_PRIME, so none vanishes there
+    if prime == BIG_PRIME:
+        assert got == linalg.rank(cols, nrows)
+
+
+def test_rank_mod_drops_a_pivot_the_prime_divides():
+    assert linalg.rank_mod([[3]], 1, 3) == 0 < linalg.rank([[3]], 1)
+    assert linalg.rank_mod([[3], [1]], 1, 3) == 1
+    with pytest.raises(ValueError, match="length mismatch"):
+        linalg.rank_mod([[1, 2]], 3, 3)
 
 
 def sparse_system(rng, nrows, nvars, density):

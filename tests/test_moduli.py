@@ -649,6 +649,76 @@ def test_point_space_reduces_only_nonzero_columns(k, j, spec, data):
     assert ps.space.non_pivot_rows() == plain.non_pivot_rows()
 
 
+def rank_points(k, j):
+    """Random full-support, every axis and random support-mask points,
+    and a full-support integer point with every coordinate divisible by
+    3, where each master entry vanishes modulo 3."""
+    rng = random.Random(100 * k + j)
+    dim = direction_dimension(k, j)
+    masked = [[c if mask >> r & 1 else Fraction(0)
+               for r, c in enumerate(random_point(k, j, rng))]
+              for mask in rng.sample(range(1, (1 << dim) - 1), 3)]
+    times3 = [Fraction(3 * rng.choice([-2, -1, 1, 2])) for _ in range(dim)]
+    return ([random_point(k, j, rng) for _ in range(3)]
+            + single_coordinate_points(k, j) + masked + [times3])
+
+
+@pytest.mark.parametrize("prime", ["default", 3])
+@pytest.mark.parametrize("j", [2, 3, 4])
+@pytest.mark.parametrize("k, spec", LEIBNIZ_SPECS)
+def test_point_rank_is_the_point_space_rank(monkeypatch, k, j, spec, prime):
+    # the certificate answers at full rank, the exact span everywhere else
+    # or where the prime kills a pivot, and both give point_space's rank
+    sigma = parse_sigma_spec(spec, k)
+    if prime != "default":
+        monkeypatch.setattr(engine, "_PRIME", prime)
+    exact = engine.point_space
+    fell_back = []
+
+    def spy(*args):
+        fell_back.append(args[-1])
+        return exact(*args)
+
+    monkeypatch.setattr(engine, "point_space", spy)
+    master = engine.cached(engine._build_master, k, j, sigma, "derived")
+    upper = min(len(master.rows), len(master.nonzero))
+    points = rank_points(k, j)
+    for pt in points:
+        fell_back.clear()
+        rank = exact(k, j, sigma, "derived", pt).space.rank
+        assert engine.point_rank(k, j, sigma, "derived", pt) == rank
+        if prime == "default":
+            assert bool(fell_back) == (rank != upper)
+        elif pt is points[-1]:
+            assert fell_back == [pt] and rank == upper
+
+
+def test_point_rank_keeps_the_stability_check(monkeypatch):
+    # a column planted past the bump-0 window that enlarges the span below
+    # full rank raises, as in point_space; at full rank it cannot enlarge
+    sigma = parse_sigma_spec("gen1", 1)
+    pt = single_coordinate_points(1, 2)[2]
+    rep = stalk_dimension(1, 2, sigma, pt)
+    master = engine.cached(engine._build_master, 1, 2, sigma, "derived")
+    tag = master.tags[master.narrow]
+    row = [m.render() for m in master.rows].index(rep.quotient_rows[0])
+    real = engine._direction_entry_derived
+
+    def planted(pieces, t):
+        if t == tag:
+            return LaurentPoly.monomial(*master.rows[row])
+        return real(pieces, t)
+
+    monkeypatch.setattr(engine, "_MASTERS", {})
+    monkeypatch.setattr(engine, "_direction_entry_derived", planted)
+    with pytest.raises(WindowInstabilityError,
+                       match=f"rank moved {rep.rank} -> {rep.rank + 1} "):
+        engine.point_rank(1, 2, sigma, "derived", pt)
+    generic = random_point(1, 2, random.Random(5))
+    assert engine.point_rank(1, 2, sigma, "derived", generic) == 4 == (
+        engine.point_space(1, 2, sigma, "derived", generic).space.rank)
+
+
 @pytest.mark.parametrize("j", [2, 3, 4])
 @pytest.mark.parametrize("k, spec", LEIBNIZ_SPECS)
 @settings(max_examples=6)
