@@ -312,7 +312,7 @@ def verify_cmd(k, j, sigma_text, seed, trials):
 def oracle_check_cmd(trials, seed):
     """Engine vs full-gauge-oracle agreement battery."""
     seed = _resolve_seed(seed)
-    rep = oracle_check(trials_point=trials, trials_delta=trials, seed=seed)
+    rep = oracle_check(trials=trials, seed=seed)
     config = {"trials": trials}
     _emit(make_report("oracle-check", config, seed, rep), rep["status"])
 

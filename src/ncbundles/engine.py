@@ -30,7 +30,6 @@ make it a few monomial shifts of polynomials cached per gauge entry
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
@@ -265,10 +264,10 @@ class MasterSystem:
     The cached master has entries symbolic in the base point and the
     columns of the stability window, the first `narrow` of them those of
     the bump-0 window; `nonzero` lists, ascending, the columns with an
-    entry that is not identically zero.  Entry r of column c is form
-    ids[c * len(rows) + r] of `table`, built once with the master.
-    build_cancellation_system returns one window of it, symbolic or
-    evaluated at a point.
+    entry that is not identically zero.  `table`, built once with the
+    master, holds the nonzero entries of every column, in the same
+    column order.  build_cancellation_system returns one window of it,
+    symbolic or evaluated at a point.
     """
 
     rows: list
@@ -278,31 +277,19 @@ class MasterSystem:
     narrow: int
     nonzero: tuple
     table: FormTable
-    ids: array
 
     def nonzero_narrow(self):
         """The nonzero columns of the bump-0 window."""
         return self.nonzero[:bisect_left(self.nonzero, self.narrow)]
 
     def evaluate(self, point):
-        """Every column of this window at the point, as Fractions.
-
-        Only the columns in `nonzero` are read from the table; every
-        other column holds only the zero form, so it is a fresh list of
-        zeros, one list per column.
-        """
+        """Every column of this window at the point, as Fractions, each a
+        fresh list; a column not in `nonzero` has no entry in the table,
+        so it is all zeros."""
         values = self.table.values(point)
-        cols = [None] * len(self.columns)
-        for c in self.nonzero:
-            cols[c] = self.column(values, c)
-        zero = Fraction(0)
-        return [[zero] * len(self.rows) if col is None else col
-                for col in cols]
-
-    def column(self, values, c):
-        """Column c from the values of the table's forms, in row order."""
-        n = len(self.rows)
-        return [values[f] for f in self.ids[c * n:(c + 1) * n]]
+        n, zero = len(self.rows), Fraction(0)
+        return [self.table.column(values, c, n, zero)
+                for c in range(len(self.columns))]
 
     def entries_rowmajor(self):
         out = []
@@ -375,9 +362,8 @@ def _build_master(k, j, sigma, formula):
             raise AssertionError("identity shift column mismatch")
 
     nonzero = tuple(c for c, col in enumerate(columns) if any(col))
-    table, ids = FormTable.compile(e for col in columns for e in col)
-    return MasterSystem(rows, tags, win, columns, narrow, nonzero, table,
-                        ids)
+    table = FormTable.compile(dict(enumerate(col)) for col in columns)
+    return MasterSystem(rows, tags, win, columns, narrow, nonzero, table)
 
 
 _MASTERS = {}
@@ -472,18 +458,16 @@ class PointSpace(NamedTuple):
     grew: list  # indices of the bump-0 columns that enlarged the span
 
 
-def point_space(k, j, sigma, formula, point):
-    """The master at a point and the span of its columns, checked.
+def _span(k, j, point, master, cols):
+    """The echelon span of the master's nonzero columns, checked, and
+    the nonzero bump-0 columns that enlarged it, by column index.
 
-    The nonzero bump-0 columns, from the master's prefix, are added
-    first; grew lists those that enlarged the span, by column index.
-    The nonzero columns of the rest, the stability window, are added to
-    the same span; if one enlarges it, WindowInstabilityError is raised.
-    A zero column could enlarge neither span, so none is reduced.
+    cols[c] is column c at the point, for every nonzero c.  The nonzero
+    bump-0 columns are added first; if a nonzero column of the rest, the
+    stability window, enlarges the span, WindowInstabilityError is
+    raised.  A zero column could enlarge neither span, so none is read.
     """
-    master = cached(_build_master, k, j, sigma, formula)
     space = linalg.ColumnSpace(len(master.rows))
-    cols = master.evaluate(point)
     narrow = master.nonzero_narrow()
     grew = [narrow[i] for i in space.extend([cols[c] for c in narrow])]
     rank = space.rank
@@ -493,6 +477,15 @@ def point_space(k, j, sigma, formula, point):
             f"rank moved {rank} -> {space.rank} under window bump "
             f"(k={k}, j={j}, point={point})"
         )
+    return space, grew
+
+
+def point_space(k, j, sigma, formula, point):
+    """The master at a point and the checked span of its columns (_span),
+    with the Fraction columns of MasterSystem.evaluate."""
+    master = cached(_build_master, k, j, sigma, formula)
+    cols = master.evaluate(point)
+    space, grew = _span(k, j, point, master, cols)
     return PointSpace(master, cols[:master.narrow], space, grew)
 
 
@@ -501,30 +494,32 @@ _PRIME = 2_147_483_647  # 2^31 - 1, the modulus of point_rank's certificate
 
 def point_rank(k, j, sigma, formula, point):
     """The rank point_space(k, j, sigma, formula, point).space.rank gives,
-    with no span: a full rank is certified modulo a prime.
+    from one evaluation of the master's table: a full rank is certified
+    modulo a prime.
 
-    FormTable.values divides every form by the same nonzero number,
-    scale * d^degree, so the matrix N of the forms' integer numerators
-    (FormTable.numerators_mod) has the rank of the master at the point.
+    FormTable.numerators gives every form over the same nonzero
+    denominator, so the matrix N of the forms' integer numerators has the
+    span, up to that scale, and the rank of the master at the point.
     Modulo the prime _PRIME a minor can only vanish, and the columns of
     the whole stability window span at most upper = min(#rows, #columns
     not identically zero), so for the nonzero bump-0 columns
     rank_p(N) <= rank_Q(N) <= upper.  When rank_p(N) reaches upper it is
     the exact rank, and no column of the stability window can enlarge
     the span, so the rank is window-stable.  Otherwise (a lower stratum,
-    an axis point, or a pivot that the prime kills) the exact
-    point_space decides, and raises WindowInstabilityError where it
-    would.  The callers that read pivots, columns or grew use
-    point_space itself.
+    an axis point, or a pivot that the prime kills) the exact span of
+    the columns of N decides (_span), and raises WindowInstabilityError
+    where point_space would.  The callers that read pivots, columns or
+    grew use point_space.
     """
     master = cached(_build_master, k, j, sigma, formula)
     n = len(master.rows)
     upper = min(n, len(master.nonzero))
-    values = master.table.numerators_mod(point, _PRIME)
-    cols = (master.column(values, c) for c in master.nonzero_narrow())
-    if linalg.rank_mod(cols, n, _PRIME) == upper:
+    _, ints = master.table.numerators(point)
+    cols = {c: master.table.column(ints, c, n, 0) for c in master.nonzero}
+    if linalg.rank_mod((cols[c] for c in master.nonzero_narrow()), n,
+                       _PRIME) == upper:
         return upper
-    return point_space(k, j, sigma, formula, point).space.rank
+    return _span(k, j, point, master, cols)[0].rank
 
 
 def stalk_dimension(k, j, sigma, point, formula="derived"):

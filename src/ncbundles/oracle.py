@@ -21,7 +21,6 @@ product per unit.
 from __future__ import annotations
 
 import random
-from array import array
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -146,18 +145,13 @@ class OracleSystem:
     Built once at the stability window, with the unknowns of the bump-0
     window first: they are its first `narrow` columns.  Each group and
     the rows are numbered in sorted key order, so the solver meets them
-    in the order of their keys.  Segment c of the entries, col_start[c]
-    to col_start[c + 1], is column c, and the last segment is the
-    right-hand side; entry e sits in row entry_row[e] and has the value
-    of form entry_form[e] of `table`.  `plans` holds the presolve plan
-    of each (vanishing forms, window) met so far.
+    in the order of their keys.  Column c of `table` is unknown c, and
+    its last column is the right-hand side.  `plans` holds the presolve
+    plan of each (vanishing forms, window) met so far.
     """
 
     table: FormTable
     narrow: int
-    col_start: array
-    entry_row: array
-    entry_form: array
     plans: dict = field(default_factory=dict, init=False, compare=False,
                         repr=False)
 
@@ -165,19 +159,17 @@ class OracleSystem:
         """The presolve plan of the first ncols unknowns at a point where
         exactly the forms in zero vanish.
 
-        The singleton presolve reads only the support, and entry e is
-        nonzero at the point exactly when entry_form[e] is not in zero,
-        so it runs once on the {row: form} segments of that support, and
-        a surviving column keeps its (row, form) pairs on the surviving
+        The singleton presolve reads only the support, and an entry is
+        nonzero at the point exactly when its form is not in zero, so it
+        runs once on the {row: form} segments of that support, and a
+        surviving column keeps its (row, form) pairs on the surviving
         rows.  The plan holds at every point with the same vanishing forms.
         """
         key = (zero, ncols)
         if key not in self.plans:
-            rows, forms = self.entry_row, self.entry_form
-            start = self.col_start
-            segments = [{rows[e]: forms[e] for e in range(a, b)
-                         if forms[e] not in zero}
-                        for a, b in zip(start, start[1:])]
+            segments = [{r: f for r, f in self.table.segment(c)
+                         if f not in zero}
+                        for c in range(len(self.table.start) - 1)]
             columns = {c: col for c, col in enumerate(segments[:ncols])
                        if col}
             cols, rhs = linalg.presolve_singletons(columns, segments[-1])
@@ -250,17 +242,11 @@ def _build_oracle_system(k, j, sigma):
     order = sorted(columns, key=lambda key: (key[3] > hi, key))
     row_id = {row: n for n, row in
               enumerate(sorted(set(rhs).union(*columns.values())))}
-    col_start, entry_row, entries = array("i", [0]), array("i"), []
-    for store in [columns[key] for key in order] + [rhs]:
-        for row, c in store.items():
-            entry_row.append(row_id[row])
-            entries.append(c)
-        col_start.append(len(entry_row))
-    table, entry_form = FormTable.compile(entries)
+    table = FormTable.compile(
+        {row_id[row]: c for row, c in store.items()}
+        for store in [columns[key] for key in order] + [rhs])
     return OracleSystem(table=table,
-                        narrow=sum(key[3] <= hi for key in order),
-                        col_start=col_start, entry_row=entry_row,
-                        entry_form=entry_form)
+                        narrow=sum(key[3] <= hi for key in order))
 
 
 @dataclass
@@ -294,7 +280,7 @@ def full_gauge_oracle(k, j, sigma, point, delta, check_stability=True):
     decision = narrow.solvable(values)
     # a bump-0 solution padded with zeros solves the wider system, so a
     # "yes" cannot move; only a "no" is re-solved with every unknown
-    wide = len(system.col_start) - 2
+    wide = len(system.table.start) - 2
     if (check_stability and not decision
             and system.plan(zero, wide).solvable(values)):
         raise WindowInstabilityError(
@@ -320,15 +306,15 @@ STANDARD_ORACLE_CONFIGS = (
 )
 
 
-def oracle_check(configs=None, trials_point=10, trials_delta=10,
-                 seed=DEFAULT_SEED):
+def oracle_check(configs=None, trials=10, seed=DEFAULT_SEED):
     """Engine vs oracle agreement over a battery of decisions.
 
-    For every configuration and random base point, tests a mix of
-    directions built inside the engine column span and raw random
-    directions; both routes must agree on every single decision.
+    For every configuration, at each of `trials` random base points,
+    tests `trials` directions, alternately built inside the engine
+    column span and raw random; both routes must agree on every single
+    decision.
     """
-    require_positive(trials_point=trials_point, trials_delta=trials_delta)
+    require_positive(trials=trials)
     if configs is None:
         configs = STANDARD_ORACLE_CONFIGS
     mismatches = []
@@ -338,10 +324,10 @@ def oracle_check(configs=None, trials_point=10, trials_delta=10,
         dim = direction_dimension(k, j)
         rng = random.Random(seed + 7919 * idx)
         agree = 0
-        for _ in range(trials_point):
+        for _ in range(trials):
             pt = random_point(k, j, rng)
             _, cols, cs, _ = point_space(k, j, sigma, "derived", pt)
-            for t in range(trials_delta):
+            for t in range(trials):
                 if t % 2 == 0:
                     i1 = rng.randrange(len(cols))
                     i2 = rng.randrange(len(cols))
@@ -364,7 +350,7 @@ def oracle_check(configs=None, trials_point=10, trials_delta=10,
                     })
         per_config.append({
             "config": [k, j, sig_text],
-            "decisions": trials_point * trials_delta,
+            "decisions": trials * trials,
             "agreements": agree,
         })
     return {

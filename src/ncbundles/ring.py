@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import re
-from array import array
 from bisect import bisect_right
 from fractions import Fraction
 from functools import reduce
@@ -205,11 +204,14 @@ class ParamPoly:
 
 
 class FormTable(NamedTuple):
-    """Distinct ParamPoly or rational entries, evaluated together at a point.
+    """Sparse columns of ParamPoly or rational entries, evaluated together
+    at a point.
 
-    Each distinct entry is stored once as an integer form: pairs
-    (monomial id, coefficient), with the coefficients times `scale`, the
-    common denominator of all of them.  A monomial is the tuple of its
+    Column c holds entries start[c] to start[c + 1] (segment); entry e
+    sits in row rows[e] and has the value of form ids[e].  Each distinct
+    entry is stored once as an integer form: pairs (monomial id,
+    coefficient), with the coefficients times `scale`, the common
+    denominator of all of them.  A monomial is the tuple of its
     variables, padded to the top degree of the entries with variable 0,
     which stands for the constant 1; variable 1 + r is the r-th parameter.
     """
@@ -218,24 +220,33 @@ class FormTable(NamedTuple):
     scale: int
     monomials: tuple
     forms: tuple
+    start: tuple
+    rows: tuple
+    ids: tuple
 
     @classmethod
-    def compile(cls, entries):
-        """The table of the distinct entries and the form id of each.
+    def compile(cls, columns):
+        """The table of the columns, each a {row: entry} dict.
 
-        A constant entry, rational or ParamPoly, is keyed by its value and
-        any other by the set of its terms, so equal entries share a form
-        id with no sorting of terms.
+        Zero entries are dropped.  A constant entry, rational or
+        ParamPoly, is keyed by its value and any other by the set of its
+        terms, so equal entries share a form id with no sorting of terms.
         """
-        ids, keys = array("i"), {}  # entry key -> form id
-        for key in entries:
-            if isinstance(key, ParamPoly):
-                t = key._terms
-                key = (frozenset(t.items()) if len(t) > 1 or any(map(any, t))
-                       else sum(t.values()))
-            ids.append(keys.setdefault(key, len(keys)))
-        terms = [key if isinstance(key, frozenset) else [((), key)] if key
-                 else [] for key in keys]
+        start, rows, ids, keys = [0], [], [], {}  # keys: entry -> form id
+        for col in columns:
+            for r, key in col.items():
+                if not key:
+                    continue
+                if isinstance(key, ParamPoly):
+                    t = key._terms
+                    key = (frozenset(t.items())
+                           if len(t) > 1 or any(map(any, t))
+                           else sum(t.values()))
+                rows.append(r)
+                ids.append(keys.setdefault(key, len(keys)))
+            start.append(len(rows))
+        terms = [key if isinstance(key, frozenset) else [((), key)]
+                 for key in keys]
         degree = max((sum(ev) for form in terms for ev, _ in form), default=0)
         scale = math.lcm(*(c.denominator for form in terms for _, c in form))
         exponents = {}  # exponent vector -> monomial id
@@ -247,40 +258,45 @@ class FormTable(NamedTuple):
             (0,) * (degree - sum(ev))
             + tuple(1 + r for r, n in enumerate(ev) for _ in range(n))
             for ev in exponents)
-        return cls(degree, scale, monomials, forms), ids
+        return cls(degree, scale, monomials, forms, tuple(start),
+                   tuple(rows), tuple(ids))
 
-    def _monomials_at(self, coords):
-        """The common denominator d of coords and every monomial at them.
+    def segment(self, c):
+        """The (row, form id) pairs of column c's entries."""
+        a, b = self.start[c], self.start[c + 1]
+        return zip(self.rows[a:b], self.ids[a:b])
 
-        Variable 0 is d and variable 1 + r is d times coordinate r, so
-        every monomial is an integer.
+    def column(self, values, c, nrows, zero):
+        """Column c as a list of nrows values of its forms, zero in every
+        row it has no entry in."""
+        col = [zero] * nrows
+        rows, ids = self.rows, self.ids
+        for e in range(self.start[c], self.start[c + 1]):
+            col[rows[e]] = values[ids[e]]
+        return col
+
+    def numerators(self, coords):
+        """The common denominator of every form at the point coords, and
+        each form's integer numerator over it.
+
+        With d the common denominator of coords, variable 0 is d and
+        variable 1 + r is d times coordinate r, so every monomial is an
+        integer, and each form's sum over them is its numerator over
+        scale * d^degree, the same nonzero number for every form.  The
+        numerators are not reduced: a matrix of them has the rank of the
+        matrix of values.
         """
         d = math.lcm(*(c.denominator for c in coords))
         x = [d] + [c.numerator * (d // c.denominator) for c in coords]
-        return d, [reduce(mul, (x[i] for i in m), 1) for m in self.monomials]
+        mons = [reduce(mul, (x[i] for i in m), 1) for m in self.monomials]
+        return (self.scale * d ** self.degree,
+                [sum(c * mons[m] for m, c in form) for form in self.forms])
 
     def values(self, coords):
-        """Every form at the point coords, as a Fraction.
-
-        The forms are summed in integers over the monomials at the point
-        (_monomials_at), then divided by scale * d^degree.
-        """
-        d, mons = self._monomials_at(coords)
-        den = self.scale * d ** self.degree
-        return [Fraction(sum(c * mons[m] for m, c in form), den)
-                for form in self.forms]
-
-    def numerators_mod(self, coords, prime):
-        """Every form's numerator at coords modulo prime, as an int.
-
-        The numerator is the integer sum that values divides by
-        scale * d^degree, the same nonzero number for every form, so a
-        matrix of numerators has the rank of the matrix of values.
-        """
-        _, mons = self._monomials_at(coords)
-        mons = [v % prime for v in mons]
-        return [sum(c * mons[m] for m, c in form) % prime
-                for form in self.forms]
+        """Every form at the point coords, as a Fraction: its numerator
+        over the common denominator (numerators)."""
+        den, ints = self.numerators(coords)
+        return [Fraction(v, den) for v in ints]
 
 
 def _render_term(coeff, factors):
@@ -583,29 +599,23 @@ def parse_poly(text):
     """Parse the canonical text syntax, e.g. "3/2*z^-1*u1*u2^2 - u2".
 
     Accepts rational coefficients only (no parameters); an integer
-    coefficient is an int.  Whitespace around operators is ignored.
+    coefficient is an int.  Whitespace around operators is ignored.  A
+    leading sign is optional; a sign that no term follows, as in "--z"
+    or "z +", raises ValueError.
     """
     s = text.strip()
     if not s:
         raise ValueError("empty polynomial text")
     if s == "0":
         return LaurentPoly.zero()
-    # split into signed terms; leading sign optional
-    chunks = []
-    sign = 1
-    buf = []
-    for piece in _TERM_SPLIT.split(s):
-        if piece == "+" or piece == "-":
-            if buf and "".join(buf).strip():
-                chunks.append((sign, "".join(buf).strip()))
-            buf = []
-            sign = 1 if piece == "+" else -1
-        else:
-            buf.append(piece)
-    if buf and "".join(buf).strip():
-        chunks.append((sign, "".join(buf).strip()))
-    if not chunks:
-        raise ValueError(f"cannot parse polynomial: {text!r}")
+    # split into signed terms: text before the first sign, then
+    # alternately a sign and its term
+    pieces = _TERM_SPLIT.split(s)
+    chunks = [(1, pieces[0].strip())] if pieces[0].strip() else []
+    for sign, term in zip(pieces[1::2], pieces[2::2]):
+        if not term.strip():
+            raise ValueError(f"no term after {sign!r} in {text!r}")
+        chunks.append((1 if sign == "+" else -1, term.strip()))
 
     total = LaurentPoly.zero()
     for sgn, term in chunks:

@@ -22,6 +22,10 @@ settings.register_profile(
     max_examples=30,
     suppress_health_check=[HealthCheck.too_slow],
 )
+# the suite's settings with more examples, for a deeper run:
+# python -m pytest --hypothesis-profile=deep
+settings.register_profile("deep", settings.get_profile("suite"),
+                          max_examples=200)
 settings.load_profile("suite")
 
 

@@ -298,7 +298,7 @@ def test_criterion_04_w2_extremal_family():
 
 
 def test_criterion_05_engine_oracle_equivalence():
-    rep = oracle_check(trials_point=10, trials_delta=10, seed=DEFAULT_SEED)
+    rep = oracle_check(trials=10, seed=DEFAULT_SEED)
     assert rep["total_decisions"] == 800
     for rec in rep["per_config"]:
         assert rec["decisions"] == 100
@@ -307,8 +307,7 @@ def test_criterion_05_engine_oracle_equivalence():
     assert rep["total_mismatches"] == 0, rep["mismatches"][:3]
 
     spot = oracle_check(configs=((1, 2, "gen1"), (2, 3, "u1*gen4")),
-                        trials_point=1, trials_delta=2,
-                        seed=DEFAULT_SEED + 5)
+                        trials=2, seed=DEFAULT_SEED + 5)
     assert spot["status"] == "PASS"
 
     summary("criterion 5: PASS (8 configurations x 100 stability-checked "

@@ -219,6 +219,20 @@ def test_normalize_missing_file():
     assert res.exit_code == 1
 
 
+@pytest.mark.parametrize("f_text, sigma", [
+    ("z - - u1\n", "gen1"),
+    ("z^-1\n", "--u1*gen1"),
+], ids=["f", "sigma"])
+def test_normalize_rejects_a_sign_with_no_term(tmp_path, f_text, sigma):
+    # a run of signs once parsed, "z - - u1" with the wrong sign
+    f = tmp_path / "f.txt"
+    f.write_text(f_text)
+    res = invoke("normalize", "--k", "1", "--sigma", sigma, "--f", str(f))
+    assert res.exit_code == 1
+    assert res.stdout == ""
+    assert res.stderr.startswith("error (usage): no term after '-'")
+
+
 def test_verify_extremal_pass():
     res = invoke("verify", "--k", "1", "--j", "3", "--sigma", "u1*gen1",
                  "--trials", "3")
@@ -267,7 +281,7 @@ STRATIFY = ("stratify", "--k", "1", "--j", "2", "--sigma", "u1*gen1")
     (STRATIFY + ("--pattern-cap", "0"), "pattern_cap"),
     (("verify", "--k", "1", "--j", "2", "--sigma", "gen1", "--trials", "0"),
      "trials"),
-    (("oracle-check", "--trials", "0"), "trials_point"),
+    (("oracle-check", "--trials", "0"), "trials"),
     (("star-check", "--k", "1", "--trials", "0"), "trials"),
 ])
 def test_count_below_one_is_usage_error(args, name):

@@ -4,7 +4,6 @@ import dataclasses
 import json
 import os
 import random
-from array import array
 from concurrent.futures import Future
 from fractions import Fraction
 
@@ -273,10 +272,10 @@ def test_oracle_systems_are_built_in_integers(monkeypatch, k, j, spec):
     entries = []
     compile_forms = FormTable.compile
 
-    def compile_recorded(forms):
-        forms = list(forms)
-        entries.extend(forms)
-        return compile_forms(forms)
+    def compile_recorded(columns):
+        columns = list(columns)
+        entries.extend(e for col in columns for e in col.values())
+        return compile_forms(columns)
 
     monkeypatch.setattr(FormTable, "compile", compile_recorded)
     system = oracle._build_oracle_system(k, j, parse_sigma_spec(spec, k))
@@ -672,25 +671,49 @@ def test_point_rank_is_the_point_space_rank(monkeypatch, k, j, spec, prime):
     sigma = parse_sigma_spec(spec, k)
     if prime != "default":
         monkeypatch.setattr(engine, "_PRIME", prime)
-    exact = engine.point_space
+    span = engine._span
     fell_back = []
 
-    def spy(*args):
-        fell_back.append(args[-1])
-        return exact(*args)
+    def spy(k, j, point, master, cols):
+        fell_back.append(point)
+        return span(k, j, point, master, cols)
 
-    monkeypatch.setattr(engine, "point_space", spy)
+    monkeypatch.setattr(engine, "_span", spy)
     master = engine.cached(engine._build_master, k, j, sigma, "derived")
     upper = min(len(master.rows), len(master.nonzero))
     points = rank_points(k, j)
     for pt in points:
+        rank = engine.point_space(k, j, sigma, "derived", pt).space.rank
         fell_back.clear()
-        rank = exact(k, j, sigma, "derived", pt).space.rank
         assert engine.point_rank(k, j, sigma, "derived", pt) == rank
         if prime == "default":
             assert bool(fell_back) == (rank != upper)
         elif pt is points[-1]:
             assert fell_back == [pt] and rank == upper
+
+
+def test_point_rank_falls_back_on_one_evaluation(monkeypatch):
+    # an axis point is below full rank, so no modular rank certifies it;
+    # the exact span reduces the numerators the modular pass computed
+    sigma = parse_sigma_spec("gen1", 1)
+    pt = _coerce_point(1, 3, single_coordinate_points(1, 3)[0])
+    rank = engine.point_space(1, 3, sigma, "derived", pt).space.rank
+    master = engine.cached(engine._build_master, 1, 3, sigma, "derived")
+    assert rank < min(len(master.rows), len(master.nonzero))
+    numerators = FormTable.numerators
+    calls = []
+
+    def counted(table, coords):
+        calls.append(coords)
+        return numerators(table, coords)
+
+    def evaluate(master, point):
+        raise AssertionError("point_rank evaluated the Fraction master")
+
+    monkeypatch.setattr(FormTable, "numerators", counted)
+    monkeypatch.setattr(engine.MasterSystem, "evaluate", evaluate)
+    assert engine.point_rank(1, 3, sigma, "derived", pt) == rank
+    assert calls == [pt]
 
 
 def test_point_rank_keeps_the_stability_check(monkeypatch):
@@ -788,10 +811,9 @@ def presolve_of_values(k, j, sigma, point, delta):
     system = engine.cached(oracle._build_oracle_system, k, j, sigma)
     values = system.table.values(
         _coerce_point(k, j, point) + _coerce_point(k, j, delta))
-    rows, forms = system.entry_row, system.entry_form
-    start = system.col_start
-    segments = [{rows[e]: values[forms[e]] for e in range(a, b)
-                 if values[forms[e]]} for a, b in zip(start, start[1:])]
+    table = system.table
+    segments = [{r: values[f] for r, f in table.segment(c) if values[f]}
+                for c in range(len(table.start) - 1)]
 
     def solve(ncols):
         columns = {c: col for c, col in enumerate(segments[:ncols]) if col}
@@ -902,11 +924,11 @@ def test_oracle_stability_check_can_fail(monkeypatch):
     sigma = parse_sigma_spec("u1*gen1", 1)
     pt, delta = unit(4, 0), unit(4, 2)
     real = engine.cached(oracle._build_oracle_system, 1, 2, sigma)
-    a, b = real.col_start[-2], real.col_start[-1]
-    planted = dataclasses.replace(
-        real, col_start=real.col_start + array("i", [2 * b - a]),
-        entry_row=real.entry_row + real.entry_row[a:b],
-        entry_form=real.entry_form + real.entry_form[a:b])
+    table = real.table
+    a, b = table.start[-2], table.start[-1]
+    planted = dataclasses.replace(real, table=table._replace(
+        start=table.start + (2 * b - a,),
+        rows=table.rows + table.rows[a:b], ids=table.ids + table.ids[a:b]))
     monkeypatch.setitem(engine._MASTERS,
                         ("_build_oracle_system", 1, 2, sigma.cache_key()),
                         planted)
@@ -920,9 +942,8 @@ def test_oracle_stability_check_can_fail(monkeypatch):
 def test_oracle_rational_multiplier():
     # the symbolic oracle coefficients have denominator 3 here, so the
     # compiled system is scaled to integer forms
-    rep = oracle_check(configs=((1, 2, "2/3*u1*gen1"),), trials_point=2,
-                       trials_delta=4)
-    assert rep["total_decisions"] == 8
+    rep = oracle_check(configs=((1, 2, "2/3*u1*gen1"),), trials=3)
+    assert rep["total_decisions"] == 9
     assert rep["status"] == "PASS", rep["mismatches"][:3]
 
 
@@ -942,7 +963,7 @@ def test_oracle_cold_equals_warm(monkeypatch):
 
 def test_oracle_check_small_battery():
     rep = oracle_check(configs=((1, 2, "gen1"), (2, 2, "u1*gen4")),
-                       trials_point=2, trials_delta=2)
+                       trials=2)
     assert rep["status"] == "PASS"
     assert rep["total_decisions"] == 8
     assert rep["total_mismatches"] == 0

@@ -98,6 +98,21 @@ def test_parse_rejects_garbage():
         parse_poly("3x")
 
 
+@pytest.mark.parametrize("text", ["--z", "z - - u1", "z +", "+", "z+-u1"])
+def test_parse_rejects_a_sign_with_no_term(text):
+    # "--z" once parsed to -z, "z - - u1" to z - u1 and "z +" to z
+    with pytest.raises(ValueError, match="no term after"):
+        parse_poly(text)
+
+
+def test_parse_single_signs():
+    assert parse_poly("-z") == -P("z")
+    assert parse_poly("+z") == P("z")
+    assert parse_poly(" - z + u1 ") == P("u1") - P("z")
+    assert parse_poly("z^-1 - 2") == (LaurentPoly.monomial(-1, 0, 0)
+                                      - LaurentPoly.const(2))
+
+
 def test_parse_rejects_zero_denominator():
     with pytest.raises(ValueError, match="zero denominator in factor '1/0'"):
         parse_poly("z - 1/0*u1")
@@ -268,17 +283,51 @@ def table_entries(draw):
                                                   max_size=4)))
 
 
+points = st.tuples(*[st.one_of(st.just(Fraction(0)), fractions)]
+                   * len(PARAMS))
+
+
+def evaluated(entry, point):
+    return (entry.evaluate(dict(zip(PARAMS, point)))
+            if isinstance(entry, ParamPoly) else entry)
+
+
 @given(st.lists(table_entries(), min_size=1, max_size=6),
-       st.lists(st.integers(0, 5), max_size=8),
-       st.tuples(*[st.one_of(st.just(Fraction(0)), fractions)] * len(PARAMS)))
+       st.lists(st.integers(0, 5), max_size=8), points)
 def test_form_table_matches_param_evaluate(distinct, repeats, point):
-    # equal entries that are distinct objects, as a master's entries are
+    # equal entries that are distinct objects, as a master's entries are,
+    # one per row of a single column
     entries = distinct + [distinct[r % len(distinct)] + 0 for r in repeats]
-    table, ids = FormTable.compile(entries)
+    table = FormTable.compile([dict(enumerate(entries))])
     values = table.values(point)
-    env = dict(zip(PARAMS, point))
-    for e, f in zip(entries, ids):
-        want = e.evaluate(env) if isinstance(e, ParamPoly) else e
+    segment = list(table.segment(0))
+    assert [r for r, _ in segment] == [r for r, e in enumerate(entries) if e]
+    for r, f in segment:
+        want = evaluated(entries[r], point)
         assert type(values[f]) is Fraction and values[f] == want
-    for a, b in combinations(range(len(entries)), 2):
-        assert (ids[a] == ids[b]) == (entries[a] == entries[b])
+    for (a, fa), (b, fb) in combinations(segment, 2):
+        assert (fa == fb) == (entries[a] == entries[b])
+
+
+@given(st.lists(st.dictionaries(st.integers(0, 5), table_entries(),
+                                max_size=4), max_size=5),
+       st.lists(st.tuples(st.integers(0, 4), st.integers(0, 5)),
+                max_size=4),
+       points)
+def test_form_table_columns_match_param_evaluate(columns, copies, point):
+    # sparse columns of rationals, zeros, constant and other ParamPolys,
+    # with entries copied to other columns and rows as distinct objects
+    for c, r in copies:
+        if c < len(columns) and columns[c]:
+            entry = next(iter(columns[c].values()))
+            columns[-1 - c][r] = entry + 0
+    table = FormTable.compile(columns)
+    values = table.values(point)
+    den, ints = table.numerators(point)
+    assert values == [Fraction(v, den) for v in ints]
+    assert len(table.start) == len(columns) + 1
+    for c, col in enumerate(columns):
+        dense = table.column(values, c, 6, 0)
+        assert dense == [evaluated(col.get(r, 0), point) for r in range(6)]
+        assert sorted(r for r, _ in table.segment(c)) == sorted(
+            r for r, e in col.items() if e)
