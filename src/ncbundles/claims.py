@@ -73,8 +73,8 @@ def stratify(k, j, sigma, strategy="support-patterns", seed=DEFAULT_SEED,
     strategy="symbolic-minors" additionally certifies the generic rank
     with one maximal minor, checked exactly at its witness point rather
     than expanded symbolically (certify_generic_rank).  With workers > 1
-    the patterns are scanned in a process pool of at most os.cpu_count()
-    processes; the report does not depend on workers.
+    the patterns are scanned in min(workers, #patterns, os.cpu_count())
+    chunks, one per pool process; the report does not depend on workers.
     """
     if strategy not in ("support-patterns", "symbolic-minors"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -87,8 +87,8 @@ def stratify(k, j, sigma, strategy="support-patterns", seed=DEFAULT_SEED,
         # imported here, so the package loads without multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        chunks = [c for c in (masks[i::workers] for i in range(workers)) if c]
-        size = min(len(chunks), os.cpu_count() or 1)
+        size = min(workers, len(masks), os.cpu_count() or 1)
+        chunks = [masks[i::size] for i in range(size)]
         # built before the pool starts, so forked workers inherit it
         cached(_build_master, k, j, sigma, "derived")
         with ProcessPoolExecutor(max_workers=size) as pool:
@@ -140,13 +140,13 @@ def certify_generic_rank(k, j, sigma, seed=DEFAULT_SEED):
 
     At a random, window-stable point (point_space), the bump-0 columns
     that enlarged the span and the span's pivot rows give a square minor
-    M.  Its value at that point is det M(pt), the polynomial det M(p)
-    evaluated there, so one exact rank of the evaluated minor proves
-    det M(p) != 0: the generic rank is at least the minor size.  Together
-    with the structural upper bound min(#rows, #columns not identically
-    zero) this pins the generic rank exactly when the two agree.  A minor
-    singular at its own witness breaks the engine's echelon invariant and
-    raises AssertionError.
+    M.  On point_space's integer numerators over the denominator den it
+    is det M(pt) * den^r, nonzero exactly when det M(p) is at pt, so one
+    exact rank of it proves det M(p) != 0: the generic rank is at least
+    the minor size.  Together with the structural upper bound
+    min(#rows, #columns not identically zero) this pins the generic rank
+    exactly when the two agree.  A minor singular at its own witness
+    breaks the engine's echelon invariant and raises AssertionError.
     """
     rng = random.Random(seed)
     pt = random_point(k, j, rng)

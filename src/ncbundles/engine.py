@@ -453,19 +453,28 @@ class PointSpace(NamedTuple):
     """A master at a point and the echelon span of all its columns."""
 
     master: MasterSystem
-    columns: list  # the bump-0 columns of the master, at the point
+    columns: dict  # {c: column c at the point} of _point_columns
     space: linalg.ColumnSpace
     grew: list  # indices of the bump-0 columns that enlarged the span
+
+
+def _point_columns(master, point):
+    """The master's nonzero columns at a point, {c: column}, from one
+    FormTable.numerators call: integer numerators over one common
+    denominator, so they span what the columns of values span."""
+    n = len(master.rows)
+    _, ints = master.table.numerators(point)
+    return {c: master.table.column(ints, c, n, 0) for c in master.nonzero}
 
 
 def _span(k, j, point, master, cols):
     """The echelon span of the master's nonzero columns, checked, and
     the nonzero bump-0 columns that enlarged it, by column index.
 
-    cols[c] is column c at the point, for every nonzero c.  The nonzero
-    bump-0 columns are added first; if a nonzero column of the rest, the
-    stability window, enlarges the span, WindowInstabilityError is
-    raised.  A zero column could enlarge neither span, so none is read.
+    cols is _point_columns(master, point).  The nonzero bump-0 columns
+    are added first; if a nonzero column of the rest, the stability
+    window, enlarges the span, WindowInstabilityError is raised.  A zero
+    column could enlarge neither span, so none is read.
     """
     space = linalg.ColumnSpace(len(master.rows))
     narrow = master.nonzero_narrow()
@@ -481,12 +490,11 @@ def _span(k, j, point, master, cols):
 
 
 def point_space(k, j, sigma, formula, point):
-    """The master at a point and the checked span of its columns (_span),
-    with the Fraction columns of MasterSystem.evaluate."""
+    """The master at a point, its nonzero columns there as integer
+    numerators (_point_columns) and their checked span (_span)."""
     master = cached(_build_master, k, j, sigma, formula)
-    cols = master.evaluate(point)
-    space, grew = _span(k, j, point, master, cols)
-    return PointSpace(master, cols[:master.narrow], space, grew)
+    cols = _point_columns(master, point)
+    return PointSpace(master, cols, *_span(k, j, point, master, cols))
 
 
 _PRIME = 2_147_483_647  # 2^31 - 1, the modulus of point_rank's certificate
@@ -494,30 +502,24 @@ _PRIME = 2_147_483_647  # 2^31 - 1, the modulus of point_rank's certificate
 
 def point_rank(k, j, sigma, formula, point):
     """The rank point_space(k, j, sigma, formula, point).space.rank gives,
-    from one evaluation of the master's table: a full rank is certified
-    modulo a prime.
+    from the same columns: a full rank is certified modulo a prime.
 
-    FormTable.numerators gives every form over the same nonzero
-    denominator, so the matrix N of the forms' integer numerators has the
-    span, up to that scale, and the rank of the master at the point.
-    Modulo the prime _PRIME a minor can only vanish, and the columns of
-    the whole stability window span at most upper = min(#rows, #columns
-    not identically zero), so for the nonzero bump-0 columns
-    rank_p(N) <= rank_Q(N) <= upper.  When rank_p(N) reaches upper it is
-    the exact rank, and no column of the stability window can enlarge
-    the span, so the rank is window-stable.  Otherwise (a lower stratum,
-    an axis point, or a pivot that the prime kills) the exact span of
-    the columns of N decides (_span), and raises WindowInstabilityError
-    where point_space would.  The callers that read pivots, columns or
-    grew use point_space.
+    Modulo the prime _PRIME a minor of the integer columns can only
+    vanish, and the columns of the whole stability window span at most
+    upper = min(#rows, #columns not identically zero), so for the nonzero
+    bump-0 columns N, rank_p(N) <= rank_Q(N) <= upper.  When rank_p(N)
+    reaches upper it is the exact rank, and no column of the stability
+    window can enlarge the span, so the rank is window-stable.  Otherwise
+    (a lower stratum, an axis point, or a pivot that the prime kills) the
+    exact span of the same columns decides (_span), and raises
+    WindowInstabilityError where point_space would.  The callers that
+    read pivots, columns or grew use point_space.
     """
     master = cached(_build_master, k, j, sigma, formula)
-    n = len(master.rows)
-    upper = min(n, len(master.nonzero))
-    _, ints = master.table.numerators(point)
-    cols = {c: master.table.column(ints, c, n, 0) for c in master.nonzero}
-    if linalg.rank_mod((cols[c] for c in master.nonzero_narrow()), n,
-                       _PRIME) == upper:
+    cols = _point_columns(master, point)
+    upper = min(len(master.rows), len(master.nonzero))
+    if linalg.rank_mod((cols[c] for c in master.nonzero_narrow()),
+                       len(master.rows), _PRIME) == upper:
         return upper
     return _span(k, j, point, master, cols)[0].rank
 

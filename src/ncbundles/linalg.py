@@ -26,7 +26,8 @@ class ColumnSpace:
 
     Vectors may hold ints or Fractions.  A pivot entry is stored as a
     Fraction when its vector enters the basis, so every division by one
-    is exact, also on integer vectors.
+    is exact, also on integer vectors, such as the numerators over one
+    common denominator (FormTable.numerators) that the package spans.
     """
 
     def __init__(self, nrows):
@@ -174,15 +175,16 @@ def solvable_sparse(columns, rhs):
     """Whether sum_v x_v * col_v = rhs has a solution, exactly.
 
     columns: {var_key: {row_key: value}}, rhs: {row_key: value}; zero
-    values are allowed.  One dense consistency check on the rows the
-    entries name, in sorted row-key order.  It does not presolve: the
-    caller does, as OracleSystem.plan does once per support.
+    values are allowed, ints (such as the oracle's integer numerators) or
+    Fractions.  One dense consistency check on the rows the entries
+    name, in sorted row-key order.  It does not presolve: the caller
+    does, as OracleSystem.plan does once per support.
     """
     row_keys = set(rhs).union(*columns.values())
     order = {r: n for n, r in enumerate(sorted(row_keys))}
 
     def dense(entries):
-        vec = [Fraction(0)] * len(order)
+        vec = [0] * len(order)
         for r, c in entries.items():
             vec[order[r]] = c
         return vec

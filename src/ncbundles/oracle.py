@@ -34,11 +34,13 @@ from .engine import (
     Report,
     WindowInstabilityError,
     _coerce_point,
+    build_cancellation_system,
     cached,
     direction_dimension,
     point_space,
     rand_fraction,
     random_point,
+    require_directions,
     require_positive,
 )
 from .poisson import monomial_pairing, parse_sigma_spec
@@ -130,8 +132,8 @@ class _Plan(NamedTuple):
     unknowns: int
 
     def solvable(self, values):
-        """Whether the survivors, at the table's values, are solvable:
-        one dense check, since the plan is already presolved."""
+        """Whether the survivors are solvable at the table's numerators
+        (or values): one dense check, since the plan is presolved."""
         columns = {c: {r: values[f] for r, f in col}
                    for c, col in enumerate(self.columns)}
         return linalg.solvable_sparse(columns,
@@ -269,20 +271,23 @@ def full_gauge_oracle(k, j, sigma, point, delta, check_stability=True):
     independent gauge unknowns on both charts.  No reduction from the
     engine is reused.  The system is built on the first call for a
     configuration and cached.  With check_stability, a bump-0 "no" that
-    all unknowns solve raises WindowInstabilityError.
+    all unknowns solve raises WindowInstabilityError.  The table's
+    integer numerators are solved: they share one denominator with the
+    right-hand side, a table column, so support and solvability hold.
     """
+    require_directions(j)
     pt = _coerce_point(k, j, point)
     dl = _coerce_point(k, j, delta)
     system = cached(_build_oracle_system, k, j, sigma)
-    values = system.table.values(pt + dl)
-    zero = frozenset(f for f, v in enumerate(values) if not v)
+    _, ints = system.table.numerators(pt + dl)
+    zero = frozenset(f for f, v in enumerate(ints) if not v)
     narrow = system.plan(zero, system.narrow)
-    decision = narrow.solvable(values)
+    decision = narrow.solvable(ints)
     # a bump-0 solution padded with zeros solves the wider system, so a
     # "yes" cannot move; only a "no" is re-solved with every unknown
     wide = len(system.table.start) - 2
     if (check_stability and not decision
-            and system.plan(zero, wide).solvable(values)):
+            and system.plan(zero, wide).solvable(ints)):
         raise WindowInstabilityError(
             f"oracle decision flipped under window bump "
             f"(k={k}, j={j}, point={pt}, delta={dl})"
@@ -312,7 +317,8 @@ def oracle_check(configs=None, trials=10, seed=DEFAULT_SEED):
     For every configuration, at each of `trials` random base points,
     tests `trials` directions, alternately built inside the engine
     column span and raw random; both routes must agree on every single
-    decision.
+    decision.  Mixes combine the bump-0 columns at their values
+    (build_cancellation_system): the oracle's V-side depends on them.
     """
     require_positive(trials=trials)
     if configs is None:
@@ -326,7 +332,8 @@ def oracle_check(configs=None, trials=10, seed=DEFAULT_SEED):
         agree = 0
         for _ in range(trials):
             pt = random_point(k, j, rng)
-            _, cols, cs, _ = point_space(k, j, sigma, "derived", pt)
+            cs = point_space(k, j, sigma, "derived", pt).space
+            cols = build_cancellation_system(k, j, sigma, pt).columns
             for t in range(trials):
                 if t % 2 == 0:
                     i1 = rng.randrange(len(cols))

@@ -701,18 +701,6 @@ class FormalFunction:
     def scale(self, c):
         return FormalFunction([p.scale(c) for p in self.coeffs])
 
-    def series_mul(self, other, order=None):
-        """Commutative truncated product (no bracket corrections)."""
-        if order is None:
-            order = max(self.order, other.order)
-        out = []
-        for n in range(order + 1):
-            acc = LaurentPoly.zero()
-            for a in range(n + 1):
-                acc = acc + self[a] * other[n - a]
-            out.append(acc)
-        return FormalFunction(out)
-
     def truncate_neighborhood(self, n):
         return FormalFunction([c.truncate_neighborhood(n) for c in self.coeffs])
 

@@ -528,18 +528,24 @@ def test_stratify_pool_capped_at_cpu_count(monkeypatch):
             return False
 
         def submit(self, fn, *args):
+            submitted.append(args)
             future = Future()
             future.set_result(fn(*args))
             return future
 
+    submitted = []
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
     sigma = parse_sigma_spec("u1*gen1", 1)
     key = ("_build_master", 1, 2, sigma.cache_key(), "derived")
     serial = stratify(1, 2, sigma, draws=2, seed=5)
     monkeypatch.setattr(engine, "_MASTERS", {})
     pooled = stratify(1, 2, sigma, draws=2, seed=5, workers=10_000)
-    # 15 support patterns: never more processes than patterns or cores
+    # 15 support patterns: never more processes than patterns or cores,
+    # and one chunk of patterns per process
     assert sizes == [min(15, os.cpu_count() or 1)]
+    assert len(submitted) == sizes[0] <= (os.cpu_count() or 1)
+    assert sorted(m for args in submitted for m in args[3]) == list(
+        range(1, 16))
     # the master is built before the pool starts, so workers inherit it
     assert inherited == [True]
     assert pooled == serial
@@ -567,15 +573,13 @@ def test_stratify_symbolic_minors_certificate():
 def test_certificate_rejects_minor_singular_at_witness(monkeypatch):
     real = engine.point_space
 
-    def dependent_pick(k, j, sigma, formula, point):
+    def repeated_pick(k, j, sigma, formula, point):
         ps = real(k, j, sigma, formula, point)
-        # the first bump-0 column that did not grow the span lies in the
-        # span of the grown columns before it
-        dep = next(i for i in range(ps.master.narrow) if i not in ps.grew)
-        assert dep < ps.grew[-1]
-        return ps._replace(grew=ps.grew[:-1] + [dep])
+        # the first grown column in place of the last: a minor with a
+        # repeated column is singular
+        return ps._replace(grew=ps.grew[:-1] + ps.grew[:1])
 
-    monkeypatch.setattr(claims, "point_space", dependent_pick)
+    monkeypatch.setattr(claims, "point_space", repeated_pick)
     sigma = parse_sigma_spec("gen1", 1)
     with pytest.raises(AssertionError, match="singular at its witness"):
         certify_generic_rank(1, 2, sigma)
@@ -605,13 +609,15 @@ def test_point_space_stops_at_full_rank(monkeypatch, point):
     master, cols, space, grew = engine.point_space(k, j, sigma, "derived",
                                                    pt)
     monkeypatch.setattr(linalg.ColumnSpace, "add", plain_add)
-    # the stop leaves grew and the span as a pass over every column has them
+    # the stop leaves grew and the span as a plain pass over every bump-0
+    # column of values has them
     full = linalg.ColumnSpace(len(master.rows))
-    assert grew == [i for i, col in enumerate(cols) if full.add(col)]
+    values = master.evaluate(pt)[:master.narrow]
+    assert grew == [i for i, col in enumerate(values) if full.add(col)]
     assert space.pivot_rows() == full.pivot_rows()
     if point == "full-support":
         assert space.rank == len(master.rows)
-        assert len(calls) < len(cols)
+        assert len(calls) < len(master.nonzero_narrow())
 
 
 def special_points(dim):
@@ -641,7 +647,12 @@ def test_point_space_reduces_only_nonzero_columns(k, j, spec, data):
     cols = master.evaluate(_coerce_point(k, j, point))
     plain = linalg.ColumnSpace(len(master.rows))
     grew = [c for c, col in enumerate(cols) if plain.add(col)]
-    assert ps.columns == cols[:master.narrow]
+    # the integer columns are the nonzero columns of values, each scaled
+    # by the one common denominator
+    den, _ = master.table.numerators(point)
+    assert ps.columns == {c: [v * den for v in cols[c]]
+                          for c in master.nonzero}
+    assert all(type(v) is int for col in ps.columns.values() for v in col)
     assert ps.grew == grew
     assert ps.space.rank == plain.rank
     assert ps.space.pivot_rows() == plain.pivot_rows()
@@ -714,6 +725,42 @@ def test_point_rank_falls_back_on_one_evaluation(monkeypatch):
     monkeypatch.setattr(engine.MasterSystem, "evaluate", evaluate)
     assert engine.point_rank(1, 3, sigma, "derived", pt) == rank
     assert calls == [pt]
+
+
+def test_exact_queries_evaluate_integer_numerators_once(monkeypatch):
+    # every exact span and solve reads one FormTable.numerators call per
+    # point, and builds no Fraction view of the table
+    sigma = parse_sigma_spec("gen1", 1)
+    points = [random_point(1, 2, random.Random(7)),
+              single_coordinate_points(1, 2)[0]]
+    delta = random_point(1, 2, random.Random(8))
+    # a build evaluates nothing, but is done before the spies go in
+    engine.cached(engine._build_master, 1, 2, sigma, "derived")
+    engine.cached(oracle._build_oracle_system, 1, 2, sigma)
+    numerators = FormTable.numerators
+    calls = []
+
+    def counted(table, coords):
+        calls.append(tuple(coords))
+        return numerators(table, coords)
+
+    def fraction_view(*args):
+        raise AssertionError("an exact query built Fraction values")
+
+    monkeypatch.setattr(FormTable, "numerators", counted)
+    monkeypatch.setattr(FormTable, "values", fraction_view)
+    monkeypatch.setattr(engine.MasterSystem, "evaluate", fraction_view)
+    for pt in points:
+        for query in (engine.point_space, engine.point_rank):
+            calls.clear()
+            query(1, 2, sigma, "derived", pt)
+            assert calls == [tuple(pt)]
+        calls.clear()
+        full_gauge_oracle(1, 2, sigma, pt, delta)
+        assert calls == [tuple(pt) + tuple(delta)]
+    calls.clear()
+    certify_generic_rank(1, 2, sigma, seed=3)
+    assert calls == [tuple(random_point(1, 2, random.Random(3)))]
 
 
 def test_point_rank_keeps_the_stability_check(monkeypatch):
@@ -792,6 +839,12 @@ def test_oracle_matches_engine_span_membership():
     assert full_gauge_oracle(1, 2, sigma, pt, delta).decision
 
 
+def test_oracle_rejects_j_below_2():
+    # no directions below j = 2, as at every engine entry point
+    with pytest.raises(ValueError, match="no moduli directions below j = 2"):
+        full_gauge_oracle(1, 1, parse_sigma_spec("gen1", 1), [], [])
+
+
 def test_oracle_rejects_outside_span():
     sigma = parse_sigma_spec("u1*gen1", 1)
     pt = [Fraction(1), Fraction(0), Fraction(0), Fraction(0)]
@@ -860,8 +913,8 @@ def test_oracle_bump0_yes_stays_yes(k, j, spec, data):
     point = data.draw(st.one_of(
         st.lists(fractions, min_size=dim, max_size=dim),
         st.builds(unit, st.just(dim), st.integers(0, dim - 1), fractions)))
-    _, cols, _, _ = engine.point_space(k, j, sigma, "derived", point)
-    cols = st.sampled_from(cols)
+    cols = st.sampled_from(
+        build_cancellation_system(k, j, sigma, point).columns)
     mix = st.builds(lambda a, b, c1, c2: [c1 * x + c2 * y
                                           for x, y in zip(a, b)],
                     cols, cols, fractions, fractions)
@@ -884,8 +937,8 @@ def test_oracle_plan_matches_presolve_of_values(k, j, spec, data):
     point = data.draw(st.one_of(
         st.lists(fractions, min_size=dim, max_size=dim),
         st.builds(unit, st.just(dim), st.integers(0, dim - 1), fractions)))
-    _, cols, _, _ = engine.point_space(k, j, sigma, "derived", point)
-    cols = st.sampled_from(cols)
+    cols = st.sampled_from(
+        build_cancellation_system(k, j, sigma, point).columns)
     mix = st.builds(lambda a, b, c1, c2: [c1 * x + c2 * y
                                           for x, y in zip(a, b)],
                     cols, cols, fractions, fractions)
@@ -898,10 +951,15 @@ def test_oracle_plan_matches_presolve_of_values(k, j, spec, data):
     supports, plans = set(), None
     for pt, dl in ((point, delta),
                    ([scale * c for c in point], [scale * c for c in delta])):
-        values = system.table.values(
-            _coerce_point(k, j, pt) + _coerce_point(k, j, dl))
-        supports.add(frozenset(f for f, v in enumerate(values) if not v))
+        coords = _coerce_point(k, j, pt) + _coerce_point(k, j, dl)
+        values = system.table.values(coords)
+        _, ints = system.table.numerators(coords)
+        zero = frozenset(f for f, v in enumerate(values) if not v)
+        assert zero == frozenset(f for f, v in enumerate(ints) if not v)
+        supports.add(zero)
         decision, unknowns, wide = presolve_of_values(k, j, sigma, pt, dl)
+        plan = system.plan(zero, system.narrow)
+        assert plan.solvable(values) == plan.solvable(ints) == decision
         rep = full_gauge_oracle(k, j, sigma, pt, dl, check_stability=False)
         assert (rep.decision, rep.unknowns) == (decision, unknowns)
         if not decision and wide:

@@ -50,6 +50,7 @@ CASES = [
        "--seed", "1") for k, j, spec in VERIFY],
     ("verify", "--k", "1", "--j", "2", "--sigma", "gen1", "--seed", "1"),
     ("oracle-check", "--trials", "1", "--seed", "11"),
+    ("oracle-check",),
     # usage errors
     ("no-such-command",),
     ("stalk", "--k", "1"),

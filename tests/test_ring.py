@@ -40,31 +40,6 @@ def test_truncate_neighborhood():
     assert f.truncate_neighborhood(1) == f
 
 
-def test_series_mul_classical():
-    f, g = P("z + u1"), P("z^-1*u2")
-    F = FormalFunction([f])
-    G = FormalFunction([g])
-    H = F.series_mul(G, 1)
-    assert H[0] == f * g
-    assert H[1].is_zero()
-
-
-def test_series_mul_inverse_pair():
-    a = P("z*u1")
-    one = LaurentPoly.const(1)
-    F = FormalFunction([one, a])
-    G = FormalFunction([one, -a])
-    H = F.series_mul(G, 1)
-    assert H[0] == one and H[1].is_zero()
-
-
-def test_series_mul_first_order():
-    f0, f1, g0, g1 = P("z"), P("u1"), P("z^-1"), P("u2")
-    H = FormalFunction([f0, f1]).series_mul(FormalFunction([g0, g1]), 1)
-    assert H[0] == f0 * g0
-    assert H[1] == f0 * g1 + f1 * g0
-
-
 def test_formal_function_padding_and_order():
     F = FormalFunction([P("z")])
     assert F.order == 0
