@@ -72,9 +72,10 @@ def stratify(k, j, sigma, strategy="support-patterns", seed=DEFAULT_SEED,
     full pattern otherwise) with several draws each.
     strategy="symbolic-minors" additionally certifies the generic rank
     with one maximal minor, checked exactly at its witness point rather
-    than expanded symbolically (certify_generic_rank).  With workers > 1
-    the patterns are scanned in min(workers, #patterns, os.cpu_count())
-    chunks, one per pool process; the report does not depend on workers.
+    than expanded symbolically (certify_generic_rank).  The patterns are
+    scanned in min(workers, #patterns, os.cpu_count()) chunks, one per
+    pool process, and in this process when that is 1; the report does
+    not depend on workers.
     """
     if strategy not in ("support-patterns", "symbolic-minors"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -83,11 +84,11 @@ def stratify(k, j, sigma, strategy="support-patterns", seed=DEFAULT_SEED,
     dim = direction_dimension(k, j)
     masks = _select_masks(k, j, seed, pattern_cap)
     results = []
-    if workers > 1:
+    size = min(workers, len(masks), os.cpu_count() or 1)
+    if size > 1:
         # imported here, so the package loads without multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        size = min(workers, len(masks), os.cpu_count() or 1)
         chunks = [masks[i::size] for i in range(size)]
         # built before the pool starts, so forked workers inherit it
         cached(_build_master, k, j, sigma, "derived")
@@ -150,7 +151,7 @@ def certify_generic_rank(k, j, sigma, seed=DEFAULT_SEED):
     """
     rng = random.Random(seed)
     pt = random_point(k, j, rng)
-    master, cols, cs, picked = point_space(k, j, sigma, "derived", pt)
+    master, cols, _, cs, picked = point_space(k, j, sigma, "derived", pt)
     r = cs.rank
     pivots = cs.pivot_rows()
     upper = min(len(master.rows), len(master.nonzero_narrow()))

@@ -31,7 +31,7 @@ make it a few monomial shifts of polynomials cached per gauge entry
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from functools import partial
 from typing import NamedTuple
@@ -47,6 +47,7 @@ from .geometry import v_exponent
 from .poisson import monomial_pairing, pieces_pairing
 from .ring import (
     VARS,
+    Evaluation,
     FormalFunction,
     FormTable,
     LaurentPoly,
@@ -220,16 +221,19 @@ def _direction_entry_derived(pieces, tag):
 def _printed_pieces(sigma, j, p_poly):
     """The parts of the printed formula that no column changes.
 
-    p, {z^j, p}, 2 p {z^j, p} and the bracket pieces P_d(p) and P_d(z^j)
-    (Bivector.bracket_pieces), so that {p, e} and {z^j, e} for a monomial
-    unit e are monomial_pairing shifts of pieces built once per master.
-    A column is cut to the first neighbourhood, and a monomial shift
-    never lowers the u-degree, so 2 p {z^j, p} is built only up to it.
+    p, {z^j, p}, 2 p {z^j, p}, the bracket pieces P_d(p)
+    (Bivector.bracket_pieces) and the products p P_d(z^j), so that
+    {p, e} and p {z^j, e} for a monomial unit e are monomial_pairing
+    shifts of pieces built once per master.  A column is cut to the
+    first neighbourhood, and a monomial shift never lowers the u-degree,
+    so the products are built only up to it.
     """
     zj = LaurentPoly.monomial(j, 0, 0)
     zjp = sigma.bracket(zj, p_poly)
+    p_pzj = {d: p_poly.mul_truncated(piece, 1)
+             for d, piece in sigma.bracket_pieces(zj).items()}
     return (p_poly, zjp, p_poly.mul_truncated(zjp, 1).scale(2),
-            sigma.bracket_pieces(p_poly), sigma.bracket_pieces(zj))
+            sigma.bracket_pieces(p_poly), p_pzj)
 
 
 def _direction_entry_printed(j, pieces, tag):
@@ -237,18 +241,18 @@ def _direction_entry_printed(j, pieces, tag):
 
     lambda: p z^(n+j); a/d units e = z^n u_g:
     z^j {p, e} - p {z^j, e} +- e {z^j, p}; c0: 2 p z^(n-j) {z^j, p}.
-    {p, e} and {z^j, e} pair the pieces of p and z^j with e, where the
-    derived route pairs those of the gauge entries of T and R, so the
+    {p, e} and p {z^j, e} pair the pieces of p and of p z^j with e, where
+    the derived route pairs those of the gauge entries of T and R, so the
     two routes still compute every column by different formulas.
     """
-    p_poly, zjp, quad, pp, pzj = pieces
+    p_poly, zjp, quad, pp, p_pzj = pieces
     fam, n = tag
     if fam == "lambda":
         out = p_poly.shift((n + j, 0, 0))
     elif fam in ("a1", "a2", "d1", "d2"):
         w = (n, 1, 0) if fam in ("a1", "d1") else (n, 0, 1)
         out = (monomial_pairing(pp, w).shift((j, 0, 0))
-               - p_poly.mul_truncated(monomial_pairing(pzj, w), 1))
+               - monomial_pairing(p_pzj, w))
         out = out + zjp.shift(w, 1 if fam in ("a1", "a2") else -1)
     elif fam == "c0":
         out = quad.shift((n - j, 0, 0))
@@ -267,7 +271,9 @@ class MasterSystem:
     entry that is not identically zero.  `table`, built once with the
     master, holds the nonzero entries of every column, in the same
     column order.  build_cancellation_system returns one window of it,
-    symbolic or evaluated at a point.
+    symbolic or evaluated at a point.  `pattern` is the zero pattern of
+    the nonzero columns as _term_bound reads it, and `bounds` holds the
+    term rank of each support pattern met so far.
     """
 
     rows: list
@@ -277,6 +283,9 @@ class MasterSystem:
     narrow: int
     nonzero: tuple
     table: FormTable
+    pattern: tuple
+    bounds: dict = field(default_factory=dict, init=False, compare=False,
+                         repr=False)
 
     def nonzero_narrow(self):
         """The nonzero columns of the bump-0 window."""
@@ -363,7 +372,13 @@ def _build_master(k, j, sigma, formula):
 
     nonzero = tuple(c for c, col in enumerate(columns) if any(col))
     table = FormTable.compile(dict(enumerate(col)) for col in columns)
-    return MasterSystem(rows, tags, win, columns, narrow, nonzero, table)
+    # bit r of a need: coordinate r; bit m of a form's set: monomial m
+    needs = tuple(sum(1 << v for v in set(m)) >> 1 for m in table.monomials)
+    sets = [sum(1 << m for m, _ in form) for form in table.forms]
+    pattern = (needs, tuple(tuple((r, sets[f]) for r, f in table.segment(c))
+                            for c in nonzero))
+    return MasterSystem(rows, tags, win, columns, narrow, nonzero, table,
+                        pattern)
 
 
 _MASTERS = {}
@@ -453,28 +468,21 @@ class PointSpace(NamedTuple):
     """A master at a point and the echelon span of all its columns."""
 
     master: MasterSystem
-    columns: dict  # {c: column c at the point} of _point_columns
+    columns: dict  # {c: nonzero column c, as integer numerators}
+    den: int  # their common denominator at the point
     space: linalg.ColumnSpace
     grew: list  # indices of the bump-0 columns that enlarged the span
-
-
-def _point_columns(master, point):
-    """The master's nonzero columns at a point, {c: column}, from one
-    FormTable.numerators call: integer numerators over one common
-    denominator, so they span what the columns of values span."""
-    n = len(master.rows)
-    _, ints = master.table.numerators(point)
-    return {c: master.table.column(ints, c, n, 0) for c in master.nonzero}
 
 
 def _span(k, j, point, master, cols):
     """The echelon span of the master's nonzero columns, checked, and
     the nonzero bump-0 columns that enlarged it, by column index.
 
-    cols is _point_columns(master, point).  The nonzero bump-0 columns
-    are added first; if a nonzero column of the rest, the stability
-    window, enlarges the span, WindowInstabilityError is raised.  A zero
-    column could enlarge neither span, so none is read.
+    cols holds the master's nonzero columns at the point, {c: column}.
+    The nonzero bump-0 columns are added first; if a nonzero column of
+    the rest, the stability window, enlarges the span,
+    WindowInstabilityError is raised.  A zero column could enlarge
+    neither span, so none is read.
     """
     space = linalg.ColumnSpace(len(master.rows))
     narrow = master.nonzero_narrow()
@@ -491,10 +499,37 @@ def _span(k, j, point, master, cols):
 
 def point_space(k, j, sigma, formula, point):
     """The master at a point, its nonzero columns there as integer
-    numerators (_point_columns) and their checked span (_span)."""
+    numerators over one common denominator, which span what the columns
+    of values span, and their checked span (_span)."""
     master = cached(_build_master, k, j, sigma, formula)
-    cols = _point_columns(master, point)
-    return PointSpace(master, cols, *_span(k, j, point, master, cols))
+    n = len(master.rows)
+    den, ints = master.table.numerators(point)
+    cols = {c: master.table.column(ints, c, n, 0) for c in master.nonzero}
+    return PointSpace(master, cols, den, *_span(k, j, point, master, cols))
+
+
+def _term_bound(master, point):
+    """The term rank of the master's nonzero columns on the support
+    pattern of the point, cached per pattern in master.bounds.
+
+    An entry counts when its form can be nonzero on the pattern, that is
+    when one of the form's monomials needs no coordinate outside it; the
+    constant, variable 0, needs none.  master.pattern holds what each
+    table monomial needs and, per nonzero column, the (row, monomial
+    set) of each entry.  Every other entry vanishes at each point of the
+    pattern, so no such point gives the columns of the whole stability
+    window a larger rank (linalg.term_rank).
+    """
+    support = sum(1 << r for r, c in enumerate(point) if c)
+    bound = master.bounds.get(support)
+    if bound is None:
+        needs, columns = master.pattern
+        live = sum(1 << m for m, need in enumerate(needs)
+                   if not need & ~support)
+        bound = master.bounds[support] = linalg.term_rank(
+            [[r for r, mons in col if mons & live] for col in columns],
+            len(master.rows))
+    return bound
 
 
 _PRIME = 2_147_483_647  # 2^31 - 1, the modulus of point_rank's certificate
@@ -502,25 +537,33 @@ _PRIME = 2_147_483_647  # 2^31 - 1, the modulus of point_rank's certificate
 
 def point_rank(k, j, sigma, formula, point):
     """The rank point_space(k, j, sigma, formula, point).space.rank gives,
-    from the same columns: a full rank is certified modulo a prime.
+    from the same integer columns, certified modulo a prime.
 
     Modulo the prime _PRIME a minor of the integer columns can only
-    vanish, and the columns of the whole stability window span at most
-    upper = min(#rows, #columns not identically zero), so for the nonzero
-    bump-0 columns N, rank_p(N) <= rank_Q(N) <= upper.  When rank_p(N)
-    reaches upper it is the exact rank, and no column of the stability
-    window can enlarge the span, so the rank is window-stable.  Otherwise
-    (a lower stratum, an axis point, or a pivot that the prime kills) the
-    exact span of the same columns decides (_span), and raises
-    WindowInstabilityError where point_space would.  The callers that
-    read pivots, columns or grew use point_space.
+    vanish, and on the point's support pattern the columns of the whole
+    stability window have rank at most their term rank there
+    (_term_bound).  So for the nonzero bump-0 columns N,
+    rank_p(N) <= rank_Q(N) <= rank_Q(window) <= min(#rows, term rank).
+    When rank_p(N) reaches #rows or the term rank, all are equal: it is
+    the exact rank, and no column of the stability window enlarges the
+    span, so the rank is window-stable.  Otherwise (a pivot the prime
+    kills, or a rank below the term rank) the exact span of the same
+    columns decides (_span), and raises WindowInstabilityError where
+    point_space would.
+
+    FormTable.compile numbers forms and monomials in column order, so
+    the forms of the first columns are a prefix (ring.Evaluation).  The
+    modular echelon first reads the first #rows columns of N, with only
+    their forms evaluated; the forms of the rest are evaluated, each
+    once, only if those columns fall short of full rank.  The callers
+    that read pivots, columns or grew use point_space.
     """
     master = cached(_build_master, k, j, sigma, formula)
-    cols = _point_columns(master, point)
-    upper = min(len(master.rows), len(master.nonzero))
-    if linalg.rank_mod((cols[c] for c in master.nonzero_narrow()),
-                       len(master.rows), _PRIME) == upper:
-        return upper
+    ev, n = Evaluation(master.table, point), len(master.rows)
+    rank = linalg.rank_mod(ev.columns(master.nonzero_narrow(), n), n, _PRIME)
+    if rank == n or rank == _term_bound(master, point):
+        return rank
+    cols = dict(zip(master.nonzero, ev.columns(master.nonzero, n)))
     return _span(k, j, point, master, cols)[0].rank
 
 
@@ -530,7 +573,7 @@ def stalk_dimension(k, j, sigma, point, formula="derived"):
     pt = _coerce_point(k, j, point)
     if all(c == 0 for c in pt):
         raise ValueError("stalk is undefined at the zero base point")
-    master, _, space, _ = point_space(k, j, sigma, formula, pt)
+    master, _, _, space, _ = point_space(k, j, sigma, formula, pt)
     quotient = [master.rows[r].render() for r in space.non_pivot_rows()]
     return StalkReport(
         k=k, j=j, sigma=sigma.describe(), point=pt, rank=space.rank,

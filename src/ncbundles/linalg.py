@@ -4,7 +4,8 @@ Dense vectors are plain lists of ints or Fractions.  The sparse solver
 works on columns stored as {row_key: value} dicts; row keys only need a
 total order.  Everything is exact, no pivoting heuristics needed.
 rank_mod ranks integer columns modulo a prime: a lower bound of their
-rank, which a caller can only use where the bound settles the rank.
+rank, which a caller can only use where an upper bound, such as the
+term_rank of their zero pattern, meets it.
 """
 
 from __future__ import annotations
@@ -104,14 +105,13 @@ def rank_mod(columns, nrows, prime):
     """Rank modulo a prime of the span of integer columns of length nrows.
 
     A forward echelon over the integers modulo prime, as ColumnSpace is
-    over the rationals, reading no column once the rank equals nrows.
-    A minor that vanishes modulo the prime may be nonzero, so the result
-    is never larger than rank(columns, nrows) and may be smaller.
+    over the rationals, reading no column once the rank equals nrows, so
+    columns may be computed as they are read.  A minor that vanishes
+    modulo the prime may be nonzero, so the result is never larger than
+    rank(columns, nrows) and may be smaller.
     """
     basis = []  # (pivot row, [(row below it, entry)]), pivot entry 1
     for col in columns:
-        if len(basis) == nrows:
-            break
         if len(col) != nrows:
             raise ValueError("vector length mismatch")
         vec = list(col)  # reduced modulo prime only where it is read
@@ -126,7 +126,43 @@ def rank_mod(columns, nrows, prime):
             inv = pow(vec[rows[0]], -1, prime)
             basis.append((rows[0], [(r, vec[r] * inv % prime)
                                     for r in rows[1:]]))
+            if len(basis) == nrows:
+                break
     return len(basis)
+
+
+def term_rank(columns, nrows):
+    """The most nonzero entries of a zero pattern that share no row or
+    column: a maximum matching of rows and columns (augmenting paths).
+
+    columns lists, per column, the rows where its entry may be nonzero.
+    A nonzero minor of size r has a nonzero term in its expansion, which
+    is r such entries, so every matrix with this zero pattern has rank at
+    most the term rank (J. Edmonds, J. Res. NBS 71B, 1967).
+    """
+    owner = [None] * nrows  # row -> the column matched to it
+    # the rows a search reached since the matching last grew: a failed
+    # search leaves the matching as it was, so none of them can start an
+    # augmenting path for a later column either
+    seen = set()
+
+    def augment(c):
+        for r in columns[c]:
+            if r not in seen:
+                seen.add(r)
+                if owner[r] is None or augment(owner[r]):
+                    owner[r] = c
+                    return True
+        return False
+
+    matched = 0
+    for c in range(len(columns)):
+        if augment(c):
+            matched += 1
+            if matched == nrows:
+                break
+            seen.clear()
+    return matched
 
 
 def presolve_singletons(columns, rhs):

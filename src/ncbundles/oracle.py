@@ -34,7 +34,6 @@ from .engine import (
     Report,
     WindowInstabilityError,
     _coerce_point,
-    build_cancellation_system,
     cached,
     direction_dimension,
     point_space,
@@ -317,8 +316,10 @@ def oracle_check(configs=None, trials=10, seed=DEFAULT_SEED):
     For every configuration, at each of `trials` random base points,
     tests `trials` directions, alternately built inside the engine
     column span and raw random; both routes must agree on every single
-    decision.  Mixes combine the bump-0 columns at their values
-    (build_cancellation_system): the oracle's V-side depends on them.
+    decision.  Mixes combine the bump-0 columns at their values, which
+    the oracle's V-side depends on, read off the integer numerators and
+    common denominator that the engine span reduces (point_space), so
+    each base point is evaluated once.
     """
     require_positive(trials=trials)
     if configs is None:
@@ -332,15 +333,17 @@ def oracle_check(configs=None, trials=10, seed=DEFAULT_SEED):
         agree = 0
         for _ in range(trials):
             pt = random_point(k, j, rng)
-            cs = point_space(k, j, sigma, "derived", pt).space
-            cols = build_cancellation_system(k, j, sigma, pt).columns
+            master, cols, den, cs, _ = point_space(k, j, sigma, "derived",
+                                                   pt)
+            zero = [0] * dim  # a column not in cols is zero at every point
             for t in range(trials):
                 if t % 2 == 0:
-                    i1 = rng.randrange(len(cols))
-                    i2 = rng.randrange(len(cols))
+                    i1 = rng.randrange(master.narrow)
+                    i2 = rng.randrange(master.narrow)
                     c1, c2 = rand_fraction(rng), rand_fraction(rng)
-                    delta = [c1 * a + c2 * b
-                             for a, b in zip(cols[i1], cols[i2])]
+                    delta = [(c1 * a + c2 * b) / den
+                             for a, b in zip(cols.get(i1, zero),
+                                             cols.get(i2, zero))]
                 else:
                     delta = [rand_fraction(rng) for _ in range(dim)]
                 engine = cs.contains(delta)

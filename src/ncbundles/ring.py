@@ -48,6 +48,9 @@ class Monomial(NamedTuple):
 
 
 ONE_MON = Monomial(0, 0, 0)
+# tuple.__new__(Monomial, (l, i, s)) is Monomial(l, i, s) with no Python
+# frame: the arithmetic below builds its result keys with it
+_new = tuple.__new__
 
 
 def _rational(x):
@@ -214,6 +217,9 @@ class FormTable(NamedTuple):
     denominator of all of them.  A monomial is the tuple of its
     variables, padded to the top degree of the entries with variable 0,
     which stands for the constant 1; variable 1 + r is the r-th parameter.
+    Forms and monomials are numbered in column order (compile), so the
+    first c columns use the first form_end[c] forms, and the first f
+    forms the first monomial_end[f] monomials.
     """
 
     degree: int
@@ -223,6 +229,8 @@ class FormTable(NamedTuple):
     start: tuple
     rows: tuple
     ids: tuple
+    form_end: tuple
+    monomial_end: tuple
 
     @classmethod
     def compile(cls, columns):
@@ -231,8 +239,15 @@ class FormTable(NamedTuple):
         Zero entries are dropped.  A constant entry, rational or
         ParamPoly, is keyed by its value and any other by the set of its
         terms, so equal entries share a form id with no sorting of terms.
+        Form ids are given in order of first use, column by column, and
+        monomial ids in order of first use, form by form.  So the forms
+        of any first columns, and the monomials of any first forms, are a
+        prefix (form_end, monomial_end), and an Evaluation of the first
+        columns evaluates no other form or monomial: engine.point_rank
+        reads its first columns before it needs the rest.
         """
         start, rows, ids, keys = [0], [], [], {}  # keys: entry -> form id
+        form_end = [0]
         for col in columns:
             for r, key in col.items():
                 if not key:
@@ -245,21 +260,25 @@ class FormTable(NamedTuple):
                 rows.append(r)
                 ids.append(keys.setdefault(key, len(keys)))
             start.append(len(rows))
+            form_end.append(len(keys))
         terms = [key if isinstance(key, frozenset) else [((), key)]
                  for key in keys]
         degree = max((sum(ev) for form in terms for ev, _ in form), default=0)
         scale = math.lcm(*(c.denominator for form in terms for _, c in form))
         exponents = {}  # exponent vector -> monomial id
-        forms = tuple(tuple((exponents.setdefault(ev, len(exponents)),
-                             int(c if scale == 1 else c * scale))
-                            for ev, c in form)
-                      for form in terms)
+        forms, monomial_end = [], [0]
+        for form in terms:
+            forms.append(tuple((exponents.setdefault(ev, len(exponents)),
+                                int(c if scale == 1 else c * scale))
+                               for ev, c in form))
+            monomial_end.append(len(exponents))
         monomials = tuple(
             (0,) * (degree - sum(ev))
             + tuple(1 + r for r, n in enumerate(ev) for _ in range(n))
             for ev in exponents)
-        return cls(degree, scale, monomials, forms, tuple(start),
-                   tuple(rows), tuple(ids))
+        return cls(degree, scale, monomials, tuple(forms), tuple(start),
+                   tuple(rows), tuple(ids), tuple(form_end),
+                   tuple(monomial_end))
 
     def segment(self, c):
         """The (row, form id) pairs of column c's entries."""
@@ -277,26 +296,68 @@ class FormTable(NamedTuple):
 
     def numerators(self, coords):
         """The common denominator of every form at the point coords, and
-        each form's integer numerator over it.
-
-        With d the common denominator of coords, variable 0 is d and
-        variable 1 + r is d times coordinate r, so every monomial is an
-        integer, and each form's sum over them is its numerator over
-        scale * d^degree, the same nonzero number for every form.  The
-        numerators are not reduced: a matrix of them has the rank of the
-        matrix of values.
-        """
-        d = math.lcm(*(c.denominator for c in coords))
-        x = [d] + [c.numerator * (d // c.denominator) for c in coords]
-        mons = [reduce(mul, (x[i] for i in m), 1) for m in self.monomials]
-        return (self.scale * d ** self.degree,
-                [sum(c * mons[m] for m, c in form) for form in self.forms])
+        each form's integer numerator over it (Evaluation)."""
+        ev = Evaluation(self, coords)
+        return ev.den, ev.upto()
 
     def values(self, coords):
         """Every form at the point coords, as a Fraction: its numerator
         over the common denominator (numerators)."""
         den, ints = self.numerators(coords)
         return [Fraction(v, den) for v in ints]
+
+
+class Evaluation:
+    """A FormTable's integer numerators at one point, evaluated in
+    prefixes of its columns, each form and monomial once.
+
+    With d the common denominator of coords, variable 0 is d and
+    variable 1 + r is d times coordinate r, so every monomial is an
+    integer, and each form's sum over them is its numerator over
+    den = scale * d^degree, the same nonzero number for every form.  The
+    numerators are not reduced: a matrix of them has the rank of the
+    matrix of values.  ints holds the numerators of the forms evaluated
+    so far, a prefix of the forms in form order.
+    """
+
+    __slots__ = ("table", "den", "ints", "_x", "_mons")
+
+    def __init__(self, table, coords):
+        d = math.lcm(*(c.denominator for c in coords))
+        self.table = table
+        self.den = table.scale * d ** table.degree
+        self.ints = []
+        self._x = [d] + [c.numerator * (d // c.denominator) for c in coords]
+        self._mons = []
+
+    def upto(self, ncols=None):
+        """ints, once the forms of the first ncols columns (of every
+        column for None) are evaluated; a form evaluated before is not
+        evaluated again."""
+        table, ints = self.table, self.ints
+        nforms = table.form_end[-1 if ncols is None else ncols]
+        if nforms > len(ints):
+            mons, x = self._mons, self._x
+            mons += [reduce(mul, (x[i] for i in m), 1) for m in
+                     table.monomials[len(mons):table.monomial_end[nforms]]]
+            ints += [sum(c * mons[m] for m, c in form)
+                     for form in table.forms[len(ints):nforms]]
+        return ints
+
+    def columns(self, cs, nrows):
+        """Yield the table's columns cs, ascending, each as nrows integer
+        numerators.
+
+        The forms of the first nrows columns are evaluated when the first
+        is read, and the forms of the rest when the first of them is: a
+        rank of nrows needs at least nrows columns, so an echelon that
+        stops there never evaluates the rest.
+        """
+        for part in (cs[:nrows], cs[nrows:]):
+            if part:
+                self.upto(part[-1] + 1)
+            for c in part:
+                yield self.table.column(self.ints, c, nrows, 0)
 
 
 def _render_term(coeff, factors):
@@ -477,14 +538,14 @@ class LaurentPoly:
         n is None."""
         terms = other._t.items()
         if n is not None:  # the terms of other by u-degree: a prefix is kept
-            terms = sorted(terms, key=lambda mc: mc[0].degree_u())
-            degs = [m.i + m.s for m, _ in terms]
+            terms = sorted(terms, key=lambda mc: mc[0][1] + mc[0][2])
+            degs = [i + s for (_, i, s), _ in terms]
         t = {}
-        for m1, c1 in self._t.items():
+        for (l1, i1, s1), c1 in self._t.items():
             kept = (terms if n is None
-                    else terms[:bisect_right(degs, n - m1.i - m1.s)])
-            for m2, c2 in kept:
-                mon = Monomial(m1.l + m2.l, m1.i + m2.i, m1.s + m2.s)
+                    else terms[:bisect_right(degs, n - i1 - s1)])
+            for (l2, i2, s2), c2 in kept:
+                mon = _new(Monomial, (l1 + l2, i1 + i2, s1 + s2))
                 c = c1 * c2
                 if mon in t:
                     c = t[mon] + c
@@ -514,10 +575,10 @@ class LaurentPoly:
         if not c:
             return LaurentPoly.zero()
         if c == 1:  # coefficients are immutable, so they can be shared
-            return LaurentPoly._of({Monomial(m.l + l, m.i + i, m.s + s): v
-                                    for m, v in self._t.items()})
-        return LaurentPoly._of({Monomial(m.l + l, m.i + i, m.s + s): v * c
-                                for m, v in self._t.items()})
+            return LaurentPoly._of({_new(Monomial, (a + l, b + i, e + s)): v
+                                    for (a, b, e), v in self._t.items()})
+        return LaurentPoly._of({_new(Monomial, (a + l, b + i, e + s)): v * c
+                                for (a, b, e), v in self._t.items()})
 
     def __pow__(self, n):
         if n < 0:
@@ -539,15 +600,16 @@ class LaurentPoly:
         Distinct monomials stay distinct, a term of exponent 0 in the
         variable is dropped and no fibre exponent goes below 0.
         """
+        items = self._t.items()
         if name == "z":
-            t = {Monomial(m.l - 1, m.i, m.s): c * m.l
-                 for m, c in self._t.items() if m.l}
+            t = {_new(Monomial, (l - 1, i, s)): c * l
+                 for (l, i, s), c in items if l}
         elif name == "u1":
-            t = {Monomial(m.l, m.i - 1, m.s): c * m.i
-                 for m, c in self._t.items() if m.i}
+            t = {_new(Monomial, (l, i - 1, s)): c * i
+                 for (l, i, s), c in items if i}
         elif name == "u2":
-            t = {Monomial(m.l, m.i, m.s - 1): c * m.s
-                 for m, c in self._t.items() if m.s}
+            t = {_new(Monomial, (l, i, s - 1)): c * s
+                 for (l, i, s), c in items if s}
         else:
             raise ValueError(f"unknown variable {name!r}")
         return LaurentPoly._of(t)
@@ -557,7 +619,7 @@ class LaurentPoly:
     def truncate_neighborhood(self, n):
         """Drop all terms with total u-degree i+s > n."""
         return LaurentPoly._of(
-            {m: c for m, c in self._t.items() if m.i + m.s <= n})
+            {m: c for m, c in self._t.items() if m[1] + m[2] <= n})
 
     def map_exponents(self, fn):
         """Apply a bijection on exponent triples (used for chart changes)."""

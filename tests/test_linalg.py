@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -305,6 +305,34 @@ def test_rank_mod_drops_a_pivot_the_prime_divides():
     assert linalg.rank_mod([[3], [1]], 1, 3) == 1
     with pytest.raises(ValueError, match="length mismatch"):
         linalg.rank_mod([[1, 2]], 3, 3)
+
+
+def largest_matching(columns, nrows):
+    """The most columns matched to distinct rows, by trying every set."""
+    return max((len(cs) for r in range(len(columns) + 1)
+                for cs in combinations(range(len(columns)), r)
+                if any(all(row in columns[c] for c, row in zip(cs, rows))
+                       for rows in permutations(range(nrows), len(cs)))),
+               default=0)
+
+
+@settings(max_examples=100)
+@given(st.integers(1, 4).flatmap(lambda nrows: st.tuples(
+    st.just(nrows),
+    st.lists(st.lists(st.integers(0, nrows - 1), unique=True), max_size=5))))
+# the second column takes the first one's row, which moves to its other
+@example((2, [[0, 1], [0]]))
+# the second column fails, and the fourth moves the third and not the first
+@example((3, [[0], [0], [0, 1], [1, 2]]))
+def test_term_rank_is_the_largest_matching(system):
+    nrows, columns = system
+    got = linalg.term_rank(columns, nrows)
+    assert got == largest_matching(columns, nrows)
+    # the rank of any matrix with this zero pattern is at most the bound
+    rng = random.Random(got)
+    dense = [[rng.randint(-3, 3) if r in col else 0 for r in range(nrows)]
+             for col in columns]
+    assert linalg.rank(dense, nrows) <= got
 
 
 def sparse_system(rng, nrows, nvars, density):

@@ -43,7 +43,7 @@ from ncbundles.engine import (
     single_coordinate_points,
 )
 from ncbundles.oracle import STANDARD_ORACLE_CONFIGS
-from ncbundles.ring import FormTable
+from ncbundles.ring import Evaluation, FormTable, ParamPoly
 
 from conftest import fractions
 
@@ -551,6 +551,23 @@ def test_stratify_pool_capped_at_cpu_count(monkeypatch):
     assert pooled == serial
 
 
+def test_stratify_scans_in_process_for_one_chunk(monkeypatch):
+    # a pool of one process only adds its start-up, so one chunk, by one
+    # pattern or one CPU, is scanned in this process, to the same report
+    sigma = parse_sigma_spec("u1*gen1", 1)
+    serial = [stratify(1, 2, sigma, draws=2, seed=5, pattern_cap=cap)
+              for cap in (1, 4096)]
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+    assert stratify(1, 2, sigma, draws=2, seed=5, pattern_cap=1,
+                    workers=4) == serial[0]
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert stratify(1, 2, sigma, draws=2, seed=5, workers=4) == serial[1]
+
+
 def test_stratify_symbolic_minors_certificate():
     sigma = parse_sigma_spec("u1*gen1", 1)
     rep = stratify(1, 2, sigma, strategy="symbolic-minors", draws=2)
@@ -606,7 +623,7 @@ def test_point_space_stops_at_full_rank(monkeypatch, point):
         return plain_add(space, vec)
 
     monkeypatch.setattr(linalg.ColumnSpace, "add", spy)
-    master, cols, space, grew = engine.point_space(k, j, sigma, "derived",
+    master, _, _, space, grew = engine.point_space(k, j, sigma, "derived",
                                                    pt)
     monkeypatch.setattr(linalg.ColumnSpace, "add", plain_add)
     # the stop leaves grew and the span as a plain pass over every bump-0
@@ -673,12 +690,36 @@ def rank_points(k, j):
             + single_coordinate_points(k, j) + masked + [times3])
 
 
+def pattern_rank(master, point):
+    """The term rank of the master's nonzero columns on the support
+    pattern of the point, by another route than engine._term_bound.
+
+    An entry counts when one of its symbolic terms has no parameter
+    outside the support.  Each counted entry gets a random integer below
+    2^64 and every other entry 0; the rank of that matrix is the term
+    rank of the pattern (Edmonds), unless one of its minors of that size
+    vanishes, which these few fixed draws do not hit.
+    """
+    rng = random.Random(0)
+    outside = [r for r, c in enumerate(point) if not c]
+
+    def live(entry):
+        terms = entry.terms() if isinstance(entry, ParamPoly) else [((), 1)]
+        return any(not any(ev[r] for r in outside if ev) for ev, _ in terms)
+
+    return linalg.rank(
+        [[rng.randrange(1, 1 << 64) if e and live(e) else 0 for e in col]
+         for c, col in enumerate(master.columns) if c in master.nonzero],
+        len(master.rows))
+
+
 @pytest.mark.parametrize("prime", ["default", 3])
 @pytest.mark.parametrize("j", [2, 3, 4])
 @pytest.mark.parametrize("k, spec", LEIBNIZ_SPECS)
 def test_point_rank_is_the_point_space_rank(monkeypatch, k, j, spec, prime):
-    # the certificate answers at full rank, the exact span everywhere else
-    # or where the prime kills a pivot, and both give point_space's rank
+    # the certificate answers where the modular rank meets the row count
+    # or the term rank of the support pattern, the exact span where it
+    # falls short of both, and both give point_space's rank
     sigma = parse_sigma_spec(spec, k)
     if prime != "default":
         monkeypatch.setattr(engine, "_PRIME", prime)
@@ -695,72 +736,209 @@ def test_point_rank_is_the_point_space_rank(monkeypatch, k, j, spec, prime):
     points = rank_points(k, j)
     for pt in points:
         rank = engine.point_space(k, j, sigma, "derived", pt).space.rank
+        bound = engine._term_bound(master, pt)
+        assert rank <= bound == pattern_rank(master, pt) <= upper
         fell_back.clear()
         assert engine.point_rank(k, j, sigma, "derived", pt) == rank
         if prime == "default":
-            assert bool(fell_back) == (rank != upper)
+            assert bool(fell_back) == (rank != bound)
         elif pt is points[-1]:
             assert fell_back == [pt] and rank == upper
 
 
-def test_point_rank_falls_back_on_one_evaluation(monkeypatch):
-    # an axis point is below full rank, so no modular rank certifies it;
-    # the exact span reduces the numerators the modular pass computed
-    sigma = parse_sigma_spec("gen1", 1)
-    pt = _coerce_point(1, 3, single_coordinate_points(1, 3)[0])
-    rank = engine.point_space(1, 3, sigma, "derived", pt).space.rank
-    master = engine.cached(engine._build_master, 1, 3, sigma, "derived")
-    assert rank < min(len(master.rows), len(master.nonzero))
-    numerators = FormTable.numerators
-    calls = []
+class CountedForms(tuple):
+    """The forms of a table, counting each form handed out."""
 
-    def counted(table, coords):
-        calls.append(coords)
-        return numerators(table, coords)
+    handed = 0
+
+    def __getitem__(self, key):
+        got = tuple.__getitem__(self, key)
+        self.handed += len(got) if isinstance(key, slice) else 1
+        return got
+
+
+class EvaluationSpy:
+    """Records every Evaluation made, each on a copy of its table whose
+    forms count how often they are handed out to be evaluated."""
+
+    def __init__(self, monkeypatch):
+        self.made = []
+        init = Evaluation.__init__
+
+        def spied_init(ev, table, coords):
+            init(ev, table._replace(forms=CountedForms(table.forms)), coords)
+            self.made.append((tuple(coords), ev))
+
+        monkeypatch.setattr(Evaluation, "__init__", spied_init)
+
+    def clear(self):
+        self.made.clear()
+
+    def evaluated_once(self, coords):
+        """The one evaluation made, at coords, after checking that it
+        evaluated no form twice and each to its full numerator."""
+        assert [c for c, _ in self.made] == [tuple(coords)]
+        ev = self.made[0][1]
+        assert ev.table.forms.handed == len(ev.ints)
+        assert ev.ints == ev.table.numerators(coords)[1][:len(ev.ints)]
+        return ev
+
+
+def test_point_rank_falls_back_on_one_evaluation(monkeypatch):
+    # the axis point is below full rank, where the full-rank certificate
+    # could not answer, and the term rank certifies it with no exact span;
+    # where the prime kills every pivot, the exact span reduces the
+    # columns of the same evaluation, and no form is evaluated twice
+    sigma = parse_sigma_spec("gen1", 1)
+    master = engine.cached(engine._build_master, 1, 3, sigma, "derived")
+    axis = _coerce_point(1, 3, single_coordinate_points(1, 3)[0])
+    times3 = _coerce_point(1, 3, [3, -6, 3, 3, 6, -3, 3, 3])
+    want = {pt: engine.point_space(1, 3, sigma, "derived", pt).space.rank
+            for pt in (axis, times3)}
+    assert want[axis] < min(len(master.rows), len(master.nonzero))
+    span = engine._span
+    fell_back = []
+
+    def spied_span(k, j, point, master, cols):
+        fell_back.append(point)
+        return span(k, j, point, master, cols)
 
     def evaluate(master, point):
         raise AssertionError("point_rank evaluated the Fraction master")
 
-    monkeypatch.setattr(FormTable, "numerators", counted)
+    spy = EvaluationSpy(monkeypatch)
+    monkeypatch.setattr(engine, "_span", spied_span)
     monkeypatch.setattr(engine.MasterSystem, "evaluate", evaluate)
-    assert engine.point_rank(1, 3, sigma, "derived", pt) == rank
-    assert calls == [pt]
+    assert engine.point_rank(1, 3, sigma, "derived", axis) == want[axis]
+    assert fell_back == []
+    spy.evaluated_once(axis)
+
+    monkeypatch.setattr(engine, "_PRIME", 3)
+    spy.clear()
+    assert engine.point_rank(1, 3, sigma, "derived", times3) == want[times3]
+    assert fell_back == [times3]
+    ev = spy.evaluated_once(times3)
+    # the exact span read every nonzero column, so every form they use
+    assert len(ev.ints) == master.table.form_end[master.nonzero[-1] + 1]
 
 
 def test_exact_queries_evaluate_integer_numerators_once(monkeypatch):
-    # every exact span and solve reads one FormTable.numerators call per
-    # point, and builds no Fraction view of the table
+    # every exact span and solve reads one evaluation of integer
+    # numerators per point, evaluates no form twice and builds no
+    # Fraction view of the table; a rank certified at full rank reads
+    # only the forms of the first #rows nonzero bump-0 columns
     sigma = parse_sigma_spec("gen1", 1)
     points = [random_point(1, 2, random.Random(7)),
               single_coordinate_points(1, 2)[0]]
     delta = random_point(1, 2, random.Random(8))
     # a build evaluates nothing, but is done before the spies go in
-    engine.cached(engine._build_master, 1, 2, sigma, "derived")
+    master = engine.cached(engine._build_master, 1, 2, sigma, "derived")
     engine.cached(oracle._build_oracle_system, 1, 2, sigma)
-    numerators = FormTable.numerators
-    calls = []
-
-    def counted(table, coords):
-        calls.append(tuple(coords))
-        return numerators(table, coords)
+    spy = EvaluationSpy(monkeypatch)
 
     def fraction_view(*args):
         raise AssertionError("an exact query built Fraction values")
 
-    monkeypatch.setattr(FormTable, "numerators", counted)
     monkeypatch.setattr(FormTable, "values", fraction_view)
     monkeypatch.setattr(engine.MasterSystem, "evaluate", fraction_view)
+    n = len(master.rows)
+    head = master.table.form_end[master.nonzero_narrow()[n - 1] + 1]
+    assert head < len(master.table.forms)
     for pt in points:
         for query in (engine.point_space, engine.point_rank):
-            calls.clear()
+            spy.clear()
             query(1, 2, sigma, "derived", pt)
-            assert calls == [tuple(pt)]
-        calls.clear()
+            ev = spy.evaluated_once(pt)
+            if query is engine.point_rank and pt is points[0]:
+                assert len(ev.ints) == head
+        spy.clear()
         full_gauge_oracle(1, 2, sigma, pt, delta)
-        assert calls == [tuple(pt) + tuple(delta)]
-    calls.clear()
+        spy.evaluated_once(tuple(pt) + tuple(delta))
+    spy.clear()
     certify_generic_rank(1, 2, sigma, seed=3)
-    assert calls == [tuple(random_point(1, 2, random.Random(3)))]
+    spy.evaluated_once(random_point(1, 2, random.Random(3)))
+
+
+CATALOG = ([(1, f"gen{n}") for n in range(1, 5)]
+           + [(2, f"gen{n}") for n in range(1, 6)])
+PLANTED = {}
+
+
+def planted_master(k, j, spec, row):
+    """The derived master with the unit vector of row planted in its
+    first zero column past the bump-0 window, built once per row."""
+    if (k, j, spec, row) not in PLANTED:
+        sigma = parse_sigma_spec(spec, k)
+        master = engine.cached(engine._build_master, k, j, sigma, "derived")
+        tag = next(master.tags[c] for c in range(master.narrow,
+                                                 len(master.tags))
+                   if c not in master.nonzero)
+        real = engine._direction_entry_derived
+
+        def planted(pieces, t):
+            if t == tag:
+                return LaurentPoly.monomial(*master.rows[row])
+            return real(pieces, t)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "_direction_entry_derived", planted)
+            PLANTED[k, j, spec, row] = engine._build_master(
+                k, j, sigma, "derived")
+    return PLANTED[k, j, spec, row]
+
+
+@pytest.mark.parametrize("j", [2, 3, 4])
+@pytest.mark.parametrize("multiple", ["", "u1*"])
+@pytest.mark.parametrize("k, gen", CATALOG)
+@settings(max_examples=4)
+@given(data=st.data())
+def test_term_rank_certificate_on_support_patterns(k, gen, multiple, j,
+                                                   data):
+    # at axis points and random support masks (lower strata among them):
+    # the exact rank is at most the term rank, point_rank is the exact
+    # rank, and a nonzero column planted past the bump-0 window that
+    # enlarges the span still raises in both queries
+    spec = multiple + gen
+    sigma = parse_sigma_spec(spec, k)
+    dim = direction_dimension(k, j)
+    master = engine.cached(engine._build_master, k, j, sigma, "derived")
+    mask = data.draw(st.one_of(
+        st.builds(lambda r: 1 << r, st.integers(0, dim - 1)),
+        st.integers(1, (1 << dim) - 1)))
+    point = [data.draw(fractions) if mask >> r & 1 else Fraction(0)
+             for r in range(dim)]
+    space = engine.point_space(k, j, sigma, "derived", point).space
+    assert space.rank <= engine._term_bound(master, point) == pattern_rank(
+        master, point)
+    assert engine.point_rank(k, j, sigma, "derived", point) == space.rank
+    if space.rank == len(master.rows):
+        return  # no column can enlarge a full span
+    row = data.draw(st.sampled_from(space.non_pivot_rows()))
+    key = ("_build_master", k, j, sigma.cache_key(), "derived")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_MASTERS", {key: planted_master(k, j, spec,
+                                                            row)})
+        for query in (engine.point_rank, engine.point_space):
+            with pytest.raises(WindowInstabilityError,
+                               match=f"rank moved {space.rank} -> "
+                                     f"{space.rank + 1} "):
+                query(k, j, sigma, "derived", point)
+
+
+def test_clearing_the_masters_drops_every_bound(monkeypatch):
+    # the bounds live on the cached master, so a cold cache is cold for
+    # them too
+    monkeypatch.setattr(engine, "_MASTERS", {})
+    sigma = parse_sigma_spec("u1*gen1", 1)
+    points = single_coordinate_points(1, 3)
+    for pt in points:
+        engine.point_rank(1, 3, sigma, "derived", pt)
+    master = engine.cached(engine._build_master, 1, 3, sigma, "derived")
+    assert sorted(master.bounds) == [1 << r for r in range(len(points))]
+    engine._MASTERS.clear()
+    fresh = engine.cached(engine._build_master, 1, 3, sigma, "derived")
+    assert fresh is not master and fresh.bounds == {}
+    assert fresh == master  # bounds take no part in equality
 
 
 def test_point_rank_keeps_the_stability_check(monkeypatch):
@@ -1025,6 +1203,38 @@ def test_oracle_check_small_battery():
     assert rep["status"] == "PASS"
     assert rep["total_decisions"] == 8
     assert rep["total_mismatches"] == 0
+
+
+def test_oracle_check_mixes_the_value_columns(monkeypatch):
+    # the mixes read off the integer numerators are, direction for
+    # direction, the mixes of the bump-0 columns at their values
+    configs = [(1, 2, "gen1"), (2, 3, "u1*gen4")]
+    seen = []
+    real = oracle.full_gauge_oracle
+
+    def spy(k, j, sigma, point, delta):
+        seen.append((list(point), list(delta)))
+        return real(k, j, sigma, point, delta)
+
+    monkeypatch.setattr(oracle, "full_gauge_oracle", spy)
+    oracle_check(configs, trials=4, seed=11)
+    want = []
+    for idx, (k, j, spec) in enumerate(configs):
+        sigma = parse_sigma_spec(spec, k)
+        rng = random.Random(11 + 7919 * idx)
+        for _ in range(4):
+            pt = random_point(k, j, rng)
+            cols = build_cancellation_system(k, j, sigma, pt).columns
+            for t in range(4):
+                if t % 2:
+                    delta = [rand_fraction(rng) for _ in pt]
+                else:
+                    a = cols[rng.randrange(len(cols))]
+                    b = cols[rng.randrange(len(cols))]
+                    c1, c2 = rand_fraction(rng), rand_fraction(rng)
+                    delta = [c1 * x + c2 * y for x, y in zip(a, b)]
+                want.append((pt, delta))
+    assert seen == want
 
 
 def test_verify_claims_statuses():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ncbundles import FormalFunction, LaurentPoly, Monomial, parse_poly
-from ncbundles.ring import VARS, FormTable, ParamPoly
+from ncbundles.ring import VARS, Evaluation, FormTable, ParamPoly
 
 from conftest import fractions, laurent_polys, monomials, rationals
 
@@ -306,3 +306,32 @@ def test_form_table_columns_match_param_evaluate(columns, copies, point):
         assert dense == [evaluated(col.get(r, 0), point) for r in range(6)]
         assert sorted(r for r, _ in table.segment(c)) == sorted(
             r for r, e in col.items() if e)
+
+
+@given(st.lists(st.dictionaries(st.integers(0, 5), table_entries(),
+                                max_size=4), max_size=5),
+       points)
+def test_form_table_numbers_forms_and_monomials_in_column_order(columns,
+                                                                point):
+    # form ids by first use column by column, monomial ids by first use
+    # form by form, so the first columns evaluate a prefix of each
+    table = FormTable.compile(columns)
+    seen = []
+    for c in range(len(columns)):
+        seen += [f for f in table.ids[table.start[c]:table.start[c + 1]]
+                 if f not in seen]
+        assert seen == list(range(table.form_end[c + 1]))
+    assert table.form_end[0] == 0 and len(seen) == len(table.forms)
+    used = []
+    for f, form in enumerate(table.forms):
+        used += [m for m, _ in form if m not in used]
+        assert used == list(range(table.monomial_end[f + 1]))
+    assert table.monomial_end[0] == 0 and len(used) == len(table.monomials)
+    # column by column, an evaluation gives the prefix of the full one
+    den, ints = table.numerators(point)
+    ev = Evaluation(table, point)
+    assert ev.den == den and ev.ints == []
+    for c in range(len(columns)):
+        assert ev.upto(c + 1) == ints[:table.form_end[c + 1]]
+        assert list(ev.columns([c], 6)) == [table.column(ints, c, 6, 0)]
+    assert ev.upto() == ints
