@@ -141,21 +141,22 @@ def certify_generic_rank(k, j, sigma, seed=DEFAULT_SEED):
 
     At a random, window-stable point (point_space), the bump-0 columns
     that enlarged the span and the span's pivot rows give a square minor
-    M.  On point_space's integer numerators over the denominator den it
-    is det M(pt) * den^r, nonzero exactly when det M(p) is at pt, so one
-    exact rank of it proves det M(p) != 0: the generic rank is at least
-    the minor size.  Together with the structural upper bound
+    M.  Read off point_space's evaluation (ev.column, columns the span
+    already evaluated), as integer numerators over the denominator den,
+    it is det M(pt) * den^r, nonzero exactly when det M(p) is at pt, so
+    one exact rank of it proves det M(p) != 0: the generic rank is at
+    least the minor size.  Together with the structural upper bound
     min(#rows, #columns not identically zero) this pins the generic rank
     exactly when the two agree.  A minor singular at its own witness
     breaks the engine's echelon invariant and raises AssertionError.
     """
     rng = random.Random(seed)
     pt = random_point(k, j, rng)
-    master, cols, _, cs, picked = point_space(k, j, sigma, "derived", pt)
+    master, ev, cs, picked = point_space(k, j, sigma, "derived", pt)
     r = cs.rank
     pivots = cs.pivot_rows()
     upper = min(len(master.rows), len(master.nonzero_narrow()))
-    sub = [[cols[i][p] for p in pivots] for i in picked]
+    sub = [[ev.column(i, cs.nrows)[p] for p in pivots] for i in picked]
     if linalg.rank(sub, nrows=r) != r:
         raise AssertionError(
             f"the {r}x{r} minor is singular at its witness point "
@@ -265,7 +266,7 @@ def verify_claims(k, j, sigma, seed=DEFAULT_SEED, trials=20):
                       else f"unexpected stalks at {bad[:3]}",
         })
         bound = 4 * j - k - 4
-        cap = 512 if dim > 10 else (1 << dim) - 1
+        cap = 512 if dim > 12 else (1 << dim) - 1
         scan = stratify(k, j, sigma, seed=seed, draws=2, pattern_cap=cap)
         max_corank = scan["max_corank"]
         claims.append({

@@ -295,7 +295,8 @@ class MasterSystem:
         """Every column of this window at the point, as Fractions, each a
         fresh list; a column not in `nonzero` has no entry in the table,
         so it is all zeros."""
-        values = self.table.values(point)
+        ev = Evaluation(self.table, point)
+        values = [Fraction(v, ev.den) for v in ev.upto()]
         n, zero = len(self.rows), Fraction(0)
         return [self.table.column(values, c, n, zero)
                 for c in range(len(self.columns))]
@@ -465,30 +466,30 @@ class StalkReport(Report):
 
 
 class PointSpace(NamedTuple):
-    """A master at a point and the echelon span of all its columns."""
+    """A master at a point, its evaluation and the span of its columns."""
 
     master: MasterSystem
-    columns: dict  # {c: nonzero column c, as integer numerators}
-    den: int  # their common denominator at the point
+    ev: Evaluation  # integer numerators of the columns the span read
     space: linalg.ColumnSpace
     grew: list  # indices of the bump-0 columns that enlarged the span
 
 
-def _span(k, j, point, master, cols):
+def _span(k, j, point, master, ev):
     """The echelon span of the master's nonzero columns, checked, and
     the nonzero bump-0 columns that enlarged it, by column index.
 
-    cols holds the master's nonzero columns at the point, {c: column}.
-    The nonzero bump-0 columns are added first; if a nonzero column of
-    the rest, the stability window, enlarges the span,
-    WindowInstabilityError is raised.  A zero column could enlarge
-    neither span, so none is read.
+    ev is the master's table at the point; a column the span does not
+    read once full is not evaluated (Evaluation.columns).  The nonzero
+    bump-0 columns are added first; if a nonzero column of the rest, the
+    stability window, enlarges the span, WindowInstabilityError is
+    raised.  A zero column could enlarge neither span, so none is read.
     """
-    space = linalg.ColumnSpace(len(master.rows))
+    n = len(master.rows)
+    space = linalg.ColumnSpace(n)
     narrow = master.nonzero_narrow()
-    grew = [narrow[i] for i in space.extend([cols[c] for c in narrow])]
+    grew = [narrow[i] for i in space.extend(ev.columns(narrow, n))]
     rank = space.rank
-    space.extend([cols[c] for c in master.nonzero[len(narrow):]])
+    space.extend(ev.columns(master.nonzero[len(narrow):], n))
     if space.rank != rank:
         raise WindowInstabilityError(
             f"rank moved {rank} -> {space.rank} under window bump "
@@ -498,14 +499,14 @@ def _span(k, j, point, master, cols):
 
 
 def point_space(k, j, sigma, formula, point):
-    """The master at a point, its nonzero columns there as integer
-    numerators over one common denominator, which span what the columns
-    of values span, and their checked span (_span)."""
+    """The master at a point, its table's Evaluation there and the
+    checked span (_span) of its nonzero columns as integer numerators
+    over one denominator, which span what the columns of values span.
+    Only the columns the span reads are evaluated; ev.column reads any
+    other, evaluating its forms then."""
     master = cached(_build_master, k, j, sigma, formula)
-    n = len(master.rows)
-    den, ints = master.table.numerators(point)
-    cols = {c: master.table.column(ints, c, n, 0) for c in master.nonzero}
-    return PointSpace(master, cols, den, *_span(k, j, point, master, cols))
+    ev = Evaluation(master.table, point)
+    return PointSpace(master, ev, *_span(k, j, point, master, ev))
 
 
 def _term_bound(master, point):
@@ -548,8 +549,8 @@ def point_rank(k, j, sigma, formula, point):
     the exact rank, and no column of the stability window enlarges the
     span, so the rank is window-stable.  Otherwise (a pivot the prime
     kills, or a rank below the term rank) the exact span of the same
-    columns decides (_span), and raises WindowInstabilityError where
-    point_space would.
+    columns, read from the same Evaluation, decides (_span), and raises
+    WindowInstabilityError where point_space would.
 
     FormTable.compile numbers forms and monomials in column order, so
     the forms of the first columns are a prefix (ring.Evaluation).  The
@@ -563,8 +564,7 @@ def point_rank(k, j, sigma, formula, point):
     rank = linalg.rank_mod(ev.columns(master.nonzero_narrow(), n), n, _PRIME)
     if rank == n or rank == _term_bound(master, point):
         return rank
-    cols = dict(zip(master.nonzero, ev.columns(master.nonzero, n)))
-    return _span(k, j, point, master, cols)[0].rank
+    return _span(k, j, point, master, ev)[0].rank
 
 
 def stalk_dimension(k, j, sigma, point, formula="derived"):
@@ -573,7 +573,7 @@ def stalk_dimension(k, j, sigma, point, formula="derived"):
     pt = _coerce_point(k, j, point)
     if all(c == 0 for c in pt):
         raise ValueError("stalk is undefined at the zero base point")
-    master, _, _, space, _ = point_space(k, j, sigma, formula, pt)
+    master, _, space, _ = point_space(k, j, sigma, formula, pt)
     quotient = [master.rows[r].render() for r in space.non_pivot_rows()]
     return StalkReport(
         k=k, j=j, sigma=sigma.describe(), point=pt, rank=space.rank,

@@ -28,7 +28,7 @@ class ColumnSpace:
     Vectors may hold ints or Fractions.  A pivot entry is stored as a
     Fraction when its vector enters the basis, so every division by one
     is exact, also on integer vectors, such as the numerators over one
-    common denominator (FormTable.numerators) that the package spans.
+    common denominator (ring.Evaluation) that the package spans.
     """
 
     def __init__(self, nrows):

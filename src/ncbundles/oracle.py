@@ -43,7 +43,7 @@ from .engine import (
     require_positive,
 )
 from .poisson import monomial_pairing, parse_sigma_spec
-from .ring import FormTable, LaurentPoly, Monomial, ParamPoly
+from .ring import Evaluation, FormTable, LaurentPoly, Monomial, ParamPoly
 
 
 def _oracle_hi(j, bump):
@@ -271,14 +271,15 @@ def full_gauge_oracle(k, j, sigma, point, delta, check_stability=True):
     engine is reused.  The system is built on the first call for a
     configuration and cached.  With check_stability, a bump-0 "no" that
     all unknowns solve raises WindowInstabilityError.  The table's
-    integer numerators are solved: they share one denominator with the
-    right-hand side, a table column, so support and solvability hold.
+    integer numerators at (point, delta) are solved, all of them from one
+    Evaluation: they share one denominator with the right-hand side, a
+    table column, so support and solvability hold.
     """
     require_directions(j)
     pt = _coerce_point(k, j, point)
     dl = _coerce_point(k, j, delta)
     system = cached(_build_oracle_system, k, j, sigma)
-    _, ints = system.table.numerators(pt + dl)
+    ints = Evaluation(system.table, pt + dl).upto()
     zero = frozenset(f for f, v in enumerate(ints) if not v)
     narrow = system.plan(zero, system.narrow)
     decision = narrow.solvable(ints)
@@ -317,9 +318,10 @@ def oracle_check(configs=None, trials=10, seed=DEFAULT_SEED):
     tests `trials` directions, alternately built inside the engine
     column span and raw random; both routes must agree on every single
     decision.  Mixes combine the bump-0 columns at their values, which
-    the oracle's V-side depends on, read off the integer numerators and
-    common denominator that the engine span reduces (point_space), so
-    each base point is evaluated once.
+    the oracle's V-side depends on: integer numerators over the common
+    denominator, read off the Evaluation that the engine span reduces
+    (point_space), so each base point is evaluated once, and a column
+    the span did not read is evaluated only when a mix draws it.
     """
     require_positive(trials=trials)
     if configs is None:
@@ -333,17 +335,15 @@ def oracle_check(configs=None, trials=10, seed=DEFAULT_SEED):
         agree = 0
         for _ in range(trials):
             pt = random_point(k, j, rng)
-            master, cols, den, cs, _ = point_space(k, j, sigma, "derived",
-                                                   pt)
-            zero = [0] * dim  # a column not in cols is zero at every point
+            master, ev, cs, _ = point_space(k, j, sigma, "derived", pt)
             for t in range(trials):
                 if t % 2 == 0:
                     i1 = rng.randrange(master.narrow)
                     i2 = rng.randrange(master.narrow)
                     c1, c2 = rand_fraction(rng), rand_fraction(rng)
-                    delta = [(c1 * a + c2 * b) / den
-                             for a, b in zip(cols.get(i1, zero),
-                                             cols.get(i2, zero))]
+                    delta = [(c1 * a + c2 * b) / ev.den
+                             for a, b in zip(ev.column(i1, dim),
+                                             ev.column(i2, dim))]
                 else:
                     delta = [rand_fraction(rng) for _ in range(dim)]
                 engine = cs.contains(delta)

@@ -208,7 +208,7 @@ class ParamPoly:
 
 class FormTable(NamedTuple):
     """Sparse columns of ParamPoly or rational entries, evaluated together
-    at a point.
+    at a point by an Evaluation.
 
     Column c holds entries start[c] to start[c + 1] (segment); entry e
     sits in row rows[e] and has the value of form ids[e].  Each distinct
@@ -294,18 +294,6 @@ class FormTable(NamedTuple):
             col[rows[e]] = values[ids[e]]
         return col
 
-    def numerators(self, coords):
-        """The common denominator of every form at the point coords, and
-        each form's integer numerator over it (Evaluation)."""
-        ev = Evaluation(self, coords)
-        return ev.den, ev.upto()
-
-    def values(self, coords):
-        """Every form at the point coords, as a Fraction: its numerator
-        over the common denominator (numerators)."""
-        den, ints = self.numerators(coords)
-        return [Fraction(v, den) for v in ints]
-
 
 class Evaluation:
     """A FormTable's integer numerators at one point, evaluated in
@@ -343,6 +331,11 @@ class Evaluation:
             ints += [sum(c * mons[m] for m, c in form)
                      for form in table.forms[len(ints):nforms]]
         return ints
+
+    def column(self, c, nrows):
+        """Column c as nrows integer numerators, its forms evaluated first
+        if they are not yet."""
+        return self.table.column(self.upto(c + 1), c, nrows, 0)
 
     def columns(self, cs, nrows):
         """Yield the table's columns cs, ascending, each as nrows integer

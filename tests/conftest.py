@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, settings, strategies as st
 
 import ncbundles
 from ncbundles import LaurentPoly, Monomial
+from ncbundles.ring import Evaluation
 
 # CLI tests run `python -m ncbundles.cli` in child processes; they must
 # import the package this suite imports, also when it is not installed
@@ -50,3 +51,10 @@ monomials = st.builds(
 def laurent_polys(draw, max_terms=4):
     terms = draw(st.dictionaries(monomials, rationals, max_size=max_terms))
     return LaurentPoly(terms)
+
+
+def form_values(table, coords):
+    """Every form of a ring.FormTable at coords, as a Fraction: its
+    integer numerator (ring.Evaluation) over the common denominator."""
+    ev = Evaluation(table, coords)
+    return [Fraction(v, ev.den) for v in ev.upto()]

@@ -45,7 +45,7 @@ from ncbundles.engine import (
 from ncbundles.oracle import STANDARD_ORACLE_CONFIGS
 from ncbundles.ring import Evaluation, FormTable, ParamPoly
 
-from conftest import fractions
+from conftest import form_values, fractions
 
 
 def sym(entry):
@@ -623,8 +623,7 @@ def test_point_space_stops_at_full_rank(monkeypatch, point):
         return plain_add(space, vec)
 
     monkeypatch.setattr(linalg.ColumnSpace, "add", spy)
-    master, _, _, space, grew = engine.point_space(k, j, sigma, "derived",
-                                                   pt)
+    master, _, space, grew = engine.point_space(k, j, sigma, "derived", pt)
     monkeypatch.setattr(linalg.ColumnSpace, "add", plain_add)
     # the stop leaves grew and the span as a plain pass over every bump-0
     # column of values has them
@@ -664,12 +663,12 @@ def test_point_space_reduces_only_nonzero_columns(k, j, spec, data):
     cols = master.evaluate(_coerce_point(k, j, point))
     plain = linalg.ColumnSpace(len(master.rows))
     grew = [c for c, col in enumerate(cols) if plain.add(col)]
-    # the integer columns are the nonzero columns of values, each scaled
-    # by the one common denominator
-    den, _ = master.table.numerators(point)
-    assert ps.columns == {c: [v * den for v in cols[c]]
-                          for c in master.nonzero}
-    assert all(type(v) is int for col in ps.columns.values() for v in col)
+    # the integer columns are the columns of values, each scaled by the
+    # one common denominator, zero columns too
+    n = len(master.rows)
+    ints = [ps.ev.column(c, n) for c in range(len(cols))]
+    assert ints == [[v * ps.ev.den for v in col] for col in cols]
+    assert all(type(v) is int for col in ints for v in col)
     assert ps.grew == grew
     assert ps.space.rank == plain.rank
     assert ps.space.pivot_rows() == plain.pivot_rows()
@@ -726,9 +725,9 @@ def test_point_rank_is_the_point_space_rank(monkeypatch, k, j, spec, prime):
     span = engine._span
     fell_back = []
 
-    def spy(k, j, point, master, cols):
+    def spy(k, j, point, master, ev):
         fell_back.append(point)
-        return span(k, j, point, master, cols)
+        return span(k, j, point, master, ev)
 
     monkeypatch.setattr(engine, "_span", spy)
     master = engine.cached(engine._build_master, k, j, sigma, "derived")
@@ -763,11 +762,11 @@ class EvaluationSpy:
 
     def __init__(self, monkeypatch):
         self.made = []
-        init = Evaluation.__init__
+        self.init = init = Evaluation.__init__
 
         def spied_init(ev, table, coords):
             init(ev, table._replace(forms=CountedForms(table.forms)), coords)
-            self.made.append((tuple(coords), ev))
+            self.made.append((tuple(coords), ev, table))
 
         monkeypatch.setattr(Evaluation, "__init__", spied_init)
 
@@ -776,11 +775,14 @@ class EvaluationSpy:
 
     def evaluated_once(self, coords):
         """The one evaluation made, at coords, after checking that it
-        evaluated no form twice and each to its full numerator."""
-        assert [c for c, _ in self.made] == [tuple(coords)]
-        ev = self.made[0][1]
+        evaluated no form twice and each to the numerator that a full,
+        unspied evaluation of its table gives."""
+        assert [c for c, _, _ in self.made] == [tuple(coords)]
+        _, ev, table = self.made[0]
         assert ev.table.forms.handed == len(ev.ints)
-        assert ev.ints == ev.table.numerators(coords)[1][:len(ev.ints)]
+        full = Evaluation.__new__(Evaluation)
+        self.init(full, table, coords)
+        assert ev.ints == full.upto()[:len(ev.ints)]
         return ev
 
 
@@ -788,7 +790,8 @@ def test_point_rank_falls_back_on_one_evaluation(monkeypatch):
     # the axis point is below full rank, where the full-rank certificate
     # could not answer, and the term rank certifies it with no exact span;
     # where the prime kills every pivot, the exact span reduces the
-    # columns of the same evaluation, and no form is evaluated twice
+    # columns of the same evaluation up to full rank, and no form is
+    # evaluated twice
     sigma = parse_sigma_spec("gen1", 1)
     master = engine.cached(engine._build_master, 1, 3, sigma, "derived")
     axis = _coerce_point(1, 3, single_coordinate_points(1, 3)[0])
@@ -799,18 +802,26 @@ def test_point_rank_falls_back_on_one_evaluation(monkeypatch):
     span = engine._span
     fell_back = []
 
-    def spied_span(k, j, point, master, cols):
+    def spied_span(k, j, point, master, ev):
         fell_back.append(point)
-        return span(k, j, point, master, cols)
+        return span(k, j, point, master, ev)
 
     def evaluate(master, point):
         raise AssertionError("point_rank evaluated the Fraction master")
 
+    plain_add = linalg.ColumnSpace.add
+    reduced = []
+
+    def add(space, vec):
+        reduced.append(vec)
+        return plain_add(space, vec)
+
     spy = EvaluationSpy(monkeypatch)
     monkeypatch.setattr(engine, "_span", spied_span)
     monkeypatch.setattr(engine.MasterSystem, "evaluate", evaluate)
+    monkeypatch.setattr(linalg.ColumnSpace, "add", add)
     assert engine.point_rank(1, 3, sigma, "derived", axis) == want[axis]
-    assert fell_back == []
+    assert fell_back == [] and reduced == []
     spy.evaluated_once(axis)
 
     monkeypatch.setattr(engine, "_PRIME", 3)
@@ -818,15 +829,24 @@ def test_point_rank_falls_back_on_one_evaluation(monkeypatch):
     assert engine.point_rank(1, 3, sigma, "derived", times3) == want[times3]
     assert fell_back == [times3]
     ev = spy.evaluated_once(times3)
-    # the exact span read every nonzero column, so every form they use
-    assert len(ev.ints) == master.table.form_end[master.nonzero[-1] + 1]
+    # the modular pass read every nonzero bump-0 column, as a pass that
+    # falls back always does (it stops early only at full rank); the
+    # exact span reduced them only up to full rank, and evaluated no form
+    # past the last column the modular pass read
+    narrow = master.nonzero_narrow()
+    assert want[times3] == len(master.rows)
+    assert len(reduced) < len(narrow)
+    assert reduced == [ev.column(c, len(master.rows))
+                       for c in narrow[:len(reduced)]]
+    assert len(ev.ints) == master.table.form_end[narrow[-1] + 1]
 
 
 def test_exact_queries_evaluate_integer_numerators_once(monkeypatch):
     # every exact span and solve reads one evaluation of integer
     # numerators per point, evaluates no form twice and builds no
-    # Fraction view of the table; a rank certified at full rank reads
-    # only the forms of the first #rows nonzero bump-0 columns
+    # Fraction view of the table; a rank certified at full rank, and a
+    # span full after its first #rows columns, read only the forms of
+    # the first #rows nonzero bump-0 columns
     sigma = parse_sigma_spec("gen1", 1)
     points = [random_point(1, 2, random.Random(7)),
               single_coordinate_points(1, 2)[0]]
@@ -839,7 +859,6 @@ def test_exact_queries_evaluate_integer_numerators_once(monkeypatch):
     def fraction_view(*args):
         raise AssertionError("an exact query built Fraction values")
 
-    monkeypatch.setattr(FormTable, "values", fraction_view)
     monkeypatch.setattr(engine.MasterSystem, "evaluate", fraction_view)
     n = len(master.rows)
     head = master.table.form_end[master.nonzero_narrow()[n - 1] + 1]
@@ -849,7 +868,7 @@ def test_exact_queries_evaluate_integer_numerators_once(monkeypatch):
             spy.clear()
             query(1, 2, sigma, "derived", pt)
             ev = spy.evaluated_once(pt)
-            if query is engine.point_rank and pt is points[0]:
+            if pt is points[0]:
                 assert len(ev.ints) == head
         spy.clear()
         full_gauge_oracle(1, 2, sigma, pt, delta)
@@ -1040,9 +1059,9 @@ def presolve_of_values(k, j, sigma, point, delta):
     the entries' values at the point and a solve of the survivors, with
     no presolve plan."""
     system = engine.cached(oracle._build_oracle_system, k, j, sigma)
-    values = system.table.values(
-        _coerce_point(k, j, point) + _coerce_point(k, j, delta))
     table = system.table
+    values = form_values(
+        table, _coerce_point(k, j, point) + _coerce_point(k, j, delta))
     segments = [{r: values[f] for r, f in table.segment(c) if values[f]}
                 for c in range(len(table.start) - 1)]
 
@@ -1130,8 +1149,8 @@ def test_oracle_plan_matches_presolve_of_values(k, j, spec, data):
     for pt, dl in ((point, delta),
                    ([scale * c for c in point], [scale * c for c in delta])):
         coords = _coerce_point(k, j, pt) + _coerce_point(k, j, dl)
-        values = system.table.values(coords)
-        _, ints = system.table.numerators(coords)
+        values = form_values(system.table, coords)
+        ints = Evaluation(system.table, coords).upto()
         zero = frozenset(f for f, v in enumerate(values) if not v)
         assert zero == frozenset(f for f, v in enumerate(ints) if not v)
         supports.add(zero)
@@ -1259,6 +1278,28 @@ def test_verify_claims_statuses():
     assert names2["max-corank-bound"]["detail"]["max_corank"] == 7
     assert names2["max-corank-bound"]["detail"]["bound"] == 6
     assert ex2["status"] == "EXCEEDS"
+
+
+@pytest.mark.parametrize("k, spec, seed, status, achieved", [
+    (2, "u1*gen4", 97, "EXCEEDS", [5, 6, 7, 8, 9, 10, 11]),
+    (2, "u1*gen4", 1, "EXCEEDS", [5, 6, 7, 8, 9, 10, 11]),
+    (1, "u1*gen1", 1, "PASS", [6, 7, 8, 9, 10, 11]),
+])
+def test_verify_scans_every_support_mask_at_j4(k, spec, seed, status,
+                                               achieved):
+    # corank 11 lies only on 3 of the 4,095 support masks at j = 4 (masks
+    # 1, 32, 33 for W_2 and 1, 64, 65 for W_1), which a sample of 512
+    # masks missed at these seeds; every mask is scanned now
+    rep = verify_claims(k, 4, parse_sigma_spec(spec, k), seed=seed,
+                        trials=2)
+    by_name = {c["name"]: c for c in rep["claims"]}
+    bound = by_name["max-corank-bound"]
+    assert bound["status"] == status
+    assert bound["detail"]["bound"] == 12 - k
+    assert bound["detail"]["max_corank"] == 11
+    assert bound["detail"]["witness"]["mask"] == 1
+    assert by_name["corank-contiguity"]["detail"]["achieved"] == achieved
+    assert rep["status"] == status
 
 
 def test_single_coordinate_points_shape():

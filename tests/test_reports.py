@@ -4,7 +4,9 @@ tests/reports.json holds, for each invocation in CASES, its exit code, the
 SHA-256 of its stdout and the first line of its stderr.  The invocations
 run in-process through click's CliRunner, each in an empty directory that
 holds only FILES.  A change that means to alter a report re-records the
-file by running this module as a script:
+file by running this module as a script, which prints the args of every
+entry it adds, changes or drops, so a re-record can be reviewed from its
+output:
 
     PYTHONPATH=src python tests/test_reports.py
 """
@@ -49,6 +51,8 @@ CASES = [
     *[("verify", "--k", str(k), "--j", str(j), "--sigma", spec,
        "--seed", "1") for k, j, spec in VERIFY],
     ("verify", "--k", "1", "--j", "2", "--sigma", "gen1", "--seed", "1"),
+    # extremal at j = 4: corank 11 lies on 3 of the 4,095 support masks
+    ("verify", "--k", "2", "--j", "4", "--sigma", "u1*gen4", "--seed", "1"),
     ("oracle-check", "--trials", "1", "--seed", "11"),
     ("oracle-check",),
     # usage errors
@@ -101,6 +105,30 @@ def test_report_matches_the_corpus(corpus, args):
     assert run(args) == corpus[args]
 
 
+def changes(old, new):
+    """One line per entry that a re-record adds, changes or drops, from
+    the old and new lists of corpus entries."""
+    before = {tuple(e["args"]): e for e in old}
+    after = {tuple(e["args"]): e for e in new}
+    lines = [f"{'added' if args not in before else 'changed'}: "
+             f"{' '.join(args)}"
+             for args, e in after.items() if before.get(args) != e]
+    return lines + [f"dropped: {' '.join(args)}"
+                    for args in before if args not in after]
+
+
+def test_changes_names_every_entry_that_moved():
+    old = [{"args": ["a"], "exit_code": 0}, {"args": ["b"], "exit_code": 0},
+           {"args": ["c"], "exit_code": 0}]
+    new = [{"args": ["a"], "exit_code": 0}, {"args": ["b"], "exit_code": 1},
+           {"args": ["d", "--x"], "exit_code": 0}]
+    assert changes(old, new) == ["changed: b", "added: d --x", "dropped: c"]
+    assert changes(new, new) == []
+
+
 if __name__ == "__main__":
-    CORPUS.write_text(json.dumps([run(args) for args in CASES], indent=1)
-                      + "\n", encoding="utf-8")
+    old = (json.loads(CORPUS.read_text(encoding="utf-8"))
+           if CORPUS.exists() else [])
+    new = [run(args) for args in CASES]
+    print("\n".join(changes(old, new)) or "no entry changed")
+    CORPUS.write_text(json.dumps(new, indent=1) + "\n", encoding="utf-8")

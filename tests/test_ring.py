@@ -9,7 +9,13 @@ from hypothesis import example, given, settings, strategies as st
 from ncbundles import FormalFunction, LaurentPoly, Monomial, parse_poly
 from ncbundles.ring import VARS, Evaluation, FormTable, ParamPoly
 
-from conftest import fractions, laurent_polys, monomials, rationals
+from conftest import (
+    form_values,
+    fractions,
+    laurent_polys,
+    monomials,
+    rationals,
+)
 
 P = parse_poly
 
@@ -274,7 +280,7 @@ def test_form_table_matches_param_evaluate(distinct, repeats, point):
     # one per row of a single column
     entries = distinct + [distinct[r % len(distinct)] + 0 for r in repeats]
     table = FormTable.compile([dict(enumerate(entries))])
-    values = table.values(point)
+    values = form_values(table, point)
     segment = list(table.segment(0))
     assert [r for r, _ in segment] == [r for r, e in enumerate(entries) if e]
     for r, f in segment:
@@ -297,13 +303,15 @@ def test_form_table_columns_match_param_evaluate(columns, copies, point):
             entry = next(iter(columns[c].values()))
             columns[-1 - c][r] = entry + 0
     table = FormTable.compile(columns)
-    values = table.values(point)
-    den, ints = table.numerators(point)
-    assert values == [Fraction(v, den) for v in ints]
+    values = form_values(table, point)
+    ev = Evaluation(table, point)
+    assert type(ev.den) is int and ev.den > 0
     assert len(table.start) == len(columns) + 1
     for c, col in enumerate(columns):
-        dense = table.column(values, c, 6, 0)
-        assert dense == [evaluated(col.get(r, 0), point) for r in range(6)]
+        dense = [evaluated(col.get(r, 0), point) for r in range(6)]
+        assert table.column(values, c, 6, 0) == dense
+        # the integer column, read on its own, over the denominator
+        assert [Fraction(v, ev.den) for v in ev.column(c, 6)] == dense
         assert sorted(r for r, _ in table.segment(c)) == sorted(
             r for r, e in col.items() if e)
 
@@ -327,11 +335,16 @@ def test_form_table_numbers_forms_and_monomials_in_column_order(columns,
         used += [m for m, _ in form if m not in used]
         assert used == list(range(table.monomial_end[f + 1]))
     assert table.monomial_end[0] == 0 and len(used) == len(table.monomials)
-    # column by column, an evaluation gives the prefix of the full one
-    den, ints = table.numerators(point)
+    # column by column, an evaluation gives the prefix of the full one,
+    # and a column read on its own evaluates the forms up to its own
+    full = Evaluation(table, point)
+    ints = full.upto()
     ev = Evaluation(table, point)
-    assert ev.den == den and ev.ints == []
+    assert ev.den == full.den and ev.ints == []
     for c in range(len(columns)):
         assert ev.upto(c + 1) == ints[:table.form_end[c + 1]]
         assert list(ev.columns([c], 6)) == [table.column(ints, c, 6, 0)]
+        lazy = Evaluation(table, point)
+        assert lazy.column(c, 6) == table.column(ints, c, 6, 0)
+        assert lazy.ints == ints[:table.form_end[c + 1]]
     assert ev.upto() == ints
