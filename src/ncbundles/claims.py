@@ -25,6 +25,7 @@ from .engine import (
     require_directions,
     require_positive,
     single_coordinate_points,
+    stratum_bounds,
 )
 
 # ---------------------------------------------------------------------------
@@ -35,20 +36,25 @@ def _point_seed(seed, mask, draw):
     return (seed * 1000003 + mask * 97 + draw) % (2 ** 63)
 
 
-def _masked_point(k, j, mask, rng):
-    dim = direction_dimension(k, j)
+def _draw(k, j, seed, mask, draw):
+    """The point of one draw on the stratum of a mask."""
+    rng = random.Random(_point_seed(seed, mask, draw))
     return [rand_fraction(rng) if mask >> r & 1 else Fraction(0)
-            for r in range(dim)]
+            for r in range(direction_dimension(k, j))]
 
 
 def _scan_masks(sigma, k, j, masks, seed, draws):
+    """(mask, draw, rank) of every draw on every mask.  On a closed
+    stratum (stratum_bounds) every draw has the proved rank, so no point
+    is drawn; on an open one, each draw's point is ranked."""
+    master = cached(_build_master, k, j, sigma, "derived")
     out = []
     for mask in masks:
+        lower, upper = stratum_bounds(master, mask)
         for t in range(draws):
-            rng = random.Random(_point_seed(seed, mask, t))
-            pt = _masked_point(k, j, mask, rng)
-            rank = point_rank(k, j, sigma, "derived", pt)
-            out.append((mask, t, rank, [str(c) for c in pt]))
+            rank = lower if lower == upper else point_rank(
+                k, j, sigma, "derived", _draw(k, j, seed, mask, t))
+            out.append((mask, t, rank))
     return out
 
 
@@ -69,7 +75,11 @@ def stratify(k, j, sigma, strategy="support-patterns", seed=DEFAULT_SEED,
 
     strategy="support-patterns" samples every nonzero support pattern
     (all of them when 2^dim - 1 <= pattern_cap, a seeded sample plus the
-    full pattern otherwise) with several draws each.
+    full pattern otherwise) with several draws each.  A draw's point is
+    seeded by (seed, pattern, draw).  On a closed stratum every draw has
+    the proved rank (engine.stratum_bounds) and no point is drawn; on an
+    open one each draw's point is ranked (point_rank).  A stratum's
+    witness is its first draw, whose point is drawn again to report it.
     strategy="symbolic-minors" additionally certifies the generic rank
     with one maximal minor, checked exactly at its witness point rather
     than expanded symbolically (certify_generic_rank).  The patterns are
@@ -101,22 +111,19 @@ def stratify(k, j, sigma, strategy="support-patterns", seed=DEFAULT_SEED,
     else:
         results = _scan_masks(sigma, k, j, masks, seed, draws)
 
-    strata = {}
-    max_corank = -1
-    max_witness = None
-    for mask, t, r, pt in results:
-        corank = dim - r
-        rec = strata.get(corank)
-        if rec is None:
-            strata[corank] = {
-                "count": 1,
-                "witness": {"mask": mask, "point": pt},
-            }
-        else:
-            rec["count"] += 1
-        if corank > max_corank:
-            max_corank = corank
-            max_witness = {"mask": mask, "point": pt}
+    counts, first = {}, {}  # per corank: its draws, and the first one
+    for mask, t, r in results:
+        counts[dim - r] = counts.get(dim - r, 0) + 1
+        first.setdefault(dim - r, (mask, t))
+
+    def witness(corank):
+        mask, t = first[corank]
+        pt = _draw(k, j, seed, mask, t)
+        return {"mask": mask, "point": [str(c) for c in pt]}
+
+    strata = {str(c): {"count": counts[c], "witness": witness(c)}
+              for c in sorted(counts)}
+    max_corank = max(counts)
 
     report = {
         "k": k,
@@ -126,9 +133,9 @@ def stratify(k, j, sigma, strategy="support-patterns", seed=DEFAULT_SEED,
         "dimension": dim,
         "patterns_scanned": len(masks),
         "draws_per_pattern": draws,
-        "strata": {str(c): strata[c] for c in sorted(strata)},
+        "strata": strata,
         "max_corank": max_corank,
-        "max_corank_witness": max_witness,
+        "max_corank_witness": witness(max_corank),
         "stability_checked": True,
     }
     if strategy == "symbolic-minors":

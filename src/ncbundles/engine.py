@@ -21,6 +21,14 @@ columns of the stability window past the bump-0 window are zero, so the
 stability pass reads none of them there; a nonzero column planted in
 that window is still reduced, and raises if it enlarges the span.
 
+A rank query is answered on the support stratum of its point, the points
+with the same nonzero coordinates, where that is possible: a triangular
+submatrix with single-monomial diagonal entries bounds the rank from
+below at every point of the stratum, and the term rank of the entries
+that can be nonzero there bounds it from above (stratum_bounds).  Where
+the two meet, the stratum is closed, and its rank is proved with nothing
+evaluated; elsewhere a point's evaluation decides (point_rank).
+
 A derived column, the hbar-part of (T_0a * W) * R_b1 for a monomial unit
 W, is not computed by star products: beyond bilinearity, the Leibniz rule
 for {t0 w, r0} and {f, w} = sum_d dw/dd P_d(f) (Bivector.bracket_pieces)
@@ -271,9 +279,9 @@ class MasterSystem:
     entry that is not identically zero.  `table`, built once with the
     master, holds the nonzero entries of every column, in the same
     column order.  build_cancellation_system returns one window of it,
-    symbolic or evaluated at a point.  `pattern` is the zero pattern of
-    the nonzero columns as _term_bound reads it, and `bounds` holds the
-    term rank of each support pattern met so far.
+    symbolic or evaluated at a point.  `bounds` holds the rank bounds of
+    each support stratum met so far (stratum_bounds), and `pattern` the
+    zero pattern they are read from, built with the first of them.
     """
 
     rows: list
@@ -283,9 +291,10 @@ class MasterSystem:
     narrow: int
     nonzero: tuple
     table: FormTable
-    pattern: tuple
     bounds: dict = field(default_factory=dict, init=False, compare=False,
                          repr=False)
+    pattern: tuple = field(default=None, init=False, compare=False,
+                           repr=False)
 
     def nonzero_narrow(self):
         """The nonzero columns of the bump-0 window."""
@@ -373,13 +382,7 @@ def _build_master(k, j, sigma, formula):
 
     nonzero = tuple(c for c, col in enumerate(columns) if any(col))
     table = FormTable.compile(dict(enumerate(col)) for col in columns)
-    # bit r of a need: coordinate r; bit m of a form's set: monomial m
-    needs = tuple(sum(1 << v for v in set(m)) >> 1 for m in table.monomials)
-    sets = [sum(1 << m for m, _ in form) for form in table.forms]
-    pattern = (needs, tuple(tuple((r, sets[f]) for r, f in table.segment(c))
-                            for c in nonzero))
-    return MasterSystem(rows, tags, win, columns, narrow, nonzero, table,
-                        pattern)
+    return MasterSystem(rows, tags, win, columns, narrow, nonzero, table)
 
 
 _MASTERS = {}
@@ -509,28 +512,56 @@ def point_space(k, j, sigma, formula, point):
     return PointSpace(master, ev, *_span(k, j, point, master, ev))
 
 
-def _term_bound(master, point):
-    """The term rank of the master's nonzero columns on the support
-    pattern of the point, cached per pattern in master.bounds.
+def _zero_pattern(master):
+    """What each table monomial needs and, per nonzero column, the (row,
+    monomial set) of each entry: bit r of a need is coordinate r, and bit
+    m of a set is monomial m."""
+    table = master.table
+    needs = tuple(sum(1 << v for v in set(m)) >> 1 for m in table.monomials)
+    sets = [sum(1 << m for m, _ in form) for form in table.forms]
+    return needs, tuple(tuple((r, sets[f]) for r, f in table.segment(c))
+                        for c in master.nonzero)
 
-    An entry counts when its form can be nonzero on the pattern, that is
-    when one of the form's monomials needs no coordinate outside it; the
-    constant, variable 0, needs none.  master.pattern holds what each
-    table monomial needs and, per nonzero column, the (row, monomial
-    set) of each entry.  Every other entry vanishes at each point of the
-    pattern, so no such point gives the columns of the whole stability
-    window a larger rank (linalg.term_rank).
+
+def stratum_bounds(master, support):
+    """(lower, upper): bounds of the rank at every point of a support
+    stratum, the points whose nonzero coordinates are exactly the bits of
+    support, cached per support in master.bounds.
+
+    An entry is live on the stratum when one of its form's monomials
+    needs no coordinate outside the support (the constant, variable 0,
+    needs none); every other entry vanishes on the whole stratum.  An
+    entry with a single live monomial is sure: it is nonzero at every
+    point of the stratum.  lower is linalg.triangular_rank of the nonzero
+    bump-0 columns N, a nonsingular submatrix of N at every such point;
+    upper is linalg.term_rank of every nonzero column, so no point of the
+    stratum gives the columns of the whole stability window a larger
+    rank.  upper is not computed when lower is already #rows, and is
+    #rows then.  When the two meet, rank_Q(N) = rank_Q(window) = lower
+    at every point of the stratum: the rank is proved there and stable
+    under the window bump.
+
+    master.pattern, the zero pattern of the nonzero columns, is built
+    with the first bounds of a master and kept on it, so emptying
+    _MASTERS drops it with the bounds.
     """
-    support = sum(1 << r for r, c in enumerate(point) if c)
-    bound = master.bounds.get(support)
-    if bound is None:
+    got = master.bounds.get(support)
+    if got is None:
+        if master.pattern is None:
+            # a cache on the frozen master, as bounds is
+            object.__setattr__(master, "pattern", _zero_pattern(master))
         needs, columns = master.pattern
         live = sum(1 << m for m, need in enumerate(needs)
                    if not need & ~support)
-        bound = master.bounds[support] = linalg.term_rank(
-            [[r for r, mons in col if mons & live] for col in columns],
-            len(master.rows))
-    return bound
+        entries = [[(r, not x & (x - 1)) for r, mons in col
+                    if (x := mons & live)] for col in columns]
+        n = len(master.rows)
+        lower = linalg.triangular_rank(
+            entries[:len(master.nonzero_narrow())], n)
+        upper = n if lower == n else linalg.term_rank(
+            [[r for r, _ in col] for col in entries], n)
+        got = master.bounds[support] = lower, upper
+    return got
 
 
 _PRIME = 2_147_483_647  # 2^31 - 1, the modulus of point_rank's certificate
@@ -538,19 +569,20 @@ _PRIME = 2_147_483_647  # 2^31 - 1, the modulus of point_rank's certificate
 
 def point_rank(k, j, sigma, formula, point):
     """The rank point_space(k, j, sigma, formula, point).space.rank gives,
-    from the same integer columns, certified modulo a prime.
+    proved on the point's support stratum or certified modulo a prime.
 
-    Modulo the prime _PRIME a minor of the integer columns can only
-    vanish, and on the point's support pattern the columns of the whole
-    stability window have rank at most their term rank there
-    (_term_bound).  So for the nonzero bump-0 columns N,
-    rank_p(N) <= rank_Q(N) <= rank_Q(window) <= min(#rows, term rank).
-    When rank_p(N) reaches #rows or the term rank, all are equal: it is
-    the exact rank, and no column of the stability window enlarges the
-    span, so the rank is window-stable.  Otherwise (a pivot the prime
-    kills, or a rank below the term rank) the exact span of the same
-    columns, read from the same Evaluation, decides (_span), and raises
-    WindowInstabilityError where point_space would.
+    On the stratum of the point, stratum_bounds gives lower <= rank_Q(N)
+    for the nonzero bump-0 columns N and rank_Q(window) <= upper for the
+    columns of the whole stability window.  Where lower == upper the
+    stratum is closed: that is the exact, window-stable rank, returned
+    with nothing evaluated.  On an open stratum, modulo the prime _PRIME
+    a minor of the integer columns can only vanish, so
+    rank_p(N) <= rank_Q(N) <= rank_Q(window) <= min(#rows, upper).
+    When rank_p(N) reaches #rows or upper, all are equal: it is the
+    exact rank, and no column of the stability window enlarges the span.
+    Otherwise (a pivot the prime kills, or a rank below upper) the exact
+    span of the same columns, read from the same Evaluation, decides
+    (_span), and raises WindowInstabilityError where point_space would.
 
     FormTable.compile numbers forms and monomials in column order, so
     the forms of the first columns are a prefix (ring.Evaluation).  The
@@ -560,9 +592,13 @@ def point_rank(k, j, sigma, formula, point):
     that read pivots, columns or grew use point_space.
     """
     master = cached(_build_master, k, j, sigma, formula)
+    support = sum(1 << r for r, c in enumerate(point) if c)
+    lower, upper = stratum_bounds(master, support)
+    if lower == upper:
+        return lower
     ev, n = Evaluation(master.table, point), len(master.rows)
     rank = linalg.rank_mod(ev.columns(master.nonzero_narrow(), n), n, _PRIME)
-    if rank == n or rank == _term_bound(master, point):
+    if rank == n or rank == upper:
         return rank
     return _span(k, j, point, master, ev)[0].rank
 

@@ -335,6 +335,46 @@ def test_term_rank_is_the_largest_matching(system):
     assert linalg.rank(dense, nrows) <= got
 
 
+@settings(max_examples=100)
+@given(st.integers(1, 4).flatmap(lambda nrows: st.tuples(
+    st.just(nrows),
+    st.lists(st.dictionaries(st.integers(0, nrows - 1), st.booleans()),
+             max_size=5).map(lambda cols: [sorted(c.items())
+                                           for c in cols]))))
+# an entry that may vanish is never a diagonal entry
+@example((1, [[(0, False)]]))
+# no row or column has one entry: the stuck step drops a column
+@example((2, [[(0, True), (1, True)], [(0, True), (1, True)]]))
+# peeling the sure column first frees the second row
+@example((2, [[(0, True), (1, False)], [(1, True)]]))
+def test_triangular_rank_is_a_lower_bound(system):
+    nrows, columns = system
+    got = linalg.triangular_rank(columns, nrows)
+    assert got <= linalg.term_rank([[r for r, _ in col] for col in columns],
+                                   nrows)
+    # every matrix with this pattern, sure entries nonzero, has at least
+    # that rank; an entry that is not sure may be zero
+    rng = random.Random(got)
+    for _ in range(8):
+        dense = [[0] * nrows for _ in columns]
+        for col, entries in zip(dense, columns):
+            for r, sure in entries:
+                col[r] = rng.choice([-2, -1, 1, 2] if sure else [0, 0, 1])
+        assert linalg.rank(dense, nrows) >= got
+
+
+def test_triangular_rank_meets_a_triangle():
+    # upper triangular with a sure diagonal and entries above it that may
+    # vanish: the whole triangle is found, in any column order
+    cols = [[(r, r == c) for r in range(c + 1)] for c in range(4)]
+    assert linalg.triangular_rank(cols, 4) == 4
+    assert linalg.triangular_rank(cols[::-1], 4) == 4
+    # with the first diagonal entry unsure, the first row and column
+    # can go, and the rest is still a triangle
+    cols[0] = [(0, False)]
+    assert linalg.triangular_rank(cols, 4) == 3
+
+
 def sparse_system(rng, nrows, nvars, density):
     columns = {}
     for v in range(nvars):

@@ -568,6 +568,50 @@ def test_stratify_scans_in_process_for_one_chunk(monkeypatch):
     assert stratify(1, 2, sigma, draws=2, seed=5, workers=4) == serial[1]
 
 
+# the j = 3 configurations of perfbench's claims-cold workload
+CLAIMS_J3 = ([(1, f"gen{n}") for n in range(1, 5)]
+             + [(2, f"gen{n}") for n in range(1, 6)]
+             + [(1, "u1*gen1"), (2, "u1*gen4")])
+
+
+def reference_strata(k, j, sigma, seed, draws):
+    """stratify's strata, max corank and witness from a scan that ranks
+    every drawn point with point_space and formats every point."""
+    dim = direction_dimension(k, j)
+    strata, max_corank, max_witness = {}, -1, None
+    for mask in range(1, 1 << dim):
+        for t in range(draws):
+            rng = random.Random(claims._point_seed(seed, mask, t))
+            pt = [rand_fraction(rng) if mask >> r & 1 else Fraction(0)
+                  for r in range(dim)]
+            space = engine.point_space(k, j, sigma, "derived", pt).space
+            corank, text = dim - space.rank, [str(c) for c in pt]
+            rec = strata.setdefault(corank, {
+                "count": 0, "witness": {"mask": mask, "point": text}})
+            rec["count"] += 1
+            if corank > max_corank:
+                max_corank, max_witness = corank, {"mask": mask,
+                                                   "point": text}
+    return {str(c): strata[c] for c in sorted(strata)}, max_corank, max_witness
+
+
+@pytest.mark.parametrize("k, spec", CLAIMS_J3)
+def test_stratify_matches_a_scan_of_every_draw(k, spec):
+    # closed strata take their proved rank and draw no point, open ones
+    # rank their draws; the report is the one a scan that ranks and
+    # formats every draw gives
+    sigma = parse_sigma_spec(spec, k)
+    rep = stratify(k, 3, sigma, seed=1, draws=2)
+    assert rep["patterns_scanned"] == 255
+    assert (rep["strata"], rep["max_corank"], rep["max_corank_witness"]) == (
+        reference_strata(k, 3, sigma, 1, 2))
+    master = engine.cached(engine._build_master, k, 3, sigma, "derived")
+    opened = [m for m in range(1, 256)
+              if len(set(engine.stratum_bounds(master, m))) == 2]
+    if spec == "gen1":
+        assert opened  # both paths are compared
+
+
 def test_stratify_symbolic_minors_certificate():
     sigma = parse_sigma_spec("u1*gen1", 1)
     rep = stratify(1, 2, sigma, strategy="symbolic-minors", draws=2)
@@ -691,7 +735,7 @@ def rank_points(k, j):
 
 def pattern_rank(master, point):
     """The term rank of the master's nonzero columns on the support
-    pattern of the point, by another route than engine._term_bound.
+    pattern of the point, by another route than engine.stratum_bounds.
 
     An entry counts when one of its symbolic terms has no parameter
     outside the support.  Each counted entry gets a random integer below
@@ -712,37 +756,52 @@ def pattern_rank(master, point):
         len(master.rows))
 
 
+def support(point):
+    return sum(1 << r for r, c in enumerate(point) if c)
+
+
 @pytest.mark.parametrize("prime", ["default", 3])
 @pytest.mark.parametrize("j", [2, 3, 4])
 @pytest.mark.parametrize("k, spec", LEIBNIZ_SPECS)
 def test_point_rank_is_the_point_space_rank(monkeypatch, k, j, spec, prime):
-    # the certificate answers where the modular rank meets the row count
-    # or the term rank of the support pattern, the exact span where it
-    # falls short of both, and both give point_space's rank
+    # a closed stratum (lower bound = term rank) answers with nothing
+    # evaluated; on an open one the certificate answers where the modular
+    # rank meets the row count or the term rank, the exact span where it
+    # falls short of both, and all give point_space's rank
     sigma = parse_sigma_spec(spec, k)
     if prime != "default":
         monkeypatch.setattr(engine, "_PRIME", prime)
     span = engine._span
     fell_back = []
 
-    def spy(k, j, point, master, ev):
+    def spied_span(k, j, point, master, ev):
         fell_back.append(point)
         return span(k, j, point, master, ev)
 
-    monkeypatch.setattr(engine, "_span", spy)
+    monkeypatch.setattr(engine, "_span", spied_span)
+    spy = EvaluationSpy(monkeypatch)
     master = engine.cached(engine._build_master, k, j, sigma, "derived")
     upper = min(len(master.rows), len(master.nonzero))
     points = rank_points(k, j)
     for pt in points:
         rank = engine.point_space(k, j, sigma, "derived", pt).space.rank
-        bound = engine._term_bound(master, pt)
-        assert rank <= bound == pattern_rank(master, pt) <= upper
+        lower, bound = engine.stratum_bounds(master, support(pt))
+        assert lower <= rank <= bound == pattern_rank(master, pt) <= upper
         fell_back.clear()
+        spy.clear()
         assert engine.point_rank(k, j, sigma, "derived", pt) == rank
+        if lower == bound:
+            assert spy.made == [] and fell_back == []
+            continue
+        spy.evaluated_once(pt)
         if prime == "default":
             assert bool(fell_back) == (rank != bound)
         elif pt is points[-1]:
+            # every entry vanishes modulo 3 there
             assert fell_back == [pt] and rank == upper
+    if (k, j, spec) == (2, 3, "gen1"):
+        # full support is open there: lower 7, term rank 8
+        assert engine.stratum_bounds(master, support(points[-1])) == (7, 8)
 
 
 class CountedForms(tuple):
@@ -787,18 +846,26 @@ class EvaluationSpy:
 
 
 def test_point_rank_falls_back_on_one_evaluation(monkeypatch):
-    # the axis point is below full rank, where the full-rank certificate
-    # could not answer, and the term rank certifies it with no exact span;
-    # where the prime kills every pivot, the exact span reduces the
-    # columns of the same evaluation up to full rank, and no form is
-    # evaluated twice
-    sigma = parse_sigma_spec("gen1", 1)
-    master = engine.cached(engine._build_master, 1, 3, sigma, "derived")
-    axis = _coerce_point(1, 3, single_coordinate_points(1, 3)[0])
-    times3 = _coerce_point(1, 3, [3, -6, 3, 3, 6, -3, 3, 3])
-    want = {pt: engine.point_space(1, 3, sigma, "derived", pt).space.rank
-            for pt in (axis, times3)}
-    assert want[axis] < min(len(master.rows), len(master.nonzero))
+    # on (2,3,gen1) an axis stratum is closed and evaluates nothing; the
+    # stratum of coordinates 0 and 4 is open (lower bound 5, term rank 6)
+    # and below full rank, where the full-rank certificate could not
+    # answer, and the term rank certifies it with no exact span; full
+    # support is open too (lower bound 7, term rank 8), and where the
+    # prime kills every pivot there, the exact span reduces the columns
+    # of the same evaluation up to full rank, and no form is evaluated
+    # twice
+    sigma = parse_sigma_spec("gen1", 2)
+    master = engine.cached(engine._build_master, 2, 3, sigma, "derived")
+    n = len(master.rows)
+    axis = _coerce_point(2, 3, single_coordinate_points(2, 3)[0])
+    pair = _coerce_point(2, 3, [1, 0, 0, 0, 2, 0, 0, 0])
+    times3 = _coerce_point(2, 3, [3, -6, 3, 3, 6, -3, 3, 3])
+    want = {pt: engine.point_space(2, 3, sigma, "derived", pt).space.rank
+            for pt in (axis, pair, times3)}
+    assert engine.stratum_bounds(master, 1) == (want[axis],) * 2
+    assert engine.stratum_bounds(master, 0b10001) == (5, 6) == (5, want[pair])
+    assert want[pair] < n
+    assert engine.stratum_bounds(master, 0xff) == (7, 8)
     span = engine._span
     fell_back = []
 
@@ -820,13 +887,15 @@ def test_point_rank_falls_back_on_one_evaluation(monkeypatch):
     monkeypatch.setattr(engine, "_span", spied_span)
     monkeypatch.setattr(engine.MasterSystem, "evaluate", evaluate)
     monkeypatch.setattr(linalg.ColumnSpace, "add", add)
-    assert engine.point_rank(1, 3, sigma, "derived", axis) == want[axis]
+    assert engine.point_rank(2, 3, sigma, "derived", axis) == want[axis]
+    assert spy.made == [] and fell_back == [] and reduced == []
+    assert engine.point_rank(2, 3, sigma, "derived", pair) == want[pair]
     assert fell_back == [] and reduced == []
-    spy.evaluated_once(axis)
+    spy.evaluated_once(pair)
 
     monkeypatch.setattr(engine, "_PRIME", 3)
     spy.clear()
-    assert engine.point_rank(1, 3, sigma, "derived", times3) == want[times3]
+    assert engine.point_rank(2, 3, sigma, "derived", times3) == want[times3]
     assert fell_back == [times3]
     ev = spy.evaluated_once(times3)
     # the modular pass read every nonzero bump-0 column, as a pass that
@@ -834,10 +903,9 @@ def test_point_rank_falls_back_on_one_evaluation(monkeypatch):
     # exact span reduced them only up to full rank, and evaluated no form
     # past the last column the modular pass read
     narrow = master.nonzero_narrow()
-    assert want[times3] == len(master.rows)
+    assert want[times3] == n
     assert len(reduced) < len(narrow)
-    assert reduced == [ev.column(c, len(master.rows))
-                       for c in narrow[:len(reduced)]]
+    assert reduced == [ev.column(c, n) for c in narrow[:len(reduced)]]
     assert len(ev.ints) == master.table.form_end[narrow[-1] + 1]
 
 
@@ -846,13 +914,18 @@ def test_exact_queries_evaluate_integer_numerators_once(monkeypatch):
     # numerators per point, evaluates no form twice and builds no
     # Fraction view of the table; a rank certified at full rank, and a
     # span full after its first #rows columns, read only the forms of
-    # the first #rows nonzero bump-0 columns
+    # the first #rows nonzero bump-0 columns; a rank on a closed stratum
+    # evaluates nothing
     sigma = parse_sigma_spec("gen1", 1)
     points = [random_point(1, 2, random.Random(7)),
               single_coordinate_points(1, 2)[0]]
     delta = random_point(1, 2, random.Random(8))
+    # full support is an open stratum of (2,3,gen1)
+    sigma23 = parse_sigma_spec("gen1", 2)
+    open_pt = random_point(2, 3, random.Random(7))
     # a build evaluates nothing, but is done before the spies go in
     master = engine.cached(engine._build_master, 1, 2, sigma, "derived")
+    master23 = engine.cached(engine._build_master, 2, 3, sigma23, "derived")
     engine.cached(oracle._build_oracle_system, 1, 2, sigma)
     spy = EvaluationSpy(monkeypatch)
 
@@ -860,17 +933,30 @@ def test_exact_queries_evaluate_integer_numerators_once(monkeypatch):
         raise AssertionError("an exact query built Fraction values")
 
     monkeypatch.setattr(engine.MasterSystem, "evaluate", fraction_view)
-    n = len(master.rows)
-    head = master.table.form_end[master.nonzero_narrow()[n - 1] + 1]
-    assert head < len(master.table.forms)
-    for pt in points:
-        for query in (engine.point_space, engine.point_rank):
-            spy.clear()
-            query(1, 2, sigma, "derived", pt)
-            ev = spy.evaluated_once(pt)
-            if pt is points[0]:
-                assert len(ev.ints) == head
+
+    def head(master):
+        narrow = master.nonzero_narrow()
+        return master.table.form_end[narrow[len(master.rows) - 1] + 1]
+
+    assert head(master) < len(master.table.forms)
+    assert head(master23) < len(master23.table.forms)
+    lower, upper = engine.stratum_bounds(master23, support(open_pt))
+    assert lower < upper == len(master23.rows)
+    for query in (engine.point_space, engine.point_rank):
         spy.clear()
+        query(2, 3, sigma23, "derived", open_pt)
+        assert len(spy.evaluated_once(open_pt).ints) == head(master23)
+    for pt in points:
+        spy.clear()
+        engine.point_space(1, 2, sigma, "derived", pt)
+        ev = spy.evaluated_once(pt)
+        if pt is points[0]:
+            assert len(ev.ints) == head(master)
+        spy.clear()
+        lower, upper = engine.stratum_bounds(master, support(pt))
+        assert lower == upper
+        assert engine.point_rank(1, 2, sigma, "derived", pt) == lower
+        assert spy.made == []
         full_gauge_oracle(1, 2, sigma, pt, delta)
         spy.evaluated_once(tuple(pt) + tuple(delta))
     spy.clear()
@@ -927,8 +1013,8 @@ def test_term_rank_certificate_on_support_patterns(k, gen, multiple, j,
     point = [data.draw(fractions) if mask >> r & 1 else Fraction(0)
              for r in range(dim)]
     space = engine.point_space(k, j, sigma, "derived", point).space
-    assert space.rank <= engine._term_bound(master, point) == pattern_rank(
-        master, point)
+    assert space.rank <= engine.stratum_bounds(master, mask)[1] == (
+        pattern_rank(master, point))
     assert engine.point_rank(k, j, sigma, "derived", point) == space.rank
     if space.rank == len(master.rows):
         return  # no column can enlarge a full span
@@ -944,6 +1030,52 @@ def test_term_rank_certificate_on_support_patterns(k, gen, multiple, j,
                 query(k, j, sigma, "derived", point)
 
 
+@pytest.mark.parametrize("j", [2, 3, 4])
+@pytest.mark.parametrize("multiple", ["", "u1*"])
+@pytest.mark.parametrize("k, gen", CATALOG)
+@settings(max_examples=6)
+@given(data=st.data())
+def test_stratum_bounds_hold_at_every_draw(k, gen, multiple, j, data):
+    # on a random support mask (axes among them), the exact rank at every
+    # draw lies between the stratum's lower bound and its term rank, and
+    # on a closed stratum it is the lower bound at every draw
+    sigma = parse_sigma_spec(multiple + gen, k)
+    dim = direction_dimension(k, j)
+    master = engine.cached(engine._build_master, k, j, sigma, "derived")
+    mask = data.draw(st.one_of(
+        st.builds(lambda r: 1 << r, st.integers(0, dim - 1)),
+        st.integers(1, (1 << dim) - 1)))
+    lower, upper = engine.stratum_bounds(master, mask)
+    for _ in range(3):
+        point = [data.draw(fractions) if mask >> r & 1 else Fraction(0)
+                 for r in range(dim)]
+        rank = engine.point_space(k, j, sigma, "derived", point).space.rank
+        assert lower <= rank <= upper
+        if lower == upper:
+            assert rank == lower
+
+
+def test_two_live_monomials_make_no_diagonal(monkeypatch):
+    # p0 + p1 is nonzero at most points of the stratum of p0 and p1 but
+    # vanishes at (1, -1), so only its term rank bounds the stratum, which
+    # stays open; alone on the stratum of p0 it is p0, which proves rank 1
+    p0, p1 = (ParamPoly.variable(("p0", "p1"), v) for v in ("p0", "p1"))
+    toy = engine.MasterSystem(
+        rows=["r0"], tags=[("lambda", 0)], windows=None,
+        columns=[[p0 + p1]], narrow=1, nonzero=(0,),
+        table=FormTable.compile([{0: p0 + p1}]))
+    assert engine.stratum_bounds(toy, 0b11) == (0, 1)
+    assert engine.stratum_bounds(toy, 0b01) == (1, 1)
+    sigma = parse_sigma_spec("gen1", 1)
+    key = ("_build_master", 1, 2, sigma.cache_key(), "derived")
+    monkeypatch.setattr(engine, "_MASTERS", {key: toy})
+    for pt, rank in (((1, -1), 0), ((1, 2), 1), ((3, 0), 1)):
+        pt = tuple(map(Fraction, pt))
+        assert engine.point_rank(1, 2, sigma, "derived", pt) == rank
+        assert engine.point_space(1, 2, sigma, "derived", pt).space.rank == (
+            rank)
+
+
 def test_clearing_the_masters_drops_every_bound(monkeypatch):
     # the bounds live on the cached master, so a cold cache is cold for
     # them too
@@ -956,8 +1088,11 @@ def test_clearing_the_masters_drops_every_bound(monkeypatch):
     assert sorted(master.bounds) == [1 << r for r in range(len(points))]
     engine._MASTERS.clear()
     fresh = engine.cached(engine._build_master, 1, 3, sigma, "derived")
+    assert master.pattern is not None
     assert fresh is not master and fresh.bounds == {}
-    assert fresh == master  # bounds take no part in equality
+    # the zero pattern is built with the first bounds, not with the master
+    assert fresh.pattern is None
+    assert fresh == master  # bounds and pattern take no part in equality
 
 
 def test_point_rank_keeps_the_stability_check(monkeypatch):

@@ -48,6 +48,9 @@ CASES = [
     STRATIFY + ("--workers", "2"),
     ("stratify", "--k", "1", "--j", "3", "--sigma", "gen1",
      "--strategy", "symbolic-minors", "--seed", "5", "--draws", "2"),
+    # 4,095 support masks, 498 of them open strata (not proved by bounds)
+    ("stratify", "--k", "1", "--j", "4", "--sigma", "gen1", "--seed", "5",
+     "--draws", "1"),
     *[("verify", "--k", str(k), "--j", str(j), "--sigma", spec,
        "--seed", "1") for k, j, spec in VERIFY],
     ("verify", "--k", "1", "--j", "2", "--sigma", "gen1", "--seed", "1"),
