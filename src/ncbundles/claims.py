@@ -8,7 +8,7 @@ import os
 import random
 from fractions import Fraction
 
-from . import linalg
+from . import engine, linalg
 from .engine import (
     DEFAULT_SEED,
     EXCEEDS,
@@ -81,8 +81,8 @@ def stratify(k, j, sigma, strategy="support-patterns", seed=DEFAULT_SEED,
     open one each draw's point is ranked (point_rank).  A stratum's
     witness is its first draw, whose point is drawn again to report it.
     strategy="symbolic-minors" additionally certifies the generic rank
-    with one maximal minor, checked exactly at its witness point rather
-    than expanded symbolically (certify_generic_rank).  The patterns are
+    with one maximal minor, checked at its witness point rather than
+    expanded symbolically (certify_generic_rank).  The patterns are
     scanned in min(workers, #patterns, os.cpu_count()) chunks, one per
     pool process, and in this process when that is 1; the report does
     not depend on workers.
@@ -100,8 +100,9 @@ def stratify(k, j, sigma, strategy="support-patterns", seed=DEFAULT_SEED,
         from concurrent.futures import ProcessPoolExecutor
 
         chunks = [masks[i::size] for i in range(size)]
-        # built before the pool starts, so forked workers inherit it
-        cached(_build_master, k, j, sigma, "derived")
+        # built and compiled before the pool starts, so forked workers
+        # inherit both
+        cached(_build_master, k, j, sigma, "derived").table
         with ProcessPoolExecutor(max_workers=size) as pool:
             futs = [pool.submit(_scan_masks, sigma, k, j, chunk, seed, draws)
                     for chunk in chunks]
@@ -151,11 +152,14 @@ def certify_generic_rank(k, j, sigma, seed=DEFAULT_SEED):
     M.  Read off point_space's evaluation (ev.column, columns the span
     already evaluated), as integer numerators over the denominator den,
     it is det M(pt) * den^r, nonzero exactly when det M(p) is at pt, so
-    one exact rank of it proves det M(p) != 0: the generic rank is at
-    least the minor size.  Together with the structural upper bound
-    min(#rows, #columns not identically zero) this pins the generic rank
-    exactly when the two agree.  A minor singular at its own witness
-    breaks the engine's echelon invariant and raises AssertionError.
+    a full rank of it proves det M(p) != 0: the generic rank is at least
+    the minor size.  Its rank modulo the prime engine._PRIME is checked
+    first: an integer determinant nonzero modulo a prime is nonzero.
+    Only where the prime divides it does one exact rank decide.
+    Together with the structural upper bound min(#rows, #columns not
+    identically zero) this pins the generic rank exactly when the two
+    agree.  A minor singular at its own witness breaks the engine's
+    echelon invariant and raises AssertionError.
     """
     rng = random.Random(seed)
     pt = random_point(k, j, rng)
@@ -164,7 +168,8 @@ def certify_generic_rank(k, j, sigma, seed=DEFAULT_SEED):
     pivots = cs.pivot_rows()
     upper = min(len(master.rows), len(master.nonzero_narrow()))
     sub = [[ev.column(i, cs.nrows)[p] for p in pivots] for i in picked]
-    if linalg.rank(sub, nrows=r) != r:
+    if (linalg.rank_mod(sub, r, engine._PRIME) != r
+            and linalg.rank(sub, nrows=r) != r):
         raise AssertionError(
             f"the {r}x{r} minor is singular at its witness point "
             f"(k={k}, j={j}, sigma={sigma!r})")
@@ -273,7 +278,9 @@ def verify_claims(k, j, sigma, seed=DEFAULT_SEED, trials=20):
                       else f"unexpected stalks at {bad[:3]}",
         })
         bound = 4 * j - k - 4
-        cap = 512 if dim > 12 else (1 << dim) - 1
+        # every support mask up to j = 5 (dim 16): a sample of them can
+        # miss the strata of top corank
+        cap = (1 << dim) - 1 if dim <= 16 else 512
         scan = stratify(k, j, sigma, seed=seed, draws=2, pattern_cap=cap)
         max_corank = scan["max_corank"]
         claims.append({

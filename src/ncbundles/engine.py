@@ -9,9 +9,12 @@ a point is the corank.  The full gauge oracle (oracle.py) decides the
 same triviality question without this reduction.
 
 Everything is exact over the rationals.  A direction matrix is built once
-per configuration at the stability window, bump-0 columns first, with
-entries symbolic in the base point compiled into one ring.FormTable, as
-the oracle's systems are; a point only evaluates that table.
+per configuration and formula at the stability window, bump-0 columns
+first, with entries symbolic in the base point; both formulas read one
+frame of the configuration (_build_frame), which checks T * R = 1 once.
+The entries are compiled into one ring.FormTable, as the oracle's
+systems are, when a point or a stratum first reads them; a point only
+evaluates that table.
 
 The master records which of its columns are not identically zero, and a
 point reduces only those: a zero column is the zero vector at every
@@ -46,6 +49,7 @@ from typing import NamedTuple
 
 from . import linalg
 from .bundles import (
+    Matrix2,
     canonical_right_inverse,
     extension_basis,
     star_matrix_mul,
@@ -269,6 +273,48 @@ def _direction_entry_printed(j, pieces, tag):
     return out.truncate_neighborhood(1)
 
 
+class MasterFrame(NamedTuple):
+    """What both formulas of one configuration read (_build_frame): the
+    symbolic point, p_poly, rows, the column tags of the stability window
+    with the `narrow` of the bump-0 window first, that window, and the
+    transition matrix T with its right inverse R."""
+
+    point: list
+    p_poly: LaurentPoly
+    rows: list
+    tags: list
+    narrow: int
+    windows: GaugeWindows
+    T: Matrix2
+    R: Matrix2
+
+
+def _build_frame(k, j, sigma):
+    """The frame of a configuration, after checking T * R = 1 mod hbar^2."""
+    _, coeffs = _symbolic_point(k, j)
+    basis = extension_basis(k, j, 1)
+    p_poly = LaurentPoly({m: c for m, c in zip(basis, coeffs)})
+    # a column depends on its tag alone, so the bump-0 window is a prefix
+    tags = _column_tags(compute_windows(k, j, sigma))
+    narrow = len(tags)
+    win = compute_windows(k, j, sigma, STABILITY_BUMP)
+    tags += [t for t in _column_tags(win) if t not in tags]
+
+    # identity gauge sanity: T * R must be the identity mod hbar^2
+    T = transition_matrix(j, p_poly)
+    R = canonical_right_inverse(sigma, j, FormalFunction([p_poly]))
+    ident = star_matrix_mul(sigma, T, R, 1)
+    for a in range(2):
+        for b in range(2):
+            want_cl = LaurentPoly.const(1) if a == b else LaurentPoly.zero()
+            if not (ident.entry(a, b)[0] - want_cl).is_zero():
+                raise AssertionError("right inverse failed classically")
+            if not ident.entry(a, b)[1].is_zero():
+                raise AssertionError("right inverse failed at order 1")
+    return MasterFrame(coeffs, p_poly, obstruction_basis(k, j), tags, narrow,
+                       win, T, R)
+
+
 @dataclass(frozen=True, slots=True)
 class MasterSystem:
     """Direction matrix of one configuration.
@@ -276,9 +322,9 @@ class MasterSystem:
     The cached master has entries symbolic in the base point and the
     columns of the stability window, the first `narrow` of them those of
     the bump-0 window; `nonzero` lists, ascending, the columns with an
-    entry that is not identically zero.  `table`, built once with the
-    master, holds the nonzero entries of every column, in the same
-    column order.  build_cancellation_system returns one window of it,
+    entry that is not identically zero.  `table` holds the nonzero
+    entries of every column, in the same column order, compiled on its
+    first read.  build_cancellation_system returns one window of it,
     symbolic or evaluated at a point.  `bounds` holds the rank bounds of
     each support stratum met so far (stratum_bounds), and `pattern` the
     zero pattern they are read from, built with the first of them.
@@ -290,11 +336,21 @@ class MasterSystem:
     columns: list
     narrow: int
     nonzero: tuple
-    table: FormTable
     bounds: dict = field(default_factory=dict, init=False, compare=False,
                          repr=False)
     pattern: tuple = field(default=None, init=False, compare=False,
                            repr=False)
+    _table: FormTable = field(default=None, init=False, compare=False,
+                              repr=False)
+
+    @property
+    def table(self):
+        """The ring.FormTable of the columns, compiled on the first read
+        and kept on the master, as bounds and pattern are."""
+        if self._table is None:
+            object.__setattr__(self, "_table", FormTable.compile(
+                dict(enumerate(col)) for col in self.columns))
+        return self._table
 
     def nonzero_narrow(self):
         """The nonzero columns of the bump-0 window."""
@@ -320,69 +376,49 @@ class MasterSystem:
         return out
 
 
-def _check_stray_content(k, j, entry, rows_set, tag):
-    for mon in entry.monomials():
-        if mon in rows_set:
-            continue
-        if mon.degree_u() == 0:
+def _entry_column(k, j, entry, row_of, tag):
+    """The coefficients of an entry in the rows (row_of: monomial ->
+    row), from one walk over its terms, each term outside the rows
+    checked to be content the gauge absorbs."""
+    col = [0] * len(row_of)
+    for mon, c in entry.items():
+        r = row_of.get(mon)
+        if r is not None:
+            col[r] = c
+        elif mon.degree_u() == 0:
             raise AssertionError(
                 f"u-free residue {mon} in direction column {tag}"
             )
-        if v_exponent(mon, k) < 0 and mon.l < 2 * j:
+        elif v_exponent(mon, k) < 0 and mon.l < 2 * j:
             raise AssertionError(
                 f"unabsorbable residue {mon} in direction column {tag}"
             )
+    return col
 
 
 def _build_master(k, j, sigma, formula):
     if formula not in ("derived", "printed"):
         raise ValueError(
             f"formula must be 'derived' or 'printed', got {formula!r}")
-    params, coeffs = _symbolic_point(k, j)
-    basis = extension_basis(k, j, 1)
-    p_poly = LaurentPoly({m: c for m, c in zip(basis, coeffs)})
-    rows = obstruction_basis(k, j)
-    rows_set = set(rows)
-    # a column depends on its tag alone, so the bump-0 window is a prefix
-    tags = _column_tags(compute_windows(k, j, sigma))
-    narrow = len(tags)
-    win = compute_windows(k, j, sigma, STABILITY_BUMP)
-    tags += [t for t in _column_tags(win) if t not in tags]
-
-    # identity gauge sanity: T * R must be the identity mod hbar^2
-    T = transition_matrix(j, p_poly)
-    R = canonical_right_inverse(sigma, j, FormalFunction([p_poly]))
-    ident = star_matrix_mul(sigma, T, R, 1)
-    for a in range(2):
-        for b in range(2):
-            want_cl = LaurentPoly.const(1) if a == b else LaurentPoly.zero()
-            if not (ident.entry(a, b)[0] - want_cl).is_zero():
-                raise AssertionError("right inverse failed classically")
-            if not ident.entry(a, b)[1].is_zero():
-                raise AssertionError("right inverse failed at order 1")
-
+    frame = cached(_build_frame, k, j, sigma)
     if formula == "derived":
-        pieces = {ab: _leibniz_pieces(sigma, T, R, *ab)
+        pieces = {ab: _leibniz_pieces(sigma, frame.T, frame.R, *ab)
                   for ab in ((0, 0), (1, 1), (1, 0))}
         entry = partial(_direction_entry_derived, pieces)
     else:
         entry = partial(_direction_entry_printed, j,
-                        _printed_pieces(sigma, j, p_poly))
-    columns = []
-    for tag in tags:
-        ent = entry(tag)
-        _check_stray_content(k, j, ent, rows_set, tag)
-        columns.append([ent.coefficient(m) for m in rows])
+                        _printed_pieces(sigma, j, frame.p_poly))
+    row_of = {m: r for r, m in enumerate(frame.rows)}
+    columns = [_entry_column(k, j, entry(tag), row_of, tag)
+               for tag in frame.tags]
 
     # the shift column of lowest degree must reproduce the base point
-    lam0 = columns[tags.index(("lambda", 0))]
-    for r, c in enumerate(lam0):
-        if c != ParamPoly.variable(params, f"p{r}"):
-            raise AssertionError("identity shift column mismatch")
+    if columns[frame.tags.index(("lambda", 0))] != frame.point:
+        raise AssertionError("identity shift column mismatch")
 
     nonzero = tuple(c for c, col in enumerate(columns) if any(col))
-    table = FormTable.compile(dict(enumerate(col)) for col in columns)
-    return MasterSystem(rows, tags, win, columns, narrow, nonzero, table)
+    return MasterSystem(frame.rows, frame.tags, frame.windows, columns,
+                        frame.narrow, nonzero)
 
 
 _MASTERS = {}
@@ -429,17 +465,21 @@ def build_cancellation_system(k, j, sigma, point=None, formula="derived",
     in the base point coordinates.
     """
     master = cached(_build_master, k, j, sigma, formula)
+    n = len(master.columns)
     if bump == 0:
         n = master.narrow
-        master = replace(master, windows=compute_windows(k, j, sigma),
-                         tags=master.tags[:n], columns=master.columns[:n],
-                         nonzero=master.nonzero_narrow())
     elif bump != STABILITY_BUMP:
         raise ValueError(f"bump must be 0 or {STABILITY_BUMP}, got {bump}")
     if point is None:
-        return replace(master, columns=[list(c) for c in master.columns])
-    pt = _coerce_point(k, j, point)
-    return replace(master, columns=master.evaluate(pt))
+        columns = [list(c) for c in master.columns[:n]]
+    else:
+        # through the cached master, so its table is compiled only once
+        columns = master.evaluate(_coerce_point(k, j, point))[:n]
+    if bump:
+        return replace(master, columns=columns)
+    return replace(master, windows=compute_windows(k, j, sigma),
+                   tags=master.tags[:n], columns=columns,
+                   nonzero=master.nonzero_narrow())
 
 
 class Report:
@@ -564,7 +604,7 @@ def stratum_bounds(master, support):
     return got
 
 
-_PRIME = 2_147_483_647  # 2^31 - 1, the modulus of point_rank's certificate
+_PRIME = 2_147_483_647  # 2^31 - 1: point_rank and certify_generic_rank
 
 
 def point_rank(k, j, sigma, formula, point):

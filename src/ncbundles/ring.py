@@ -464,6 +464,10 @@ class LaurentPoly:
     def monomials(self):
         return set(self._t)
 
+    def items(self):
+        """The (Monomial, coefficient) pairs as stored, unsorted."""
+        return self._t.items()
+
     def coefficient(self, mon):
         """The coefficient of mon, the int 0 if the term is absent."""
         if not isinstance(mon, Monomial):

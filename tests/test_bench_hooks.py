@@ -10,7 +10,13 @@ import pytest
 
 import ncbundles
 import ncbundles.cli  # noqa: F401  (the benchmark's report serializer)
-from ncbundles import engine, full_gauge_oracle, linalg, parse_sigma_spec
+from ncbundles import (
+    build_cancellation_system,
+    engine,
+    full_gauge_oracle,
+    linalg,
+    parse_sigma_spec,
+)
 from ncbundles.oracle import STANDARD_ORACLE_CONFIGS
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -79,3 +85,48 @@ def test_clear_master_caches_drops_the_presolve_plans(bench, monkeypatch):
     # a "no": plans presolve the 482 bump-0 and then all 556 unknowns,
     # and a warm decision reuses both plans with no presolve at all
     assert cold == [482, 556] and warm == []
+
+
+
+def test_clear_master_caches_drops_every_frame_and_table(bench,
+                                                         monkeypatch):
+    # claims-cold stands for a fresh `verify` process per op: after
+    # clear_master_caches no frame or compiled form table may be left
+    _, workloads = bench
+    monkeypatch.setattr(engine, "_MASTERS", {})
+    sigma = parse_sigma_spec("u1*gen1", 1)
+    frame = ("_build_frame", 1, 3, sigma.cache_key())
+
+    def cold_pair():
+        for formula in ("derived", "printed"):
+            build_cancellation_system(1, 3, sigma, formula=formula)
+        return [engine._MASTERS[("_build_master", 1, 3, sigma.cache_key(),
+                                 formula)]
+                for formula in ("derived", "printed")]
+
+    derived, printed = cold_pair()
+    assert frame in engine._MASTERS
+    # a rank query compiles the derived table; the printed one is unread
+    engine.point_rank(1, 3, sigma, "derived", [1] * 8)
+    assert derived._table is not None and printed._table is None
+    workloads.clear_master_caches(ncbundles)
+    assert not engine._MASTERS
+    fresh = cold_pair()
+    assert fresh[0] is not derived and frame in engine._MASTERS
+    assert [m._table for m in fresh] == [None, None]
+
+
+def test_a_cold_claims_op_multiplies_t_and_r_once(bench, monkeypatch):
+    # each claims-cold op empties the caches and builds both masters of
+    # its configuration, which share one frame: one star_matrix_mul (the
+    # T * R = 1 check) and two master builds per op, in every op
+    spans, workloads = bench
+    monkeypatch.setattr(engine, "_MASTERS", {})
+    workload = workloads.ClaimsCold(None)
+    op = workload.cycle(1, 0)[0]
+    for _ in range(2):
+        tracer = spans.Tracer()
+        with tracer.installed(ncbundles, workloads):
+            workload.run(ncbundles, None, op)
+        assert tracer.counts["bundles.star_matrix_mul"] == 1
+        assert tracer.counts["moduli.master_build"] == 2

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import os
 import random
+import re
 from concurrent.futures import Future
 from fractions import Fraction
 
@@ -351,7 +352,10 @@ def test_one_master_per_configuration(monkeypatch):
     sigma = parse_sigma_spec("gen1", 1)
     monkeypatch.setattr(engine, "_MASTERS", {})
     stalk_dimension(1, 2, sigma, [1, 2, 3, 4])
+    # the frame that every formula of the configuration reads, and the
+    # one master
     assert list(engine._MASTERS) == [
+        ("_build_frame", 1, 2, sigma.cache_key()),
         ("_build_master", 1, 2, sigma.cache_key(), "derived")]
 
 
@@ -381,6 +385,30 @@ def test_bump0_system_is_master_prefix(k, j, spec):
                                    if c < len(narrow.tags))
     assert narrow.windows == compute_windows(k, j, sigma)
     assert wide.windows == compute_windows(k, j, sigma, bump=2)
+
+
+def test_systems_at_points_read_the_cached_table(monkeypatch):
+    # the master's form table is compiled once, on its first read, and
+    # a window at a point evaluates it instead of compiling its own
+    monkeypatch.setattr(engine, "_MASTERS", {})
+    compile_forms = FormTable.compile
+    compiled = []
+
+    def compile_counted(columns):
+        compiled.append(1)
+        return compile_forms(columns)
+
+    monkeypatch.setattr(FormTable, "compile", compile_counted)
+    sigma = parse_sigma_spec("gen1", 1)
+    symbolic = build_cancellation_system(1, 2, sigma)
+    assert compiled == []
+    master = engine.cached(engine._build_master, 1, 2, sigma, "derived")
+    for bump in (0, 2, 0):
+        at = build_cancellation_system(1, 2, sigma, [1, 2, 3, 4], bump=bump)
+        assert len(at.columns) == len(symbolic.columns if bump == 0
+                                      else master.columns)
+    assert compiled == [1]
+    assert master._table is not None
 
 
 def test_bump_outside_stability_window_rejected():
@@ -651,6 +679,151 @@ def test_certificate_rejects_minor_singular_at_witness(monkeypatch):
     assert res.exit_code == 1
     assert res.stdout == ""
     assert res.stderr.startswith("error (invariant): "), res.stderr
+
+
+def times3_point(k, j):
+    """A full-support integer point with every coordinate divisible by 3,
+    where every master entry, and so every minor, vanishes modulo 3."""
+    rng = random.Random(10 * k + j)
+    return [Fraction(3 * rng.choice([-2, -1, 1, 2]))
+            for _ in range(direction_dimension(k, j))]
+
+
+class MinorRanks:
+    """Records the modular and the exact ranks taken through linalg."""
+
+    def __init__(self, monkeypatch):
+        self.modular, self.exact = [], []
+        rank_mod, rank = linalg.rank_mod, linalg.rank
+
+        def spied_rank_mod(columns, nrows, prime):
+            got = rank_mod(columns, nrows, prime)
+            self.modular.append((len(columns), nrows, prime, got))
+            return got
+
+        def spied_rank(columns, nrows):
+            got = rank(columns, nrows)
+            self.exact.append((len(columns), nrows, got))
+            return got
+
+        monkeypatch.setattr(linalg, "rank_mod", spied_rank_mod)
+        monkeypatch.setattr(linalg, "rank", spied_rank)
+
+
+@pytest.mark.parametrize("k, j, spec", [
+    (1, 2, "gen1"), (2, 3, "gen1"), (1, 3, "u1*gen1"), (1, 5, "gen1")])
+def test_certificate_checks_its_minor_modulo_a_prime(monkeypatch, k, j,
+                                                     spec):
+    # an r x r integer minor of full rank modulo the prime has a nonzero
+    # determinant, so the exact rank of the minor is never taken
+    ranks = MinorRanks(monkeypatch)
+    cert = certify_generic_rank(k, j, parse_sigma_spec(spec, k))
+    r = cert["rank_observed"]
+    assert ranks.modular == [(r, r, engine._PRIME, r)]
+    assert ranks.exact == []
+
+
+@pytest.mark.parametrize("k, j, spec", [(1, 2, "gen1"), (2, 3, "gen1")])
+def test_certificate_falls_back_to_the_exact_minor_rank(monkeypatch, k, j,
+                                                        spec):
+    # at a point where every minor vanishes modulo 3, the modular rank of
+    # the minor is 0 and one exact rank proves it nonsingular; the
+    # certificate is the one the default prime gives at the same point
+    sigma = parse_sigma_spec(spec, k)
+    monkeypatch.setattr(claims, "random_point",
+                        lambda k, j, rng: times3_point(k, j))
+    want = certify_generic_rank(k, j, sigma)
+    monkeypatch.setattr(engine, "_PRIME", 3)
+    ranks = MinorRanks(monkeypatch)
+    assert certify_generic_rank(k, j, sigma) == want
+    r = want["rank_observed"]
+    assert ranks.modular == [(r, r, 3, 0)]
+    assert ranks.exact == [(r, r, r)]
+
+
+@pytest.mark.parametrize("prime", ["default", 3])
+def test_certificate_rejects_a_dependent_column_on_both_paths(monkeypatch,
+                                                              prime):
+    # a bump-0 column that did not enlarge the span, before the last one
+    # that did, lies in the span of the grown columns before it; in place
+    # of the last one it makes the minor singular, which neither the
+    # modular check nor the exact fallback accepts
+    real = engine.point_space
+    picks = []
+
+    def dependent_pick(k, j, sigma, formula, point):
+        ps = real(k, j, sigma, formula, point)
+        last = ps.grew[-1]
+        dependent = next(c for c in range(last) if c not in ps.grew)
+        picks.append(dependent)
+        return ps._replace(grew=ps.grew[:-1] + [dependent])
+
+    monkeypatch.setattr(claims, "point_space", dependent_pick)
+    if prime != "default":
+        monkeypatch.setattr(claims, "random_point",
+                            lambda k, j, rng: times3_point(k, j))
+        monkeypatch.setattr(engine, "_PRIME", prime)
+    ranks = MinorRanks(monkeypatch)
+    with pytest.raises(AssertionError, match="singular at its witness"):
+        certify_generic_rank(1, 2, parse_sigma_spec("gen1", 1))
+    assert len(picks) == 1
+    assert [got < 4 for *_, got in ranks.modular] == [True]
+    assert [got for *_, got in ranks.exact] == [3]
+
+
+@pytest.mark.parametrize("formula", ["derived", "printed"])
+@pytest.mark.parametrize("residue, message", [
+    (Monomial(0, 0, 0), "u-free residue"),
+    (Monomial(3, 2, 0), "unabsorbable residue"),
+])
+def test_build_rejects_stray_content(monkeypatch, formula, residue, message):
+    # a term outside the obstruction rows must be one the gauge absorbs:
+    # u-free content, or content with a negative xi-exponent below z^2j,
+    # is not (at (1,2) the rows are z^2..3 u1 and z^2..3 u2, and
+    # z^3 u1^2 has xi-exponent -1)
+    sigma = parse_sigma_spec("gen1", 1)
+    assert residue not in obstruction_basis(1, 2)
+    name = f"_direction_entry_{formula}"
+    real = getattr(engine, name)
+    tag = ("a1", 1)
+
+    def planted(*args):
+        entry = real(*args)
+        if args[-1] == tag:
+            entry = entry + LaurentPoly.monomial(*residue)
+        return entry
+
+    monkeypatch.setattr(engine, "_MASTERS", {})
+    monkeypatch.setattr(engine, name, planted)
+    with pytest.raises(AssertionError, match=re.escape(
+            f"{message} {residue} in direction column {tag}")):
+        engine.cached(engine._build_master, 1, 2, sigma, formula)
+
+
+@pytest.mark.parametrize("order, message", [
+    (0, "right inverse failed classically"),
+    (1, "right inverse failed at order 1"),
+])
+def test_build_rejects_a_failing_right_inverse(monkeypatch, order, message):
+    # R's upper-right entry moved by z^-j at one hbar-order leaves T * R
+    # off the identity at that order, which both formulas' frame rejects
+    sigma = parse_sigma_spec("gen1", 1)
+    real = engine.canonical_right_inverse
+
+    def shifted(sigma, j, q):
+        R = real(sigma, j, q)
+        terms = [LaurentPoly.zero(), LaurentPoly.zero()]
+        terms[order] = LaurentPoly.monomial(-j, 0, 0)
+        rows = [list(row) for row in R.rows]
+        rows[0][1] = rows[0][1] + FormalFunction(terms)
+        return type(R)(rows)
+
+    monkeypatch.setattr(engine, "_MASTERS", {})
+    monkeypatch.setattr(engine, "canonical_right_inverse", shifted)
+    for formula in ("derived", "printed"):
+        with pytest.raises(AssertionError, match=message):
+            engine.cached(engine._build_master, 1, 2, sigma, formula)
+    assert engine._MASTERS == {}
 
 
 @pytest.mark.parametrize("point", ["full-support", "axis"])
@@ -1059,11 +1232,11 @@ def test_two_live_monomials_make_no_diagonal(monkeypatch):
     # p0 + p1 is nonzero at most points of the stratum of p0 and p1 but
     # vanishes at (1, -1), so only its term rank bounds the stratum, which
     # stays open; alone on the stratum of p0 it is p0, which proves rank 1
+    # (the toy's table is compiled from its columns when first read)
     p0, p1 = (ParamPoly.variable(("p0", "p1"), v) for v in ("p0", "p1"))
     toy = engine.MasterSystem(
         rows=["r0"], tags=[("lambda", 0)], windows=None,
-        columns=[[p0 + p1]], narrow=1, nonzero=(0,),
-        table=FormTable.compile([{0: p0 + p1}]))
+        columns=[[p0 + p1]], narrow=1, nonzero=(0,))
     assert engine.stratum_bounds(toy, 0b11) == (0, 1)
     assert engine.stratum_bounds(toy, 0b01) == (1, 1)
     sigma = parse_sigma_spec("gen1", 1)
@@ -1432,6 +1605,25 @@ def test_verify_scans_every_support_mask_at_j4(k, spec, seed, status,
     assert bound["status"] == status
     assert bound["detail"]["bound"] == 12 - k
     assert bound["detail"]["max_corank"] == 11
+    assert bound["detail"]["witness"]["mask"] == 1
+    assert by_name["corank-contiguity"]["detail"]["achieved"] == achieved
+    assert rep["status"] == status
+
+
+@pytest.mark.parametrize("k, spec, status, achieved", [
+    (2, "u1*gen4", "EXCEEDS", list(range(7, 16))),
+    (1, "u1*gen1", "PASS", list(range(8, 16))),
+])
+def test_verify_scans_every_support_mask_at_j5(k, spec, status, achieved):
+    # corank 15 lies on 3 of the 65,535 support masks at j = 5, which a
+    # sample of 512 masks missed at seed 1 (max corank 12, so W_2 passed
+    # its bound 14); every mask is scanned up to dimension 16
+    rep = verify_claims(k, 5, parse_sigma_spec(spec, k), seed=1, trials=2)
+    by_name = {c["name"]: c for c in rep["claims"]}
+    bound = by_name["max-corank-bound"]
+    assert bound["status"] == status
+    assert bound["detail"]["bound"] == 16 - k
+    assert bound["detail"]["max_corank"] == 15
     assert bound["detail"]["witness"]["mask"] == 1
     assert by_name["corank-contiguity"]["detail"]["achieved"] == achieved
     assert rep["status"] == status
