@@ -58,90 +58,86 @@ def _scan_masks(sigma, k, j, masks, seed, draws):
     return out
 
 
-def _select_masks(k, j, seed, pattern_cap):
-    dim = direction_dimension(k, j)
-    total = (1 << dim) - 1
-    if total <= pattern_cap:
-        return list(range(1, total + 1))
-    rng = random.Random(seed)
-    masks = set(rng.sample(range(1, total + 1), pattern_cap - 1))
-    masks.add(total)  # always include the full-support pattern
-    return sorted(masks)
+def _scan(k, j, sigma, seed, draws, pattern_cap, workers=1):
+    """Rank several draws on every nonzero support pattern of the base
+    point: all of them when 2^dim - 1 <= pattern_cap, a seeded sample
+    plus the full pattern otherwise.
 
-
-def stratify(k, j, sigma, strategy="support-patterns", seed=DEFAULT_SEED,
-             draws=5, pattern_cap=4096, workers=1):
-    """Scan support patterns of the base point for stalk strata.
-
-    strategy="support-patterns" samples every nonzero support pattern
-    (all of them when 2^dim - 1 <= pattern_cap, a seeded sample plus the
-    full pattern otherwise) with several draws each.  A draw's point is
-    seeded by (seed, pattern, draw).  On a closed stratum every draw has
-    the proved rank (engine.stratum_bounds) and no point is drawn; on an
-    open one each draw's point is ranked (point_rank).  A stratum's
-    witness is its first draw, whose point is drawn again to report it.
-    strategy="symbolic-minors" additionally certifies the generic rank
-    with one maximal minor, checked at its witness point rather than
-    expanded symbolically (certify_generic_rank).  The patterns are
-    scanned in min(workers, #patterns, os.cpu_count()) chunks, one per
-    pool process, and in this process when that is 1; the report does
-    not depend on workers.
+    Returns the masks scanned and two dicts keyed by corank: its number
+    of draws, and its first draw as (mask, draw) in (mask, draw) order.
+    The masks are ranked in min(workers, #masks, os.cpu_count()) chunks,
+    one per pool process, and in this process when that is 1; the result
+    does not depend on workers.
     """
-    if strategy not in ("support-patterns", "symbolic-minors"):
-        raise ValueError(f"unknown strategy {strategy!r}")
     require_positive(draws=draws, pattern_cap=pattern_cap, workers=workers)
     require_directions(j)
     dim = direction_dimension(k, j)
-    masks = _select_masks(k, j, seed, pattern_cap)
-    results = []
+    total = (1 << dim) - 1
+    if total <= pattern_cap:
+        masks = list(range(1, total + 1))
+    else:
+        # always with the full-support pattern
+        sample = random.Random(seed).sample(range(1, total + 1),
+                                            pattern_cap - 1)
+        masks = sorted({*sample, total})
     size = min(workers, len(masks), os.cpu_count() or 1)
     if size > 1:
         # imported here, so the package loads without multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        chunks = [masks[i::size] for i in range(size)]
         # built and compiled before the pool starts, so forked workers
         # inherit both
         cached(_build_master, k, j, sigma, "derived").table
         with ProcessPoolExecutor(max_workers=size) as pool:
-            futs = [pool.submit(_scan_masks, sigma, k, j, chunk, seed, draws)
-                    for chunk in chunks]
-            for f in futs:
-                results.extend(f.result())
-        results.sort(key=lambda rec: (rec[0], rec[1]))
+            futs = [pool.submit(_scan_masks, sigma, k, j, masks[i::size],
+                                seed, draws) for i in range(size)]
+            results = sorted(rec for f in futs for rec in f.result())
     else:
         results = _scan_masks(sigma, k, j, masks, seed, draws)
 
-    counts, first = {}, {}  # per corank: its draws, and the first one
+    counts, first = {}, {}
     for mask, t, r in results:
         counts[dim - r] = counts.get(dim - r, 0) + 1
         first.setdefault(dim - r, (mask, t))
+    return masks, counts, first
 
-    def witness(corank):
-        mask, t = first[corank]
-        pt = _draw(k, j, seed, mask, t)
-        return {"mask": mask, "point": [str(c) for c in pt]}
 
-    strata = {str(c): {"count": counts[c], "witness": witness(c)}
-              for c in sorted(counts)}
+def _witness(k, j, seed, mask, draw):
+    """A stratum's witness: its first draw, whose point is drawn again."""
+    pt = _draw(k, j, seed, mask, draw)
+    return {"mask": mask, "point": [str(c) for c in pt]}
+
+
+def stratify(k, j, sigma, seed=DEFAULT_SEED, draws=5, pattern_cap=4096,
+             workers=1):
+    """Scan support patterns of the base point for stalk strata, and
+    certify the generic rank.
+
+    A draw's point is seeded by (seed, pattern, draw) (_scan).  On a
+    closed stratum every draw has the proved rank (engine.stratum_bounds)
+    and no point is drawn; on an open one each draw's point is ranked
+    (point_rank).  Each stratum reports its number of draws and its
+    witness.  The report ends with the certificate of
+    certify_generic_rank: one maximal minor, checked at a point.
+    """
+    masks, counts, first = _scan(k, j, sigma, seed, draws, pattern_cap,
+                                 workers)
     max_corank = max(counts)
-
-    report = {
+    return {
         "k": k,
         "j": j,
         "sigma": sigma.describe(),
-        "strategy": strategy,
-        "dimension": dim,
+        "dimension": direction_dimension(k, j),
         "patterns_scanned": len(masks),
         "draws_per_pattern": draws,
-        "strata": strata,
+        "strata": {str(c): {"count": counts[c],
+                            "witness": _witness(k, j, seed, *first[c])}
+                   for c in sorted(counts)},
         "max_corank": max_corank,
-        "max_corank_witness": witness(max_corank),
+        "max_corank_witness": _witness(k, j, seed, *first[max_corank]),
         "stability_checked": True,
+        "certificate": certify_generic_rank(k, j, sigma, seed=seed),
     }
-    if strategy == "symbolic-minors":
-        report["certificate"] = certify_generic_rank(k, j, sigma, seed=seed)
-    return report
 
 
 def certify_generic_rank(k, j, sigma, seed=DEFAULT_SEED):
@@ -190,16 +186,18 @@ def certify_generic_rank(k, j, sigma, seed=DEFAULT_SEED):
 # ---------------------------------------------------------------------------
 # claim verification
 
+# random points per generic claim
+_TRIALS = 20
 
-def verify_claims(k, j, sigma, seed=DEFAULT_SEED, trials=20):
+
+def verify_claims(k, j, sigma, seed=DEFAULT_SEED):
     """Check the structural claims for one configuration.
 
     Emits one PASS/FAIL/EXCEEDS record per claim and never reconciles a
     deviation silently; EXCEEDS marks behaviour outside the scope the
-    claims cover (special points, coranks beyond the stated bound).
+    claims cover (special points, coranks beyond the stated bound).  The
+    generic claims are checked at _TRIALS random points.
     """
-    require_positive(trials=trials)
-
     def rank_at(q):
         return point_rank(k, j, sigma, "derived", q)
 
@@ -239,7 +237,7 @@ def verify_claims(k, j, sigma, seed=DEFAULT_SEED, trials=20):
 
     if basic:
         bad = []
-        for _ in range(trials):
+        for _ in range(_TRIALS):
             q = random_point(k, j, rng)
             if rank_at(q) != dim:
                 bad.append([str(c) for c in q])
@@ -267,7 +265,7 @@ def verify_claims(k, j, sigma, seed=DEFAULT_SEED, trials=20):
     if extremal:
         expected = 2 * j - k - 1
         bad = []
-        for _ in range(trials):
+        for _ in range(_TRIALS):
             q = random_point(k, j, rng)
             if dim - rank_at(q) != expected:
                 bad.append([str(c) for c in q])
@@ -281,18 +279,18 @@ def verify_claims(k, j, sigma, seed=DEFAULT_SEED, trials=20):
         # every support mask up to j = 5 (dim 16): a sample of them can
         # miss the strata of top corank
         cap = (1 << dim) - 1 if dim <= 16 else 512
-        scan = stratify(k, j, sigma, seed=seed, draws=2, pattern_cap=cap)
-        max_corank = scan["max_corank"]
+        _, counts, first = _scan(k, j, sigma, seed, draws=2, pattern_cap=cap)
+        max_corank = max(counts)
         claims.append({
             "name": "max-corank-bound",
             "status": PASS if max_corank <= bound else EXCEEDS,
             "detail": {
                 "bound": bound,
                 "max_corank": max_corank,
-                "witness": scan["max_corank_witness"],
+                "witness": _witness(k, j, seed, *first[max_corank]),
             },
         })
-        achieved = [int(c) for c in scan["strata"]]  # ascending
+        achieved = sorted(counts)
         contiguous = achieved == list(range(achieved[0], max_corank + 1))
         claims.append({
             "name": "corank-contiguity",

@@ -19,7 +19,7 @@ import click
 
 from . import __version__
 from .bundles import normalize_line_bundle
-from .claims import stratify, verify_claims
+from .claims import _TRIALS, stratify, verify_claims
 from .engine import (
     DEFAULT_SEED,
     FAIL,
@@ -270,23 +270,19 @@ def stalk_cmd(k, j, sigma_text, point, formula, emit_matrix):
 @click.option("--k", type=int, required=True)
 @click.option("--j", type=int, required=True)
 @click.option("--sigma", "sigma_text", required=True)
-@click.option("--strategy",
-              type=click.Choice(["support-patterns", "symbolic-minors"]),
-              default="support-patterns", show_default=True)
 @click.option("--seed", type=int, default=None)
 @click.option("--draws", type=int, default=5, show_default=True)
 @click.option("--pattern-cap", type=int, default=4096, show_default=True)
 @click.option("--workers", type=int, default=1, show_default=True)
-def stratify_cmd(k, j, sigma_text, strategy, seed, draws, pattern_cap,
-                 workers):
-    """Scan base point support patterns for stalk strata."""
+def stratify_cmd(k, j, sigma_text, seed, draws, pattern_cap, workers):
+    """Scan base point support patterns for stalk strata, and certify
+    the generic rank."""
     seed = _resolve_seed(seed)
     sigma = parse_sigma_spec(sigma_text, k)
-    rep = stratify(k, j, sigma, strategy=strategy, seed=seed, draws=draws,
+    rep = stratify(k, j, sigma, seed=seed, draws=draws,
                    pattern_cap=pattern_cap, workers=workers)
-    config = {"k": k, "j": j, "sigma": sigma_text, "strategy": strategy,
-              "draws": draws, "pattern_cap": pattern_cap,
-              "workers": workers}
+    config = {"k": k, "j": j, "sigma": sigma_text, "draws": draws,
+              "pattern_cap": pattern_cap, "workers": workers}
     _emit(make_report("stratify", config, seed, rep))
 
 
@@ -295,13 +291,12 @@ def stratify_cmd(k, j, sigma_text, strategy, seed, draws, pattern_cap,
 @click.option("--j", type=int, required=True)
 @click.option("--sigma", "sigma_text", required=True)
 @click.option("--seed", type=int, default=None)
-@click.option("--trials", type=int, default=20, show_default=True)
-def verify_cmd(k, j, sigma_text, seed, trials):
+def verify_cmd(k, j, sigma_text, seed):
     """Check the structural claims for one configuration."""
     seed = _resolve_seed(seed)
     sigma = parse_sigma_spec(sigma_text, k)
-    rep = verify_claims(k, j, sigma, seed=seed, trials=trials)
-    config = {"k": k, "j": j, "sigma": sigma_text, "trials": trials}
+    rep = verify_claims(k, j, sigma, seed=seed)
+    config = {"k": k, "j": j, "sigma": sigma_text, "trials": _TRIALS}
     _emit(make_report("verify", config, seed, rep), rep["status"])
 
 

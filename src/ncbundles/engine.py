@@ -356,15 +356,16 @@ class MasterSystem:
         """The nonzero columns of the bump-0 window."""
         return self.nonzero[:bisect_left(self.nonzero, self.narrow)]
 
-    def evaluate(self, point):
-        """Every column of this window at the point, as Fractions, each a
-        fresh list; a column not in `nonzero` has no entry in the table,
-        so it is all zeros."""
+    def evaluate(self, point, ncols=None):
+        """The first ncols columns of this window (every column for None)
+        at the point, as Fractions, each a fresh list, with only their
+        forms evaluated (Evaluation.upto); a column not in `nonzero` has
+        no entry in the table, so it is all zeros."""
         ev = Evaluation(self.table, point)
-        values = [Fraction(v, ev.den) for v in ev.upto()]
+        values = [Fraction(v, ev.den) for v in ev.upto(ncols)]
         n, zero = len(self.rows), Fraction(0)
         return [self.table.column(values, c, n, zero)
-                for c in range(len(self.columns))]
+                for c in range(len(self.columns) if ncols is None else ncols)]
 
     def entries_rowmajor(self):
         out = []
@@ -474,7 +475,7 @@ def build_cancellation_system(k, j, sigma, point=None, formula="derived",
         columns = [list(c) for c in master.columns[:n]]
     else:
         # through the cached master, so its table is compiled only once
-        columns = master.evaluate(_coerce_point(k, j, point))[:n]
+        columns = master.evaluate(_coerce_point(k, j, point), n)
     if bump:
         return replace(master, columns=columns)
     return replace(master, windows=compute_windows(k, j, sigma),
@@ -626,10 +627,9 @@ def point_rank(k, j, sigma, formula, point):
 
     FormTable.compile numbers forms and monomials in column order, so
     the forms of the first columns are a prefix (ring.Evaluation).  The
-    modular echelon first reads the first #rows columns of N, with only
-    their forms evaluated; the forms of the rest are evaluated, each
-    once, only if those columns fall short of full rank.  The callers
-    that read pivots, columns or grew use point_space.
+    modular echelon reads the columns of N in order, each column's forms
+    evaluated when it is read, and stops at full rank.  The callers that
+    read pivots, columns or grew use point_space.
     """
     master = cached(_build_master, k, j, sigma, formula)
     support = sum(1 << r for r, c in enumerate(point) if c)

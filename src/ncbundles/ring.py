@@ -339,18 +339,10 @@ class Evaluation:
 
     def columns(self, cs, nrows):
         """Yield the table's columns cs, ascending, each as nrows integer
-        numerators.
-
-        The forms of the first nrows columns are evaluated when the first
-        is read, and the forms of the rest when the first of them is: a
-        rank of nrows needs at least nrows columns, so an echelon that
-        stops there never evaluates the rest.
-        """
-        for part in (cs[:nrows], cs[nrows:]):
-            if part:
-                self.upto(part[-1] + 1)
-            for c in part:
-                yield self.table.column(self.ints, c, nrows, 0)
+        numerators, its forms evaluated when it is read: an echelon that
+        stops early evaluates no column past the last it read."""
+        for c in cs:
+            yield self.column(c, nrows)
 
 
 def _render_term(coeff, factors):

@@ -144,7 +144,7 @@ def test_criterion_02b_basic_rigidity_axes(k, spec):
             continue
 
         claims = {c["name"]: c
-                  for c in verify_claims(k, j, sigma, trials=1)["claims"]}
+                  for c in verify_claims(k, j, sigma)["claims"]}
         rec = claims["single-coordinate-rigidity"]
         if special:
             agrees = rec["status"] == "EXCEEDS" and rec["detail"] == special
@@ -278,7 +278,7 @@ def test_criterion_04_w2_extremal_family():
               Fraction(0)]
         assert stalk_dimension(2, 2, sigma, pt).stalk == 2
 
-    rep = verify_claims(2, 3, sigma, trials=5)
+    rep = verify_claims(2, 3, sigma)
     claims = {c["name"]: c for c in rep["claims"]}
     bound = claims["max-corank-bound"]
     assert bound["status"] == "EXCEEDS"
@@ -455,7 +455,7 @@ CLI_BATTERY = [
     ["stratify", "--k", "1", "--j", "2", "--sigma", "u1*gen1",
      "--seed", "7", "--draws", "2"],
     ["verify", "--k", "1", "--j", "3", "--sigma", "u1*gen1",
-     "--seed", "7", "--trials", "3"],
+     "--seed", "7"],
     ["oracle-check", "--trials", "1", "--seed", "7"],
 ]
 

@@ -234,16 +234,14 @@ def test_normalize_rejects_a_sign_with_no_term(tmp_path, f_text, sigma):
 
 
 def test_verify_extremal_pass():
-    res = invoke("verify", "--k", "1", "--j", "3", "--sigma", "u1*gen1",
-                 "--trials", "3")
+    res = invoke("verify", "--k", "1", "--j", "3", "--sigma", "u1*gen1")
     assert res.exit_code == 0
     rep = report_of(res)
     assert rep["result"]["status"] == "PASS"
 
 
 def test_verify_basic_flags_axis_exceedance():
-    res = invoke("verify", "--k", "1", "--j", "2", "--sigma", "gen1",
-                 "--trials", "3")
+    res = invoke("verify", "--k", "1", "--j", "2", "--sigma", "gen1")
     assert res.exit_code == 2
     rep = report_of(res)
     assert rep["result"]["status"] == "EXCEEDS"
@@ -279,8 +277,6 @@ STRATIFY = ("stratify", "--k", "1", "--j", "2", "--sigma", "u1*gen1")
     (STRATIFY + ("--workers", "0"), "workers"),
     (STRATIFY + ("--draws", "0"), "draws"),
     (STRATIFY + ("--pattern-cap", "0"), "pattern_cap"),
-    (("verify", "--k", "1", "--j", "2", "--sigma", "gen1", "--trials", "0"),
-     "trials"),
     (("oracle-check", "--trials", "0"), "trials"),
     (("star-check", "--k", "1", "--trials", "0"), "trials"),
 ])

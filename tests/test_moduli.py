@@ -641,8 +641,9 @@ def test_stratify_matches_a_scan_of_every_draw(k, spec):
 
 
 def test_stratify_symbolic_minors_certificate():
+    # every stratify report ends with the certificate
     sigma = parse_sigma_spec("u1*gen1", 1)
-    rep = stratify(1, 2, sigma, strategy="symbolic-minors", draws=2)
+    rep = stratify(1, 2, sigma, draws=2)
     cert = rep["certificate"]
     assert cert["rank_observed"] == 2
     assert cert["certified"] and cert["minor_nonzero"]
@@ -675,7 +676,7 @@ def test_certificate_rejects_minor_singular_at_witness(monkeypatch):
 
     res = CliRunner().invoke(main, [
         "stratify", "--k", "1", "--j", "2", "--sigma", "gen1",
-        "--strategy", "symbolic-minors", "--draws", "1"])
+        "--draws", "1"])
     assert res.exit_code == 1
     assert res.stdout == ""
     assert res.stderr.startswith("error (invariant): "), res.stderr
@@ -851,6 +852,33 @@ def test_point_space_stops_at_full_rank(monkeypatch, point):
     if point == "full-support":
         assert space.rank == len(master.rows)
         assert len(calls) < len(master.nonzero_narrow())
+
+
+@pytest.mark.parametrize("k, j, spec", [(1, 3, "gen1"), (2, 4, "u1*gen4")])
+def test_bump0_system_at_a_point_evaluates_only_its_columns(monkeypatch, k,
+                                                             j, spec):
+    # the bump-0 system at a point evaluates the forms of its own columns
+    # and builds only those columns, the full window's prefix
+    sigma = parse_sigma_spec(spec, k)
+    master = engine.cached(engine._build_master, k, j, sigma, "derived")
+    pt = _coerce_point(k, j, random_point(k, j, random.Random(5)))
+    want = master.evaluate(pt)[:master.narrow]
+    built = []
+    column = FormTable.column
+
+    def spied_column(table, values, c, nrows, zero):
+        built.append(c)
+        return column(table, values, c, nrows, zero)
+
+    spy = EvaluationSpy(monkeypatch)
+    monkeypatch.setattr(FormTable, "column", spied_column)
+    mat = build_cancellation_system(k, j, sigma, pt)
+    ev = spy.evaluated_once(pt)
+    assert len(ev.ints) == master.table.form_end[master.narrow]
+    assert built == list(range(master.narrow))
+    assert master.narrow < len(master.columns)
+    assert mat.columns == want
+    assert all(type(v) is Fraction for col in mat.columns for v in col)
 
 
 def special_points(dim):
@@ -1314,11 +1342,6 @@ def test_master_evaluate_matches_symbolic_columns(k, j, spec, data):
         assert len({id(col) for col in cols}) == len(cols)
 
 
-def test_stratify_rejects_unknown_strategy():
-    with pytest.raises(ValueError):
-        stratify(1, 2, parse_sigma_spec("gen1", 1), strategy="exhaustive")
-
-
 def test_oracle_trivial_direction():
     sigma = parse_sigma_spec("u1*gen1", 1)
     rep = full_gauge_oracle(1, 2, sigma, [1, 1, 0, 0], [0, 0, 0, 0])
@@ -1565,7 +1588,7 @@ def test_oracle_check_mixes_the_value_columns(monkeypatch):
 
 
 def test_verify_claims_statuses():
-    basic = verify_claims(1, 2, parse_sigma_spec("gen1", 1), trials=4)
+    basic = verify_claims(1, 2, parse_sigma_spec("gen1", 1))
     by_name = {c["name"]: c["status"] for c in basic["claims"]}
     assert by_name["generic-rigidity"] == "PASS"
     assert by_name["closed-form-agreement"] == "PASS"
@@ -1573,14 +1596,14 @@ def test_verify_claims_statuses():
     assert by_name["single-coordinate-rigidity"] == "EXCEEDS"
     assert basic["status"] == "EXCEEDS"
 
-    ex1 = verify_claims(1, 3, parse_sigma_spec("u1*gen1", 1), trials=4)
+    ex1 = verify_claims(1, 3, parse_sigma_spec("u1*gen1", 1))
     names1 = {c["name"]: c for c in ex1["claims"]}
     assert names1["extremal-generic-stalk"]["status"] == "PASS"
     assert names1["max-corank-bound"]["status"] == "PASS"
     assert names1["corank-contiguity"]["detail"]["achieved"] == [4, 5, 6, 7]
     assert ex1["status"] == "PASS"
 
-    ex2 = verify_claims(2, 3, parse_sigma_spec("u1*gen4", 2), trials=4)
+    ex2 = verify_claims(2, 3, parse_sigma_spec("u1*gen4", 2))
     names2 = {c["name"]: c for c in ex2["claims"]}
     assert names2["max-corank-bound"]["status"] == "EXCEEDS"
     assert names2["max-corank-bound"]["detail"]["max_corank"] == 7
@@ -1598,8 +1621,7 @@ def test_verify_scans_every_support_mask_at_j4(k, spec, seed, status,
     # corank 11 lies only on 3 of the 4,095 support masks at j = 4 (masks
     # 1, 32, 33 for W_2 and 1, 64, 65 for W_1), which a sample of 512
     # masks missed at these seeds; every mask is scanned now
-    rep = verify_claims(k, 4, parse_sigma_spec(spec, k), seed=seed,
-                        trials=2)
+    rep = verify_claims(k, 4, parse_sigma_spec(spec, k), seed=seed)
     by_name = {c["name"]: c for c in rep["claims"]}
     bound = by_name["max-corank-bound"]
     assert bound["status"] == status
@@ -1610,6 +1632,27 @@ def test_verify_scans_every_support_mask_at_j4(k, spec, seed, status,
     assert rep["status"] == status
 
 
+def test_stratify_and_verify_share_one_scan(monkeypatch):
+    # both read one scan of all 4,095 support masks at j = 4 (two draws
+    # each, as verify takes): the same max corank, witness and coranks;
+    # verify never builds the certificate
+    sigma = parse_sigma_spec("u1*gen4", 2)
+    rep = stratify(2, 4, sigma, seed=1, draws=2)
+    assert rep["patterns_scanned"] == 4095
+
+    def no_certificate(*args, **kwargs):
+        raise AssertionError("verify built the certificate")
+
+    monkeypatch.setattr(claims, "certify_generic_rank", no_certificate)
+    by_name = {c["name"]: c for c in verify_claims(2, 4, sigma, seed=1)[
+        "claims"]}
+    bound = by_name["max-corank-bound"]["detail"]
+    assert (bound["max_corank"], bound["witness"]) == (
+        rep["max_corank"], rep["max_corank_witness"])
+    assert by_name["corank-contiguity"]["detail"]["achieved"] == [
+        int(c) for c in rep["strata"]]
+
+
 @pytest.mark.parametrize("k, spec, status, achieved", [
     (2, "u1*gen4", "EXCEEDS", list(range(7, 16))),
     (1, "u1*gen1", "PASS", list(range(8, 16))),
@@ -1618,7 +1661,7 @@ def test_verify_scans_every_support_mask_at_j5(k, spec, status, achieved):
     # corank 15 lies on 3 of the 65,535 support masks at j = 5, which a
     # sample of 512 masks missed at seed 1 (max corank 12, so W_2 passed
     # its bound 14); every mask is scanned up to dimension 16
-    rep = verify_claims(k, 5, parse_sigma_spec(spec, k), seed=1, trials=2)
+    rep = verify_claims(k, 5, parse_sigma_spec(spec, k), seed=1)
     by_name = {c["name"]: c for c in rep["claims"]}
     bound = by_name["max-corank-bound"]
     assert bound["status"] == status

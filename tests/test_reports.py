@@ -46,8 +46,8 @@ CASES = [
      "--point", "1,0,2/3,0,0,-1,0,1", "--formula", "printed"),
     STRATIFY,
     STRATIFY + ("--workers", "2"),
-    ("stratify", "--k", "1", "--j", "3", "--sigma", "gen1",
-     "--strategy", "symbolic-minors", "--seed", "5", "--draws", "2"),
+    ("stratify", "--k", "1", "--j", "3", "--sigma", "gen1", "--seed", "5",
+     "--draws", "2"),
     # 4,095 support masks, 498 of them open strata (not proved by bounds)
     ("stratify", "--k", "1", "--j", "4", "--sigma", "gen1", "--seed", "5",
      "--draws", "1"),
@@ -69,7 +69,6 @@ CASES = [
      "--point", "0,0,0,0"),
     ("stalk", "--k", "1", "--j", "1", "--sigma", "gen1", "--point", "1"),
     STRATIFY + ("--workers", "0"),
-    ("verify", "--k", "1", "--j", "2", "--sigma", "gen1", "--trials", "0"),
     ("oracle-check", "--trials", "0"),
     ("star-check", "--k", "1", "--sigma", "1/0*gen1"),
     ("normalize", "--k", "1", "--sigma", "gen1", "--f", "bad.txt"),
