@@ -35,8 +35,12 @@ evaluated; elsewhere a point's evaluation decides (point_rank).
 A derived column, the hbar-part of (T_0a * W) * R_b1 for a monomial unit
 W, is not computed by star products: beyond bilinearity, the Leibniz rule
 for {t0 w, r0} and {f, w} = sum_d dw/dd P_d(f) (Bivector.bracket_pieces)
-make it a few monomial shifts of polynomials cached per gauge entry
-(_leibniz_pieces).  Both identities are exact.
+make it a sum of monomial shifts of polynomials cached per gauge entry
+(_leibniz_pieces), summed and cut to the first neighbourhood in one pass
+(LaurentPoly.shifted_sum, with the parts of {f, w} from
+poisson.pairing_shifts).  Both identities are exact.  A printed column
+is one such pass too, and the frame holds the bracket pieces that both
+formulas pair, so each is computed once per configuration.
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ from .bundles import (
     transition_matrix,
 )
 from .geometry import v_exponent
-from .poisson import monomial_pairing, pieces_pairing
+from .poisson import pairing_shifts, pieces_pairing
 from .ring import (
     VARS,
     Evaluation,
@@ -181,22 +185,22 @@ def _symbolic_point(k, j):
     return params, coeffs
 
 
-def _leibniz_pieces(sigma, T, R, a, b):
+def _leibniz_pieces(frame, a, b):
     """Polynomials that give every derived column of gauge entry (a, b).
 
     With t = T_0a and r = R_b1, a column is the hbar-part of
     (t * W) * r for its unit W.  For a monomial w the Leibniz rule
     {t0 w, r0} = w {t0, r0} + t0 {w, r0} and {f, w} = sum_d dw/dd P_d(f)
     make (t * w) * r = w t0 r0 + hbar (w A + sum_d dw/dd B_d) with
-    A = t1 r0 + t0 r1 + {t0, r0} and B_d = r0 P_d(t0) - t0 P_d(r0).
-    {t0, r0} = sum_d dr0/dd P_d(t0) pairs the pieces of t0 that B uses.
-    All three are cut to the first neighbourhood, and their products
-    build no term past it (LaurentPoly.mul_truncated): a shift by a
-    monomial never lowers the u-degree, so no term cut here reaches a
-    column.
+    A = t1 r0 + t0 r1 + {t0, r0} and B_d = r0 P_d(t0) - t0 P_d(r0),
+    from the pieces P_d of the frame.  {t0, r0} = sum_d dr0/dd P_d(t0)
+    pairs the pieces of t0 that B uses.  All three are cut to the first
+    neighbourhood, and their products build no term past it
+    (LaurentPoly.mul_truncated): a shift by a monomial never lowers the
+    u-degree, so no term cut here reaches a column.
     """
-    t, r = T.entry(0, a), R.entry(b, 1)
-    pt, pr = sigma.bracket_pieces(t[0]), sigma.bracket_pieces(r[0])
+    t, r = frame.T.entry(0, a), frame.R.entry(b, 1)
+    pt, pr = frame.t_pieces[a], frame.r_pieces[b]
     zero = LaurentPoly.zero()
     B = {d: r[0].mul_truncated(pt.get(d, zero), 1)
          - t[0].mul_truncated(pr.get(d, zero), 1) for d in VARS}
@@ -209,7 +213,9 @@ def _direction_entry_derived(pieces, tag):
     """Upper-right entry of T * (1 + W E_ab) * R for the unit W of a column.
 
     T * R = 1 mod hbar^2, so by bilinearity of the star product only
-    (T_0a * W) * R_b1 is left, built from pieces[a, b] (_leibniz_pieces).
+    (T_0a * W) * R_b1 is left, built from pieces[a, b] (_leibniz_pieces)
+    as one shifted sum, w A + sum_d dw/dd B_d cut to the first
+    neighbourhood (LaurentPoly.shifted_sum).
     """
     fam, n = tag
     if fam == "lambda":  # W = hbar z^n, so only w t0 r0 is left
@@ -223,61 +229,65 @@ def _direction_entry_derived(pieces, tag):
     else:
         raise ValueError(f"unknown column family {fam}")
     t0r0, A, B = pieces[a, b]
-    if t0r0.shift(w).truncate_neighborhood(1):
+    if LaurentPoly.shifted_sum([(t0r0, w, 1)], 1):
         raise AssertionError(
             f"classical upper-right residue for column {tag}"
         )
-    return (A.shift(w) + monomial_pairing(B, w)).truncate_neighborhood(1)
+    return LaurentPoly.shifted_sum([(A, w, 1), *pairing_shifts(B, w)], 1)
 
 
-def _printed_pieces(sigma, j, p_poly):
+def _printed_pieces(frame, j):
     """The parts of the printed formula that no column changes.
 
-    p, {z^j, p}, 2 p {z^j, p}, the bracket pieces P_d(p)
-    (Bivector.bracket_pieces) and the products p P_d(z^j), so that
-    {p, e} and p {z^j, e} for a monomial unit e are monomial_pairing
-    shifts of pieces built once per master.  A column is cut to the
-    first neighbourhood, and a monomial shift never lowers the u-degree,
-    so the products are built only up to it.
+    p, {z^j, p}, 2 p {z^j, p}, and the products z^j P_d(p) and
+    p P_d(z^j) of the frame's bracket pieces, so that z^j {p, e} and
+    p {z^j, e} for a monomial unit e are pairing_shifts of pieces built
+    once per master.  A column is cut to the first neighbourhood, and a
+    monomial shift never lowers the u-degree, so the products are built
+    only up to it.
     """
-    zj = LaurentPoly.monomial(j, 0, 0)
-    zjp = sigma.bracket(zj, p_poly)
-    p_pzj = {d: p_poly.mul_truncated(piece, 1)
-             for d, piece in sigma.bracket_pieces(zj).items()}
-    return (p_poly, zjp, p_poly.mul_truncated(zjp, 1).scale(2),
-            sigma.bracket_pieces(p_poly), p_pzj)
+    p_poly = frame.p_poly
+    pzj, pp = frame.t_pieces  # P_d(z^j) and P_d(p)
+    zjp = pieces_pairing(pzj, p_poly)
+    zj_pp = {d: piece.shift((j, 0, 0)) for d, piece in pp.items()}
+    p_pzj = {d: p_poly.mul_truncated(piece, 1) for d, piece in pzj.items()}
+    return (p_poly, zjp, p_poly.mul_truncated(zjp, 1).scale(2), zj_pp,
+            p_pzj)
 
 
 def _direction_entry_printed(j, pieces, tag):
     """The printed closed form of a column, from _printed_pieces.
 
     lambda: p z^(n+j); a/d units e = z^n u_g:
-    z^j {p, e} - p {z^j, e} +- e {z^j, p}; c0: 2 p z^(n-j) {z^j, p}.
-    {p, e} and p {z^j, e} pair the pieces of p and of p z^j with e, where
-    the derived route pairs those of the gauge entries of T and R, so the
-    two routes still compute every column by different formulas.
+    z^j {p, e} - p {z^j, e} +- e {z^j, p}, one shifted sum cut to the
+    first neighbourhood (LaurentPoly.shifted_sum); c0:
+    2 p z^(n-j) {z^j, p}.  z^j {p, e} and p {z^j, e} pair the pieces of
+    p and of z^j with e, where the derived route pairs those of the
+    gauge entries of T and R, so the two routes still compute every
+    column by different formulas.  p and 2 p {z^j, p} have no term past
+    the first neighbourhood, so their shifts by powers of z have none.
     """
-    p_poly, zjp, quad, pp, p_pzj = pieces
+    p_poly, zjp, quad, zj_pp, p_pzj = pieces
     fam, n = tag
     if fam == "lambda":
-        out = p_poly.shift((n + j, 0, 0))
-    elif fam in ("a1", "a2", "d1", "d2"):
-        w = (n, 1, 0) if fam in ("a1", "d1") else (n, 0, 1)
-        out = (monomial_pairing(pp, w).shift((j, 0, 0))
-               - monomial_pairing(p_pzj, w))
-        out = out + zjp.shift(w, 1 if fam in ("a1", "a2") else -1)
-    elif fam == "c0":
-        out = quad.shift((n - j, 0, 0))
-    else:
+        return p_poly.shift((n + j, 0, 0))
+    if fam == "c0":
+        return quad.shift((n - j, 0, 0))
+    if fam not in ("a1", "a2", "d1", "d2"):
         raise ValueError(f"unknown column family {fam}")
-    return out.truncate_neighborhood(1)
+    w = (n, 1, 0) if fam in ("a1", "d1") else (n, 0, 1)
+    return LaurentPoly.shifted_sum(
+        [*pairing_shifts(zj_pp, w), *pairing_shifts(p_pzj, w, -1),
+         (zjp, w, 1 if fam in ("a1", "a2") else -1)], 1)
 
 
 class MasterFrame(NamedTuple):
     """What both formulas of one configuration read (_build_frame): the
     symbolic point, p_poly, rows, the column tags of the stability window
-    with the `narrow` of the bump-0 window first, that window, and the
-    transition matrix T with its right inverse R."""
+    with the `narrow` of the bump-0 window first, that window, the
+    transition matrix T with its right inverse R, and the bracket pieces
+    (Bivector.bracket_pieces) of the classical parts of T_0a (t_pieces)
+    and of R_b1 (r_pieces), each polynomial's pieces computed once."""
 
     point: list
     p_poly: LaurentPoly
@@ -287,6 +297,8 @@ class MasterFrame(NamedTuple):
     windows: GaugeWindows
     T: Matrix2
     R: Matrix2
+    t_pieces: tuple
+    r_pieces: tuple
 
 
 def _build_frame(k, j, sigma):
@@ -311,8 +323,12 @@ def _build_frame(k, j, sigma):
                 raise AssertionError("right inverse failed classically")
             if not ident.entry(a, b)[1].is_zero():
                 raise AssertionError("right inverse failed at order 1")
+    # T_00 = R_11 = z^j and T_01 = p: the derived build pairs the pieces
+    # of z^j, p and R_01, and the printed build those of z^j and p
+    t_pieces = tuple(sigma.bracket_pieces(T.entry(0, a)[0]) for a in (0, 1))
+    r_pieces = (sigma.bracket_pieces(R.entry(0, 1)[0]), t_pieces[0])
     return MasterFrame(coeffs, p_poly, obstruction_basis(k, j), tags, narrow,
-                       win, T, R)
+                       win, T, R, t_pieces, r_pieces)
 
 
 @dataclass(frozen=True, slots=True)
@@ -403,12 +419,12 @@ def _build_master(k, j, sigma, formula):
             f"formula must be 'derived' or 'printed', got {formula!r}")
     frame = cached(_build_frame, k, j, sigma)
     if formula == "derived":
-        pieces = {ab: _leibniz_pieces(sigma, frame.T, frame.R, *ab)
+        pieces = {ab: _leibniz_pieces(frame, *ab)
                   for ab in ((0, 0), (1, 1), (1, 0))}
         entry = partial(_direction_entry_derived, pieces)
     else:
         entry = partial(_direction_entry_printed, j,
-                        _printed_pieces(sigma, j, frame.p_poly))
+                        _printed_pieces(frame, j))
     row_of = {m: r for r, m in enumerate(frame.rows)}
     columns = [_entry_column(k, j, entry(tag), row_of, tag)
                for tag in frame.tags]

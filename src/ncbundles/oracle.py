@@ -14,8 +14,8 @@ plan's few surviving columns at its values.
 
 The star product of a transition entry with a monomial unit is built
 from the bracket pieces of the entry ({f, w} = sum_d dw/dd P_d(f), an
-exact identity) as a few monomial shifts (_unit_product), not by a star
-product per unit.
+exact identity) as one shifted sum per hbar-order (_unit_product), not
+by a star product per unit.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .engine import (
     require_directions,
     require_positive,
 )
-from .poisson import monomial_pairing, parse_sigma_spec
+from .poisson import pairing_shifts, parse_sigma_spec
 from .ring import Evaluation, FormTable, LaurentPoly, Monomial, ParamPoly
 
 
@@ -185,17 +185,21 @@ class OracleSystem:
 
 
 def _unit_product(side, t0, t1, pieces, hord, w):
-    """Both hbar-orders of t * W ("U") or W * t ("V"), t = t0 + hbar t1.
+    """Both hbar-orders of t * W ("U") or W * t ("V"), t = t0 + hbar t1,
+    cut to the first neighbourhood.
 
     W is the monomial w (hord 0) or hbar w (hord 1), and pieces are the
-    bracket pieces of t0.  With {t0, w} = sum_d dw/dd P_d(t0), both
-    orders are monomial shifts: t * w = t0 w + hbar (t1 w + {t0, w}) and
+    bracket pieces of t0.  With {t0, w} = sum_d dw/dd P_d(t0), each order
+    is one shifted sum (LaurentPoly.shifted_sum):
+    t * w = t0 w + hbar (t1 w + {t0, w}) and
     w * t = w t0 + hbar (w t1 - {t0, w}).
     """
+    order0 = LaurentPoly.shifted_sum([(t0, w, 1)], 1)
     if hord:
-        return LaurentPoly.zero(), t0.shift(w)
-    br = monomial_pairing(pieces, w)
-    return t0.shift(w), t1.shift(w) + (br if side == "U" else -br)
+        return LaurentPoly.zero(), order0
+    sign = 1 if side == "U" else -1
+    return order0, LaurentPoly.shifted_sum(
+        [(t1, w, 1), *pairing_shifts(pieces, w, sign)], 1)
 
 
 def _build_oracle_system(k, j, sigma):

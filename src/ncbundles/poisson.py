@@ -14,7 +14,7 @@ in.
 from __future__ import annotations
 
 from .geometry import is_global_poly
-from .ring import VARS, FormalFunction, LaurentPoly, parse_poly
+from .ring import FormalFunction, LaurentPoly, parse_poly
 
 _PAIRS = (("z", "u1"), ("z", "u2"), ("u1", "u2"))
 
@@ -61,7 +61,7 @@ class Bivector:
 
         Keyed by coordinate name; a piece that vanishes is left out.  The
         bracket is a derivation in g, so a bracket with a monomial g is a
-        few monomial shifts of these pieces (see monomial_pairing).
+        few monomial shifts of these pieces (see pairing_shifts).
         """
         pieces = {}
         for h, (x, y) in self.terms:
@@ -132,18 +132,22 @@ def pieces_pairing(pieces, g):
     return acc
 
 
-def monomial_pairing(pieces, mon):
-    """sum_d dw/dd * pieces[d] for the monomial w = z^l u1^i u2^s.
+def pairing_shifts(pieces, mon, c=1):
+    """The parts (P, shift, coefficient) of LaurentPoly.shifted_sum that
+    sum to c * sum_d dw/dd * pieces[d] for the monomial w = z^l u1^i u2^s.
 
-    With pieces = sigma.bracket_pieces(f) this is {f, w}.
+    With pieces = sigma.bracket_pieces(f) they sum to c {f, w}: dw/dd is
+    e w / d for the exponent e of d in w, one shift of pieces[d].
     """
-    acc = LaurentPoly.zero()
-    for n, (d, e) in enumerate(zip(VARS, mon)):
-        if e and d in pieces:
-            dmon = list(mon)
-            dmon[n] -= 1
-            acc = acc + pieces[d].shift(dmon, e)
-    return acc
+    l, i, s = mon
+    out = []
+    if l and "z" in pieces:
+        out.append((pieces["z"], (l - 1, i, s), c * l))
+    if i and "u1" in pieces:
+        out.append((pieces["u1"], (l, i - 1, s), c * i))
+    if s and "u2" in pieces:
+        out.append((pieces["u2"], (l, i, s - 1), c * s))
+    return out
 
 
 def catalog(k):

@@ -125,7 +125,10 @@ class ParamPoly:
         return out
 
     def __add__(self, other):
-        other = self._coerce(other)
+        # an operand over the same params tuple, the case of every master
+        # build, skips _coerce
+        if other.__class__ is not ParamPoly or other.params is not self.params:
+            other = self._coerce(other)
         terms = dict(self._terms)
         for ev, c in other._terms.items():
             if ev in terms:
@@ -148,12 +151,19 @@ class ParamPoly:
         return self._coerce(other) + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return self._with_terms({})
-            return self._with_terms(
-                {ev: c * other for ev, c in self._terms.items()})
-        other = self._coerce(other)
+        if other.__class__ is not ParamPoly or other.params is not self.params:
+            if isinstance(other, (int, Fraction)):
+                if not other:
+                    return self._with_terms({})
+                return self._with_terms(
+                    {ev: c * other for ev, c in self._terms.items()})
+            other = self._coerce(other)
+        if len(self._terms) == 1 and len(other._terms) == 1:
+            # one term times one term: a product of nonzero rationals is
+            # nonzero, so there is nothing to merge or drop
+            (ev1, c1), = self._terms.items()
+            (ev2, c2), = other._terms.items()
+            return self._with_terms({tuple(map(add, ev1, ev2)): c1 * c2})
         out = {}
         for ev1, c1 in self._terms.items():
             for ev2, c2 in other._terms.items():
@@ -568,6 +578,39 @@ class LaurentPoly:
                                     for (a, b, e), v in self._t.items()})
         return LaurentPoly._of({_new(Monomial, (a + l, b + i, e + s)): v * c
                                 for (a, b, e), v in self._t.items()})
+
+    @staticmethod
+    def shifted_sum(parts, n=None):
+        """sum c * z^l u1^i u2^s * P over the triples (P, (l, i, s), c) of
+        parts, rational c, cut at u-degree n unless n is None.
+
+        One pass into one dict: a shift never lowers the u-degree, so the
+        terms of P past n - i - s are skipped, not shifted and then cut,
+        no polynomial is built per part, and a term that cancels to zero
+        is dropped.  The parts are added in order, each term as shift
+        would scale it.
+        """
+        t = {}
+        for poly, (l, i, s), c in parts:
+            if i < 0 or s < 0:
+                raise ValueError(f"negative fibre exponent in {(l, i, s)}")
+            top = None if n is None else n - i - s
+            if not c or top is not None and top < 0:
+                continue
+            scaled = c != 1
+            for (a, b, e), v in poly._t.items():
+                if top is not None and b + e > top:
+                    continue
+                mon = _new(Monomial, (a + l, b + i, e + s))
+                if scaled:
+                    v = v * c
+                if mon in t:
+                    v = t[mon] + v
+                    if not v:
+                        del t[mon]
+                        continue
+                t[mon] = v
+        return LaurentPoly._of(t)
 
     def __pow__(self, n):
         if n < 0:

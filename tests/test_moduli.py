@@ -44,6 +44,7 @@ from ncbundles.engine import (
     single_coordinate_points,
 )
 from ncbundles.oracle import STANDARD_ORACLE_CONFIGS
+from ncbundles.poisson import Bivector
 from ncbundles.ring import Evaluation, FormTable, ParamPoly
 
 from conftest import form_values, fractions
@@ -357,6 +358,47 @@ def test_one_master_per_configuration(monkeypatch):
     assert list(engine._MASTERS) == [
         ("_build_frame", 1, 2, sigma.cache_key()),
         ("_build_master", 1, 2, sigma.cache_key(), "derived")]
+
+
+@pytest.mark.parametrize("k, j, spec", [
+    (1, 3, "gen1"), (2, 4, "gen4"), (1, 3, "u1*gen1"),
+])
+def test_cold_builds_take_each_polynomials_bracket_pieces_once(
+        monkeypatch, k, j, spec):
+    # a cold configuration takes Bivector.bracket_pieces 5 times in the
+    # frame's R and its T * R = 1 check, and once for each polynomial the
+    # two builds pair, z^j, p and R_01, which the frame holds for both
+    # (14 calls when each build took its own)
+    sigma = parse_sigma_spec(spec, k)
+    bracket_pieces, calls, in_check = Bivector.bracket_pieces, [], []
+
+    def counted(self, f):
+        calls.append((bool(in_check), f))
+        return bracket_pieces(self, f)
+
+    def checking(fn):
+        def run(*args):
+            in_check.append(fn)
+            try:
+                return fn(*args)
+            finally:
+                in_check.pop()
+        return run
+
+    monkeypatch.setattr(Bivector, "bracket_pieces", counted)
+    for name in ("canonical_right_inverse", "star_matrix_mul"):
+        monkeypatch.setattr(engine, name, checking(getattr(engine, name)))
+    counts = []
+    for _ in range(2):
+        monkeypatch.setattr(engine, "_MASTERS", {})
+        calls.clear()
+        for formula in ("derived", "printed"):
+            build_cancellation_system(k, j, sigma, formula=formula)
+        counts.append(len(calls))
+        paired = [f for check, f in calls if not check]
+        assert len(paired) == 3
+        assert all(f != g for a, f in enumerate(paired) for g in paired[:a])
+    assert counts == [8, 8]
 
 
 def test_unknown_formula_is_rejected(monkeypatch):

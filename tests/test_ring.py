@@ -191,6 +191,36 @@ def test_param_arithmetic_keeps_no_zero_coefficient(A, B):
         assert got == ParamPoly(PARAMS, dict(terms))
 
 
+def rehomed(A):
+    """A over a params tuple equal to A's but a distinct object."""
+    params = tuple(list(A.params))
+    assert params == A.params and params is not A.params
+    return ParamPoly(params, dict(A.terms()))
+
+
+@given(cancelling_param_polys(), cancelling_param_polys())
+@example(ParamPoly.variable(PARAMS, "p0"), ParamPoly.variable(PARAMS, "p1"))
+def test_param_arithmetic_across_equal_params_tuples(A, B):
+    # an operand over a distinct but equal params tuple misses the fast
+    # path and goes through _coerce: the terms are those of the fast path
+    other = rehomed(B)
+    for got, want in ((A + other, A + B), (A - other, A - B),
+                      (A * other, A * B), (other * A, B * A),
+                      (other - A, B - A)):
+        assert got.params == want.params
+        assert got.terms() == want.terms()
+
+
+def test_param_arithmetic_rejects_other_params():
+    A = ParamPoly.variable(PARAMS, "p0") + 1
+    for other in (ParamPoly.variable(("p0", "p1", "q2"), "q2"),
+                  ParamPoly.const(PARAMS[:2], 2)):
+        for op in (lambda: A + other, lambda: A - other, lambda: A * other,
+                   lambda: other + A, lambda: other - A, lambda: other * A):
+            with pytest.raises(ValueError, match="parameter spaces differ"):
+                op()
+
+
 @given(laurent_polys(), st.integers(0, 2), st.integers(0, 3),
        st.one_of(fractions, param_polys()))
 def test_direct_results_match_checked_constructor(f, d, n, c):
@@ -227,6 +257,51 @@ def test_mul_truncated_is_cut_product(f, g, n):
     assert got == (f * g).truncate_neighborhood(n)
     assert all(c for _, c in got.terms())
     assert all(m.degree_u() <= n for m in got.monomials())
+
+
+@st.composite
+def shifted_parts(draw):
+    """Parts (P, shift, c) of LaurentPoly.shifted_sum, with int, Fraction
+    and ParamPoly coefficients; some parts repeat an earlier P at its
+    shift with -c, so every term of the two cancels."""
+    coeffs = st.one_of(st.just(1), rationals)
+    parts = []
+    for _ in range(draw(st.integers(0, 4))):
+        if parts and draw(st.booleans()):
+            poly, mon, c = draw(st.sampled_from(parts))
+            parts.append((poly, mon, -c))
+        else:
+            parts.append((draw(mixed_laurent_polys()), draw(monomials),
+                          draw(coeffs)))
+    return parts
+
+
+@given(shifted_parts(), st.sampled_from([None, 0, 1, 2]))
+@settings(max_examples=200)
+@example([(P("z + u1"), (1, 0, 0), 2), (P("z + u1"), (1, 0, 0), -2)], None)
+@example([(P("u1*u2 + z"), (0, 1, 0), 1), (P("z*u2"), (-1, 0, 0), -1)], 1)
+def test_shifted_sum_is_sum_of_shifts(parts, n):
+    want = LaurentPoly.zero()
+    for poly, mon, c in parts:
+        want = want + poly.shift(mon, c)
+    if n is not None:
+        want = want.truncate_neighborhood(n)
+    got = LaurentPoly.shifted_sum(parts, n)
+    assert got == want
+    # no zero coefficient: a term that cancels is dropped
+    assert got.monomials() == want.monomials()
+    assert all(c for _, c in got.terms())
+
+
+def test_shifted_sum_drops_a_cancelled_part():
+    f = P("2*z^-1*u1 + 3/2*u2 + 1")
+    assert LaurentPoly.shifted_sum([(f, (1, 0, 1), 3),
+                                    (f, (1, 0, 1), -3)]).is_zero()
+    got = LaurentPoly.shifted_sum([(f, (0, 1, 0), 1), (f, (2, 0, 0), 1),
+                                   (f, (0, 1, 0), -1)], 1)
+    assert got.items() == f.shift((2, 0, 0)).truncate_neighborhood(1).items()
+    with pytest.raises(ValueError, match="negative fibre exponent"):
+        LaurentPoly.shifted_sum([(f, (0, -1, 0), 1)])
 
 
 def test_integer_coefficients_stay_ints():
