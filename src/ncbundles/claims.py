@@ -85,9 +85,11 @@ def _scan(k, j, sigma, seed, draws, pattern_cap, workers=1):
         # imported here, so the package loads without multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        # built and compiled before the pool starts, so forked workers
-        # inherit both
-        cached(_build_master, k, j, sigma, "derived").table
+        # built, compiled and laid out as bitsets (master.pattern, with
+        # the first bounds) before the pool starts, so forked workers
+        # inherit all three
+        stratum_bounds(cached(_build_master, k, j, sigma, "derived"),
+                       masks[-1])
         with ProcessPoolExecutor(max_workers=size) as pool:
             futs = [pool.submit(_scan_masks, sigma, k, j, masks[i::size],
                                 seed, draws) for i in range(size)]

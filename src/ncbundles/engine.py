@@ -343,7 +343,10 @@ class MasterSystem:
     first read.  build_cancellation_system returns one window of it,
     symbolic or evaluated at a point.  `bounds` holds the rank bounds of
     each support stratum met so far (stratum_bounds), and `pattern` the
-    zero pattern they are read from, built with the first of them.
+    zero pattern they are read from, built with the first of them: per
+    table monomial, the coordinates it needs and the entries of the
+    nonzero columns it occurs in, as bitsets in column-major and in
+    row-major order (_zero_pattern).
     """
 
     rows: list
@@ -570,14 +573,26 @@ def point_space(k, j, sigma, formula, point):
 
 
 def _zero_pattern(master):
-    """What each table monomial needs and, per nonzero column, the (row,
-    monomial set) of each entry: bit r of a need is coordinate r, and bit
-    m of a set is monomial m."""
+    """Per table monomial, (need, by column, by row): bit r of need is
+    coordinate r, and the two bitsets hold the entries of the nonzero
+    columns that the monomial occurs in, entry (r, c) of the c-th nonzero
+    column as bit c * #rows + r and as bit r * #nonzero + c."""
     table = master.table
-    needs = tuple(sum(1 << v for v in set(m)) >> 1 for m in table.monomials)
-    sets = [sum(1 << m for m, _ in form) for form in table.forms]
-    return needs, tuple(tuple((r, sets[f]) for r, f in table.segment(c))
-                        for c in master.nonzero)
+    n, ncols = len(master.rows), len(master.nonzero)
+    # the entries of each form first, as forms are shared between entries
+    form_col, form_row = [0] * len(table.forms), [0] * len(table.forms)
+    for c, col in enumerate(master.nonzero):
+        for r, f in table.segment(col):
+            form_col[f] |= 1 << (c * n + r)
+            form_row[f] |= 1 << (r * ncols + c)
+    by_col = [0] * len(table.monomials)
+    by_row = [0] * len(table.monomials)
+    for form, col_bits, row_bits in zip(table.forms, form_col, form_row):
+        for m, _ in form:
+            by_col[m] |= col_bits
+            by_row[m] |= row_bits
+    needs = (sum(1 << v for v in set(m)) >> 1 for m in table.monomials)
+    return tuple(zip(needs, by_col, by_row))
 
 
 def stratum_bounds(master, support):
@@ -589,34 +604,48 @@ def stratum_bounds(master, support):
     needs no coordinate outside the support (the constant, variable 0,
     needs none); every other entry vanishes on the whole stratum.  An
     entry with a single live monomial is sure: it is nonzero at every
-    point of the stratum.  lower is linalg.triangular_rank of the nonzero
-    bump-0 columns N, a nonsingular submatrix of N at every such point;
-    upper is linalg.term_rank of every nonzero column, so no point of the
-    stratum gives the columns of the whole stability window a larger
-    rank.  upper is not computed when lower is already #rows, and is
-    #rows then.  When the two meet, rank_Q(N) = rank_Q(window) = lower
-    at every point of the stratum: the rank is proved there and stable
-    under the window bump.
+    point of the stratum.  One pass over the live monomials of
+    master.pattern ORs their entry bitsets: `once` holds the live
+    entries, `twice` those of two live monomials or more, and the sure
+    entries are once & ~twice; the row mask of a column and the column
+    mask of a row are shifts of them.  lower is linalg.triangular_rank of
+    the nonzero bump-0 columns N, a nonsingular submatrix of N at every
+    such point; upper is linalg.term_rank of every nonzero column, so no
+    point of the stratum gives the columns of the whole stability window
+    a larger rank.  upper is not computed when lower is already #rows or
+    the number of nonzero columns, and is lower then.  When the two
+    meet, rank_Q(N) = rank_Q(window) = lower at every point of the
+    stratum: the rank is proved there and stable under the window bump.
 
-    master.pattern, the zero pattern of the nonzero columns, is built
-    with the first bounds of a master and kept on it, so emptying
-    _MASTERS drops it with the bounds.
+    master.pattern, the zero pattern of the nonzero columns as bitsets
+    (_zero_pattern), is built with the first bounds of a master and kept
+    on it, so emptying _MASTERS drops it with the bounds.
     """
     got = master.bounds.get(support)
     if got is None:
         if master.pattern is None:
             # a cache on the frozen master, as bounds is
             object.__setattr__(master, "pattern", _zero_pattern(master))
-        needs, columns = master.pattern
-        live = sum(1 << m for m, need in enumerate(needs)
-                   if not need & ~support)
-        entries = [[(r, not x & (x - 1)) for r, mons in col
-                    if (x := mons & live)] for col in columns]
-        n = len(master.rows)
+        by_col = once = twice = 0
+        outside = ~support
+        for need, col_bits, row_bits in master.pattern:
+            if not need & outside:
+                by_col |= col_bits
+                twice |= once & row_bits
+                once |= row_bits
+        n, ncols = len(master.rows), len(master.nonzero)
+        narrow = len(master.nonzero_narrow())
+        all_rows, narrow_cols = (1 << n) - 1, (1 << narrow) - 1
+        columns = [by_col >> (c * n) & all_rows for c in range(ncols)]
+        sure = once & ~twice
         lower = linalg.triangular_rank(
-            entries[:len(master.nonzero_narrow())], n)
-        upper = n if lower == n else linalg.term_rank(
-            [[r for r, _ in col] for col in entries], n)
+            columns[:narrow],
+            [once >> (r * ncols) & narrow_cols for r in range(n)],
+            [sure >> (r * ncols) & narrow_cols for r in range(n)])
+        # the diagonal of lower sure entries is a matching that already
+        # fills every row or every column
+        upper = lower if lower == min(n, ncols) else linalg.term_rank(
+            columns, n)
         got = master.bounds[support] = lower, upper
     return got
 

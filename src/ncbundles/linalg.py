@@ -8,6 +8,9 @@ rank, which a caller can only use where an upper bound, such as the
 term_rank of their zero pattern, meets it.  triangular_rank is a lower
 bound that holds for every matrix with a zero pattern whose sure entries
 never vanish; where it meets term_rank, the pattern alone fixes the rank.
+Both read a zero pattern as int bitmasks, bit r of a column's mask for
+row r and bit c of a row's mask for column c, and visit the set bits of
+a mask lowest first.
 """
 
 from __future__ import annotations
@@ -137,24 +140,29 @@ def term_rank(columns, nrows):
     """The most nonzero entries of a zero pattern that share no row or
     column: a maximum matching of rows and columns (augmenting paths).
 
-    columns lists, per column, the rows where its entry may be nonzero.
-    A nonzero minor of size r has a nonzero term in its expansion, which
-    is r such entries, so every matrix with this zero pattern has rank at
-    most the term rank (J. Edmonds, J. Res. NBS 71B, 1967).
+    columns lists, per column, the bitmask of the rows where its entry
+    may be nonzero (bit r is row r).  A nonzero minor of size r has a
+    nonzero term in its expansion, which is r such entries, so every
+    matrix with this zero pattern has rank at most the term rank
+    (J. Edmonds, J. Res. NBS 71B, 1967).
     """
-    owner = [None] * nrows  # row -> the column matched to it
+    owner = [-1] * nrows  # row -> the column matched to it
     # the rows a search reached since the matching last grew: a failed
     # search leaves the matching as it was, so none of them can start an
     # augmenting path for a later column either
-    seen = set()
+    seen = 0
 
     def augment(c):
-        for r in columns[c]:
-            if r not in seen:
-                seen.add(r)
-                if owner[r] is None or augment(owner[r]):
-                    owner[r] = c
-                    return True
+        nonlocal seen
+        free = columns[c] & ~seen
+        while free:  # its rows not yet reached, lowest first
+            bit = free & -free
+            seen |= bit
+            r = bit.bit_length() - 1
+            if owner[r] < 0 or augment(owner[r]):
+                owner[r] = c
+                return True
+            free &= ~seen
         return False
 
     matched = 0
@@ -163,72 +171,94 @@ def term_rank(columns, nrows):
             matched += 1
             if matched == nrows:
                 break
-            seen.clear()
+            seen = 0
     return matched
 
 
-def triangular_rank(columns, nrows):
+def triangular_rank(columns, rows, sure):
     """The size of a square submatrix that is triangular after permutation
     and whose diagonal entries are sure: a lower bound of the rank of
     every matrix with this zero pattern.
 
-    columns lists, per column, the (row, sure) pairs of the entries that
-    may be nonzero, where sure marks an entry that is nonzero in every
-    such matrix, as a single monomial is on its support.  Greedy peeling:
-    a row whose only entry left is sure, or a column whose only entry
-    left is sure, gives a diagonal entry, and its row and column go.
-    When none is left, a row with a sure entry first drops its other
-    columns, which only shrinks the submatrix.  Each peeled row or column
-    has no other entry among the rows and columns left, so the
-    submatrix's determinant is its diagonal's product, up to sign, and
-    never vanishes.  Where this meets term_rank, the upper bound, the two
-    fix the rank of every matrix with the pattern (compare the
+    The pattern is given both ways, as bitmasks: columns[c] has bit r and
+    rows[r] has bit c for each entry (r, c) that may be nonzero.  sure[r]
+    has bit c when the entry (r, c) is nonzero in every such matrix, as a
+    single monomial is on its support.  Greedy peeling: a row whose only
+    entry left is sure, or a column whose only entry left is sure, gives
+    a diagonal entry, and its row and column go.  When none is left, a
+    row with a sure entry first drops its other columns, which only
+    shrinks the submatrix: the row of fewest entries, then the lowest
+    row, and its lowest sure column.  Each peeled row or column has no
+    other entry among the rows and columns left, so the submatrix's
+    determinant is its diagonal's product, up to sign, and never
+    vanishes.  Where this meets term_rank, the upper bound, the two fix
+    the rank of every matrix with the pattern (compare the
     block-triangular forms of A. L. Dulmage and N. S. Mendelsohn, Canad.
     J. Math. 10, 1958).
     """
-    entries = [dict(col) for col in columns]  # column -> {row: sure} left
-    lines = [set() for _ in range(nrows)]  # row -> its columns left
-    for c, col in enumerate(entries):
-        for r in col:
-            lines[r].add(c)
+    cols, rows = list(columns), list(rows)  # the entries left
+    # a submatrix has no more rows than the matrix, nor more columns
+    top = min(len(rows), len(cols))
     # the rows and columns to visit: those that were left one entry
-    rows = [r for r, cs in enumerate(lines) if len(cs) == 1]
-    cols = [c for c, col in enumerate(entries) if len(col) == 1]
+    row_stack = [r for r, m in enumerate(rows) if m.bit_count() == 1]
+    col_stack = [c for c, m in enumerate(cols) if m.bit_count() == 1]
 
     def drop_column(c):
-        for r in entries[c]:
-            lines[r].discard(c)
-            if len(lines[r]) == 1:
-                rows.append(r)
-        entries[c] = {}
-
-    def peel(r, c):
-        for other in lines[r]:
-            del entries[other][r]
-            if len(entries[other]) == 1:
-                cols.append(other)
-        lines[r] = set()
-        drop_column(c)
+        m = cols[c]
+        cols[c] = 0
+        keep = ~(1 << c)
+        while m:
+            bit = m & -m
+            m ^= bit
+            r = bit.bit_length() - 1
+            left = rows[r] & keep
+            rows[r] = left
+            if left.bit_count() == 1:
+                row_stack.append(r)
 
     size = 0
-    while size < nrows:
-        if rows:
-            r = rows.pop()
-            pick = (r, *lines[r]) if len(lines[r]) == 1 else None
-        elif cols:
-            c = cols.pop()
-            pick = (*entries[c], c) if len(entries[c]) == 1 else None
+    while size < top:
+        if row_stack:
+            r = row_stack.pop()
+            m = rows[r]
+            if m.bit_count() != 1:
+                continue
+            c = m.bit_length() - 1
+        elif col_stack:
+            c = col_stack.pop()
+            m = cols[c]
+            if m.bit_count() != 1:
+                continue
+            r = m.bit_length() - 1
         else:
-            stuck = [(len(cs), r, c) for r, cs in enumerate(lines)
-                     for c in cs if entries[c][r]]
-            if not stuck:
+            best = None  # (entries left, row) of a row with a sure entry
+            for r, m in enumerate(rows):
+                if sure[r] & m and (best is None or m.bit_count() < best[0]):
+                    best = m.bit_count(), r
+            if best is None:
                 break
-            _, r, c = min(stuck)
-            for other in lines[r] - {c}:
-                drop_column(other)
-            pick = r, c
-        if pick and entries[pick[1]][pick[0]]:  # a sure entry
-            peel(*pick)
+            r = best[1]
+            m = sure[r] & rows[r]
+            bit = m & -m
+            c = bit.bit_length() - 1
+            m = rows[r] ^ bit
+            while m:
+                other = m & -m
+                m ^= other
+                drop_column(other.bit_length() - 1)
+        if sure[r] >> c & 1:  # a sure entry: peel its row and column
+            m = rows[r]
+            rows[r] = 0
+            keep = ~(1 << r)
+            while m:
+                bit = m & -m
+                m ^= bit
+                o = bit.bit_length() - 1
+                left = cols[o] & keep
+                cols[o] = left
+                if left.bit_count() == 1:
+                    col_stack.append(o)
+            drop_column(c)
             size += 1
     return size
 

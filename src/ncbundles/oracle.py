@@ -106,7 +106,7 @@ def _dispensed(key, j):
 
 
 def _collect(poly, ei, ej, hord, sign, j, store):
-    for mon, c in poly.truncate_neighborhood(1).terms():
+    for mon, c in poly.items():
         key = (ei, ej, hord, mon.l, mon.i, mon.s)
         if _dispensed(key, j):
             continue
@@ -247,8 +247,10 @@ def _build_oracle_system(k, j, sigma):
     order = sorted(columns, key=lambda key: (key[3] > hi, key))
     row_id = {row: n for n, row in
               enumerate(sorted(set(rhs).union(*columns.values())))}
+    # each column's rows in key order, so the table does not depend on
+    # the order in which a product's terms were summed
     table = FormTable.compile(
-        {row_id[row]: c for row, c in store.items()}
+        {row_id[row]: c for row, c in sorted(store.items())}
         for store in [columns[key] for key in order] + [rhs])
     return OracleSystem(table=table,
                         narrow=sum(key[3] <= hi for key in order))

@@ -141,6 +141,23 @@ class ParamPoly:
 
     __radd__ = __add__
 
+    def add_scaled(self, other, c):
+        """self + other * c for a nonzero rational c, with each of other's
+        terms scaled as it is added: one dict pass and one new ParamPoly,
+        where other * c and the sum would make two."""
+        if other.__class__ is not ParamPoly or other.params is not self.params:
+            return self + other * c
+        terms = dict(self._terms)
+        for ev, v in other._terms.items():
+            v = v * c
+            if ev in terms:
+                v += terms[ev]
+                if not v:
+                    del terms[ev]
+                    continue
+            terms[ev] = v
+        return self._with_terms(terms)
+
     def __neg__(self):
         return self._with_terms({ev: -c for ev, c in self._terms.items()})
 
@@ -588,7 +605,8 @@ class LaurentPoly:
         terms of P past n - i - s are skipped, not shifted and then cut,
         no polynomial is built per part, and a term that cancels to zero
         is dropped.  The parts are added in order, each term as shift
-        would scale it.
+        would scale it; a ParamPoly that meets an earlier term of its
+        monomial is scaled as it is added (ParamPoly.add_scaled).
         """
         t = {}
         for poly, (l, i, s), c in parts:
@@ -602,13 +620,19 @@ class LaurentPoly:
                 if top is not None and b + e > top:
                     continue
                 mon = _new(Monomial, (a + l, b + i, e + s))
-                if scaled:
-                    v = v * c
                 if mon in t:
-                    v = t[mon] + v
+                    old = t[mon]
+                    if not scaled:
+                        v = old + v
+                    elif old.__class__ is ParamPoly:
+                        v = old.add_scaled(v, c)
+                    else:
+                        v = old + v * c
                     if not v:
                         del t[mon]
                         continue
+                elif scaled:
+                    v = v * c
                 t[mon] = v
         return LaurentPoly._of(t)
 

@@ -58,3 +58,107 @@ def form_values(table, coords):
     integer numerator (ring.Evaluation) over the common denominator."""
     ev = Evaluation(table, coords)
     return [Fraction(v, ev.den) for v in ev.upto()]
+
+
+# Reference zero-pattern bounds on Python lists, dicts and sets: the
+# routes that linalg.term_rank, linalg.triangular_rank and
+# engine.stratum_bounds take on bitmasks, written out entry by entry.
+
+def reference_term_rank(columns, nrows):
+    """The maximum matching of a zero pattern by augmenting paths, with
+    columns[c] the list of the rows where column c may be nonzero."""
+    owner = [None] * nrows  # row -> the column matched to it
+    seen = set()  # rows reached since the matching last grew
+
+    def augment(c):
+        for r in columns[c]:
+            if r not in seen:
+                seen.add(r)
+                if owner[r] is None or augment(owner[r]):
+                    owner[r] = c
+                    return True
+        return False
+
+    matched = 0
+    for c in range(len(columns)):
+        if augment(c):
+            matched += 1
+            if matched == nrows:
+                break
+            seen.clear()
+    return matched
+
+
+def reference_triangular_rank(columns, nrows):
+    """The greedy triangular peeling of linalg.triangular_rank, with
+    columns[c] the list of (row, sure) pairs of column c's entries that
+    may be nonzero: a row or column left one sure entry peels it, and a
+    stuck peeling keeps the sure entry (entries left, row, column) that
+    is least and drops its row's other columns."""
+    entries = [dict(col) for col in columns]  # column -> {row: sure} left
+    lines = [set() for _ in range(nrows)]  # row -> its columns left
+    for c, col in enumerate(entries):
+        for r in col:
+            lines[r].add(c)
+    rows = [r for r, cs in enumerate(lines) if len(cs) == 1]
+    cols = [c for c, col in enumerate(entries) if len(col) == 1]
+
+    def drop_column(c):
+        for r in entries[c]:
+            lines[r].discard(c)
+            if len(lines[r]) == 1:
+                rows.append(r)
+        entries[c] = {}
+
+    def peel(r, c):
+        for other in lines[r]:
+            del entries[other][r]
+            if len(entries[other]) == 1:
+                cols.append(other)
+        lines[r] = set()
+        drop_column(c)
+
+    size = 0
+    while size < nrows:
+        if rows:
+            r = rows.pop()
+            pick = (r, *lines[r]) if len(lines[r]) == 1 else None
+        elif cols:
+            c = cols.pop()
+            pick = (*entries[c], c) if len(entries[c]) == 1 else None
+        else:
+            stuck = [(len(cs), r, c) for r, cs in enumerate(lines)
+                     for c in cs if entries[c][r]]
+            if not stuck:
+                break
+            _, r, c = min(stuck)
+            for other in lines[r] - {c}:
+                drop_column(other)
+            pick = r, c
+        if pick and entries[pick[1]][pick[0]]:  # a sure entry
+            peel(*pick)
+            size += 1
+    return size
+
+
+def reference_stratum_bounds(master, support):
+    """engine.stratum_bounds from per-entry lists: an entry is live when
+    one of its form's monomials needs no coordinate outside the support,
+    and sure when exactly one does."""
+    table = master.table
+    live = {m for m, mon in enumerate(table.monomials)
+            if all(v == 0 or support >> (v - 1) & 1 for v in mon)}
+    entries = []
+    for c in master.nonzero:
+        col = []
+        for r, f in table.segment(c):
+            hits = sum(m in live for m, _ in table.forms[f])
+            if hits:
+                col.append((r, hits == 1))
+        entries.append(col)
+    n = len(master.rows)
+    lower = reference_triangular_rank(
+        entries[:len(master.nonzero_narrow())], n)
+    upper = reference_term_rank([[r for r, _ in col] for col in entries], n)
+    return lower, upper
+

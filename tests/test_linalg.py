@@ -10,6 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 from ncbundles import linalg
 from ncbundles.ring import ParamPoly
 
+from conftest import reference_term_rank, reference_triangular_rank
+
 
 def naive_rank(columns, nrows):
     """Textbook row reduction on the transpose, used as an oracle."""
@@ -316,6 +318,11 @@ def largest_matching(columns, nrows):
                default=0)
 
 
+def row_masks(columns):
+    """Per column, the bitmask of the rows listed for it."""
+    return [sum(1 << r for r in col) for col in columns]
+
+
 @settings(max_examples=100)
 @given(st.integers(1, 4).flatmap(lambda nrows: st.tuples(
     st.just(nrows),
@@ -326,13 +333,26 @@ def largest_matching(columns, nrows):
 @example((3, [[0], [0], [0, 1], [1, 2]]))
 def test_term_rank_is_the_largest_matching(system):
     nrows, columns = system
-    got = linalg.term_rank(columns, nrows)
+    got = linalg.term_rank(row_masks(columns), nrows)
     assert got == largest_matching(columns, nrows)
+    assert got == reference_term_rank([sorted(col) for col in columns],
+                                      nrows)
     # the rank of any matrix with this zero pattern is at most the bound
     rng = random.Random(got)
     dense = [[rng.randint(-3, 3) if r in col else 0 for r in range(nrows)]
              for col in columns]
     assert linalg.rank(dense, nrows) <= got
+
+
+def pattern_bitmasks(columns, nrows):
+    """The (columns, rows, sure) bitmasks of linalg.triangular_rank for
+    columns[c], the list of (row, sure) pairs of column c's entries."""
+    cols = [sum(1 << r for r, _ in col) for col in columns]
+    rows = [sum(1 << c for c, col in enumerate(columns)
+                if any(r == row for r, _ in col)) for row in range(nrows)]
+    sure = [sum(1 << c for c, col in enumerate(columns) if (row, True) in col)
+            for row in range(nrows)]
+    return cols, rows, sure
 
 
 @settings(max_examples=100)
@@ -349,17 +369,20 @@ def test_term_rank_is_the_largest_matching(system):
 @example((2, [[(0, True), (1, False)], [(1, True)]]))
 def test_triangular_rank_is_a_lower_bound(system):
     nrows, columns = system
-    got = linalg.triangular_rank(columns, nrows)
-    assert got <= linalg.term_rank([[r for r, _ in col] for col in columns],
-                                   nrows)
+    cols, rows, sure = pattern_bitmasks(columns, nrows)
+    got = linalg.triangular_rank(cols, rows, sure)
+    assert got <= linalg.term_rank(cols, nrows)
+    # the bitmask peeling visits rows and columns as the list one does
+    assert got == reference_triangular_rank(columns, nrows)
     # every matrix with this pattern, sure entries nonzero, has at least
     # that rank; an entry that is not sure may be zero
     rng = random.Random(got)
     for _ in range(8):
         dense = [[0] * nrows for _ in columns]
         for col, entries in zip(dense, columns):
-            for r, sure in entries:
-                col[r] = rng.choice([-2, -1, 1, 2] if sure else [0, 0, 1])
+            for r, sure_entry in entries:
+                col[r] = rng.choice([-2, -1, 1, 2] if sure_entry
+                                    else [0, 0, 1])
         assert linalg.rank(dense, nrows) >= got
 
 
@@ -367,12 +390,12 @@ def test_triangular_rank_meets_a_triangle():
     # upper triangular with a sure diagonal and entries above it that may
     # vanish: the whole triangle is found, in any column order
     cols = [[(r, r == c) for r in range(c + 1)] for c in range(4)]
-    assert linalg.triangular_rank(cols, 4) == 4
-    assert linalg.triangular_rank(cols[::-1], 4) == 4
+    assert linalg.triangular_rank(*pattern_bitmasks(cols, 4)) == 4
+    assert linalg.triangular_rank(*pattern_bitmasks(cols[::-1], 4)) == 4
     # with the first diagonal entry unsure, the first row and column
     # can go, and the rest is still a triangle
     cols[0] = [(0, False)]
-    assert linalg.triangular_rank(cols, 4) == 3
+    assert linalg.triangular_rank(*pattern_bitmasks(cols, 4)) == 3
 
 
 def sparse_system(rng, nrows, nvars, density):

@@ -47,7 +47,7 @@ from ncbundles.oracle import STANDARD_ORACLE_CONFIGS
 from ncbundles.poisson import Bivector
 from ncbundles.ring import Evaluation, FormTable, ParamPoly
 
-from conftest import form_values, fractions
+from conftest import form_values, fractions, reference_stratum_bounds
 
 
 def sym(entry):
@@ -535,7 +535,7 @@ def star_route_unit_product(sigma):
         mono = LaurentPoly.monomial(*w)
         W = FormalFunction([LaurentPoly.zero(), mono] if hord else [mono])
         d = sigma.star(t, W, 1) if side == "U" else sigma.star(W, t, 1)
-        return d[0], d[1]
+        return d[0].truncate_neighborhood(1), d[1].truncate_neighborhood(1)
 
     return product
 
@@ -549,6 +549,22 @@ def test_oracle_system_matches_star_route(monkeypatch, k, j, spec):
     monkeypatch.setattr(oracle, "_unit_product",
                         star_route_unit_product(sigma))
     assert oracle._build_oracle_system(k, j, sigma) == system
+
+
+@pytest.mark.parametrize("k, j, spec", [(1, 3, "gen1"), (2, 3, "u1*gen4")])
+def test_oracle_collects_only_first_neighbourhood_terms(monkeypatch, k, j,
+                                                        spec):
+    # _collect cuts nothing: the unit products come cut at u-degree 1, and
+    # Tp - Tq = [[0, -hbar delta], [0, 0]] with delta in the basis of the
+    # first neighbourhood
+    collect = oracle._collect
+
+    def checked(poly, *args):
+        assert all(m.degree_u() <= 1 for m in poly.monomials())
+        return collect(poly, *args)
+
+    monkeypatch.setattr(oracle, "_collect", checked)
+    oracle._build_oracle_system(k, j, parse_sigma_spec(spec, k))
 
 
 def test_stratify_m2u_strata():
@@ -1296,6 +1312,40 @@ def test_stratum_bounds_hold_at_every_draw(k, gen, multiple, j, data):
         assert lower <= rank <= upper
         if lower == upper:
             assert rank == lower
+
+
+# the open masks of every j = 3 catalog configuration, out of 255: the
+# masks whose lower bound stays below the term rank
+OPEN_MASKS_J3 = {(1, "gen1"): 22, (1, "gen2"): 22, (1, "gen3"): 47,
+                 (1, "gen4"): 47, (2, "gen1"): 77, (2, "gen2"): 6,
+                 (2, "gen3"): 14, (2, "gen4"): 0, (2, "gen5"): 35}
+
+
+@pytest.mark.parametrize("multiple", ["", "u1*"])
+@pytest.mark.parametrize("k, gen", CATALOG)
+def test_bitset_bounds_match_the_list_bounds_at_j3(k, gen, multiple):
+    # every mask of the stratum bounds from bitsets is the pair that the
+    # per-entry lists give, and a u1-multiple has no open mask
+    sigma = parse_sigma_spec(multiple + gen, k)
+    master = engine.cached(engine._build_master, k, 3, sigma, "derived")
+    opened = 0
+    for mask in range(1, 256):
+        got = engine.stratum_bounds(master, mask)
+        assert got == reference_stratum_bounds(master, mask), mask
+        opened += got[0] != got[1]
+    assert opened == (OPEN_MASKS_J3[k, gen] if not multiple else 0)
+
+
+@pytest.mark.parametrize("multiple", ["", "u1*"])
+@pytest.mark.parametrize("k, gen", CATALOG)
+@settings(max_examples=4)
+@given(masks=st.lists(st.integers(1, 4095), min_size=1, max_size=16))
+def test_bitset_bounds_match_the_list_bounds_at_j4(k, gen, multiple, masks):
+    sigma = parse_sigma_spec(multiple + gen, k)
+    master = engine.cached(engine._build_master, k, 4, sigma, "derived")
+    for mask in masks:
+        assert engine.stratum_bounds(master, mask) == (
+            reference_stratum_bounds(master, mask))
 
 
 def test_two_live_monomials_make_no_diagonal(monkeypatch):

@@ -293,6 +293,47 @@ def test_shifted_sum_is_sum_of_shifts(parts, n):
     assert all(c for _, c in got.terms())
 
 
+@given(param_polys(), st.one_of(param_polys(), rationals), rationals)
+def test_add_scaled_is_sum_with_scaled_operand(A, B, c):
+    got = A.add_scaled(B, c)
+    assert got == A + B * c
+    assert all(coeff != 0 for _, coeff in got.terms())
+
+
+@st.composite
+def colliding_parts(draw):
+    """Parts (P, shift, c) of LaurentPoly.shifted_sum at one shift, with c
+    neither 0 nor 1 and ParamPoly coefficients on three monomials, so the
+    parts meet on their monomials."""
+    mons = st.sampled_from([Monomial(0, 0, 0), Monomial(1, 0, 0),
+                            Monomial(0, 1, 0)])
+    polys = st.dictionaries(mons, param_polys(), min_size=1,
+                            max_size=3).map(LaurentPoly)
+    shift = draw(monomials)
+    return [(draw(polys), shift, draw(rationals.filter(lambda c: c != 1)))
+            for _ in range(draw(st.integers(2, 4)))]
+
+
+P0_PLUS_ONE = LaurentPoly(
+    {Monomial(0, 0, 0): ParamPoly.variable(PARAMS, "p0") + 1})
+
+
+@given(colliding_parts())
+# the second part cancels the first one's terms
+@example([(P0_PLUS_ONE, (0, 0, 0), 2), (P0_PLUS_ONE, (0, 0, 0), -2)])
+# a Fraction and an int scale meet on one ParamPoly term
+@example([(P0_PLUS_ONE, (1, 1, 0), Fraction(1, 2)),
+          (P0_PLUS_ONE, (1, 1, 0), 3)])
+def test_shifted_sum_scales_meeting_terms_as_it_adds_them(parts):
+    want = LaurentPoly.zero()
+    for poly, mon, c in parts:
+        want = want + poly.shift(mon, c)
+    got = LaurentPoly.shifted_sum(parts)
+    assert got == want
+    assert got.monomials() == want.monomials()
+    assert all(c for _, c in got.terms())
+
+
 def test_shifted_sum_drops_a_cancelled_part():
     f = P("2*z^-1*u1 + 3/2*u2 + 1")
     assert LaurentPoly.shifted_sum([(f, (1, 0, 1), 3),
