@@ -4,7 +4,6 @@ the generic rank, and the PASS/FAIL/EXCEEDS battery of one configuration.
 
 from __future__ import annotations
 
-import os
 import random
 from fractions import Fraction
 
@@ -43,33 +42,17 @@ def _draw(k, j, seed, mask, draw):
             for r in range(direction_dimension(k, j))]
 
 
-def _scan_masks(sigma, k, j, masks, seed, draws):
-    """(mask, draw, rank) of every draw on every mask.  On a closed
-    stratum (stratum_bounds) every draw has the proved rank, so no point
-    is drawn; on an open one, each draw's point is ranked."""
-    master = cached(_build_master, k, j, sigma, "derived")
-    out = []
-    for mask in masks:
-        lower, upper = stratum_bounds(master, mask)
-        for t in range(draws):
-            rank = lower if lower == upper else point_rank(
-                k, j, sigma, "derived", _draw(k, j, seed, mask, t))
-            out.append((mask, t, rank))
-    return out
-
-
-def _scan(k, j, sigma, seed, draws, pattern_cap, workers=1):
+def _scan(k, j, sigma, seed, draws, pattern_cap):
     """Rank several draws on every nonzero support pattern of the base
     point: all of them when 2^dim - 1 <= pattern_cap, a seeded sample
-    plus the full pattern otherwise.
+    plus the full pattern otherwise.  On a closed stratum
+    (stratum_bounds) every draw has the proved rank, so no point is
+    drawn; on an open one, each draw's point is ranked.
 
     Returns the masks scanned and two dicts keyed by corank: its number
     of draws, and its first draw as (mask, draw) in (mask, draw) order.
-    The masks are ranked in min(workers, #masks, os.cpu_count()) chunks,
-    one per pool process, and in this process when that is 1; the result
-    does not depend on workers.
     """
-    require_positive(draws=draws, pattern_cap=pattern_cap, workers=workers)
+    require_positive(draws=draws, pattern_cap=pattern_cap)
     require_directions(j)
     dim = direction_dimension(k, j)
     total = (1 << dim) - 1
@@ -80,27 +63,15 @@ def _scan(k, j, sigma, seed, draws, pattern_cap, workers=1):
         sample = random.Random(seed).sample(range(1, total + 1),
                                             pattern_cap - 1)
         masks = sorted({*sample, total})
-    size = min(workers, len(masks), os.cpu_count() or 1)
-    if size > 1:
-        # imported here, so the package loads without multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        # built, compiled and laid out as bitsets (master.pattern, with
-        # the first bounds) before the pool starts, so forked workers
-        # inherit all three
-        stratum_bounds(cached(_build_master, k, j, sigma, "derived"),
-                       masks[-1])
-        with ProcessPoolExecutor(max_workers=size) as pool:
-            futs = [pool.submit(_scan_masks, sigma, k, j, masks[i::size],
-                                seed, draws) for i in range(size)]
-            results = sorted(rec for f in futs for rec in f.result())
-    else:
-        results = _scan_masks(sigma, k, j, masks, seed, draws)
-
+    master = cached(_build_master, k, j, sigma, "derived")
     counts, first = {}, {}
-    for mask, t, r in results:
-        counts[dim - r] = counts.get(dim - r, 0) + 1
-        first.setdefault(dim - r, (mask, t))
+    for mask in masks:
+        lower, upper = stratum_bounds(master, mask)
+        for t in range(draws):
+            rank = lower if lower == upper else point_rank(
+                k, j, sigma, "derived", _draw(k, j, seed, mask, t))
+            counts[dim - rank] = counts.get(dim - rank, 0) + 1
+            first.setdefault(dim - rank, (mask, t))
     return masks, counts, first
 
 
@@ -110,8 +81,7 @@ def _witness(k, j, seed, mask, draw):
     return {"mask": mask, "point": [str(c) for c in pt]}
 
 
-def stratify(k, j, sigma, seed=DEFAULT_SEED, draws=5, pattern_cap=4096,
-             workers=1):
+def stratify(k, j, sigma, seed=DEFAULT_SEED, draws=5, pattern_cap=4096):
     """Scan support patterns of the base point for stalk strata, and
     certify the generic rank.
 
@@ -119,18 +89,20 @@ def stratify(k, j, sigma, seed=DEFAULT_SEED, draws=5, pattern_cap=4096,
     closed stratum every draw has the proved rank (engine.stratum_bounds)
     and no point is drawn; on an open one each draw's point is ranked
     (point_rank).  Each stratum reports its number of draws and its
-    witness.  The report ends with the certificate of
+    witness; patterns_scanned below patterns_total marks a sampled
+    scan.  The report ends with the certificate of
     certify_generic_rank: one maximal minor, checked at a point.
     """
-    masks, counts, first = _scan(k, j, sigma, seed, draws, pattern_cap,
-                                 workers)
+    masks, counts, first = _scan(k, j, sigma, seed, draws, pattern_cap)
     max_corank = max(counts)
+    dim = direction_dimension(k, j)
     return {
         "k": k,
         "j": j,
         "sigma": sigma.describe(),
-        "dimension": direction_dimension(k, j),
+        "dimension": dim,
         "patterns_scanned": len(masks),
+        "patterns_total": (1 << dim) - 1,
         "draws_per_pattern": draws,
         "strata": {str(c): {"count": counts[c],
                             "witness": _witness(k, j, seed, *first[c])}

@@ -273,16 +273,15 @@ def stalk_cmd(k, j, sigma_text, point, formula, emit_matrix):
 @click.option("--seed", type=int, default=None)
 @click.option("--draws", type=int, default=5, show_default=True)
 @click.option("--pattern-cap", type=int, default=4096, show_default=True)
-@click.option("--workers", type=int, default=1, show_default=True)
-def stratify_cmd(k, j, sigma_text, seed, draws, pattern_cap, workers):
+def stratify_cmd(k, j, sigma_text, seed, draws, pattern_cap):
     """Scan base point support patterns for stalk strata, and certify
     the generic rank."""
     seed = _resolve_seed(seed)
     sigma = parse_sigma_spec(sigma_text, k)
     rep = stratify(k, j, sigma, seed=seed, draws=draws,
-                   pattern_cap=pattern_cap, workers=workers)
+                   pattern_cap=pattern_cap)
     config = {"k": k, "j": j, "sigma": sigma_text, "draws": draws,
-              "pattern_cap": pattern_cap, "workers": workers}
+              "pattern_cap": pattern_cap}
     _emit(make_report("stratify", config, seed, rep))
 
 

@@ -261,24 +261,18 @@ def test_stratify_deterministic_bytes():
     assert set(rep["result"]["strata"]) == {"2", "3"}
 
 
-def test_stratify_worker_count_invariant():
-    base = ("stratify", "--k", "1", "--j", "2", "--sigma", "u1*gen1",
-            "--seed", "5", "--draws", "2")
-    a = invoke(*base, "--workers", "1")
-    b = invoke(*base, "--workers", "2")
-    sa, sb = json.loads(a.stdout), json.loads(b.stdout)
-    assert sa["result"] == sb["result"]
-
-
 STRATIFY = ("stratify", "--k", "1", "--j", "2", "--sigma", "u1*gen1")
 
 
+# explicit ids keep each case's name fixed when a case is added or dropped
 @pytest.mark.parametrize("args, name", [
-    (STRATIFY + ("--workers", "0"), "workers"),
-    (STRATIFY + ("--draws", "0"), "draws"),
-    (STRATIFY + ("--pattern-cap", "0"), "pattern_cap"),
-    (("oracle-check", "--trials", "0"), "trials"),
-    (("star-check", "--k", "1", "--trials", "0"), "trials"),
+    pytest.param(STRATIFY + ("--draws", "0"), "draws", id="args1-draws"),
+    pytest.param(STRATIFY + ("--pattern-cap", "0"), "pattern_cap",
+                 id="args2-pattern_cap"),
+    pytest.param(("oracle-check", "--trials", "0"), "trials",
+                 id="args3-trials"),
+    pytest.param(("star-check", "--k", "1", "--trials", "0"), "trials",
+                 id="args4-trials"),
 ])
 def test_count_below_one_is_usage_error(args, name):
     # a count of 0 would check nothing and still report PASS

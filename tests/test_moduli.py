@@ -2,10 +2,8 @@
 
 import dataclasses
 import json
-import os
 import random
 import re
-from concurrent.futures import Future
 from fractions import Fraction
 
 import jsonschema
@@ -587,71 +585,21 @@ def test_stratify_e1_coranks():
         assert stalk_dimension(1, 3, sigma, pt).stalk == int(corank)
 
 
-def test_stratify_deterministic_and_worker_invariant():
+def test_stratify_deterministic():
     sigma = parse_sigma_spec("u1*gen1", 1)
     a = stratify(1, 2, sigma, draws=2, seed=5)
     b = stratify(1, 2, sigma, draws=2, seed=5)
     assert canonical_json(a) == canonical_json(b)
-    c = stratify(1, 2, sigma, draws=2, seed=5, workers=2)
-    assert canonical_json(a) == canonical_json(c)
 
 
-def test_stratify_pool_capped_at_cpu_count(monkeypatch):
-    sizes = []
-    inherited = []
-
-    class InlinePool:
-        """Records the pool size and runs each submission in this process."""
-
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-            inherited.append(key in engine._MASTERS)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            submitted.append(args)
-            future = Future()
-            future.set_result(fn(*args))
-            return future
-
-    submitted = []
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
+def test_stratify_reports_when_it_sampled():
+    # 15 nonzero support patterns at (k, j) = (1, 2): a cap below that
+    # scans a sample, and the report counts the patterns it could scan
     sigma = parse_sigma_spec("u1*gen1", 1)
-    key = ("_build_master", 1, 2, sigma.cache_key(), "derived")
-    serial = stratify(1, 2, sigma, draws=2, seed=5)
-    monkeypatch.setattr(engine, "_MASTERS", {})
-    pooled = stratify(1, 2, sigma, draws=2, seed=5, workers=10_000)
-    # 15 support patterns: never more processes than patterns or cores,
-    # and one chunk of patterns per process
-    assert sizes == [min(15, os.cpu_count() or 1)]
-    assert len(submitted) == sizes[0] <= (os.cpu_count() or 1)
-    assert sorted(m for args in submitted for m in args[3]) == list(
-        range(1, 16))
-    # the master is built before the pool starts, so workers inherit it
-    assert inherited == [True]
-    assert pooled == serial
-
-
-def test_stratify_scans_in_process_for_one_chunk(monkeypatch):
-    # a pool of one process only adds its start-up, so one chunk, by one
-    # pattern or one CPU, is scanned in this process, to the same report
-    sigma = parse_sigma_spec("u1*gen1", 1)
-    serial = [stratify(1, 2, sigma, draws=2, seed=5, pattern_cap=cap)
-              for cap in (1, 4096)]
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a process pool was started")
-
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
-    assert stratify(1, 2, sigma, draws=2, seed=5, pattern_cap=1,
-                    workers=4) == serial[0]
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    assert stratify(1, 2, sigma, draws=2, seed=5, workers=4) == serial[1]
+    sampled = stratify(1, 2, sigma, draws=1, seed=5, pattern_cap=4)
+    assert sampled["patterns_scanned"] < sampled["patterns_total"] == 15
+    every = stratify(1, 2, sigma, draws=1, seed=5)
+    assert every["patterns_scanned"] == every["patterns_total"] == 15
 
 
 # the j = 3 configurations of perfbench's claims-cold workload
