@@ -98,10 +98,19 @@ def _emit(report, status=PASS):
 
 
 def _parse_point(text):
-    try:
-        return [Fraction(c.strip()) for c in text.split(",")]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise click.UsageError(f"bad point {text!r}: {exc}") from None
+    """The comma-separated coordinates of text as Fractions; a usage
+    error names a coordinate with a zero denominator."""
+    coords = []
+    for c in text.split(","):
+        c = c.strip()
+        try:
+            coords.append(Fraction(c))
+        except ValueError as exc:
+            raise click.UsageError(f"bad point {text!r}: {exc}") from None
+        except ZeroDivisionError:
+            raise click.UsageError(f"bad point {text!r}: zero denominator "
+                                   f"in coordinate {c!r}") from None
+    return coords
 
 
 def _fail(exc):

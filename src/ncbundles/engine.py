@@ -36,11 +36,12 @@ A derived column, the hbar-part of (T_0a * W) * R_b1 for a monomial unit
 W, is not computed by star products: beyond bilinearity, the Leibniz rule
 for {t0 w, r0} and {f, w} = sum_d dw/dd P_d(f) (Bivector.bracket_pieces)
 make it a sum of monomial shifts of polynomials cached per gauge entry
-(_leibniz_pieces), summed and cut to the first neighbourhood in one pass
-(LaurentPoly.shifted_sum, with the parts of {f, w} from
-poisson.pairing_shifts).  Both identities are exact.  A printed column
-is one such pass too, and the frame holds the bracket pieces that both
-formulas pair, so each is computed once per configuration.
+(_leibniz_pieces), with the parts of {f, w} from poisson.pairing_shifts.
+Both identities are exact.  A printed column is such a sum too, and the
+frame holds the bracket pieces that both formulas pair, so each is
+computed once per configuration.  The parts of a column are summed in one
+pass straight into its rows (_entry_column): a term off the rows that the
+gauge absorbs is skipped before its coefficient is read.
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ from .bundles import (
     star_matrix_mul,
     transition_matrix,
 )
-from .geometry import v_exponent
 from .poisson import pairing_shifts, pieces_pairing
 from .ring import (
     VARS,
@@ -166,9 +166,12 @@ def compute_windows(k, j, sigma, bump=0):
     )
 
 
+_UNITS = ("a1", "a2", "d1", "d2")  # the families of unit columns
+
+
 def _column_tags(win):
     tags = [("lambda", m) for m in range(win.lambda_hi + 1)]
-    for fam in ("a1", "a2", "d1", "d2"):
+    for fam in _UNITS:
         tags.extend((fam, n) for n in range(win.unit_hi + 1))
     tags.extend(("c0", n) for n in range(win.shift_hi + 1))
     return tags
@@ -210,17 +213,21 @@ def _leibniz_pieces(frame, a, b):
 
 
 def _direction_entry_derived(pieces, tag):
-    """Upper-right entry of T * (1 + W E_ab) * R for the unit W of a column.
+    """The parts of the upper-right entry of T * (1 + W E_ab) * R for the
+    unit W of a column, to sum in _entry_column.
 
     T * R = 1 mod hbar^2, so by bilinearity of the star product only
     (T_0a * W) * R_b1 is left, built from pieces[a, b] (_leibniz_pieces)
-    as one shifted sum, w A + sum_d dw/dd B_d cut to the first
-    neighbourhood (LaurentPoly.shifted_sum).
+    as w A + sum_d dw/dd B_d, whose parts are (A, w, 1) and the
+    pairing_shifts of B.  Its classical part w t0 r0 must vanish in the
+    first neighbourhood: it is one part, so no term of it can cancel, and
+    a term of t0 r0 that the shift by w leaves at u-degree 1 or less
+    raises.
     """
     fam, n = tag
     if fam == "lambda":  # W = hbar z^n, so only w t0 r0 is left
-        return pieces[1, 1][0].shift((n, 0, 0))
-    if fam in ("a1", "a2", "d1", "d2"):
+        return [(pieces[1, 1][0], (n, 0, 0), 1)]
+    if fam in _UNITS:
         a = b = 0 if fam[0] == "a" else 1
         w = (n, 1, 0) if fam[1] == "1" else (n, 0, 1)
     elif fam == "c0":
@@ -229,11 +236,12 @@ def _direction_entry_derived(pieces, tag):
     else:
         raise ValueError(f"unknown column family {fam}")
     t0r0, A, B = pieces[a, b]
-    if LaurentPoly.shifted_sum([(t0r0, w, 1)], 1):
+    top = 1 - w[1] - w[2]
+    if any(i + s <= top for _, i, s in t0r0.monomials()):
         raise AssertionError(
             f"classical upper-right residue for column {tag}"
         )
-    return LaurentPoly.shifted_sum([(A, w, 1), *pairing_shifts(B, w)], 1)
+    return [(A, w, 1), *pairing_shifts(B, w)]
 
 
 def _printed_pieces(frame, j):
@@ -256,29 +264,27 @@ def _printed_pieces(frame, j):
 
 
 def _direction_entry_printed(j, pieces, tag):
-    """The printed closed form of a column, from _printed_pieces.
+    """The parts of the printed closed form of a column, from
+    _printed_pieces, to sum in _entry_column.
 
     lambda: p z^(n+j); a/d units e = z^n u_g:
-    z^j {p, e} - p {z^j, e} +- e {z^j, p}, one shifted sum cut to the
-    first neighbourhood (LaurentPoly.shifted_sum); c0:
-    2 p z^(n-j) {z^j, p}.  z^j {p, e} and p {z^j, e} pair the pieces of
-    p and of z^j with e, where the derived route pairs those of the
-    gauge entries of T and R, so the two routes still compute every
-    column by different formulas.  p and 2 p {z^j, p} have no term past
-    the first neighbourhood, so their shifts by powers of z have none.
+    z^j {p, e} - p {z^j, e} +- e {z^j, p}, the pairing_shifts of the
+    products with e and one shift of {z^j, p}; c0: 2 p z^(n-j) {z^j, p}.
+    z^j {p, e} and p {z^j, e} pair the pieces of p and of z^j with e,
+    where the derived route pairs those of the gauge entries of T and R,
+    so the two routes still compute every column by different formulas.
     """
     p_poly, zjp, quad, zj_pp, p_pzj = pieces
     fam, n = tag
     if fam == "lambda":
-        return p_poly.shift((n + j, 0, 0))
+        return [(p_poly, (n + j, 0, 0), 1)]
     if fam == "c0":
-        return quad.shift((n - j, 0, 0))
-    if fam not in ("a1", "a2", "d1", "d2"):
+        return [(quad, (n - j, 0, 0), 1)]
+    if fam not in _UNITS:
         raise ValueError(f"unknown column family {fam}")
     w = (n, 1, 0) if fam in ("a1", "d1") else (n, 0, 1)
-    return LaurentPoly.shifted_sum(
-        [*pairing_shifts(zj_pp, w), *pairing_shifts(p_pzj, w, -1),
-         (zjp, w, 1 if fam in ("a1", "a2") else -1)], 1)
+    return [*pairing_shifts(zj_pp, w), *pairing_shifts(p_pzj, w, -1),
+            (zjp, w, 1 if fam in ("a1", "a2") else -1)]
 
 
 class MasterFrame(NamedTuple):
@@ -396,22 +402,66 @@ class MasterSystem:
         return out
 
 
-def _entry_column(k, j, entry, row_of, tag):
-    """The coefficients of an entry in the rows (row_of: monomial ->
-    row), from one walk over its terms, each term outside the rows
-    checked to be content the gauge absorbs."""
+def _entry_column(k, j, parts, row_of, tag):
+    """The coefficients in the rows (row_of: monomial -> row) of the sum
+    of c * z^l u1^i u2^s * P over the parts (P, (l, i, s), c) of a
+    column, in one pass over their terms.
+
+    A unit column (a1, a2, d1, d2) is cut to the first neighbourhood, and
+    a term past the cut is skipped; lambda and c0 columns are not cut.  A
+    term on a row is added to that row's coefficient.  Every term off the
+    rows must be content the gauge absorbs: one that is u-free, or has a
+    negative xi-exponent below z^2j, goes into a residue that must cancel
+    to zero, and every other term is skipped before its coefficient is
+    read.  Terms are added in part order, each scaled as
+    LaurentPoly.shifted_sum scales it, so a row holds the coefficient of
+    that sum.
+    """
+    cut = 1 if tag[0] in _UNITS else None
+    acc = {}  # row -> coefficient, and residue monomial -> coefficient
+    for poly, (l, i, s), c in parts:
+        top = None if cut is None else cut - i - s
+        if top is not None and top < 0:
+            continue
+        scaled = c != 1
+        for (a, b, e), v in poly.items():
+            if top is not None and b + e > top:
+                continue
+            mon = (a + l, b + i, e + s)
+            key = row_of.get(mon)
+            if key is None:
+                z, u1, u2 = mon
+                # absorbed by the gauge: not u-free, and at z^2j or past
+                # it or of xi-exponent -z + k u1 + (2 - k) u2 >= 0
+                # (geometry.v_exponent)
+                if u1 + u2 and (z >= 2 * j or z <= k * u1 + (2 - k) * u2):
+                    continue
+                key = Monomial(*mon)
+            if key in acc:
+                old = acc[key]
+                if not scaled:
+                    v = old + v
+                elif old.__class__ is ParamPoly:
+                    v = old.add_scaled(v, c)
+                else:
+                    v = old + v * c
+                if not v:
+                    del acc[key]
+                    continue
+            elif scaled:
+                v = v * c
+            acc[key] = v
     col = [0] * len(row_of)
-    for mon, c in entry.items():
-        r = row_of.get(mon)
-        if r is not None:
-            col[r] = c
-        elif mon.degree_u() == 0:
+    for key, v in acc.items():
+        if key.__class__ is int:
+            col[key] = v
+        elif key.degree_u() == 0:
             raise AssertionError(
-                f"u-free residue {mon} in direction column {tag}"
+                f"u-free residue {key} in direction column {tag}"
             )
-        elif v_exponent(mon, k) < 0 and mon.l < 2 * j:
+        else:
             raise AssertionError(
-                f"unabsorbable residue {mon} in direction column {tag}"
+                f"unabsorbable residue {key} in direction column {tag}"
             )
     return col
 

@@ -606,7 +606,10 @@ class LaurentPoly:
         no polynomial is built per part, and a term that cancels to zero
         is dropped.  The parts are added in order, each term as shift
         would scale it; a ParamPoly that meets an earlier term of its
-        monomial is scaled as it is added (ParamPoly.add_scaled).
+        monomial is scaled as it is added (ParamPoly.add_scaled).  It
+        builds the oracle's unit products (oracle._unit_product), whose
+        every term the oracle reads; engine._entry_column sums the parts
+        of a master column the same way, straight into its rows.
         """
         t = {}
         for poly, (l, i, s), c in parts:

@@ -2,12 +2,14 @@
 
 import os
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 from hypothesis import HealthCheck, settings, strategies as st
 
 import ncbundles
-from ncbundles import LaurentPoly, Monomial
+from ncbundles import LaurentPoly, Monomial, engine
+from ncbundles.geometry import v_exponent
 from ncbundles.ring import Evaluation
 
 # CLI tests run `python -m ncbundles.cli` in child processes; they must
@@ -162,3 +164,40 @@ def reference_stratum_bounds(master, support):
     upper = reference_term_rank([[r for r, _ in col] for col in entries], n)
     return lower, upper
 
+
+# Reference master columns: the route engine._entry_column takes in one
+# pass, written out in two steps, LaurentPoly.shifted_sum of a column's
+# parts into one polynomial and then a walk over its terms.
+
+def reference_entry_column(k, j, parts, row_of, tag):
+    """The row coefficients of the shifted sum of a column's parts, a
+    unit column's cut at u-degree 1, with its stray content checked."""
+    cut = 1 if tag[0] in ("a1", "a2", "d1", "d2") else None
+    col = [0] * len(row_of)
+    for mon, c in LaurentPoly.shifted_sum(parts, cut).items():
+        r = row_of.get(mon)
+        if r is not None:
+            col[r] = c
+        elif mon.degree_u() == 0:
+            raise AssertionError(
+                f"u-free residue {mon} in direction column {tag}")
+        elif v_exponent(mon, k) < 0 and mon.l < 2 * j:
+            raise AssertionError(
+                f"unabsorbable residue {mon} in direction column {tag}")
+    return col
+
+
+def reference_master_columns(k, j, sigma, formula):
+    """The symbolic base point and the columns of engine._build_master,
+    each by reference_entry_column from the parts of its formula."""
+    frame = engine._build_frame(k, j, sigma)
+    if formula == "derived":
+        pieces = {ab: engine._leibniz_pieces(frame, *ab)
+                  for ab in ((0, 0), (1, 1), (1, 0))}
+        entry = partial(engine._direction_entry_derived, pieces)
+    else:
+        entry = partial(engine._direction_entry_printed, j,
+                        engine._printed_pieces(frame, j))
+    row_of = {m: r for r, m in enumerate(frame.rows)}
+    return frame.point, [reference_entry_column(k, j, entry(tag), row_of, tag)
+                         for tag in frame.tags]

@@ -105,6 +105,16 @@ def test_stalk_error_paths():
         assert res.stderr.startswith("error (usage): "), res.stderr
 
 
+def test_point_with_zero_denominator_names_the_coordinate():
+    # as --sigma names the factor '1/0', --point names the coordinate
+    res = invoke("stalk", "--k", "1", "--j", "2", "--sigma", "gen1",
+                 "--point", "1, 1/0 ,1,1")
+    assert res.exit_code == 1
+    assert res.stdout == ""
+    assert res.stderr.endswith("Error: bad point '1, 1/0 ,1,1': zero "
+                               "denominator in coordinate '1/0'\n")
+
+
 @pytest.mark.parametrize("args", [
     ("stratify", "--k", "1", "--j", "1", "--sigma", "gen1"),
     ("stalk", "--k", "1", "--j", "1", "--sigma", "gen1", "--point", "1"),

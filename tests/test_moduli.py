@@ -45,7 +45,12 @@ from ncbundles.oracle import STANDARD_ORACLE_CONFIGS
 from ncbundles.poisson import Bivector
 from ncbundles.ring import Evaluation, FormTable, ParamPoly
 
-from conftest import form_values, fractions, reference_stratum_bounds
+from conftest import (
+    form_values,
+    fractions,
+    reference_master_columns,
+    reference_stratum_bounds,
+)
 
 
 def sym(entry):
@@ -456,6 +461,12 @@ def test_bump_outside_stability_window_rejected():
         build_cancellation_system(1, 2, parse_sigma_spec("gen1", 1), bump=1)
 
 
+def unit_column(mon):
+    """The parts (engine._entry_column) of a column whose one term is the
+    monomial mon."""
+    return [(LaurentPoly.const(1), mon, 1)]
+
+
 def test_stability_check_can_fail(monkeypatch):
     sigma = parse_sigma_spec("u1*gen1", 1)
     pt = [1, 1, 0, 0]
@@ -469,7 +480,7 @@ def test_stability_check_can_fail(monkeypatch):
 
     def planted(pieces, t):
         if t == tag:
-            return LaurentPoly.monomial(*master.rows[row])
+            return unit_column(master.rows[row])
         return real(pieces, t)
 
     monkeypatch.setattr(engine, "_MASTERS", {})
@@ -779,11 +790,15 @@ def test_certificate_rejects_a_dependent_column_on_both_paths(monkeypatch,
 
 
 @pytest.mark.parametrize("formula", ["derived", "printed"])
-@pytest.mark.parametrize("residue, message", [
-    (Monomial(0, 0, 0), "u-free residue"),
-    (Monomial(3, 2, 0), "unabsorbable residue"),
+@pytest.mark.parametrize("residue, tag, message", [
+    pytest.param(Monomial(0, 0, 0), ("a1", 1), "u-free residue",
+                 id="residue0-u-free residue"),
+    # on a lambda column, which is not cut at u-degree 1
+    pytest.param(Monomial(3, 2, 0), ("lambda", 0), "unabsorbable residue",
+                 id="residue1-unabsorbable residue"),
 ])
-def test_build_rejects_stray_content(monkeypatch, formula, residue, message):
+def test_build_rejects_stray_content(monkeypatch, formula, residue, tag,
+                                     message):
     # a term outside the obstruction rows must be one the gauge absorbs:
     # u-free content, or content with a negative xi-exponent below z^2j,
     # is not (at (1,2) the rows are z^2..3 u1 and z^2..3 u2, and
@@ -792,19 +807,44 @@ def test_build_rejects_stray_content(monkeypatch, formula, residue, message):
     assert residue not in obstruction_basis(1, 2)
     name = f"_direction_entry_{formula}"
     real = getattr(engine, name)
-    tag = ("a1", 1)
 
     def planted(*args):
-        entry = real(*args)
+        parts = real(*args)
         if args[-1] == tag:
-            entry = entry + LaurentPoly.monomial(*residue)
-        return entry
+            parts = [*parts, (LaurentPoly.monomial(*residue), (0, 0, 0), 1)]
+        return parts
 
     monkeypatch.setattr(engine, "_MASTERS", {})
     monkeypatch.setattr(engine, name, planted)
     with pytest.raises(AssertionError, match=re.escape(
             f"{message} {residue} in direction column {tag}")):
         engine.cached(engine._build_master, 1, 2, sigma, formula)
+
+
+@pytest.mark.parametrize("formula", ["derived", "printed"])
+@pytest.mark.parametrize("tag", [("a1", 1), ("lambda", 0)])
+def test_stray_content_that_cancels_is_accepted(monkeypatch, formula, tag):
+    # the residue of a column is summed over its parts before it is
+    # checked: a stray term planted in one part and its negative in
+    # another cancel, so the master is unchanged
+    sigma = parse_sigma_spec("gen1", 1)
+    want = engine._build_master(1, 2, sigma, formula)
+    stray = Monomial(0, 0, 0) if tag[0] == "a1" else Monomial(3, 2, 0)
+    name = f"_direction_entry_{formula}"
+    real = getattr(engine, name)
+
+    def planted(*args):
+        parts = real(*args)
+        if args[-1] == tag:
+            parts = [(LaurentPoly.monomial(*stray, 3), (0, 0, 0), 1), *parts,
+                     (LaurentPoly.monomial(stray.l - 1, 0, 0),
+                      (1, stray.i, stray.s), -3)]
+        return parts
+
+    monkeypatch.setattr(engine, "_MASTERS", {})
+    monkeypatch.setattr(engine, name, planted)
+    got = engine.cached(engine._build_master, 1, 2, sigma, formula)
+    assert (got.columns, got.nonzero) == (want.columns, want.nonzero)
 
 
 @pytest.mark.parametrize("order, message", [
@@ -1176,6 +1216,24 @@ CATALOG = ([(1, f"gen{n}") for n in range(1, 5)]
 PLANTED = {}
 
 
+@pytest.mark.parametrize("formula", ["derived", "printed"])
+@pytest.mark.parametrize("j", [2, 3, 4])
+@pytest.mark.parametrize("multiple", ["", "u1*"])
+@pytest.mark.parametrize("k, gen", CATALOG)
+def test_master_columns_match_the_shifted_sum_route(k, gen, multiple, j,
+                                                    formula):
+    # each column summed straight into its rows, against its shifted sum
+    # walked term by term: the same coefficients, of the same types
+    sigma = parse_sigma_spec(multiple + gen, k)
+    master = engine.cached(engine._build_master, k, j, sigma, formula)
+    point, columns = reference_master_columns(k, j, sigma, formula)
+    assert [[(type(e), e) for e in col] for col in master.columns] == [
+        [(type(e), e) for e in col] for col in columns]
+    assert master.nonzero == tuple(c for c, col in enumerate(columns)
+                                   if any(col))
+    assert columns[master.tags.index(("lambda", 0))] == point
+
+
 def planted_master(k, j, spec, row):
     """The derived master with the unit vector of row planted in its
     first zero column past the bump-0 window, built once per row."""
@@ -1189,7 +1247,7 @@ def planted_master(k, j, spec, row):
 
         def planted(pieces, t):
             if t == tag:
-                return LaurentPoly.monomial(*master.rows[row])
+                return unit_column(master.rows[row])
             return real(pieces, t)
 
         with pytest.MonkeyPatch.context() as mp:
@@ -1349,7 +1407,7 @@ def test_point_rank_keeps_the_stability_check(monkeypatch):
 
     def planted(pieces, t):
         if t == tag:
-            return LaurentPoly.monomial(*master.rows[row])
+            return unit_column(master.rows[row])
         return real(pieces, t)
 
     monkeypatch.setattr(engine, "_MASTERS", {})
@@ -1649,6 +1707,56 @@ def test_verify_claims_statuses():
     assert names2["max-corank-bound"]["detail"]["max_corank"] == 7
     assert names2["max-corank-bound"]["detail"]["bound"] == 6
     assert ex2["status"] == "EXCEEDS"
+
+
+@pytest.mark.parametrize("k, spec, draws", [
+    (1, "gen1", 1), (1, "u1*gen1", 1), (2, "gen1", 1 + claims._TRIALS),
+])
+def test_verify_draws_no_generic_point_on_a_proved_stratum(monkeypatch, k,
+                                                           spec, draws):
+    # the base point is always drawn; the points of the generic claims
+    # only where the full-support stratum is open, as for (2,3,gen1) with
+    # bounds (7, 8).  Drawn, they give the same report
+    sigma = parse_sigma_spec(spec, k)
+    full = (1 << direction_dimension(k, 3)) - 1
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return random_point(*args)
+
+    def opened(master, support):
+        lower, upper = engine.stratum_bounds(master, support)
+        return (None, upper) if support == full else (lower, upper)
+
+    monkeypatch.setattr(engine, "_MASTERS", {})
+    monkeypatch.setattr(claims, "random_point", counted)
+    rep = verify_claims(k, 3, sigma)
+    assert len(calls) == draws
+    master = engine.cached(engine._build_master, k, 3, sigma, "derived")
+    lower, upper = master.bounds[full]
+    assert (lower == upper) == (draws == 1)
+    calls.clear()
+    monkeypatch.setattr(claims, "stratum_bounds", opened)
+    assert verify_claims(k, 3, sigma) == rep
+    assert len(calls) == 1 + claims._TRIALS
+
+
+def test_a_proved_rank_that_fails_rigidity_draws_its_witnesses(monkeypatch):
+    # a full-support stratum closed at a rank below dim fails
+    # generic-rigidity: the loop draws its points, and the three after
+    # the base point are the witnesses reported
+    k, j, sigma = 1, 3, parse_sigma_spec("gen1", 1)
+    dim = direction_dimension(k, j)
+    monkeypatch.setattr(engine, "_MASTERS", {})
+    master = engine.cached(engine._build_master, k, j, sigma, "derived")
+    master.bounds[(1 << dim) - 1] = (dim - 1, dim - 1)
+    rng = random.Random(DEFAULT_SEED)
+    points = [[str(c) for c in random_point(k, j, rng)] for _ in range(4)]
+    by_name = {c["name"]: c for c in verify_claims(k, j, sigma)["claims"]}
+    assert by_name["generic-rigidity"] == {
+        "name": "generic-rigidity", "status": "FAIL",
+        "detail": f"rank drop witnesses: {points[1:]}"}
 
 
 @pytest.mark.parametrize("k, spec, seed, status, achieved", [
