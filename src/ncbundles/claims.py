@@ -17,8 +17,8 @@ from .engine import (
     cached,
     direction_dimension,
     is_extremal,
+    point_pivots,
     point_rank,
-    point_space,
     rand_fraction,
     random_point,
     require_directions,
@@ -117,13 +117,15 @@ def stratify(k, j, sigma, seed=DEFAULT_SEED, draws=5, pattern_cap=4096):
 def certify_generic_rank(k, j, sigma, seed=DEFAULT_SEED):
     """Certify the generic rank with a maximal minor nonzero at a point.
 
-    At a random, window-stable point (point_space), the bump-0 columns
-    that enlarged the span and the span's pivot rows give a square minor
-    M.  Read off point_space's evaluation (ev.column, columns the span
-    already evaluated), as integer numerators over the denominator den,
-    it is det M(pt) * den^r, nonzero exactly when det M(p) is at pt, so
-    a full rank of it proves det M(p) != 0: the generic rank is at least
-    the minor size.  Its rank modulo the prime engine._PRIME is checked
+    At a random, window-stable point, the pivot rows and the grown bump-0
+    columns of the exact span of point_space give a square minor M; they
+    are read off one modular echelon where its leading pivots prove them
+    (point_pivots), and off the exact span otherwise.  Read off the same
+    evaluation (ev.column, each column's forms evaluated when it is first
+    read), as integer numerators over the denominator den, it is
+    det M(pt) * den^r, nonzero exactly when det M(p) is at pt, so a full
+    rank of it proves det M(p) != 0: the generic rank is at least the
+    minor size.  Its rank modulo the prime engine._PRIME is checked
     first: an integer determinant nonzero modulo a prime is nonzero.
     Only where the prime divides it does one exact rank decide.
     Together with the structural upper bound min(#rows, #columns not
@@ -133,12 +135,11 @@ def certify_generic_rank(k, j, sigma, seed=DEFAULT_SEED):
     """
     rng = random.Random(seed)
     pt = random_point(k, j, rng)
-    master, ev, cs, picked = point_space(k, j, sigma, "derived", pt)
-    r = cs.rank
-    pivots = cs.pivot_rows()
-    upper = min(len(master.rows), len(master.nonzero_narrow()))
-    sub = [[ev.column(i, cs.nrows)[p] for p in pivots] for i in picked]
-    if (linalg.rank_mod(sub, r, engine._PRIME) != r
+    master, ev, pivots, picked = point_pivots(k, j, sigma, "derived", pt)
+    r, n = len(pivots), len(master.rows)
+    upper = min(n, len(master.nonzero_narrow()))
+    sub = [[ev.column(i, n)[p] for p in pivots] for i in picked]
+    if (len(linalg.rank_mod(sub, r, engine._PRIME)[0]) != r
             and linalg.rank(sub, nrows=r) != r):
         raise AssertionError(
             f"the {r}x{r} minor is singular at its witness point "

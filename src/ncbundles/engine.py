@@ -30,7 +30,9 @@ submatrix with single-monomial diagonal entries bounds the rank from
 below at every point of the stratum, and the term rank of the entries
 that can be nonzero there bounds it from above (stratum_bounds).  Where
 the two meet, the stratum is closed, and its rank is proved with nothing
-evaluated; elsewhere a point's evaluation decides (point_rank).
+evaluated; elsewhere a point's evaluation decides (point_rank).  The
+generic-rank certificate reads its minor off the same modular echelon
+where its leading pivots prove the exact ones (point_pivots).
 
 A derived column, the hbar-part of (T_0a * W) * R_b1 for a monomial unit
 W, is not computed by star products: beyond bilinearity, the Leibniz rule
@@ -700,7 +702,12 @@ def stratum_bounds(master, support):
     return got
 
 
-_PRIME = 2_147_483_647  # 2^31 - 1: point_rank and certify_generic_rank
+_PRIME = 2_147_483_647  # 2^31 - 1: every modular echelon of the package
+
+
+def _support(point):
+    """The support mask of a point: bit r for each nonzero coordinate r."""
+    return sum(1 << r for r, c in enumerate(point) if c)
 
 
 def point_rank(k, j, sigma, formula, point):
@@ -723,19 +730,50 @@ def point_rank(k, j, sigma, formula, point):
     FormTable.compile numbers forms and monomials in column order, so
     the forms of the first columns are a prefix (ring.Evaluation).  The
     modular echelon reads the columns of N in order, each column's forms
-    evaluated when it is read, and stops at full rank.  The callers that
-    read pivots, columns or grew use point_space.
+    evaluated when it is read, and stops at full rank.  The certificate
+    reads its pivots and columns from point_pivots; stalk_dimension and
+    the oracle read the exact span of point_space.
     """
     master = cached(_build_master, k, j, sigma, formula)
-    support = sum(1 << r for r, c in enumerate(point) if c)
-    lower, upper = stratum_bounds(master, support)
+    lower, upper = stratum_bounds(master, _support(point))
     if lower == upper:
         return lower
     ev, n = Evaluation(master.table, point), len(master.rows)
-    rank = linalg.rank_mod(ev.columns(master.nonzero_narrow(), n), n, _PRIME)
+    pivots, _ = linalg.rank_mod(ev.columns(master.nonzero_narrow(), n), n,
+                                _PRIME)
+    rank = len(pivots)
     if rank == n or rank == upper:
         return rank
     return _span(k, j, point, master, ev)[0].rank
+
+
+def point_pivots(k, j, sigma, formula, point):
+    """The master, its table's Evaluation at the point, and the pivot rows
+    (ascending) and grown bump-0 columns of point_space's checked span,
+    read off the modular echelon of point_rank where it proves them.
+
+    linalg.rank_mod echelons the nonzero bump-0 columns N modulo _PRIME.
+    Where its first r columns grew, with the pivot of step s at row
+    s - 1, every leading principal minor of those integer columns is
+    nonzero modulo the prime, so nonzero over Q, and the exact forward
+    echelon (ColumnSpace) gives them the same pivots.  Where also r is #rows or
+    the upper bound of stratum_bounds on the point's support, r is
+    rank_Q(N) = rank_Q(window) (point_rank): no later column of N and no
+    column of the stability window enlarges the span.  Otherwise the
+    checked span of point_space, read from the same Evaluation, decides
+    (_span), WindowInstabilityError included.
+    """
+    master = cached(_build_master, k, j, sigma, formula)
+    ev, n = Evaluation(master.table, point), len(master.rows)
+    narrow = master.nonzero_narrow()
+    pivots, grew = linalg.rank_mod(ev.columns(narrow, n), n, _PRIME)
+    r = len(pivots)
+    lead = list(range(r))
+    if pivots == grew == lead and (
+            r == n or r == stratum_bounds(master, _support(point))[1]):
+        return master, ev, lead, list(narrow[:r])
+    space, grew = _span(k, j, point, master, ev)
+    return master, ev, space.pivot_rows(), grew
 
 
 def stalk_dimension(k, j, sigma, point, formula="derived"):

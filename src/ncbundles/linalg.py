@@ -3,14 +3,16 @@
 Dense vectors are plain lists of ints or Fractions.  The sparse solver
 works on columns stored as {row_key: value} dicts; row keys only need a
 total order.  Everything is exact, no pivoting heuristics needed.
-rank_mod ranks integer columns modulo a prime: a lower bound of their
-rank, which a caller can only use where an upper bound, such as the
-term_rank of their zero pattern, meets it.  triangular_rank is a lower
-bound that holds for every matrix with a zero pattern whose sure entries
-never vanish; where it meets term_rank, the pattern alone fixes the rank.
-Both read a zero pattern as int bitmasks, bit r of a column's mask for
-row r and bit c of a row's mask for column c, and visit the set bits of
-a mask lowest first.
+rank_mod echelons integer columns modulo a prime.  Its rank is a lower
+bound of theirs, which a caller can only use where an upper bound, such
+as the term_rank of their zero pattern, meets it.  Where its first r
+columns grew, with pivots on rows 0..r-1 in step order, ColumnSpace
+gives them the same pivots.  triangular_rank is a lower bound that holds
+for every matrix with a zero pattern whose sure entries never vanish;
+where it meets term_rank, the pattern alone fixes the rank.  term_rank
+and triangular_rank read a zero pattern as int bitmasks, bit r of a
+column's mask for row r and bit c of a row's mask for column c, and
+visit the set bits of a mask lowest first.
 """
 
 from __future__ import annotations
@@ -107,16 +109,21 @@ def rank(columns, nrows):
 
 
 def rank_mod(columns, nrows, prime):
-    """Rank modulo a prime of the span of integer columns of length nrows.
+    """The echelon modulo a prime of integer columns of length nrows: its
+    pivot rows in step order and the positions of the columns that
+    enlarged it, so the rank modulo the prime is their count.
 
     A forward echelon over the integers modulo prime, as ColumnSpace is
     over the rationals, reading no column once the rank equals nrows, so
     columns may be computed as they are read.  A minor that vanishes
-    modulo the prime may be nonzero, so the result is never larger than
-    rank(columns, nrows) and may be smaller.
+    modulo the prime may be nonzero, so the rank is never larger than
+    rank(columns, nrows) and may be smaller.  Where the first r columns
+    grew with the pivot of step s at row s - 1, every leading principal
+    minor of them is nonzero modulo the prime, hence over Q, and
+    ColumnSpace gives the same pivots to the same columns.
     """
-    basis = []  # (pivot row, [(row below it, entry)]), pivot entry 1
-    for col in columns:
+    basis, grew = [], []  # basis: (pivot row, [(row below, entry)])
+    for i, col in enumerate(columns):
         if len(col) != nrows:
             raise ValueError("vector length mismatch")
         vec = list(col)  # reduced modulo prime only where it is read
@@ -131,9 +138,10 @@ def rank_mod(columns, nrows, prime):
             inv = pow(vec[rows[0]], -1, prime)
             basis.append((rows[0], [(r, vec[r] * inv % prime)
                                     for r in rows[1:]]))
+            grew.append(i)
             if len(basis) == nrows:
                 break
-    return len(basis)
+    return [pivot for pivot, _ in basis], grew
 
 
 def term_rank(columns, nrows):

@@ -294,7 +294,9 @@ def int_matrices(draw):
 @example((2, [[1, 2], [3, 1]], 5))  # the 2x2 minor, -5, vanishes mod 5
 def test_rank_mod_is_the_minor_rank_modulo_the_prime(system):
     nrows, cols, prime = system
-    got = linalg.rank_mod(cols, nrows, prime)
+    pivots, grew = linalg.rank_mod(cols, nrows, prime)
+    got = len(pivots)
+    assert got == len(grew) == len(set(pivots))
     assert got == minor_rank_mod(cols, nrows, prime)
     assert got <= linalg.rank(cols, nrows)
     # every minor is below 4! * 9^4 < BIG_PRIME, so none vanishes there
@@ -302,9 +304,29 @@ def test_rank_mod_is_the_minor_rank_modulo_the_prime(system):
         assert got == linalg.rank(cols, nrows)
 
 
+@settings(max_examples=200)
+@given(int_matrices())
+@example((2, [[1, 2], [3, 1]], 5))  # the 2x2 leading minor vanishes mod 5
+def test_rank_mod_pivots_are_exact_on_a_leading_triangle(system):
+    # where the first r columns grew with the pivot of step s at row
+    # s - 1, the exact echelon gives those columns the same pivots
+    nrows, cols, prime = system
+    pivots, grew = linalg.rank_mod(cols, nrows, prime)
+    lead = list(range(len(pivots)))
+    space = linalg.ColumnSpace(nrows)
+    exact_grew = space.extend(cols)
+    exact_pivots = [p for p, _ in space.basis]
+    if pivots == grew == lead:
+        assert exact_pivots[:len(lead)] == pivots
+        assert exact_grew[:len(lead)] == grew
+
+
 def test_rank_mod_drops_a_pivot_the_prime_divides():
-    assert linalg.rank_mod([[3]], 1, 3) == 0 < linalg.rank([[3]], 1)
-    assert linalg.rank_mod([[3], [1]], 1, 3) == 1
+    assert linalg.rank_mod([[3]], 1, 3) == ([], [])
+    assert linalg.rank([[3]], 1) == 1
+    assert linalg.rank_mod([[3], [1]], 1, 3) == ([0], [1])
+    # the prime kills the leading entry: the pivots leave step order
+    assert linalg.rank_mod([[3, 1], [1, 1]], 2, 3) == ([1, 0], [0, 1])
     with pytest.raises(ValueError, match="length mismatch"):
         linalg.rank_mod([[1, 2]], 3, 3)
 

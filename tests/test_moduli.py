@@ -48,6 +48,7 @@ from ncbundles.ring import Evaluation, FormTable, ParamPoly
 from conftest import (
     form_values,
     fractions,
+    reference_certificate,
     reference_master_columns,
     reference_stratum_bounds,
 )
@@ -677,19 +678,64 @@ def test_stratify_symbolic_minors_certificate():
         assert len(cert["minor_rows"]) == len(cert["minor_cols"]) == 16
 
 
+class SpanCalls:
+    """Records the points at which the exact span of point_space runs."""
+
+    def __init__(self, monkeypatch):
+        self.points = []
+        real = engine._span
+
+        def spied(k, j, point, master, ev):
+            self.points.append(point)
+            return real(k, j, point, master, ev)
+
+        monkeypatch.setattr(engine, "_span", spied)
+
+
+# the configurations whose certificate the exact span decides at every
+# seed: a bump-0 column that does not enlarge it comes before the last one
+# that does
+CERTIFICATE_FALLBACKS = {(1, 4, "gen3"), (1, 4, "gen4"), (1, 5, "gen3"),
+                         (1, 5, "gen4")}
+
+
+@pytest.mark.parametrize("j", [2, 3, 4, 5])
+def test_certificate_matches_the_exact_span_route(monkeypatch, j):
+    # the certificate read off one modular echelon is the one the pivot
+    # rows and grown columns of point_space give; the exact span runs
+    # only where the echelon's leading pivots do not prove them
+    spans = SpanCalls(monkeypatch)
+    fell_back = set()
+    for k, count in ((1, 4), (2, 5)):
+        for spec in [f"{m}gen{n}" for n in range(1, count + 1)
+                     for m in ("", "u1*")]:
+            sigma = parse_sigma_spec(spec, k)
+            for seed in range(1, 6):
+                spans.points.clear()
+                cert = certify_generic_rank(k, j, sigma, seed=seed)
+                assert len(spans.points) <= 1
+                if spans.points:
+                    fell_back.add((k, j, spec, seed))
+                assert cert == reference_certificate(k, j, sigma, seed)
+    assert fell_back == {(*c, seed) for c in CERTIFICATE_FALLBACKS
+                         if c[1] == j for seed in range(1, 6)}
+
+
 def test_certificate_rejects_minor_singular_at_witness(monkeypatch):
-    real = engine.point_space
+    real = engine.point_pivots
 
     def repeated_pick(k, j, sigma, formula, point):
-        ps = real(k, j, sigma, formula, point)
+        master, ev, pivots, picked = real(k, j, sigma, formula, point)
         # the first grown column in place of the last: a minor with a
         # repeated column is singular
-        return ps._replace(grew=ps.grew[:-1] + ps.grew[:1])
+        return master, ev, pivots, picked[:-1] + picked[:1]
 
-    monkeypatch.setattr(claims, "point_space", repeated_pick)
+    monkeypatch.setattr(claims, "point_pivots", repeated_pick)
+    spans = SpanCalls(monkeypatch)
     sigma = parse_sigma_spec("gen1", 1)
     with pytest.raises(AssertionError, match="singular at its witness"):
         certify_generic_rank(1, 2, sigma)
+    assert spans.points == []  # read off the modular echelon
 
     res = CliRunner().invoke(main, [
         "stratify", "--k", "1", "--j", "2", "--sigma", "gen1",
@@ -697,6 +743,15 @@ def test_certificate_rejects_minor_singular_at_witness(monkeypatch):
     assert res.exit_code == 1
     assert res.stdout == ""
     assert res.stderr.startswith("error (invariant): "), res.stderr
+
+    # where the prime kills every pivot, the exact span gives the pick
+    pt = times3_point(1, 2)
+    monkeypatch.setattr(claims, "random_point", lambda k, j, rng: pt)
+    monkeypatch.setattr(engine, "_PRIME", 3)
+    spans.points.clear()
+    with pytest.raises(AssertionError, match="singular at its witness"):
+        certify_generic_rank(1, 2, sigma)
+    assert spans.points == [pt]
 
 
 def times3_point(k, j):
@@ -708,16 +763,25 @@ def times3_point(k, j):
 
 
 class MinorRanks:
-    """Records the modular and the exact ranks taken through linalg."""
+    """Records the modular and the exact ranks taken through linalg: per
+    modular echelon, the columns it read, its rows, its prime and its
+    rank."""
 
     def __init__(self, monkeypatch):
         self.modular, self.exact = [], []
         rank_mod, rank = linalg.rank_mod, linalg.rank
 
         def spied_rank_mod(columns, nrows, prime):
-            got = rank_mod(columns, nrows, prime)
-            self.modular.append((len(columns), nrows, prime, got))
-            return got
+            read = []
+
+            def reading():
+                for col in columns:
+                    read.append(col)
+                    yield col
+
+            pivots, grew = rank_mod(reading(), nrows, prime)
+            self.modular.append((len(read), nrows, prime, len(pivots)))
+            return pivots, grew
 
         def spied_rank(columns, nrows):
             got = rank(columns, nrows)
@@ -732,31 +796,77 @@ class MinorRanks:
     (1, 2, "gen1"), (2, 3, "gen1"), (1, 3, "u1*gen1"), (1, 5, "gen1")])
 def test_certificate_checks_its_minor_modulo_a_prime(monkeypatch, k, j,
                                                      spec):
-    # an r x r integer minor of full rank modulo the prime has a nonzero
-    # determinant, so the exact rank of the minor is never taken
+    # one modular echelon of the point's columns gives the minor, and an
+    # r x r integer minor of full rank modulo the prime has a nonzero
+    # determinant, so no exact rank is taken, of the columns or the minor
     ranks = MinorRanks(monkeypatch)
+    spans = SpanCalls(monkeypatch)
     cert = certify_generic_rank(k, j, parse_sigma_spec(spec, k))
     r = cert["rank_observed"]
-    assert ranks.modular == [(r, r, engine._PRIME, r)]
-    assert ranks.exact == []
+    master = engine.cached(engine._build_master, k, j,
+                           parse_sigma_spec(spec, k), "derived")
+    n = len(master.rows)
+    (read, *point), minor = ranks.modular
+    assert point == [n, engine._PRIME, r]
+    assert r <= read <= len(master.nonzero_narrow())
+    assert minor == (r, r, engine._PRIME, r)
+    assert ranks.exact == [] and spans.points == []
 
 
 @pytest.mark.parametrize("k, j, spec", [(1, 2, "gen1"), (2, 3, "gen1")])
 def test_certificate_falls_back_to_the_exact_minor_rank(monkeypatch, k, j,
                                                         spec):
-    # at a point where every minor vanishes modulo 3, the modular rank of
-    # the minor is 0 and one exact rank proves it nonsingular; the
-    # certificate is the one the default prime gives at the same point
+    # at a point where every minor vanishes modulo 3, the modular echelon
+    # of the columns has rank 0, so the exact span gives the minor, whose
+    # modular rank is 0 too, and one exact rank proves it nonsingular;
+    # the certificate is the one the exact span route gives at that point
     sigma = parse_sigma_spec(spec, k)
     monkeypatch.setattr(claims, "random_point",
                         lambda k, j, rng: times3_point(k, j))
-    want = certify_generic_rank(k, j, sigma)
+    monkeypatch.setattr(engine, "random_point",
+                        lambda k, j, rng: times3_point(k, j))
+    want = reference_certificate(k, j, sigma, DEFAULT_SEED)
+    assert certify_generic_rank(k, j, sigma) == want
     monkeypatch.setattr(engine, "_PRIME", 3)
     ranks = MinorRanks(monkeypatch)
+    spans = SpanCalls(monkeypatch)
     assert certify_generic_rank(k, j, sigma) == want
     r = want["rank_observed"]
-    assert ranks.modular == [(r, r, 3, 0)]
+    master = engine.cached(engine._build_master, k, j, sigma, "derived")
+    assert ranks.modular == [
+        (len(master.nonzero_narrow()), len(master.rows), 3, 0), (r, r, 3, 0)]
     assert ranks.exact == [(r, r, r)]
+    assert len(spans.points) == 1
+
+
+@pytest.mark.parametrize("prime, point, pivots", [
+    # modulo the prime the third leading minor vanishes, though the rank
+    # is full
+    (3, [2, 2, -2, 1], [0, 1, 3, 2]),
+    (5, [-1, 1, -2, 2], [0, 1, 3, 2]),
+])
+def test_certificate_falls_back_where_the_prime_kills_a_leading_minor(
+        monkeypatch, prime, point, pivots):
+    # the modular echelon reaches full rank with its pivots out of step
+    # order, so they prove nothing about the exact pivots: the exact span
+    # gives the minor, and the certificate is the one it gives at the
+    # point with the default prime
+    sigma = parse_sigma_spec("gen1", 1)
+    pt = [Fraction(c) for c in point]
+    monkeypatch.setattr(claims, "random_point", lambda k, j, rng: pt)
+    monkeypatch.setattr(engine, "random_point", lambda k, j, rng: pt)
+    want = reference_certificate(1, 2, sigma, DEFAULT_SEED)
+    assert certify_generic_rank(1, 2, sigma) == want
+    monkeypatch.setattr(engine, "_PRIME", prime)
+    master = engine.cached(engine._build_master, 1, 2, sigma, "derived")
+    ev = Evaluation(master.table, pt)
+    n = len(master.rows)
+    got, grew = linalg.rank_mod(ev.columns(master.nonzero_narrow(), n), n,
+                                prime)
+    assert (got, grew) == (pivots, list(range(n)))
+    spans = SpanCalls(monkeypatch)
+    assert certify_generic_rank(1, 2, sigma) == want
+    assert spans.points == [pt]
 
 
 @pytest.mark.parametrize("prime", ["default", 3])
@@ -765,28 +875,34 @@ def test_certificate_rejects_a_dependent_column_on_both_paths(monkeypatch,
     # a bump-0 column that did not enlarge the span, before the last one
     # that did, lies in the span of the grown columns before it; in place
     # of the last one it makes the minor singular, which neither the
-    # modular check nor the exact fallback accepts
-    real = engine.point_space
+    # modular check nor the exact fallback accepts, whether the modular
+    # echelon or, where the prime kills every pivot, the exact span gave
+    # the minor
+    real = engine.point_pivots
     picks = []
 
     def dependent_pick(k, j, sigma, formula, point):
-        ps = real(k, j, sigma, formula, point)
-        last = ps.grew[-1]
-        dependent = next(c for c in range(last) if c not in ps.grew)
+        master, ev, pivots, picked = real(k, j, sigma, formula, point)
+        last = picked[-1]
+        dependent = next(c for c in range(last) if c not in picked)
         picks.append(dependent)
-        return ps._replace(grew=ps.grew[:-1] + [dependent])
+        return master, ev, pivots, picked[:-1] + [dependent]
 
-    monkeypatch.setattr(claims, "point_space", dependent_pick)
+    monkeypatch.setattr(claims, "point_pivots", dependent_pick)
     if prime != "default":
         monkeypatch.setattr(claims, "random_point",
                             lambda k, j, rng: times3_point(k, j))
         monkeypatch.setattr(engine, "_PRIME", prime)
     ranks = MinorRanks(monkeypatch)
+    spans = SpanCalls(monkeypatch)
     with pytest.raises(AssertionError, match="singular at its witness"):
         certify_generic_rank(1, 2, parse_sigma_spec("gen1", 1))
     assert len(picks) == 1
-    assert [got < 4 for *_, got in ranks.modular] == [True]
+    # the columns' echelon, then the minor's
+    assert [got for *_, got in ranks.modular] == (
+        [4, 3] if prime == "default" else [0, 0])
     assert [got for *_, got in ranks.exact] == [3]
+    assert len(spans.points) == (0 if prime == "default" else 1)
 
 
 @pytest.mark.parametrize("formula", ["derived", "printed"])

@@ -53,6 +53,12 @@ CASES = [
     # a sample of 4,096 of the 65,535 support masks: max corank 13, where
     # a scan of every mask finds 15
     ("stratify", "--k", "2", "--j", "5", "--sigma", "u1*gen4", "--seed", "1"),
+    # two certificates: a rank-16 minor whose leading pivots the modular
+    # echelon proves, and one that the exact span decides
+    ("stratify", "--k", "1", "--j", "5", "--sigma", "gen1", "--seed", "1",
+     "--draws", "1", "--pattern-cap", "1"),
+    ("stratify", "--k", "1", "--j", "4", "--sigma", "gen3", "--seed", "1",
+     "--draws", "1", "--pattern-cap", "1"),
     *[("verify", "--k", str(k), "--j", str(j), "--sigma", spec,
        "--seed", "1") for k, j, spec in VERIFY],
     ("verify", "--k", "1", "--j", "2", "--sigma", "gen1", "--seed", "1"),
