@@ -19,7 +19,7 @@ import click
 
 from . import __version__
 from .bundles import normalize_line_bundle
-from .claims import _TRIALS, stratify, verify_claims
+from .claims import stratify, verify_claims
 from .engine import (
     DEFAULT_SEED,
     FAIL,
@@ -304,7 +304,7 @@ def verify_cmd(k, j, sigma_text, seed):
     seed = _resolve_seed(seed)
     sigma = parse_sigma_spec(sigma_text, k)
     rep = verify_claims(k, j, sigma, seed=seed)
-    config = {"k": k, "j": j, "sigma": sigma_text, "trials": _TRIALS}
+    config = {"k": k, "j": j, "sigma": sigma_text}
     _emit(make_report("verify", config, seed, rep), rep["status"])
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 from hypothesis import HealthCheck, settings, strategies as st
 
 import ncbundles
-from ncbundles import LaurentPoly, Monomial, engine, linalg
+from ncbundles import LaurentPoly, Monomial, claims, engine, linalg
 from ncbundles.geometry import v_exponent
 from ncbundles.ring import Evaluation
 
@@ -230,3 +230,85 @@ def reference_certificate(k, j, sigma, seed):
                   else "generic rank >= minor size; upper bound open",
         "minor_nonzero": True,
     }
+
+
+# Reference claims: the route claims.verify_claims takes off the base
+# point's rank and the full-support stratum, decided by sampling instead.
+
+def reference_verify_claims(k, j, sigma, seed):
+    """The claims battery with each generic claim checked at 20 random
+    points drawn after the base point, its witnesses the first three
+    points whose rank fails it."""
+    dim = engine.direction_dimension(k, j)
+    derived = engine.cached(engine._build_master, k, j, sigma, "derived")
+    printed = engine.cached(engine._build_master, k, j, sigma, "printed")
+
+    def rank_at(q):
+        return engine.point_rank(k, j, sigma, "derived", q)
+
+    same = derived.tags == printed.tags and all(
+        all(a == b for a, b in zip(ca, cb))
+        for ca, cb in zip(derived.columns, printed.columns))
+    rng = random.Random(seed)
+    pt = engine.random_point(k, j, rng)
+    base_rank = rank_at(pt)
+    s_rank = rank_at([Fraction(7, 3) * c for c in pt])
+    battery = [
+        {"name": "identity-shift-column", "status": "PASS",
+         "detail": "asserted during construction"},
+        {"name": "closed-form-agreement",
+         "status": "PASS" if same else "FAIL",
+         "detail": "derived and closed-form columns match symbolically"
+                   if same else "column mismatch between routes"},
+        {"name": "scaling-invariance",
+         "status": "PASS" if base_rank == s_rank else "FAIL",
+         "detail": f"rank {base_rank} at p and {s_rank} at (7/3)p"},
+    ]
+
+    def drops(ok):
+        points = [engine.random_point(k, j, rng) for _ in range(20)]
+        return [[str(c) for c in q] for q in points if not ok(rank_at(q))]
+
+    if sigma.gen_index is not None and sigma.multiplier is None:
+        bad = drops(lambda rank: rank == dim)
+        battery.append({
+            "name": "generic-rigidity",
+            "status": "FAIL" if bad else "PASS",
+            "detail": f"rank drop witnesses: {bad[:3]}" if bad
+                      else "full rank at all sampled points"})
+        axes = [(q, rank_at(q)) for q in engine.single_coordinate_points(k, j)]
+        special = [{"point": [str(c) for c in q], "stalk": dim - rank}
+                   for q, rank in axes if rank != dim]
+        battery.append({
+            "name": "single-coordinate-rigidity",
+            "status": "EXCEEDS" if special else "PASS",
+            "detail": special or "full rank on every coordinate axis"})
+    if engine.is_extremal(sigma, j):
+        expected = 2 * j - k - 1
+        bad = drops(lambda rank: dim - rank == expected)
+        battery.append({
+            "name": "extremal-generic-stalk",
+            "status": "FAIL" if bad else "PASS",
+            "detail": f"unexpected stalks at {bad[:3]}" if bad
+                      else f"generic stalk {expected}"})
+        bound = 4 * j - k - 4
+        cap = (1 << dim) - 1 if dim <= 16 else 512
+        _, counts, first = claims._scan(k, j, sigma, seed, draws=2,
+                                        pattern_cap=cap)
+        top = max(counts)
+        battery.append({
+            "name": "max-corank-bound",
+            "status": "PASS" if top <= bound else "EXCEEDS",
+            "detail": {"bound": bound, "max_corank": top,
+                       "witness": claims._witness(k, j, seed, *first[top])}})
+        achieved = sorted(counts)
+        battery.append({
+            "name": "corank-contiguity",
+            "status": "PASS" if achieved == list(range(achieved[0], top + 1))
+                      else "EXCEEDS",
+            "detail": {"achieved": achieved}})
+    statuses = {c["status"] for c in battery}
+    worst = ("FAIL" if "FAIL" in statuses
+             else "EXCEEDS" if "EXCEEDS" in statuses else "PASS")
+    return {"k": k, "j": j, "sigma": sigma.describe(), "claims": battery,
+            "status": worst}

@@ -51,6 +51,7 @@ from conftest import (
     reference_certificate,
     reference_master_columns,
     reference_stratum_bounds,
+    reference_verify_claims,
 )
 
 
@@ -612,6 +613,18 @@ def test_stratify_reports_when_it_sampled():
     assert sampled["patterns_scanned"] < sampled["patterns_total"] == 15
     every = stratify(1, 2, sigma, draws=1, seed=5)
     assert every["patterns_scanned"] == every["patterns_total"] == 15
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_a_sampled_scan_holds_pattern_cap_masks(seed):
+    # the seeded sample is drawn from the masks below the full-support
+    # one, which is then added: a sample that already held it scanned
+    # one mask short of the cap (21 of these 70 scans did)
+    sigma = parse_sigma_spec("u1*gen1", 1)
+    for cap in range(1, 15):
+        masks, _, _ = claims._scan(1, 2, sigma, seed, 1, cap)
+        assert len(set(masks)) == len(masks) == cap
+        assert masks == sorted(masks) and masks[-1] == 15
 
 
 # the j = 3 configurations of perfbench's claims-cold workload
@@ -1825,14 +1838,30 @@ def test_verify_claims_statuses():
     assert ex2["status"] == "EXCEEDS"
 
 
-@pytest.mark.parametrize("k, spec, draws", [
-    (1, "gen1", 1), (1, "u1*gen1", 1), (2, "gen1", 1 + claims._TRIALS),
+def test_verify_claims_match_the_sampled_route():
+    # the generic claims read off the base point's rank and the
+    # full-support stratum give the reports that 20 sampled points per
+    # claim give, also for (2,5,gen1), whose full-support stratum is open
+    cases = [(k, j, f"{m}gen{n}", seed) for j in (2, 3, 4)
+             for k, count in ((1, 4), (2, 5)) for n in range(1, count + 1)
+             for m in ("", "u1*") for seed in (1, 2, 3, 4, 5, 97)]
+    for k, j, spec, seed in cases + [(2, 5, "gen1", 1)]:
+        sigma = parse_sigma_spec(spec, k)
+        got = canonical_json(verify_claims(k, j, sigma, seed=seed))
+        assert got == canonical_json(
+            reference_verify_claims(k, j, sigma, seed)), (k, j, spec, seed)
+    master = engine.cached(engine._build_master, 2, 5,
+                           parse_sigma_spec("gen1", 2), "derived")
+    assert master.bounds[(1 << 16) - 1] == (15, 16)
+
+
+@pytest.mark.parametrize("k, spec", [
+    (1, "gen1"), (1, "u1*gen1"), (2, "gen1"), (2, "u1*gen4"),
 ])
-def test_verify_draws_no_generic_point_on_a_proved_stratum(monkeypatch, k,
-                                                           spec, draws):
-    # the base point is always drawn; the points of the generic claims
-    # only where the full-support stratum is open, as for (2,3,gen1) with
-    # bounds (7, 8).  Drawn, they give the same report
+def test_verify_draws_only_its_base_point(monkeypatch, k, spec):
+    # one random point, the base point, decides every generic claim, also
+    # for (2,3,gen1), whose full-support bounds are (7, 8); a full-support
+    # stratum forced open leaves the report as it is
     sigma = parse_sigma_spec(spec, k)
     full = (1 << direction_dimension(k, 3)) - 1
     calls = []
@@ -1848,31 +1877,50 @@ def test_verify_draws_no_generic_point_on_a_proved_stratum(monkeypatch, k,
     monkeypatch.setattr(engine, "_MASTERS", {})
     monkeypatch.setattr(claims, "random_point", counted)
     rep = verify_claims(k, 3, sigma)
-    assert len(calls) == draws
-    master = engine.cached(engine._build_master, k, 3, sigma, "derived")
-    lower, upper = master.bounds[full]
-    assert (lower == upper) == (draws == 1)
-    calls.clear()
+    assert len(calls) == 1
     monkeypatch.setattr(claims, "stratum_bounds", opened)
     assert verify_claims(k, 3, sigma) == rep
-    assert len(calls) == 1 + claims._TRIALS
+    assert len(calls) == 2
+
+
+def _planted_full_support(monkeypatch, k, j, sigma, bounds):
+    """The claims of verify_claims, by name, with the bounds of the
+    full-support stratum planted, and the base point as text."""
+    dim = direction_dimension(k, j)
+    monkeypatch.setattr(engine, "_MASTERS", {})
+    master = engine.cached(engine._build_master, k, j, sigma, "derived")
+    master.bounds[(1 << dim) - 1] = bounds
+    pt = random_point(k, j, random.Random(DEFAULT_SEED))
+    rep = verify_claims(k, j, sigma)
+    return {c["name"]: c for c in rep["claims"]}, [str(c) for c in pt]
 
 
 def test_a_proved_rank_that_fails_rigidity_draws_its_witnesses(monkeypatch):
     # a full-support stratum closed at a rank below dim fails
-    # generic-rigidity: the loop draws its points, and the three after
-    # the base point are the witnesses reported
+    # generic-rigidity, with the base point its witness
     k, j, sigma = 1, 3, parse_sigma_spec("gen1", 1)
     dim = direction_dimension(k, j)
-    monkeypatch.setattr(engine, "_MASTERS", {})
-    master = engine.cached(engine._build_master, k, j, sigma, "derived")
-    master.bounds[(1 << dim) - 1] = (dim - 1, dim - 1)
-    rng = random.Random(DEFAULT_SEED)
-    points = [[str(c) for c in random_point(k, j, rng)] for _ in range(4)]
-    by_name = {c["name"]: c for c in verify_claims(k, j, sigma)["claims"]}
+    by_name, pt = _planted_full_support(monkeypatch, k, j, sigma,
+                                        (dim - 1, dim - 1))
     assert by_name["generic-rigidity"] == {
         "name": "generic-rigidity", "status": "FAIL",
-        "detail": f"rank drop witnesses: {points[1:]}"}
+        "detail": f"rank drop witnesses: {[pt]}"}
+
+
+@pytest.mark.parametrize("bounds, detail", [
+    # the expected stalk 2j - k - 1 = 4 at the base point (rank 4 of 8),
+    # but up to rank 5 on the stratum: the generic stalk is not proved
+    ((4, 5), "rank 4 at p, full-support upper bound 5: generic stalk open"),
+    # closed at rank 3: stalk 5 at the base point, and generically
+    ((3, 3), "unexpected stalks at {}"),
+], ids=["open", "closed-below"])
+def test_an_unproved_extremal_stalk_does_not_pass(monkeypatch, bounds,
+                                                  detail):
+    k, j, sigma = 1, 3, parse_sigma_spec("u1*gen1", 1)
+    by_name, pt = _planted_full_support(monkeypatch, k, j, sigma, bounds)
+    assert by_name["extremal-generic-stalk"] == {
+        "name": "extremal-generic-stalk", "status": "FAIL",
+        "detail": detail.format([pt])}
 
 
 @pytest.mark.parametrize("k, spec, seed, status, achieved", [
