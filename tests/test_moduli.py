@@ -9,7 +9,7 @@ from fractions import Fraction
 import jsonschema
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ncbundles import (
     FormalFunction,
@@ -619,12 +619,14 @@ def test_stratify_reports_when_it_sampled():
 def test_a_sampled_scan_holds_pattern_cap_masks(seed):
     # the seeded sample is drawn from the masks below the full-support
     # one, which is then added: a sample that already held it scanned
-    # one mask short of the cap (21 of these 70 scans did)
+    # one mask short of the cap (21 of these 70 scans did); the four
+    # single-coordinate masks, where the top corank lies, join it
     sigma = parse_sigma_spec("u1*gen1", 1)
     for cap in range(1, 15):
         masks, _, _ = claims._scan(1, 2, sigma, seed, 1, cap)
-        assert len(set(masks)) == len(masks) == cap
-        assert masks == sorted(masks) and masks[-1] == 15
+        sample = {*random.Random(seed).sample(range(1, 15), cap - 1), 15}
+        assert len(sample) == cap
+        assert masks == sorted(sample | {1, 2, 4, 8})
 
 
 # the j = 3 configurations of perfbench's claims-cold workload
@@ -1928,11 +1930,11 @@ def test_an_unproved_extremal_stalk_does_not_pass(monkeypatch, bounds,
     (2, "u1*gen4", 1, "EXCEEDS", [5, 6, 7, 8, 9, 10, 11]),
     (1, "u1*gen1", 1, "PASS", [6, 7, 8, 9, 10, 11]),
 ])
-def test_verify_scans_every_support_mask_at_j4(k, spec, seed, status,
+def test_verify_reads_the_corank_lattice_at_j4(k, spec, seed, status,
                                                achieved):
     # corank 11 lies only on 3 of the 4,095 support masks at j = 4 (masks
     # 1, 32, 33 for W_2 and 1, 64, 65 for W_1), which a sample of 512
-    # masks missed at these seeds; every mask is scanned now
+    # masks missed at these seeds; the lattice reads it off mask 1
     rep = verify_claims(k, 4, parse_sigma_spec(spec, k), seed=seed)
     by_name = {c["name"]: c for c in rep["claims"]}
     bound = by_name["max-corank-bound"]
@@ -1944,10 +1946,10 @@ def test_verify_scans_every_support_mask_at_j4(k, spec, seed, status,
     assert rep["status"] == status
 
 
-def test_stratify_and_verify_share_one_scan(monkeypatch):
-    # both read one scan of all 4,095 support masks at j = 4 (two draws
-    # each, as verify takes): the same max corank, witness and coranks;
-    # verify never builds the certificate
+def test_verify_lattice_agrees_with_the_stratify_scan(monkeypatch):
+    # verify's lattice route gives the max corank, witness and coranks of
+    # stratify's scan of all 4,095 support masks at j = 4 (two draws each,
+    # as verify's fallback takes); verify never builds the certificate
     sigma = parse_sigma_spec("u1*gen4", 2)
     rep = stratify(2, 4, sigma, seed=1, draws=2)
     assert rep["patterns_scanned"] == 4095
@@ -1969,10 +1971,11 @@ def test_stratify_and_verify_share_one_scan(monkeypatch):
     (2, "u1*gen4", "EXCEEDS", list(range(7, 16))),
     (1, "u1*gen1", "PASS", list(range(8, 16))),
 ])
-def test_verify_scans_every_support_mask_at_j5(k, spec, status, achieved):
+def test_verify_reads_the_corank_lattice_at_j5(k, spec, status, achieved):
     # corank 15 lies on 3 of the 65,535 support masks at j = 5, which a
     # sample of 512 masks missed at seed 1 (max corank 12, so W_2 passed
-    # its bound 14); every mask is scanned up to dimension 16
+    # its bound 14); the lattice reads it off mask 1, and one chain the
+    # coranks below it
     rep = verify_claims(k, 5, parse_sigma_spec(spec, k), seed=1)
     by_name = {c["name"]: c for c in rep["claims"]}
     bound = by_name["max-corank-bound"]
@@ -1982,6 +1985,137 @@ def test_verify_scans_every_support_mask_at_j5(k, spec, status, achieved):
     assert bound["detail"]["witness"]["mask"] == 1
     assert by_name["corank-contiguity"]["detail"]["achieved"] == achieved
     assert rep["status"] == status
+
+
+# the u1 and u2 multiples of the catalog generators: all 18 are extremal
+# at j = 3 and 4
+EXTREMAL = [(k, m + gen) for k, gen in CATALOG for m in ("u1*", "u2*")]
+
+
+def test_the_corank_lattice_matches_the_scan_of_every_mask(monkeypatch):
+    # the lattice route gives the reports of the full scan of every
+    # support mask (two draws each) at the seeds of
+    # test_verify_claims_match_the_sampled_route, and never falls back
+    cases = [(k, j, spec, seed) for j in (3, 4) for k, spec in EXTREMAL
+             for seed in (1, 2, 3, 4, 5, 97)] + [(2, 5, "u1*gen4", 1)]
+    scans = []
+    real = claims._scan
+    monkeypatch.setattr(claims, "_scan",
+                        lambda *a, **kw: scans.append(a) or real(*a, **kw))
+    got = {}
+    for k, j, spec, seed in cases:
+        sigma = parse_sigma_spec(spec, k)
+        assert is_extremal(sigma, j), (k, j, spec)
+        got[k, j, spec, seed] = canonical_json(
+            verify_claims(k, j, sigma, seed=seed))
+    assert scans == []
+    monkeypatch.setattr(claims, "_scan", real)
+    for (k, j, spec, seed), rep in got.items():
+        assert rep == canonical_json(reference_verify_claims(
+            k, j, parse_sigma_spec(spec, k), seed)), (k, j, spec, seed)
+
+
+def _plant_chain(monkeypatch, k, j, spec, planted):
+    """The master of (k, j, spec), cold, with the bounds of every mask one
+    coordinate above mask 1, the top corank's mask, planted as
+    planted(g), g the proved rank of mask 1."""
+    sigma = parse_sigma_spec(spec, k)
+    monkeypatch.setattr(engine, "_MASTERS", {})
+    master = engine.cached(engine._build_master, k, j, sigma, "derived")
+    dim = direction_dimension(k, j)
+    g = engine.stratum_bounds(master, 1)[0]
+    assert g == min(engine.stratum_bounds(master, 1 << b)[0]
+                    for b in range(dim))
+    for b in range(1, dim):
+        master.bounds[1 | 1 << b] = planted(g)
+    return sigma
+
+
+# a chain mask open, or every first step of the chain 2
+PLANTED_CHAINS = {"open": lambda g: (g, g + 1),
+                  "two-step": lambda g: (g + 2, g + 2)}
+
+
+@pytest.mark.parametrize("kind", PLANTED_CHAINS)
+def test_an_undecided_lattice_falls_back_to_the_scan(monkeypatch, kind):
+    # up to dimension 16 the scan of every mask decides, and its report is
+    # the scan's, planted bounds and all; at j = 5 the spy stops before
+    # the scan of all 65,535 masks
+    scans = []
+    real = claims._scan
+
+    def spy(k, j, *args, **kwargs):
+        scans.append((k, j, *args, kwargs))
+        if j == 5:
+            raise LookupError("scanned")
+        return real(k, j, *args, **kwargs)
+
+    sigma = _plant_chain(monkeypatch, 2, 3, "u1*gen4", PLANTED_CHAINS[kind])
+    monkeypatch.setattr(claims, "_scan", spy)
+    rep = canonical_json(verify_claims(2, 3, sigma, seed=1))
+    assert scans == [(2, 3, sigma, 1, {"draws": 2, "pattern_cap": 255})]
+    assert rep == canonical_json(reference_verify_claims(2, 3, sigma, 1))
+    sigma = _plant_chain(monkeypatch, 2, 5, "u1*gen4", PLANTED_CHAINS[kind])
+    scans.clear()
+    with pytest.raises(LookupError, match="scanned"):
+        verify_claims(2, 5, sigma, seed=1)
+    assert scans == [(2, 5, sigma, 1, {"draws": 2, "pattern_cap": 65535})]
+
+
+@pytest.mark.parametrize("kind, detail", [
+    ("open", "stratum of mask 3 open"),
+    ("two-step", "every step from mask 1 raises the rank by 2 or more"),
+])
+def test_an_undecided_lattice_fails_contiguity_at_j6(monkeypatch, kind,
+                                                     detail):
+    # past dimension 16 nothing is scanned: contiguity FAILs as open, and
+    # the max corank, read off the closed single-coordinate masks, stands
+    sigma = _plant_chain(monkeypatch, 2, 6, "u1*gen4", PLANTED_CHAINS[kind])
+    monkeypatch.setattr(claims, "_scan", None)
+    rep = verify_claims(2, 6, sigma, seed=1)
+    by_name = {c["name"]: c for c in rep["claims"]}
+    assert by_name["corank-contiguity"] == {
+        "name": "corank-contiguity", "status": "FAIL",
+        "detail": f"{detail}: contiguity open"}
+    bound = by_name["max-corank-bound"]
+    assert bound["status"] == "EXCEEDS"
+    assert (bound["detail"]["max_corank"],
+            bound["detail"]["witness"]["mask"]) == (19, 1)
+    assert rep["status"] == "FAIL"
+
+
+def test_an_open_single_coordinate_mask_fails_both_corank_claims(
+        monkeypatch):
+    # the top corank may lie on an open single-coordinate stratum: past
+    # dimension 16 neither corank claim is decided
+    sigma = parse_sigma_spec("u1*gen4", 2)
+    monkeypatch.setattr(engine, "_MASTERS", {})
+    master = engine.cached(engine._build_master, 2, 6, sigma, "derived")
+    master.bounds[4] = (0, 1)
+    monkeypatch.setattr(claims, "_scan", None)
+    by_name = {c["name"]: c for c in verify_claims(2, 6, sigma)["claims"]}
+    for name, what in (("max-corank-bound", "max corank"),
+                       ("corank-contiguity", "contiguity")):
+        assert by_name[name] == {
+            "name": name, "status": "FAIL",
+            "detail": f"stratum of mask 4 open: {what} open"}
+
+
+@pytest.mark.parametrize("k, spec", [(1, "gen1"), (2, "gen5"),
+                                     (1, "u1*gen1"), (2, "u1*gen4")])
+@given(mask=st.integers(1, 4095), bit=st.integers(0, 11))
+def test_the_generic_rank_is_monotone_on_closed_masks(k, spec, mask, bit):
+    # lower semicontinuity: a closed sub-mask m - b has a proved rank no
+    # larger than the closed mask m
+    master = engine.cached(engine._build_master, k, 4,
+                           parse_sigma_spec(spec, k), "derived")
+    mask |= 1 << bit
+    sub = mask & ~(1 << bit)
+    assume(sub)
+    lower, upper = engine.stratum_bounds(master, mask)
+    sub_lower, sub_upper = engine.stratum_bounds(master, sub)
+    assume(lower == upper and sub_lower == sub_upper)
+    assert sub_lower <= lower
 
 
 def test_single_coordinate_points_shape():

@@ -50,8 +50,8 @@ CASES = [
     # 4,095 support masks, 498 of them open strata (not proved by bounds)
     ("stratify", "--k", "1", "--j", "4", "--sigma", "gen1", "--seed", "5",
      "--draws", "1"),
-    # a sample of 4,096 of the 65,535 support masks: max corank 13, where
-    # a scan of every mask finds 15
+    # a sample of 4,096 of the 65,535 support masks and the 16
+    # single-coordinate ones: max corank 15, the top stratum at mask 1
     ("stratify", "--k", "2", "--j", "5", "--sigma", "u1*gen4", "--seed", "1"),
     # two certificates: a rank-16 minor whose leading pivots the modular
     # echelon proves, and one that the exact span decides
@@ -64,6 +64,9 @@ CASES = [
     ("verify", "--k", "1", "--j", "2", "--sigma", "gen1", "--seed", "1"),
     # extremal at j = 4: corank 11 lies on 3 of the 4,095 support masks
     ("verify", "--k", "2", "--j", "4", "--sigma", "u1*gen4", "--seed", "1"),
+    # j = 6, past every scan: the single-coordinate stratum of mask 1 has
+    # corank 19, past the bound 18 (exit code 2)
+    ("verify", "--k", "2", "--j", "6", "--sigma", "u1*gen4", "--seed", "1"),
     ("oracle-check", "--trials", "1", "--seed", "11"),
     ("oracle-check",),
     # usage errors
