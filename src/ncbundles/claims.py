@@ -242,10 +242,8 @@ def verify_claims(k, j, sigma, seed=DEFAULT_SEED):
     })
 
     printed = cached(_build_master, k, j, sigma, "printed")
-    same = (derived.tags == printed.tags and all(
-        all(a == b for a, b in zip(ca, cb))
-        for ca, cb in zip(derived.columns, printed.columns)
-    ))
+    same = (derived.tags == printed.tags
+            and derived.columns == printed.columns)
     claims.append({
         "name": "closed-form-agreement",
         "status": PASS if same else FAIL,

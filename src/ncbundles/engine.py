@@ -39,11 +39,16 @@ W, is not computed by star products: beyond bilinearity, the Leibniz rule
 for {t0 w, r0} and {f, w} = sum_d dw/dd P_d(f) (Bivector.bracket_pieces)
 make it a sum of monomial shifts of polynomials cached per gauge entry
 (_leibniz_pieces), with the parts of {f, w} from poisson.pairing_shifts.
-Both identities are exact.  A printed column is such a sum too, and the
-frame holds the bracket pieces that both formulas pair, so each is
-computed once per configuration.  The parts of a column are summed in one
-pass straight into its rows (_entry_column): a term off the rows that the
-gauge absorbs is skipped before its coefficient is read.
+Both identities are exact.  For the c0 entry, whose classical parts are
+t0 = p and r0 = -p, the bracket parts drop out: the bracket is
+antisymmetric, so {t0, r0} = -{p, p} = 0, and the pieces are linear, so
+B_d = r0 P_d(t0) - t0 P_d(r0) = -p P_d(p) + p P_d(p) = 0.
+_leibniz_pieces checks r0 = -t0 exactly and then builds neither.  A
+printed column is such a sum too, and the frame holds the bracket pieces
+that both formulas pair, so each is computed once per configuration.  The
+parts of a column are summed in one pass straight into its rows
+(_entry_column): a term off the rows that the gauge absorbs is skipped
+before its coefficient is read.
 """
 
 from __future__ import annotations
@@ -203,14 +208,22 @@ def _leibniz_pieces(frame, a, b):
     neighbourhood, and their products build no term past it
     (LaurentPoly.mul_truncated): a shift by a monomial never lowers the
     u-degree, so no term cut here reaches a column.
+
+    Where r0 = -t0 exactly, as for the c0 entry (1, 0), whose R_01 is
+    -T_01 classically, B and {t0, r0} vanish and are not built, and B is
+    returned empty: the pieces are linear, so B_d = -t0 P_d(t0) +
+    t0 P_d(t0) = 0, and the bracket is antisymmetric, so
+    {t0, -t0} = 0.
     """
     t, r = frame.T.entry(0, a), frame.R.entry(b, 1)
+    A = t[1].mul_truncated(r[0], 1) + t[0].mul_truncated(r[1], 1)
+    if (r[0] + t[0]).is_zero():
+        return t[0].mul_truncated(r[0], 1), A, {}
     pt, pr = frame.t_pieces[a], frame.r_pieces[b]
     zero = LaurentPoly.zero()
     B = {d: r[0].mul_truncated(pt.get(d, zero), 1)
          - t[0].mul_truncated(pr.get(d, zero), 1) for d in VARS}
-    A = (t[1].mul_truncated(r[0], 1) + t[0].mul_truncated(r[1], 1)
-         + pieces_pairing(pt, r[0]).truncate_neighborhood(1))
+    A = A + pieces_pairing(pt, r[0]).truncate_neighborhood(1)
     return t[0].mul_truncated(r[0], 1), A, B
 
 

@@ -9,6 +9,16 @@ built without division keeps integer arithmetic throughout.  ParamPoly is
 what makes symbolic point computations possible: a matrix entry like
 "p0 + 3/2*p3" is a ParamPoly in the parameters p0..p7.
 
+A monomial in the parameters has one encoding, shared by ParamPoly and
+FormTable: the ascending tuple of its variable indices, each repeated by
+its exponent, so p3*p7 is (3, 7), p0^2*p3 is (0, 0, 3) and 1 is ().  A
+product concatenates two such keys, sorting only where the first ends past
+the start of the second, and a key costs time in its degree, not in the
+number of parameters.  FormTable pads the keys of its entries, shifted by
+one, to a common degree; the exponent vectors aligned with the parameters
+are only the input and output format of ParamPoly (the constructor and
+terms()), so a render is the same in either encoding.
+
 Canonical term order everywhere is lex on (i, s, l): u1-degree, then
 u2-degree, then z-degree.  The canonical text form of a term is
 "3/2*z^-1*u1*u2^2" and polynomials are sums of such terms.
@@ -21,7 +31,7 @@ import re
 from bisect import bisect_right
 from fractions import Fraction
 from functools import reduce
-from operator import add, mul
+from operator import mul
 from typing import NamedTuple
 
 VARS = ("z", "u1", "u2")
@@ -63,11 +73,15 @@ def _rational(x):
 class ParamPoly:
     """Polynomial with rational coefficients in a fixed tuple of parameters.
 
-    A coefficient is an int or a Fraction, stored as given.  Exponent
-    vectors are tuples aligned with ``params``.  Instances are immutable
-    by convention; all operators return new objects.  Mixed arithmetic
-    with Fraction/int promotes the scalar, except that a product with one
-    scales the coefficients directly.
+    A coefficient is an int or a Fraction, stored as given.  The
+    constructor takes exponent vectors, tuples of nonnegative ints
+    aligned with ``params``; a term is stored under its monomial key, the
+    ascending tuple of its variable indices with repeats, so p3*p7 is
+    (3, 7), p0^2*p3 is (0, 0, 3) and the constant is () (see the module
+    docstring).  terms() gives exponent vectors again.  Instances are
+    immutable by convention; all operators return new objects.  Mixed
+    arithmetic with Fraction/int promotes the scalar, except that a
+    product with one scales the coefficients directly.
     """
 
     __slots__ = ("params", "_terms")
@@ -79,26 +93,30 @@ class ParamPoly:
             width = len(self.params)
             for expv, c in dict(terms).items():
                 c = _rational(c)
-                if c == 0:
-                    continue
                 expv = tuple(expv)
                 if len(expv) != width:
                     raise ValueError("exponent vector width mismatch")
-                clean[expv] = c
+                if not all(isinstance(e, int) and e >= 0 for e in expv):
+                    raise ValueError(
+                        f"exponents must be nonnegative ints, got {expv}")
+                if c == 0:
+                    continue
+                clean[tuple(r for r, e in enumerate(expv)
+                            for _ in range(e))] = c
         self._terms = clean
 
     @classmethod
     def const(cls, params, c):
-        params = tuple(params)
-        return cls(params, {tuple([0] * len(params)): _rational(c)})
+        out = cls(params)
+        if _rational(c):
+            out._terms[()] = c
+        return out
 
     @classmethod
     def variable(cls, params, name):
-        params = tuple(params)
-        idx = params.index(name)
-        ev = [0] * len(params)
-        ev[idx] = 1
-        return cls(params, {tuple(ev): 1})
+        out = cls(params)
+        out._terms[(out.params.index(name),)] = 1
+        return out
 
     def is_zero(self):
         return not self._terms
@@ -130,13 +148,13 @@ class ParamPoly:
         if other.__class__ is not ParamPoly or other.params is not self.params:
             other = self._coerce(other)
         terms = dict(self._terms)
-        for ev, c in other._terms.items():
-            if ev in terms:
-                c += terms[ev]
+        for m, c in other._terms.items():
+            if m in terms:
+                c += terms[m]
                 if not c:
-                    del terms[ev]
+                    del terms[m]
                     continue
-            terms[ev] = c
+            terms[m] = c
         return self._with_terms(terms)
 
     __radd__ = __add__
@@ -148,18 +166,18 @@ class ParamPoly:
         if other.__class__ is not ParamPoly or other.params is not self.params:
             return self + other * c
         terms = dict(self._terms)
-        for ev, v in other._terms.items():
+        for m, v in other._terms.items():
             v = v * c
-            if ev in terms:
-                v += terms[ev]
+            if m in terms:
+                v += terms[m]
                 if not v:
-                    del terms[ev]
+                    del terms[m]
                     continue
-            terms[ev] = v
+            terms[m] = v
         return self._with_terms(terms)
 
     def __neg__(self):
-        return self._with_terms({ev: -c for ev, c in self._terms.items()})
+        return self._with_terms({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -173,21 +191,21 @@ class ParamPoly:
                 if not other:
                     return self._with_terms({})
                 return self._with_terms(
-                    {ev: c * other for ev, c in self._terms.items()})
+                    {m: c * other for m, c in self._terms.items()})
             other = self._coerce(other)
         if len(self._terms) == 1 and len(other._terms) == 1:
             # one term times one term: a product of nonzero rationals is
             # nonzero, so there is nothing to merge or drop
-            (ev1, c1), = self._terms.items()
-            (ev2, c2), = other._terms.items()
-            return self._with_terms({tuple(map(add, ev1, ev2)): c1 * c2})
+            (m1, c1), = self._terms.items()
+            (m2, c2), = other._terms.items()
+            return self._with_terms({_key_product(m1, m2): c1 * c2})
         out = {}
-        for ev1, c1 in self._terms.items():
-            for ev2, c2 in other._terms.items():
-                ev = tuple(map(add, ev1, ev2))
+        for m1, c1 in self._terms.items():
+            for m2, c2 in other._terms.items():
+                m = _key_product(m1, m2)
                 c = c1 * c2
-                out[ev] = out[ev] + c if ev in out else c
-        return self._with_terms({ev: c for ev, c in out.items() if c})
+                out[m] = out[m] + c if m in out else c
+        return self._with_terms({m: c for m, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -204,16 +222,23 @@ class ParamPoly:
         """values: dict name -> Fraction/int.  Returns a Fraction."""
         vals = [_rational(values[name]) for name in self.params]
         total = Fraction(0)
-        for ev, c in self._terms.items():
-            term = c
-            for base, e in zip(vals, ev):
-                if e:
-                    term *= base ** e
-            total += term
+        for m, c in self._terms.items():
+            for r in m:
+                c *= vals[r]
+            total += c
         return total
 
     def terms(self):
-        return sorted(self._terms.items())
+        """The (exponent vector, coefficient) pairs, ascending on the
+        exponent vectors."""
+        width = len(self.params)
+        out = []
+        for m, c in self._terms.items():
+            ev = [0] * width
+            for r in m:
+                ev[r] += 1
+            out.append((tuple(ev), c))
+        return sorted(out)
 
     def render(self):
         if not self._terms:
@@ -233,6 +258,14 @@ class ParamPoly:
         return f"ParamPoly({self.render()})"
 
 
+def _key_product(m1, m2):
+    """The monomial key of the product of the monomial keys m1 and m2:
+    their concatenation, sorted only when it is not ascending already."""
+    if m1 and m2 and m1[-1] > m2[0]:
+        return tuple(sorted(m1 + m2))
+    return m1 + m2
+
+
 class FormTable(NamedTuple):
     """Sparse columns of ParamPoly or rational entries, evaluated together
     at a point by an Evaluation.
@@ -241,9 +274,11 @@ class FormTable(NamedTuple):
     sits in row rows[e] and has the value of form ids[e].  Each distinct
     entry is stored once as an integer form: pairs (monomial id,
     coefficient), with the coefficients times `scale`, the common
-    denominator of all of them.  A monomial is the tuple of its
-    variables, padded to the top degree of the entries with variable 0,
-    which stands for the constant 1; variable 1 + r is the r-th parameter.
+    denominator of all of them.  A monomial is the ParamPoly key of its
+    variables (see the module docstring) shifted by one, so that variable
+    1 + r is the r-th parameter, and padded in front to the top degree of
+    the entries, `degree`, with variable 0, which stands for the constant
+    1.
     Forms and monomials are numbered in column order (compile), so the
     first c columns use the first form_end[c] forms, and the first f
     forms the first monomial_end[f] monomials.
@@ -281,8 +316,7 @@ class FormTable(NamedTuple):
                     continue
                 if isinstance(key, ParamPoly):
                     t = key._terms
-                    key = (frozenset(t.items())
-                           if len(t) > 1 or any(map(any, t))
+                    key = (frozenset(t.items()) if len(t) > 1 or any(t)
                            else sum(t.values()))
                 rows.append(r)
                 ids.append(keys.setdefault(key, len(keys)))
@@ -290,19 +324,17 @@ class FormTable(NamedTuple):
             form_end.append(len(keys))
         terms = [key if isinstance(key, frozenset) else [((), key)]
                  for key in keys]
-        degree = max((sum(ev) for form in terms for ev, _ in form), default=0)
+        degree = max((len(m) for form in terms for m, _ in form), default=0)
         scale = math.lcm(*(c.denominator for form in terms for _, c in form))
-        exponents = {}  # exponent vector -> monomial id
+        mon_ids = {}  # monomial key -> monomial id
         forms, monomial_end = [], [0]
         for form in terms:
-            forms.append(tuple((exponents.setdefault(ev, len(exponents)),
+            forms.append(tuple((mon_ids.setdefault(m, len(mon_ids)),
                                 int(c if scale == 1 else c * scale))
-                               for ev, c in form))
-            monomial_end.append(len(exponents))
-        monomials = tuple(
-            (0,) * (degree - sum(ev))
-            + tuple(1 + r for r, n in enumerate(ev) for _ in range(n))
-            for ev in exponents)
+                               for m, c in form))
+            monomial_end.append(len(mon_ids))
+        monomials = tuple((0,) * (degree - len(m)) + tuple(r + 1 for r in m)
+                          for m in mon_ids)
         return cls(degree, scale, monomials, tuple(forms), tuple(start),
                    tuple(rows), tuple(ids), tuple(form_end),
                    tuple(monomial_end))

@@ -1,5 +1,6 @@
 """Shared strategies and helpers for the test suite."""
 
+import math
 import os
 import random
 from fractions import Fraction
@@ -11,7 +12,8 @@ from hypothesis import HealthCheck, settings, strategies as st
 import ncbundles
 from ncbundles import LaurentPoly, Monomial, claims, engine, linalg
 from ncbundles.geometry import v_exponent
-from ncbundles.ring import Evaluation
+from ncbundles.poisson import pieces_pairing
+from ncbundles.ring import VARS, Evaluation, _join_terms, _render_term
 
 # CLI tests run `python -m ncbundles.cli` in child processes; they must
 # import the package this suite imports, also when it is not installed
@@ -54,6 +56,80 @@ monomials = st.builds(
 def laurent_polys(draw, max_terms=4):
     terms = draw(st.dictionaries(monomials, rationals, max_size=max_terms))
     return LaurentPoly(terms)
+
+
+class DenseParamPoly:
+    """Reference ParamPoly that keys each term by its exponent vector,
+    aligned with params, as given: the dense encoding that ring.ParamPoly
+    takes and gives (its constructor and terms()) but does not store."""
+
+    def __init__(self, params, terms=()):
+        self.params = tuple(params)
+        self.t = {tuple(ev): c for ev, c in dict(terms).items() if c}
+
+    def _sum(self, other, c):
+        t = dict(self.t)
+        for ev, v in other.t.items():
+            t[ev] = t.get(ev, 0) + v * c
+        return DenseParamPoly(self.params, t)
+
+    def __add__(self, other):
+        return self._sum(other, 1)
+
+    def __sub__(self, other):
+        return self._sum(other, -1)
+
+    def add_scaled(self, other, c):
+        return self._sum(other, c)
+
+    def __mul__(self, other):
+        t = {}
+        for ev1, c1 in self.t.items():
+            for ev2, c2 in other.t.items():
+                ev = tuple(a + b for a, b in zip(ev1, ev2))
+                t[ev] = t.get(ev, 0) + c1 * c2
+        return DenseParamPoly(self.params, t)
+
+    def __eq__(self, other):
+        return self.params == other.params and self.t == other.t
+
+    def terms(self):
+        return sorted(self.t.items())
+
+    def evaluate(self, values):
+        return sum((c * math.prod(Fraction(values[n]) ** e
+                                  for n, e in zip(self.params, ev))
+                    for ev, c in self.t.items()), Fraction(0))
+
+    def render(self):
+        if not self.t:
+            return "0"
+        return _join_terms([_render_term(c, [
+            n if e == 1 else f"{n}^{e}" for n, e in zip(self.params, ev)
+            if e]) for ev, c in self.terms()])
+
+
+def reference_form_numerators(columns, coords):
+    """The degree, scale and integer numerator of every entry of the
+    columns (each a {row: ParamPoly or rational} dict) that ring.FormTable
+    and ring.Evaluation give, from dense exponent vectors: with d the
+    common denominator of coords, an entry of value v has the numerator
+    scale * d^degree * v, keyed by (column, row)."""
+    dense = {(c, r): DenseParamPoly(e.params, e.terms())
+             if hasattr(e, "terms") else e
+             for c, col in enumerate(columns) for r, e in col.items() if e}
+    terms = [t for e in dense.values()
+             for t in (e.terms() if hasattr(e, "terms") else [((), e)])]
+    degree = max((sum(ev) for ev, _ in terms), default=0)
+    scale = math.lcm(*(Fraction(c).denominator for _, c in terms))
+    den = scale * math.lcm(*(c.denominator for c in coords)) ** degree
+    env = {f"p{r}": c for r, c in enumerate(coords)}
+    ints = {}
+    for key, e in dense.items():
+        value = e.evaluate(env) if hasattr(e, "evaluate") else e
+        assert (value * den).denominator == 1
+        ints[key] = int(value * den)
+    return degree, scale, ints
 
 
 def form_values(table, coords):
@@ -188,12 +264,27 @@ def reference_entry_column(k, j, parts, row_of, tag):
     return col
 
 
+def reference_leibniz_pieces(frame, a, b):
+    """engine._leibniz_pieces with B and {t0, r0} always built, also
+    where r0 = -t0 makes both zero: t0 r0, A and B = {d: B_d} for
+    every variable d."""
+    t, r = frame.T.entry(0, a), frame.R.entry(b, 1)
+    pt, pr = frame.t_pieces[a], frame.r_pieces[b]
+    zero = LaurentPoly.zero()
+    B = {d: r[0].mul_truncated(pt.get(d, zero), 1)
+         - t[0].mul_truncated(pr.get(d, zero), 1) for d in VARS}
+    A = (t[1].mul_truncated(r[0], 1) + t[0].mul_truncated(r[1], 1)
+         + pieces_pairing(pt, r[0]).truncate_neighborhood(1))
+    return t[0].mul_truncated(r[0], 1), A, B
+
+
 def reference_master_columns(k, j, sigma, formula):
     """The symbolic base point and the columns of engine._build_master,
-    each by reference_entry_column from the parts of its formula."""
+    each by reference_entry_column from the parts of its formula, the
+    derived ones from reference_leibniz_pieces."""
     frame = engine._build_frame(k, j, sigma)
     if formula == "derived":
-        pieces = {ab: engine._leibniz_pieces(frame, *ab)
+        pieces = {ab: reference_leibniz_pieces(frame, *ab)
                   for ab in ((0, 0), (1, 1), (1, 0))}
         entry = partial(engine._direction_entry_derived, pieces)
     else:

@@ -42,6 +42,7 @@ from ncbundles.engine import (
     single_coordinate_points,
 )
 from ncbundles.oracle import STANDARD_ORACLE_CONFIGS
+from ncbundles.bundles import Matrix2
 from ncbundles.poisson import Bivector
 from ncbundles.ring import Evaluation, FormTable, ParamPoly
 
@@ -49,6 +50,8 @@ from conftest import (
     form_values,
     fractions,
     reference_certificate,
+    reference_form_numerators,
+    reference_leibniz_pieces,
     reference_master_columns,
     reference_stratum_bounds,
     reference_verify_claims,
@@ -1363,6 +1366,103 @@ def test_master_columns_match_the_shifted_sum_route(k, gen, multiple, j,
     assert master.nonzero == tuple(c for c, col in enumerate(columns)
                                    if any(col))
     assert columns[master.tags.index(("lambda", 0))] == point
+
+
+@pytest.mark.parametrize("j", [2, 3, 4])
+@pytest.mark.parametrize("multiple", ["", "u1*"])
+@pytest.mark.parametrize("k, gen", CATALOG)
+def test_master_form_tables_match_dense_exponent_vectors(k, gen, multiple,
+                                                         j):
+    # FormTable.compile reads the ParamPoly monomial keys as they are: its
+    # degree, its scale and the numerator of every entry at a point are
+    # those that the dense exponent vectors give
+    sigma = parse_sigma_spec(multiple + gen, k)
+    points = [random_point(k, j, random.Random(j)),
+              single_coordinate_points(k, j)[0]]
+    for formula in ("derived", "printed"):
+        master = engine.cached(engine._build_master, k, j, sigma, formula)
+        table = master.table
+        for pt in points:
+            degree, scale, want = reference_form_numerators(
+                [dict(enumerate(col)) for col in master.columns], pt)
+            assert (table.degree, table.scale) == (degree, scale)
+            ints = Evaluation(table, pt).upto()
+            assert {(c, r): ints[f] for c in range(len(master.columns))
+                    for r, f in table.segment(c)} == want
+
+
+def leibniz_mismatches(frame):
+    """The gauge entries whose engine._leibniz_pieces differ from the
+    full route's (reference_leibniz_pieces), or take the shortcut (B
+    returned empty) other than exactly where r0 = -t0."""
+    bad = []
+    for ab in ((0, 0), (1, 1), (1, 0)):
+        t, r = frame.T.entry(0, ab[0]), frame.R.entry(ab[1], 1)
+        got = engine._leibniz_pieces(frame, *ab)
+        want = reference_leibniz_pieces(frame, *ab)
+        # the shortcut returns B empty, the full route every B_d
+        skipped = got[2] == {}
+        if (got[:2] != want[:2] or skipped != (r[0] == -t[0])
+                or {d: p for d, p in got[2].items() if p}
+                != {d: p for d, p in want[2].items() if p}):
+            bad.append(ab)
+    return bad
+
+
+@pytest.mark.parametrize("j", [2, 3, 4, 5])
+@pytest.mark.parametrize("multiple", ["", "u1*"])
+@pytest.mark.parametrize("k, gen", CATALOG)
+def test_leibniz_shortcut_matches_the_full_route(k, gen, multiple, j):
+    # B and {t0, r0} are skipped exactly where r0 = -t0, the c0 entry
+    # (1, 0), and the pieces and derived columns are the full route's
+    sigma = parse_sigma_spec(multiple + gen, k)
+    frame = engine.cached(engine._build_frame, k, j, sigma)
+    assert leibniz_mismatches(frame) == []
+    t, r = frame.T.entry(0, 1), frame.R.entry(0, 1)
+    assert r[0] == -t[0]
+    master = engine.cached(engine._build_master, k, j, sigma, "derived")
+    _, columns = reference_master_columns(k, j, sigma, "derived")
+    assert [[(type(e), e) for e in col] for col in master.columns] == [
+        [(type(e), e) for e in col] for col in columns]
+
+
+def planted_frame(k, j, spec):
+    """The frame of a configuration with R_01 = -T_01 + z/7 classically,
+    its bracket pieces recomputed: r0 = -t0 fails by one term."""
+    sigma = parse_sigma_spec(spec, k)
+    frame = engine._build_frame(k, j, sigma)
+    r = frame.R.entry(0, 1)
+    r0 = r[0] + LaurentPoly.monomial(1, 0, 0, Fraction(1, 7))
+    R = Matrix2([[frame.R.entry(0, 0), FormalFunction([r0, r[1]])],
+                 [frame.R.entry(1, 0), frame.R.entry(1, 1)]])
+    return frame._replace(R=R, r_pieces=(sigma.bracket_pieces(r0),
+                                         frame.r_pieces[1]))
+
+
+@pytest.mark.parametrize("k, spec", [(1, "gen1"), (1, "gen3"), (2, "gen4"),
+                                     (2, "gen5")])
+def test_leibniz_pieces_off_the_shortcut_take_the_full_route(k, spec):
+    frame = planted_frame(k, 3, spec)
+    assert leibniz_mismatches(frame) == []
+    # B is not zero there, so skipping it would change the columns
+    _, _, B = engine._leibniz_pieces(frame, 1, 0)
+    assert any(B.values())
+
+
+def test_leibniz_check_catches_a_skip_of_b_everywhere(monkeypatch):
+    # a mutant that skips B and {t0, r0} on every entry is caught on the
+    # catalog, where (0, 0) and (1, 1) need them, and on a planted frame
+    def skip(frame, a, b):
+        t, r = frame.T.entry(0, a), frame.R.entry(b, 1)
+        return (t[0].mul_truncated(r[0], 1),
+                t[1].mul_truncated(r[0], 1) + t[0].mul_truncated(r[1], 1),
+                {})
+
+    monkeypatch.setattr(engine, "_leibniz_pieces", skip)
+    for k, gen in CATALOG:
+        frame = engine._build_frame(k, 3, parse_sigma_spec(gen, k))
+        assert leibniz_mismatches(frame) != []
+    assert (1, 0) in leibniz_mismatches(planted_frame(2, 3, "gen4"))
 
 
 def planted_master(k, j, spec, row):

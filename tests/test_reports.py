@@ -67,6 +67,10 @@ CASES = [
     # j = 6, past every scan: the single-coordinate stratum of mask 1 has
     # corank 19, past the bound 18 (exit code 2)
     ("verify", "--k", "2", "--j", "6", "--sigma", "u1*gen4", "--seed", "1"),
+    # j = 7: corank 23 at mask 1, past the bound 22 (exit code 2), and
+    # for u1*gen1 on W_1 every corank of 12..23, the top one on the bound
+    ("verify", "--k", "2", "--j", "7", "--sigma", "u1*gen4", "--seed", "1"),
+    ("verify", "--k", "1", "--j", "7", "--sigma", "u1*gen1", "--seed", "1"),
     ("oracle-check", "--trials", "1", "--seed", "11"),
     ("oracle-check",),
     # usage errors

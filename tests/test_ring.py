@@ -10,6 +10,7 @@ from ncbundles import FormalFunction, LaurentPoly, Monomial, parse_poly
 from ncbundles.ring import VARS, Evaluation, FormTable, ParamPoly
 
 from conftest import (
+    DenseParamPoly,
     form_values,
     fractions,
     laurent_polys,
@@ -359,6 +360,55 @@ def test_integer_coefficients_stay_ints():
     assert h.coefficient(Monomial(0, 0, 1)) == Fraction(-1, 2)
     assert P("2*z").render() == LaurentPoly.monomial(1, 0, 0,
                                                      Fraction(2)).render()
+
+
+WIDE = tuple(f"p{r}" for r in range(5))
+
+
+@st.composite
+def dense_terms(draw):
+    """Exponent vectors over WIDE with small coefficients, so that sums
+    and products often cancel a term and keys often need sorting."""
+    exponents = st.tuples(*[st.integers(0, 2)] * len(WIDE))
+    coeffs = st.one_of(st.sampled_from([-2, -1, 1, 2]), rationals)
+    return draw(st.dictionaries(exponents, coeffs, max_size=4))
+
+
+@given(dense_terms(), dense_terms(), rationals,
+       st.tuples(*[fractions] * len(WIDE)))
+@example({(0, 0, 1, 0, 0): 1}, {(1, 0, 0, 0, 2): 1, (0, 0, 0, 0, 0): -1},
+         Fraction(1, 2), (Fraction(2),) * len(WIDE))
+def test_param_poly_matches_dense_reference(ta, tb, c, vals):
+    # the sparse monomial keys against exponent vectors, through the
+    # constructor and every operation a master build uses
+    A, B = ParamPoly(WIDE, ta), ParamPoly(WIDE, tb)
+    RA, RB = DenseParamPoly(WIDE, ta), DenseParamPoly(WIDE, tb)
+    point = dict(zip(WIDE, vals))
+    for got, want in ((A, RA), (A + B, RA + RB), (A - B, RA - RB),
+                      (A * B, RA * RB), (B * A, RB * RA),
+                      (A * B * A, RA * RB * RA),
+                      (A.add_scaled(B, c), RA.add_scaled(RB, c))):
+        assert [(ev, type(v), v) for ev, v in got.terms()] == [
+            (ev, type(v), v) for ev, v in want.terms()]
+        assert got.render() == want.render()
+        assert got.evaluate(point) == want.evaluate(point)
+        assert got == ParamPoly(WIDE, dict(want.terms()))
+    assert (A == B) == (RA == RB)
+
+
+def test_param_poly_keys_are_sorted_variable_indices():
+    p = {name: ParamPoly.variable(WIDE, name) for name in WIDE}
+    assert (p["p3"] * p["p0"] * p["p3"])._terms == {(0, 3, 3): 1}
+    assert ParamPoly(WIDE, {(2, 0, 1, 0, 0): 3})._terms == {(0, 0, 2): 3}
+    assert ParamPoly.const(WIDE, 5)._terms == {(): 5}
+    assert (p["p3"] * p["p0"] * p["p3"]).terms() == [((1, 0, 0, 2, 0), 1)]
+
+
+@pytest.mark.parametrize("ev", [(-1, 0), (0.5, 0), (0, Fraction(1, 2))])
+def test_param_poly_rejects_negative_and_fractional_exponents(ev):
+    # neither would be a monomial key; they rendered as p0^-1 and p0^0.5
+    with pytest.raises(ValueError, match="nonnegative ints"):
+        ParamPoly(("p0", "p1"), {ev: 1})
 
 
 def test_param_poly_render():
