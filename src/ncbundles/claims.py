@@ -31,29 +31,25 @@ from .engine import (
 # stratification
 
 
-def _point_seed(seed, mask, draw):
-    return (seed * 1000003 + mask * 97 + draw) % (2 ** 63)
-
-
-def _draw(k, j, seed, mask, draw):
-    """The point of one draw on the stratum of a mask."""
-    rng = random.Random(_point_seed(seed, mask, draw))
+def _draw(k, j, seed, mask):
+    """The point drawn on the stratum of a mask, seeded by (seed, mask)."""
+    rng = random.Random((seed * 1000003 + mask * 97) % (2 ** 63))
     return [rand_fraction(rng) if mask >> r & 1 else Fraction(0)
             for r in range(direction_dimension(k, j))]
 
 
-def _scan(k, j, sigma, seed, draws, pattern_cap):
-    """Rank several draws on every nonzero support pattern of the base
-    point: all of them when 2^dim - 1 <= pattern_cap, otherwise a seeded
-    sample of pattern_cap - 1 patterns plus the full pattern and the dim
-    single-coordinate ones, where the top corank lies (_lattice).  On a
-    closed stratum (stratum_bounds) every draw has the proved rank, so
-    no point is drawn; on an open one, each draw's point is ranked.
+def _scan(k, j, sigma, seed, pattern_cap):
+    """Rank every nonzero support pattern of the base point once: all of
+    them when 2^dim - 1 <= pattern_cap, otherwise a seeded sample of
+    pattern_cap - 1 patterns plus the full pattern and the dim
+    single-coordinate ones, where the top corank lies (_lattice).  A
+    closed stratum (stratum_bounds) takes its proved rank and no point
+    is drawn; an open one ranks its mask's point (point_rank).
 
     Returns the masks scanned and two dicts keyed by corank: its number
-    of draws, and its first draw as (mask, draw) in (mask, draw) order.
+    of masks, and its first mask in ascending order.
     """
-    require_positive(draws=draws, pattern_cap=pattern_cap)
+    require_positive(pattern_cap=pattern_cap)
     require_directions(j)
     dim = direction_dimension(k, j)
     total = (1 << dim) - 1
@@ -66,33 +62,33 @@ def _scan(k, j, sigma, seed, draws, pattern_cap):
     counts, first = {}, {}
     for mask in masks:
         lower, upper = stratum_bounds(master, mask)
-        for t in range(draws):
-            rank = lower if lower == upper else point_rank(
-                k, j, sigma, "derived", _draw(k, j, seed, mask, t))
-            counts[dim - rank] = counts.get(dim - rank, 0) + 1
-            first.setdefault(dim - rank, (mask, t))
+        rank = lower if lower == upper else point_rank(
+            k, j, sigma, "derived", _draw(k, j, seed, mask))
+        counts[dim - rank] = counts.get(dim - rank, 0) + 1
+        first.setdefault(dim - rank, mask)
     return masks, counts, first
 
 
-def _witness(k, j, seed, mask, draw):
-    """A stratum's witness: its first draw, whose point is drawn again."""
-    pt = _draw(k, j, seed, mask, draw)
-    return {"mask": mask, "point": [str(c) for c in pt]}
+def _witness(k, j, seed, mask):
+    """A stratum's witness: its first mask and that mask's point, drawn
+    again."""
+    return {"mask": mask,
+            "point": [str(c) for c in _draw(k, j, seed, mask)]}
 
 
-def stratify(k, j, sigma, seed=DEFAULT_SEED, draws=5, pattern_cap=4096):
+def stratify(k, j, sigma, seed=DEFAULT_SEED, pattern_cap=4096):
     """Scan support patterns of the base point for stalk strata, and
     certify the generic rank.
 
-    A draw's point is seeded by (seed, pattern, draw) (_scan).  On a
-    closed stratum every draw has the proved rank (engine.stratum_bounds)
-    and no point is drawn; on an open one each draw's point is ranked
-    (point_rank).  Each stratum reports its number of draws and its
-    witness; patterns_scanned below patterns_total marks a sampled
-    scan.  The report ends with the certificate of
-    certify_generic_rank: one maximal minor, checked at a point.
+    Each pattern is ranked once (_scan): a closed stratum has the proved
+    rank (engine.stratum_bounds) and no point is drawn; an open one
+    ranks one point, seeded by (seed, pattern) (point_rank).  Each
+    stratum reports its number of patterns and its witness;
+    patterns_scanned below patterns_total marks a sampled scan.  The
+    report ends with the certificate of certify_generic_rank: one
+    maximal minor, checked at a point.
     """
-    masks, counts, first = _scan(k, j, sigma, seed, draws, pattern_cap)
+    masks, counts, first = _scan(k, j, sigma, seed, pattern_cap)
     max_corank = max(counts)
     dim = direction_dimension(k, j)
     return {
@@ -102,12 +98,11 @@ def stratify(k, j, sigma, seed=DEFAULT_SEED, draws=5, pattern_cap=4096):
         "dimension": dim,
         "patterns_scanned": len(masks),
         "patterns_total": (1 << dim) - 1,
-        "draws_per_pattern": draws,
         "strata": {str(c): {"count": counts[c],
-                            "witness": _witness(k, j, seed, *first[c])}
+                            "witness": _witness(k, j, seed, first[c])}
                    for c in sorted(counts)},
         "max_corank": max_corank,
-        "max_corank_witness": _witness(k, j, seed, *first[max_corank]),
+        "max_corank_witness": _witness(k, j, seed, first[max_corank]),
         "stability_checked": True,
         "certificate": certify_generic_rank(k, j, sigma, seed=seed),
     }
@@ -170,11 +165,10 @@ def _lattice(master, dim):
     closed (stratum_bounds) and raises g by at most 1, achieves every
     corank in between.
 
-    Returns (top, achieved, why): top is the max corank and its witness
-    as (mask, draw), draw 0 of its mask, and achieved the coranks from
-    the full mask's up to it; each is None where a stratum it needs is
-    open or no step of the chain is at most 1, and why names that mask
-    or step.
+    Returns (top, achieved, why): top is the max corank and the mask of
+    its witness, and achieved the coranks from the full mask's up to it;
+    each is None where a stratum it needs is open or no step of the
+    chain is at most 1, and why names that mask or step.
     """
     def proved(mask):
         lower, upper = stratum_bounds(master, mask)
@@ -185,7 +179,7 @@ def _lattice(master, dim):
         return None, None, f"stratum of mask {1 << ranks.index(None)} open"
     least = min(ranks)
     mask = 1 << ranks.index(least)
-    top, rank, full = (dim - least, (mask, 0)), least, (1 << dim) - 1
+    top, rank, full = (dim - least, mask), least, (1 << dim) - 1
     while mask != full:
         opened = None
         for b in range(dim):
@@ -309,7 +303,7 @@ def verify_claims(k, j, sigma, seed=DEFAULT_SEED):
         top, achieved, why = _lattice(derived, dim)
         if achieved is None and dim <= 16:
             # the lattice does not decide: scan every support mask
-            _, counts, first = _scan(k, j, sigma, seed, draws=2,
+            _, counts, first = _scan(k, j, sigma, seed,
                                      pattern_cap=(1 << dim) - 1)
             achieved = sorted(counts)
             top = achieved[-1], first[achieved[-1]]
@@ -326,7 +320,7 @@ def verify_claims(k, j, sigma, seed=DEFAULT_SEED):
                 "detail": {
                     "bound": bound,
                     "max_corank": top[0],
-                    "witness": _witness(k, j, seed, *top[1]),
+                    "witness": _witness(k, j, seed, top[1]),
                 },
             })
         if achieved is None:

@@ -280,16 +280,14 @@ def stalk_cmd(k, j, sigma_text, point, formula, emit_matrix):
 @click.option("--j", type=int, required=True)
 @click.option("--sigma", "sigma_text", required=True)
 @click.option("--seed", type=int, default=None)
-@click.option("--draws", type=int, default=5, show_default=True)
 @click.option("--pattern-cap", type=int, default=4096, show_default=True)
-def stratify_cmd(k, j, sigma_text, seed, draws, pattern_cap):
+def stratify_cmd(k, j, sigma_text, seed, pattern_cap):
     """Scan base point support patterns for stalk strata, and certify
     the generic rank."""
     seed = _resolve_seed(seed)
     sigma = parse_sigma_spec(sigma_text, k)
-    rep = stratify(k, j, sigma, seed=seed, draws=draws,
-                   pattern_cap=pattern_cap)
-    config = {"k": k, "j": j, "sigma": sigma_text, "draws": draws,
+    rep = stratify(k, j, sigma, seed=seed, pattern_cap=pattern_cap)
+    config = {"k": k, "j": j, "sigma": sigma_text,
               "pattern_cap": pattern_cap}
     _emit(make_report("stratify", config, seed, rep))
 

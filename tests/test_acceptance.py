@@ -227,7 +227,7 @@ def test_criterion_03_w1_extremal_family():
     cert = certify_generic_rank(1, 3, sigma)
     assert (cert["rank_observed"], cert["certified"]) == (4, True)
 
-    rep = stratify(1, 3, sigma, draws=2)
+    rep = stratify(1, 3, sigma)
     assert set(rep["strata"]) == {"4", "5", "6", "7"}, rep["strata"].keys()
     for corank, rec in rep["strata"].items():
         pt = [Fraction(c) for c in rec["witness"]["point"]]
@@ -453,7 +453,7 @@ CLI_BATTERY = [
     ["stalk", "--k", "1", "--j", "2", "--sigma", "u1*gen1",
      "--point", "1,0,1,0", "--emit-matrix"],
     ["stratify", "--k", "1", "--j", "2", "--sigma", "u1*gen1",
-     "--seed", "7", "--draws", "2"],
+     "--seed", "7"],
     ["verify", "--k", "1", "--j", "3", "--sigma", "u1*gen1",
      "--seed", "7"],
     ["oracle-check", "--trials", "1", "--seed", "7"],

@@ -262,7 +262,7 @@ def test_verify_basic_flags_axis_exceedance():
 
 def test_stratify_deterministic_bytes():
     args = ("stratify", "--k", "1", "--j", "2", "--sigma", "u1*gen1",
-            "--seed", "5", "--draws", "2")
+            "--seed", "5")
     a = invoke(*args)
     b = invoke(*args)
     assert a.exit_code == 0 and b.exit_code == 0
@@ -276,7 +276,6 @@ STRATIFY = ("stratify", "--k", "1", "--j", "2", "--sigma", "u1*gen1")
 
 # explicit ids keep each case's name fixed when a case is added or dropped
 @pytest.mark.parametrize("args, name", [
-    pytest.param(STRATIFY + ("--draws", "0"), "draws", id="args1-draws"),
     pytest.param(STRATIFY + ("--pattern-cap", "0"), "pattern_cap",
                  id="args2-pattern_cap"),
     pytest.param(("oracle-check", "--trials", "0"), "trials",

@@ -53,6 +53,7 @@ from conftest import (
     reference_form_numerators,
     reference_leibniz_pieces,
     reference_master_columns,
+    reference_strata,
     reference_stratum_bounds,
     reference_verify_claims,
 )
@@ -583,7 +584,7 @@ def test_oracle_collects_only_first_neighbourhood_terms(monkeypatch, k, j,
 
 def test_stratify_m2u_strata():
     sigma = parse_sigma_spec("u1*gen1", 1)
-    rep = stratify(1, 2, sigma, draws=3)
+    rep = stratify(1, 2, sigma)
     assert rep["patterns_scanned"] == 15
     assert set(rep["strata"]) == {"2", "3"}
     assert rep["max_corank"] == 3
@@ -594,7 +595,7 @@ def test_stratify_m2u_strata():
 
 def test_stratify_e1_coranks():
     sigma = parse_sigma_spec("u1*gen1", 1)
-    rep = stratify(1, 3, sigma, draws=2)
+    rep = stratify(1, 3, sigma)
     assert set(rep["strata"]) == {"4", "5", "6", "7"}
     for corank, rec in rep["strata"].items():
         pt = [Fraction(c) for c in rec["witness"]["point"]]
@@ -603,8 +604,8 @@ def test_stratify_e1_coranks():
 
 def test_stratify_deterministic():
     sigma = parse_sigma_spec("u1*gen1", 1)
-    a = stratify(1, 2, sigma, draws=2, seed=5)
-    b = stratify(1, 2, sigma, draws=2, seed=5)
+    a = stratify(1, 2, sigma, seed=5)
+    b = stratify(1, 2, sigma, seed=5)
     assert canonical_json(a) == canonical_json(b)
 
 
@@ -612,9 +613,11 @@ def test_stratify_reports_when_it_sampled():
     # 15 nonzero support patterns at (k, j) = (1, 2): a cap below that
     # scans a sample, and the report counts the patterns it could scan
     sigma = parse_sigma_spec("u1*gen1", 1)
-    sampled = stratify(1, 2, sigma, draws=1, seed=5, pattern_cap=4)
+    sampled = stratify(1, 2, sigma, seed=5, pattern_cap=4)
     assert sampled["patterns_scanned"] < sampled["patterns_total"] == 15
-    every = stratify(1, 2, sigma, draws=1, seed=5)
+    assert sum(s["count"] for s in sampled["strata"].values()) == (
+        sampled["patterns_scanned"])
+    every = stratify(1, 2, sigma, seed=5)
     assert every["patterns_scanned"] == every["patterns_total"] == 15
 
 
@@ -626,7 +629,7 @@ def test_a_sampled_scan_holds_pattern_cap_masks(seed):
     # single-coordinate masks, where the top corank lies, join it
     sigma = parse_sigma_spec("u1*gen1", 1)
     for cap in range(1, 15):
-        masks, _, _ = claims._scan(1, 2, sigma, seed, 1, cap)
+        masks, _, _ = claims._scan(1, 2, sigma, seed, cap)
         sample = {*random.Random(seed).sample(range(1, 15), cap - 1), 15}
         assert len(sample) == cap
         assert masks == sorted(sample | {1, 2, 4, 8})
@@ -638,35 +641,16 @@ CLAIMS_J3 = ([(1, f"gen{n}") for n in range(1, 5)]
              + [(1, "u1*gen1"), (2, "u1*gen4")])
 
 
-def reference_strata(k, j, sigma, seed, draws):
-    """stratify's strata, max corank and witness from a scan that ranks
-    every drawn point with point_space and formats every point."""
-    dim = direction_dimension(k, j)
-    strata, max_corank, max_witness = {}, -1, None
-    for mask in range(1, 1 << dim):
-        for t in range(draws):
-            rng = random.Random(claims._point_seed(seed, mask, t))
-            pt = [rand_fraction(rng) if mask >> r & 1 else Fraction(0)
-                  for r in range(dim)]
-            space = engine.point_space(k, j, sigma, "derived", pt).space
-            corank, text = dim - space.rank, [str(c) for c in pt]
-            rec = strata.setdefault(corank, {
-                "count": 0, "witness": {"mask": mask, "point": text}})
-            rec["count"] += 1
-            if corank > max_corank:
-                max_corank, max_witness = corank, {"mask": mask,
-                                                   "point": text}
-    return {str(c): strata[c] for c in sorted(strata)}, max_corank, max_witness
-
-
 @pytest.mark.parametrize("k, spec", CLAIMS_J3)
 def test_stratify_matches_a_scan_of_every_draw(k, spec):
     # closed strata take their proved rank and draw no point, open ones
-    # rank their draws; the report is the one a scan that ranks and
-    # formats every draw gives
+    # rank one point; a scan that draws two points on every mask, ranks
+    # each exactly and formats it finds the same strata, witnesses and
+    # max corank, and counts at draw 0 the masks stratify counts
     sigma = parse_sigma_spec(spec, k)
-    rep = stratify(k, 3, sigma, seed=1, draws=2)
+    rep = stratify(k, 3, sigma, seed=1)
     assert rep["patterns_scanned"] == 255
+    assert sum(s["count"] for s in rep["strata"].values()) == 255
     assert (rep["strata"], rep["max_corank"], rep["max_corank_witness"]) == (
         reference_strata(k, 3, sigma, 1, 2))
     master = engine.cached(engine._build_master, k, 3, sigma, "derived")
@@ -679,7 +663,7 @@ def test_stratify_matches_a_scan_of_every_draw(k, spec):
 def test_stratify_symbolic_minors_certificate():
     # every stratify report ends with the certificate
     sigma = parse_sigma_spec("u1*gen1", 1)
-    rep = stratify(1, 2, sigma, draws=2)
+    rep = stratify(1, 2, sigma)
     cert = rep["certificate"]
     assert cert["rank_observed"] == 2
     assert cert["certified"] and cert["minor_nonzero"]
@@ -756,8 +740,7 @@ def test_certificate_rejects_minor_singular_at_witness(monkeypatch):
     assert spans.points == []  # read off the modular echelon
 
     res = CliRunner().invoke(main, [
-        "stratify", "--k", "1", "--j", "2", "--sigma", "gen1",
-        "--draws", "1"])
+        "stratify", "--k", "1", "--j", "2", "--sigma", "gen1"])
     assert res.exit_code == 1
     assert res.stdout == ""
     assert res.stderr.startswith("error (invariant): "), res.stderr
@@ -2048,10 +2031,10 @@ def test_verify_reads_the_corank_lattice_at_j4(k, spec, seed, status,
 
 def test_verify_lattice_agrees_with_the_stratify_scan(monkeypatch):
     # verify's lattice route gives the max corank, witness and coranks of
-    # stratify's scan of all 4,095 support masks at j = 4 (two draws each,
+    # stratify's scan of all 4,095 support masks at j = 4 (one rank each,
     # as verify's fallback takes); verify never builds the certificate
     sigma = parse_sigma_spec("u1*gen4", 2)
-    rep = stratify(2, 4, sigma, seed=1, draws=2)
+    rep = stratify(2, 4, sigma, seed=1)
     assert rep["patterns_scanned"] == 4095
 
     def no_certificate(*args, **kwargs):
@@ -2093,8 +2076,8 @@ EXTREMAL = [(k, m + gen) for k, gen in CATALOG for m in ("u1*", "u2*")]
 
 
 def test_the_corank_lattice_matches_the_scan_of_every_mask(monkeypatch):
-    # the lattice route gives the reports of the full scan of every
-    # support mask (two draws each) at the seeds of
+    # the lattice route gives the reports of a scan that draws two
+    # points on every support mask at the seeds of
     # test_verify_claims_match_the_sampled_route, and never falls back
     cases = [(k, j, spec, seed) for j in (3, 4) for k, spec in EXTREMAL
              for seed in (1, 2, 3, 4, 5, 97)] + [(2, 5, "u1*gen4", 1)]
@@ -2153,13 +2136,13 @@ def test_an_undecided_lattice_falls_back_to_the_scan(monkeypatch, kind):
     sigma = _plant_chain(monkeypatch, 2, 3, "u1*gen4", PLANTED_CHAINS[kind])
     monkeypatch.setattr(claims, "_scan", spy)
     rep = canonical_json(verify_claims(2, 3, sigma, seed=1))
-    assert scans == [(2, 3, sigma, 1, {"draws": 2, "pattern_cap": 255})]
+    assert scans == [(2, 3, sigma, 1, {"pattern_cap": 255})]
     assert rep == canonical_json(reference_verify_claims(2, 3, sigma, 1))
     sigma = _plant_chain(monkeypatch, 2, 5, "u1*gen4", PLANTED_CHAINS[kind])
     scans.clear()
     with pytest.raises(LookupError, match="scanned"):
         verify_claims(2, 5, sigma, seed=1)
-    assert scans == [(2, 5, sigma, 1, {"draws": 2, "pattern_cap": 65535})]
+    assert scans == [(2, 5, sigma, 1, {"pattern_cap": 65535})]
 
 
 @pytest.mark.parametrize("kind, detail", [

@@ -29,7 +29,7 @@ VERIFY = ([(1, 3, f"gen{n}") for n in range(1, 5)]
           + [(1, 3, "u1*gen1"), (2, 3, "u1*gen4"),
              (1, 4, "gen1"), (2, 4, "gen4")])
 STRATIFY = ("stratify", "--k", "1", "--j", "2", "--sigma", "u1*gen1",
-            "--seed", "5", "--draws", "2")
+            "--seed", "5")
 
 CASES = [
     ("h1", "--k", "1"),
@@ -45,20 +45,18 @@ CASES = [
     ("stalk", "--k", "2", "--j", "3", "--sigma", "gen4",
      "--point", "1,0,2/3,0,0,-1,0,1", "--formula", "printed"),
     STRATIFY,
-    ("stratify", "--k", "1", "--j", "3", "--sigma", "gen1", "--seed", "5",
-     "--draws", "2"),
+    ("stratify", "--k", "1", "--j", "3", "--sigma", "gen1", "--seed", "5"),
     # 4,095 support masks, 498 of them open strata (not proved by bounds)
-    ("stratify", "--k", "1", "--j", "4", "--sigma", "gen1", "--seed", "5",
-     "--draws", "1"),
+    ("stratify", "--k", "1", "--j", "4", "--sigma", "gen1", "--seed", "5"),
     # a sample of 4,096 of the 65,535 support masks and the 16
     # single-coordinate ones: max corank 15, the top stratum at mask 1
     ("stratify", "--k", "2", "--j", "5", "--sigma", "u1*gen4", "--seed", "1"),
     # two certificates: a rank-16 minor whose leading pivots the modular
     # echelon proves, and one that the exact span decides
     ("stratify", "--k", "1", "--j", "5", "--sigma", "gen1", "--seed", "1",
-     "--draws", "1", "--pattern-cap", "1"),
+     "--pattern-cap", "1"),
     ("stratify", "--k", "1", "--j", "4", "--sigma", "gen3", "--seed", "1",
-     "--draws", "1", "--pattern-cap", "1"),
+     "--pattern-cap", "1"),
     *[("verify", "--k", str(k), "--j", str(j), "--sigma", spec,
        "--seed", "1") for k, j, spec in VERIFY],
     ("verify", "--k", "1", "--j", "2", "--sigma", "gen1", "--seed", "1"),
