@@ -172,6 +172,8 @@ def normalize_line_bundle(sigma, f, order=None):
     k = sigma.k
     if order is None:
         order = f.order
+    if order < 0:
+        raise ValueError(f"order must be at least 0, got {order}")
     f = f.pad(order)
     cls = f[0]
     mons = sorted(cls.monomials())

@@ -115,11 +115,10 @@ def certify_generic_rank(k, j, sigma, seed=DEFAULT_SEED):
     columns of the exact span of point_space give a square minor M; they
     are read off one modular echelon where its leading pivots prove them
     (point_pivots), and off the exact span otherwise.  Read off the same
-    evaluation (ev.column, each column's forms evaluated when it is first
-    read), as integer numerators over the denominator den, it is
-    det M(pt) * den^r, nonzero exactly when det M(p) is at pt, so a full
-    rank of it proves det M(p) != 0: the generic rank is at least the
-    minor size.  Its rank modulo the prime engine._PRIME is checked
+    evaluation (ev.column), as integer numerators over the denominator
+    den, it is det M(pt) * den^r, nonzero exactly when det M(p) is at
+    pt, so a full rank of it proves det M(p) != 0: the generic rank is at
+    least the minor size.  Its rank modulo the prime engine._PRIME is checked
     first: an integer determinant nonzero modulo a prime is nonzero.
     Only where the prime divides it does one exact rank decide.
     Together with the structural upper bound min(#rows, #columns not
@@ -132,7 +131,8 @@ def certify_generic_rank(k, j, sigma, seed=DEFAULT_SEED):
     master, ev, pivots, picked = point_pivots(k, j, sigma, "derived", pt)
     r, n = len(pivots), len(master.rows)
     upper = min(n, len(master.nonzero_narrow()))
-    sub = [[ev.column(i, n)[p] for p in pivots] for i in picked]
+    sub = [[col[p] for p in pivots]
+           for col in (ev.column(i, n) for i in picked)]
     if (len(linalg.rank_mod(sub, r, engine._PRIME)[0]) != r
             and linalg.rank(sub, nrows=r) != r):
         raise AssertionError(

@@ -163,6 +163,7 @@ def compute_windows(k, j, sigma, bump=0):
     the transformed lower-left entry, not a truncation, so the stability
     bump never widens it.
     """
+    require_directions(j)
     basis = extension_basis(k, j, 1)
     l_min = min(m.l for m in basis)
     s_lo = j + l_min - 1 + _sigma_h_min(sigma)
@@ -398,11 +399,10 @@ class MasterSystem:
 
     def evaluate(self, point, ncols=None):
         """The first ncols columns of this window (every column for None)
-        at the point, as Fractions, each a fresh list, with only their
-        forms evaluated (Evaluation.upto); a column not in `nonzero` has
-        no entry in the table, so it is all zeros."""
+        at the point, as Fractions, each a fresh list; a column not in
+        `nonzero` has no entry in the table, so it is all zeros."""
         ev = Evaluation(self.table, point)
-        values = [Fraction(v, ev.den) for v in ev.upto(ncols)]
+        values = [Fraction(v, ev.den) for v in ev.ints]
         n, zero = len(self.rows), Fraction(0)
         return [self.table.column(values, c, n, zero)
                 for c in range(len(self.columns) if ncols is None else ncols)]
@@ -597,7 +597,7 @@ class PointSpace(NamedTuple):
     """A master at a point, its evaluation and the span of its columns."""
 
     master: MasterSystem
-    ev: Evaluation  # integer numerators of the columns the span read
+    ev: Evaluation  # integer numerators of the master's forms
     space: linalg.ColumnSpace
     grew: list  # indices of the bump-0 columns that enlarged the span
 
@@ -606,18 +606,18 @@ def _span(k, j, point, master, ev):
     """The echelon span of the master's nonzero columns, checked, and
     the nonzero bump-0 columns that enlarged it, by column index.
 
-    ev is the master's table at the point; a column the span does not
-    read once full is not evaluated (Evaluation.columns).  The nonzero
-    bump-0 columns are added first; if a nonzero column of the rest, the
-    stability window, enlarges the span, WindowInstabilityError is
-    raised.  A zero column could enlarge neither span, so none is read.
+    ev is the master's table at the point.  The nonzero bump-0 columns
+    are added first; if a nonzero column of the rest, the stability
+    window, enlarges the span, WindowInstabilityError is raised.  A zero
+    column could enlarge neither span, so none is read.
     """
     n = len(master.rows)
     space = linalg.ColumnSpace(n)
     narrow = master.nonzero_narrow()
-    grew = [narrow[i] for i in space.extend(ev.columns(narrow, n))]
+    grew = [narrow[i]
+            for i in space.extend(ev.column(c, n) for c in narrow)]
     rank = space.rank
-    space.extend(ev.columns(master.nonzero[len(narrow):], n))
+    space.extend(ev.column(c, n) for c in master.nonzero[len(narrow):])
     if space.rank != rank:
         raise WindowInstabilityError(
             f"rank moved {rank} -> {space.rank} under window bump "
@@ -629,9 +629,7 @@ def _span(k, j, point, master, ev):
 def point_space(k, j, sigma, formula, point):
     """The master at a point, its table's Evaluation there and the
     checked span (_span) of its nonzero columns as integer numerators
-    over one denominator, which span what the columns of values span.
-    Only the columns the span reads are evaluated; ev.column reads any
-    other, evaluating its forms then."""
+    over one denominator, which span what the columns of values span."""
     master = cached(_build_master, k, j, sigma, formula)
     ev = Evaluation(master.table, point)
     return PointSpace(master, ev, *_span(k, j, point, master, ev))
@@ -740,20 +738,18 @@ def point_rank(k, j, sigma, formula, point):
     span of the same columns, read from the same Evaluation, decides
     (_span), and raises WindowInstabilityError where point_space would.
 
-    FormTable.compile numbers forms and monomials in column order, so
-    the forms of the first columns are a prefix (ring.Evaluation).  The
-    modular echelon reads the columns of N in order, each column's forms
-    evaluated when it is read, and stops at full rank.  The certificate
-    reads its pivots and columns from point_pivots; stalk_dimension and
-    the oracle read the exact span of point_space.
+    The modular echelon reads the columns of N in order and stops at
+    full rank.  The certificate reads its pivots and columns from
+    point_pivots; stalk_dimension and the oracle read the exact span of
+    point_space.
     """
     master = cached(_build_master, k, j, sigma, formula)
     lower, upper = stratum_bounds(master, _support(point))
     if lower == upper:
         return lower
     ev, n = Evaluation(master.table, point), len(master.rows)
-    pivots, _ = linalg.rank_mod(ev.columns(master.nonzero_narrow(), n), n,
-                                _PRIME)
+    pivots, _ = linalg.rank_mod(
+        (ev.column(c, n) for c in master.nonzero_narrow()), n, _PRIME)
     rank = len(pivots)
     if rank == n or rank == upper:
         return rank
@@ -779,7 +775,8 @@ def point_pivots(k, j, sigma, formula, point):
     master = cached(_build_master, k, j, sigma, formula)
     ev, n = Evaluation(master.table, point), len(master.rows)
     narrow = master.nonzero_narrow()
-    pivots, grew = linalg.rank_mod(ev.columns(narrow, n), n, _PRIME)
+    pivots, grew = linalg.rank_mod((ev.column(c, n) for c in narrow), n,
+                                   _PRIME)
     r = len(pivots)
     lead = list(range(r))
     if pivots == grew == lead and (

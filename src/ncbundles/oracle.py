@@ -277,15 +277,15 @@ def full_gauge_oracle(k, j, sigma, point, delta, check_stability=True):
     engine is reused.  The system is built on the first call for a
     configuration and cached.  With check_stability, a bump-0 "no" that
     all unknowns solve raises WindowInstabilityError.  The table's
-    integer numerators at (point, delta) are solved, all of them from one
-    Evaluation: they share one denominator with the right-hand side, a
-    table column, so support and solvability hold.
+    integer numerators at (point, delta), one Evaluation, are solved:
+    they share one denominator with the right-hand side, a table column,
+    so support and solvability hold.
     """
     require_directions(j)
     pt = _coerce_point(k, j, point)
     dl = _coerce_point(k, j, delta)
     system = cached(_build_oracle_system, k, j, sigma)
-    ints = Evaluation(system.table, pt + dl).upto()
+    ints = Evaluation(system.table, pt + dl).ints
     zero = frozenset(f for f, v in enumerate(ints) if not v)
     narrow = system.plan(zero, system.narrow)
     decision = narrow.solvable(ints)
@@ -326,8 +326,7 @@ def oracle_check(configs=None, trials=10, seed=DEFAULT_SEED):
     decision.  Mixes combine the bump-0 columns at their values, which
     the oracle's V-side depends on: integer numerators over the common
     denominator, read off the Evaluation that the engine span reduces
-    (point_space), so each base point is evaluated once, and a column
-    the span did not read is evaluated only when a mix draws it.
+    (point_space), so each base point is evaluated once.
     """
     require_positive(trials=trials)
     if configs is None:

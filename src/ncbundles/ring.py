@@ -279,9 +279,6 @@ class FormTable(NamedTuple):
     1 + r is the r-th parameter, and padded in front to the top degree of
     the entries, `degree`, with variable 0, which stands for the constant
     1.
-    Forms and monomials are numbered in column order (compile), so the
-    first c columns use the first form_end[c] forms, and the first f
-    forms the first monomial_end[f] monomials.
     """
 
     degree: int
@@ -291,8 +288,6 @@ class FormTable(NamedTuple):
     start: tuple
     rows: tuple
     ids: tuple
-    form_end: tuple
-    monomial_end: tuple
 
     @classmethod
     def compile(cls, columns):
@@ -302,14 +297,9 @@ class FormTable(NamedTuple):
         ParamPoly, is keyed by its value and any other by the set of its
         terms, so equal entries share a form id with no sorting of terms.
         Form ids are given in order of first use, column by column, and
-        monomial ids in order of first use, form by form.  So the forms
-        of any first columns, and the monomials of any first forms, are a
-        prefix (form_end, monomial_end), and an Evaluation of the first
-        columns evaluates no other form or monomial: engine.point_rank
-        reads its first columns before it needs the rest.
+        monomial ids in order of first use, form by form.
         """
         start, rows, ids, keys = [0], [], [], {}  # keys: entry -> form id
-        form_end = [0]
         for col in columns:
             for r, key in col.items():
                 if not key:
@@ -321,23 +311,18 @@ class FormTable(NamedTuple):
                 rows.append(r)
                 ids.append(keys.setdefault(key, len(keys)))
             start.append(len(rows))
-            form_end.append(len(keys))
         terms = [key if isinstance(key, frozenset) else [((), key)]
                  for key in keys]
         degree = max((len(m) for form in terms for m, _ in form), default=0)
         scale = math.lcm(*(c.denominator for form in terms for _, c in form))
         mon_ids = {}  # monomial key -> monomial id
-        forms, monomial_end = [], [0]
-        for form in terms:
-            forms.append(tuple((mon_ids.setdefault(m, len(mon_ids)),
-                                int(c if scale == 1 else c * scale))
-                               for m, c in form))
-            monomial_end.append(len(mon_ids))
+        forms = tuple(tuple((mon_ids.setdefault(m, len(mon_ids)),
+                             int(c if scale == 1 else c * scale))
+                            for m, c in form) for form in terms)
         monomials = tuple((0,) * (degree - len(m)) + tuple(r + 1 for r in m)
                           for m in mon_ids)
-        return cls(degree, scale, monomials, tuple(forms), tuple(start),
-                   tuple(rows), tuple(ids), tuple(form_end),
-                   tuple(monomial_end))
+        return cls(degree, scale, monomials, forms, tuple(start),
+                   tuple(rows), tuple(ids))
 
     def segment(self, c):
         """The (row, form id) pairs of column c's entries."""
@@ -355,53 +340,30 @@ class FormTable(NamedTuple):
 
 
 class Evaluation:
-    """A FormTable's integer numerators at one point, evaluated in
-    prefixes of its columns, each form and monomial once.
+    """A FormTable's integer numerators at one point, each form and
+    monomial evaluated once, on construction.
 
     With d the common denominator of coords, variable 0 is d and
     variable 1 + r is d times coordinate r, so every monomial is an
     integer, and each form's sum over them is its numerator over
     den = scale * d^degree, the same nonzero number for every form.  The
     numerators are not reduced: a matrix of them has the rank of the
-    matrix of values.  ints holds the numerators of the forms evaluated
-    so far, a prefix of the forms in form order.
+    matrix of values.  ints holds one numerator per form, in form order.
     """
 
-    __slots__ = ("table", "den", "ints", "_x", "_mons")
+    __slots__ = ("table", "den", "ints")
 
     def __init__(self, table, coords):
         d = math.lcm(*(c.denominator for c in coords))
+        x = [d] + [c.numerator * (d // c.denominator) for c in coords]
+        mons = [reduce(mul, (x[i] for i in m), 1) for m in table.monomials]
         self.table = table
         self.den = table.scale * d ** table.degree
-        self.ints = []
-        self._x = [d] + [c.numerator * (d // c.denominator) for c in coords]
-        self._mons = []
-
-    def upto(self, ncols=None):
-        """ints, once the forms of the first ncols columns (of every
-        column for None) are evaluated; a form evaluated before is not
-        evaluated again."""
-        table, ints = self.table, self.ints
-        nforms = table.form_end[-1 if ncols is None else ncols]
-        if nforms > len(ints):
-            mons, x = self._mons, self._x
-            mons += [reduce(mul, (x[i] for i in m), 1) for m in
-                     table.monomials[len(mons):table.monomial_end[nforms]]]
-            ints += [sum(c * mons[m] for m, c in form)
-                     for form in table.forms[len(ints):nforms]]
-        return ints
+        self.ints = [sum(c * mons[m] for m, c in form) for form in table.forms]
 
     def column(self, c, nrows):
-        """Column c as nrows integer numerators, its forms evaluated first
-        if they are not yet."""
-        return self.table.column(self.upto(c + 1), c, nrows, 0)
-
-    def columns(self, cs, nrows):
-        """Yield the table's columns cs, ascending, each as nrows integer
-        numerators, its forms evaluated when it is read: an echelon that
-        stops early evaluates no column past the last it read."""
-        for c in cs:
-            yield self.column(c, nrows)
+        """Column c as nrows integer numerators."""
+        return self.table.column(self.ints, c, nrows, 0)
 
 
 def _render_term(coeff, factors):

@@ -136,7 +136,7 @@ def form_values(table, coords):
     """Every form of a ring.FormTable at coords, as a Fraction: its
     integer numerator (ring.Evaluation) over the common denominator."""
     ev = Evaluation(table, coords)
-    return [Fraction(v, ev.den) for v in ev.upto()]
+    return [Fraction(v, ev.den) for v in ev.ints]
 
 
 # Reference zero-pattern bounds on Python lists, dicts and sets: the

@@ -118,6 +118,7 @@ def test_point_with_zero_denominator_names_the_coordinate():
 @pytest.mark.parametrize("args", [
     ("stratify", "--k", "1", "--j", "1", "--sigma", "gen1"),
     ("stalk", "--k", "1", "--j", "1", "--sigma", "gen1", "--point", "1"),
+    ("verify", "--k", "1", "--j", "1", "--sigma", "gen1"),
 ])
 def test_j_below_two_is_usage_error(args):
     # j = 1 has no moduli directions; a scan over none would pass vacuously
@@ -227,6 +228,18 @@ def test_normalize_missing_file():
     res = invoke("normalize", "--k", "1", "--sigma", "gen1",
                  "--f", "/nonexistent/f.txt")
     assert res.exit_code == 1
+
+
+def test_normalize_negative_order_is_usage_error(tmp_path):
+    # an order below 0 leaves no classical coefficient to normalize; the
+    # message names the option
+    f = tmp_path / "f.txt"
+    f.write_text("z^-1\n")
+    res = invoke("normalize", "--k", "1", "--sigma", "gen1", "--f", str(f),
+                 "--order", "-1")
+    assert res.exit_code == 1
+    assert res.stdout == ""
+    assert res.stderr == "error (usage): order must be at least 0, got -1\n"
 
 
 @pytest.mark.parametrize("f_text, sigma", [

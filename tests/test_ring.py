@@ -488,7 +488,7 @@ def test_form_table_columns_match_param_evaluate(columns, copies, point):
 def test_form_table_numbers_forms_and_monomials_in_column_order(columns,
                                                                 point):
     # form ids by first use column by column, monomial ids by first use
-    # form by form, so the first columns evaluate a prefix of each
+    # form by form
     table = FormTable.compile(columns)
     seen = []
     for c in range(len(columns)):
@@ -496,29 +496,16 @@ def test_form_table_numbers_forms_and_monomials_in_column_order(columns,
         for f in table.ids[table.start[c]:table.start[c + 1]]:
             if f not in seen:
                 seen.append(f)
-        assert seen == list(range(table.form_end[c + 1]))
-    assert table.form_end[0] == 0 and len(seen) == len(table.forms)
+        assert seen == list(range(len(seen)))
+    assert len(seen) == len(table.forms)
     used = []
-    for f, form in enumerate(table.forms):
+    for form in table.forms:
         used += [m for m, _ in form if m not in used]
-        assert used == list(range(table.monomial_end[f + 1]))
-    assert table.monomial_end[0] == 0 and len(used) == len(table.monomials)
-    # column by column, an evaluation gives the prefix of the full one,
-    # and a column read on its own evaluates the forms up to its own
-    full = Evaluation(table, point)
-    ints = full.upto()
+        assert used == list(range(len(used)))
+    assert len(used) == len(table.monomials)
+    # an evaluation holds one numerator per form from construction on,
+    # and reads every column off them
     ev = Evaluation(table, point)
-    assert ev.den == full.den and ev.ints == []
+    assert len(ev.ints) == len(table.forms)
     for c in range(len(columns)):
-        assert ev.upto(c + 1) == ints[:table.form_end[c + 1]]
-        assert list(ev.columns([c], 6)) == [table.column(ints, c, 6, 0)]
-        lazy = Evaluation(table, point)
-        assert lazy.column(c, 6) == table.column(ints, c, 6, 0)
-        assert lazy.ints == ints[:table.form_end[c + 1]]
-    assert ev.upto() == ints
-    # a reader of columns evaluates each column's forms as it reads it,
-    # so a reader that stops early evaluates no form past its last column
-    read = Evaluation(table, point)
-    for c, col in enumerate(read.columns(range(len(columns)), 6)):
-        assert col == table.column(ints, c, 6, 0)
-        assert read.ints == ints[:table.form_end[c + 1]]
+        assert ev.column(c, 6) == table.column(ev.ints, c, 6, 0)
