@@ -45,7 +45,16 @@ antisymmetric, so {t0, r0} = -{p, p} = 0, and the pieces are linear, so
 B_d = r0 P_d(t0) - t0 P_d(r0) = -p P_d(p) + p P_d(p) = 0.
 _leibniz_pieces checks r0 = -t0 exactly and then builds neither.  A
 printed column is such a sum too, and the frame holds the bracket pieces
-that both formulas pair, so each is computed once per configuration.  The
+that both formulas pair, so each is computed once per configuration: R_01
+is -p classically, which the frame checks exactly, and the pieces are
+linear, so its pieces are those of p negated.
+
+A unit family g (a1, a2, d1, d2) is one polynomial pair per formula: its
+column (g, n), for the unit z^n u_g, is z^n (X_g + n Y_g), the Leibniz rule
+dw/dz = n z^-1 w and dw/du_g = z^n applied once for the whole family
+(_derived_pairs, _printed_pieces).  Each pair is built once per master and
+cut to the first neighbourhood: the cut of a column's part depends only
+on the u-degree of its shift, the same for every column of a family.  The
 parts of a column are summed in one pass straight into its rows
 (_entry_column): a term off the rows that the gauge absorbs is skipped
 before its coefficient is read.
@@ -204,11 +213,13 @@ def _leibniz_pieces(frame, a, b):
     {t0 w, r0} = w {t0, r0} + t0 {w, r0} and {f, w} = sum_d dw/dd P_d(f)
     make (t * w) * r = w t0 r0 + hbar (w A + sum_d dw/dd B_d) with
     A = t1 r0 + t0 r1 + {t0, r0} and B_d = r0 P_d(t0) - t0 P_d(r0),
-    from the pieces P_d of the frame.  {t0, r0} = sum_d dr0/dd P_d(t0)
-    pairs the pieces of t0 that B uses.  All three are cut to the first
-    neighbourhood, and their products build no term past it
-    (LaurentPoly.mul_truncated): a shift by a monomial never lowers the
-    u-degree, so no term cut here reaches a column.
+    from the pieces P_d of the frame, those of R_01 = -p being p's
+    negated.  {t0, r0} = sum_d dr0/dd P_d(t0) pairs the pieces of t0 that
+    B uses.  All three are cut to the first neighbourhood, and their
+    products build no term past it (LaurentPoly.mul_truncated): a shift
+    by a monomial never lowers the u-degree, so no term cut here reaches
+    a column.  The unit families of (0, 0) and (1, 1) take A and B into
+    one pair each (_derived_pairs); the c0 column pairs them itself.
 
     Where r0 = -t0 exactly, as for the c0 entry (1, 0), whose R_01 is
     -T_01 classically, B and {t0, r0} vanish and are not built, and B is
@@ -228,69 +239,127 @@ def _leibniz_pieces(frame, a, b):
     return t[0].mul_truncated(r[0], 1), A, B
 
 
+def _unit(fam):
+    """The fibre coordinate u_g of a unit family g: its name and its
+    exponents."""
+    return ("u1", (0, 1, 0)) if fam[1] == "1" else ("u2", (0, 0, 1))
+
+
+def _family_parts(pair, n):
+    """The parts of column (g, n) of a unit family g with pair (X_g, Y_g),
+    z^n (X_g + n Y_g), to sum in _entry_column."""
+    X, Y = pair
+    if n:
+        return [(X, (n, 0, 0), 1), (Y, (n, 0, 0), n)]
+    return [(X, (n, 0, 0), 1)]
+
+
+def _derived_pairs(pieces):
+    """The pair (X_g, Y_g) of each unit family g of the derived formula,
+    from the pieces[a, a] (_leibniz_pieces) of its gauge entry: a = 0 for
+    a1 and a2, a = 1 for d1 and d2.
+
+    The column of the unit w = z^n u_g is w A + sum_d dw/dd B_d
+    (_direction_entry_derived) = z^n (X_g + n Y_g) with
+    X_g = u_g A + B_{u_g} and Y_g = z^-1 u_g B_z, both cut to the first
+    neighbourhood.  Its classical part w t0 r0 must vanish there: it is
+    one part, so no term of it can cancel, and a term of t0 r0 that u_g
+    leaves at u-degree 1 or less raises, naming the family's first
+    column; n moves no term's u-degree, so one check holds for every
+    column of the family.
+    """
+    zero = LaurentPoly.zero()
+    pairs = {}
+    for fam in _UNITS:
+        t0r0, A, B = pieces[(0, 0) if fam[0] == "a" else (1, 1)]
+        if any(i + s <= 0 for _, i, s in t0r0.monomials()):
+            raise AssertionError(
+                f"classical upper-right residue for column {(fam, 0)}")
+        ug, u = _unit(fam)
+        pairs[fam] = (
+            LaurentPoly.shifted_sum(
+                [(A, u, 1), (B.get(ug, zero), (0, 0, 0), 1)], 1),
+            LaurentPoly.shifted_sum([(B.get("z", zero), (-1, *u[1:]), 1)],
+                                    1))
+    return pairs
+
+
 def _direction_entry_derived(pieces, tag):
     """The parts of the upper-right entry of T * (1 + W E_ab) * R for the
-    unit W of a column, to sum in _entry_column.
+    unit W of a column, to sum in _entry_column, from pieces, the gauge
+    entries' _leibniz_pieces and the families' _derived_pairs.
 
     T * R = 1 mod hbar^2, so by bilinearity of the star product only
-    (T_0a * W) * R_b1 is left, built from pieces[a, b] (_leibniz_pieces)
-    as w A + sum_d dw/dd B_d, whose parts are (A, w, 1) and the
+    (T_0a * W) * R_b1 is left, built from the pieces of (a, b) as
+    w A + sum_d dw/dd B_d: a unit column's are its family's pair, and a
+    c0 column's (w = z^n, entry (1, 0)) are (A, w, 1) and the
     pairing_shifts of B.  Its classical part w t0 r0 must vanish in the
-    first neighbourhood: it is one part, so no term of it can cancel, and
-    a term of t0 r0 that the shift by w leaves at u-degree 1 or less
-    raises.
+    first neighbourhood, and a term of t0 r0 that the shift by w leaves
+    at u-degree 1 or less raises (for a unit family, in _derived_pairs).
     """
+    leibniz, pairs = pieces
     fam, n = tag
     if fam == "lambda":  # W = hbar z^n, so only w t0 r0 is left
-        return [(pieces[1, 1][0], (n, 0, 0), 1)]
+        return [(leibniz[1, 1][0], (n, 0, 0), 1)]
     if fam in _UNITS:
-        a = b = 0 if fam[0] == "a" else 1
-        w = (n, 1, 0) if fam[1] == "1" else (n, 0, 1)
-    elif fam == "c0":
-        a, b = 1, 0
-        w = (n, 0, 0)
-    else:
+        return _family_parts(pairs[fam], n)
+    if fam != "c0":
         raise ValueError(f"unknown column family {fam}")
-    t0r0, A, B = pieces[a, b]
-    top = 1 - w[1] - w[2]
-    if any(i + s <= top for _, i, s in t0r0.monomials()):
+    t0r0, A, B = leibniz[1, 0]
+    if any(i + s <= 1 for _, i, s in t0r0.monomials()):
         raise AssertionError(
             f"classical upper-right residue for column {tag}"
         )
+    w = (n, 0, 0)
     return [(A, w, 1), *pairing_shifts(B, w)]
 
 
 def _printed_pieces(frame, j):
-    """The parts of the printed formula that no column changes.
+    """The parts of the printed formula that no column changes: p,
+    2 p {z^j, p} and the pair (X_g, Y_g) of each unit family g.
 
-    p, {z^j, p}, 2 p {z^j, p}, and the products z^j P_d(p) and
-    p P_d(z^j) of the frame's bracket pieces, so that z^j {p, e} and
-    p {z^j, e} for a monomial unit e are pairing_shifts of pieces built
-    once per master.  A column is cut to the first neighbourhood, and a
-    monomial shift never lowers the u-degree, so the products are built
-    only up to it.
+    A unit e = z^n u_g gives z^j {p, e} - p {z^j, e} +- e {z^j, p} (+ for
+    a1 and a2), and {f, e} = sum_d de/dd P_d(f) for the frame's bracket
+    pieces, so the column is z^n (X_g + n Y_g) with
+    X_g = z^j P_{u_g}(p) - p P_{u_g}(z^j) +- u_g {z^j, p} and
+    Y_g = z^-1 u_g (z^j P_z(p) - p P_z(z^j)), both cut to the first
+    neighbourhood.  A monomial shift never lowers the u-degree, so the
+    products are built only up to it.
     """
     p_poly = frame.p_poly
     pzj, pp = frame.t_pieces  # P_d(z^j) and P_d(p)
     zjp = pieces_pairing(pzj, p_poly)
-    zj_pp = {d: piece.shift((j, 0, 0)) for d, piece in pp.items()}
+    zero = LaurentPoly.zero()
     p_pzj = {d: p_poly.mul_truncated(piece, 1) for d, piece in pzj.items()}
-    return (p_poly, zjp, p_poly.mul_truncated(zjp, 1).scale(2), zj_pp,
-            p_pzj)
+
+    def brackets(d, shift):
+        # the parts of z^j P_d(p) - p P_d(z^j), shifted
+        l, i, s = shift
+        return [(pp.get(d, zero), (l + j, i, s), 1),
+                (p_pzj.get(d, zero), shift, -1)]
+
+    pairs = {}
+    for fam in _UNITS:
+        ug, u = _unit(fam)
+        pairs[fam] = (
+            LaurentPoly.shifted_sum(
+                [*brackets(ug, (0, 0, 0)),
+                 (zjp, u, 1 if fam[0] == "a" else -1)], 1),
+            LaurentPoly.shifted_sum(brackets("z", (-1, *u[1:])), 1))
+    return p_poly, p_poly.mul_truncated(zjp, 1).scale(2), pairs
 
 
 def _direction_entry_printed(j, pieces, tag):
     """The parts of the printed closed form of a column, from
     _printed_pieces, to sum in _entry_column.
 
-    lambda: p z^(n+j); a/d units e = z^n u_g:
-    z^j {p, e} - p {z^j, e} +- e {z^j, p}, the pairing_shifts of the
-    products with e and one shift of {z^j, p}; c0: 2 p z^(n-j) {z^j, p}.
-    z^j {p, e} and p {z^j, e} pair the pieces of p and of z^j with e,
-    where the derived route pairs those of the gauge entries of T and R,
-    so the two routes still compute every column by different formulas.
+    lambda: p z^(n+j); a/d units: their family's pair; c0:
+    2 p z^(n-j) {z^j, p}.  The units' z^j {p, e} and p {z^j, e} pair the
+    pieces of p and of z^j with e, where the derived route pairs those of
+    the gauge entries of T and R, so the two routes still compute every
+    column by different formulas.
     """
-    p_poly, zjp, quad, zj_pp, p_pzj = pieces
+    p_poly, quad, pairs = pieces
     fam, n = tag
     if fam == "lambda":
         return [(p_poly, (n + j, 0, 0), 1)]
@@ -298,9 +367,7 @@ def _direction_entry_printed(j, pieces, tag):
         return [(quad, (n - j, 0, 0), 1)]
     if fam not in _UNITS:
         raise ValueError(f"unknown column family {fam}")
-    w = (n, 1, 0) if fam in ("a1", "d1") else (n, 0, 1)
-    return [*pairing_shifts(zj_pp, w), *pairing_shifts(p_pzj, w, -1),
-            (zjp, w, 1 if fam in ("a1", "a2") else -1)]
+    return _family_parts(pairs[fam], n)
 
 
 class MasterFrame(NamedTuple):
@@ -309,7 +376,8 @@ class MasterFrame(NamedTuple):
     with the `narrow` of the bump-0 window first, that window, the
     transition matrix T with its right inverse R, and the bracket pieces
     (Bivector.bracket_pieces) of the classical parts of T_0a (t_pieces)
-    and of R_b1 (r_pieces), each polynomial's pieces computed once."""
+    and of R_b1 (r_pieces), each polynomial's pieces computed once, and
+    those of R_01 = -p negated from p's."""
 
     point: list
     p_poly: LaurentPoly
@@ -346,9 +414,13 @@ def _build_frame(k, j, sigma):
             if not ident.entry(a, b)[1].is_zero():
                 raise AssertionError("right inverse failed at order 1")
     # T_00 = R_11 = z^j and T_01 = p: the derived build pairs the pieces
-    # of z^j, p and R_01, and the printed build those of z^j and p
+    # of z^j, p and R_01, and the printed build those of z^j and p; R_01
+    # is -p, so its pieces are p's negated, as the pieces are linear
     t_pieces = tuple(sigma.bracket_pieces(T.entry(0, a)[0]) for a in (0, 1))
-    r_pieces = (sigma.bracket_pieces(R.entry(0, 1)[0]), t_pieces[0])
+    if not (R.entry(0, 1)[0] + T.entry(0, 1)[0]).is_zero():
+        raise AssertionError("right inverse failed: R_01 is not -p")
+    r_pieces = ({d: -piece for d, piece in t_pieces[1].items()},
+                t_pieces[0])
     return MasterFrame(coeffs, p_poly, obstruction_basis(k, j), tags, narrow,
                        win, T, R, t_pieces, r_pieces)
 
@@ -487,9 +559,10 @@ def _build_master(k, j, sigma, formula):
             f"formula must be 'derived' or 'printed', got {formula!r}")
     frame = cached(_build_frame, k, j, sigma)
     if formula == "derived":
-        pieces = {ab: _leibniz_pieces(frame, *ab)
-                  for ab in ((0, 0), (1, 1), (1, 0))}
-        entry = partial(_direction_entry_derived, pieces)
+        leibniz = {ab: _leibniz_pieces(frame, *ab)
+                   for ab in ((0, 0), (1, 1), (1, 0))}
+        entry = partial(_direction_entry_derived,
+                        (leibniz, _derived_pairs(leibniz)))
     else:
         entry = partial(_direction_entry_printed, j,
                         _printed_pieces(frame, j))
@@ -513,8 +586,13 @@ def cached(build, k, j, sigma, *args):
     """build(k, j, sigma, *args), built once per configuration.
 
     Holds the engine's masters and the oracle's systems.  The key uses
-    the builder's name, so a wrapped builder shares the entries.
+    the builder's name, so a wrapped builder shares the entries.  A
+    bivector on another W_k than k is rejected with ValueError: its
+    systems would mix the bases of W_k with the brackets of the other.
     """
+    if sigma.k != k:
+        raise ValueError(
+            f"sigma is a bivector on W_{sigma.k}, not on W_{k}")
     key = (build.__name__, k, j, sigma.cache_key(), *args)
     system = _MASTERS.get(key)
     if system is None:
@@ -824,11 +902,9 @@ def random_point(k, j, rng):
 
 def single_coordinate_points(k, j):
     dim = direction_dimension(k, j)
-    pts = []
-    for r in range(dim):
-        pts.append([Fraction(1) if q == r else Fraction(0)
-                    for q in range(dim)])
-    return pts
+    one, zero = Fraction(1), Fraction(0)  # immutable, so shared
+    return [[one if q == r else zero for q in range(dim)]
+            for r in range(dim)]
 
 
 def is_extremal(sigma, j=2):

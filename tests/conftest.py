@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, settings, strategies as st
 import ncbundles
 from ncbundles import LaurentPoly, Monomial, engine, linalg
 from ncbundles.geometry import v_exponent
-from ncbundles.poisson import pieces_pairing
+from ncbundles.poisson import pairing_shifts, pieces_pairing
 from ncbundles.ring import VARS, Evaluation, _join_terms, _render_term
 
 # CLI tests run `python -m ncbundles.cli` in child processes; they must
@@ -278,18 +278,71 @@ def reference_leibniz_pieces(frame, a, b):
     return t[0].mul_truncated(r[0], 1), A, B
 
 
+def reference_entry_derived(pieces, tag):
+    """The parts of a derived column, tag by tag: (A, w, 1) and the
+    pairing_shifts of B for the unit w of the column, from the
+    reference_leibniz_pieces of its gauge entry, with its classical
+    residue checked per column."""
+    fam, n = tag
+    if fam == "lambda":
+        return [(pieces[1, 1][0], (n, 0, 0), 1)]
+    if fam in ("a1", "a2", "d1", "d2"):
+        a = b = 0 if fam[0] == "a" else 1
+        w = (n, 1, 0) if fam[1] == "1" else (n, 0, 1)
+    else:
+        a, b = 1, 0
+        w = (n, 0, 0)
+    t0r0, A, B = pieces[a, b]
+    top = 1 - w[1] - w[2]
+    if any(i + s <= top for _, i, s in t0r0.monomials()):
+        raise AssertionError(f"classical upper-right residue for column {tag}")
+    return [(A, w, 1), *pairing_shifts(B, w)]
+
+
+def reference_printed_pieces(frame, j):
+    """p, {z^j, p}, 2 p {z^j, p}, and the products z^j P_d(p) and
+    p P_d(z^j) of the frame's bracket pieces, for
+    reference_entry_printed."""
+    p_poly = frame.p_poly
+    pzj, pp = frame.t_pieces
+    zjp = pieces_pairing(pzj, p_poly)
+    zj_pp = {d: piece.shift((j, 0, 0)) for d, piece in pp.items()}
+    p_pzj = {d: p_poly.mul_truncated(piece, 1) for d, piece in pzj.items()}
+    return (p_poly, zjp, p_poly.mul_truncated(zjp, 1).scale(2), zj_pp,
+            p_pzj)
+
+
+def reference_entry_printed(j, pieces, tag):
+    """The parts of a printed column, tag by tag: z^j {p, e} - p {z^j, e}
+    +- e {z^j, p} for a unit e, each bracket with e the pairing_shifts of
+    one product of reference_printed_pieces."""
+    p_poly, zjp, quad, zj_pp, p_pzj = pieces
+    fam, n = tag
+    if fam == "lambda":
+        return [(p_poly, (n + j, 0, 0), 1)]
+    if fam == "c0":
+        return [(quad, (n - j, 0, 0), 1)]
+    w = (n, 1, 0) if fam[1] == "1" else (n, 0, 1)
+    return [*pairing_shifts(zj_pp, w), *pairing_shifts(p_pzj, w, -1),
+            (zjp, w, 1 if fam[0] == "a" else -1)]
+
+
 def reference_master_columns(k, j, sigma, formula):
     """The symbolic base point and the columns of engine._build_master,
-    each by reference_entry_column from the parts of its formula, the
-    derived ones from reference_leibniz_pieces."""
+    each by reference_entry_column from the parts its formula gives tag
+    by tag (reference_entry_derived, reference_entry_printed), the
+    derived ones from reference_leibniz_pieces with the bracket pieces of
+    R_01 taken from R_01 itself."""
     frame = engine._build_frame(k, j, sigma)
     if formula == "derived":
+        frame = frame._replace(r_pieces=(
+            sigma.bracket_pieces(frame.R.entry(0, 1)[0]), frame.t_pieces[0]))
         pieces = {ab: reference_leibniz_pieces(frame, *ab)
                   for ab in ((0, 0), (1, 1), (1, 0))}
-        entry = partial(engine._direction_entry_derived, pieces)
+        entry = partial(reference_entry_derived, pieces)
     else:
-        entry = partial(engine._direction_entry_printed, j,
-                        engine._printed_pieces(frame, j))
+        entry = partial(reference_entry_printed, j,
+                        reference_printed_pieces(frame, j))
     row_of = {m: r for r, m in enumerate(frame.rows)}
     return frame.point, [reference_entry_column(k, j, entry(tag), row_of, tag)
                          for tag in frame.tags]

@@ -376,8 +376,9 @@ def test_cold_builds_take_each_polynomials_bracket_pieces_once(
         monkeypatch, k, j, spec):
     # a cold configuration takes Bivector.bracket_pieces 5 times in the
     # frame's R and its T * R = 1 check, and once for each polynomial the
-    # two builds pair, z^j, p and R_01, which the frame holds for both
-    # (14 calls when each build took its own)
+    # two builds pair, z^j and p, which the frame holds for both; R_01 is
+    # -p, whose pieces are p's negated (14 calls when each build took its
+    # own)
     sigma = parse_sigma_spec(spec, k)
     bracket_pieces, calls, in_check = Bivector.bracket_pieces, [], []
 
@@ -405,9 +406,9 @@ def test_cold_builds_take_each_polynomials_bracket_pieces_once(
             build_cancellation_system(k, j, sigma, formula=formula)
         counts.append(len(calls))
         paired = [f for check, f in calls if not check]
-        assert len(paired) == 3
+        assert len(paired) == 2
         assert all(f != g for a, f in enumerate(paired) for g in paired[:a])
-    assert counts == [8, 8]
+    assert counts == [7, 7]
 
 
 def test_unknown_formula_is_rejected(monkeypatch):
@@ -908,6 +909,8 @@ def test_certificate_rejects_a_dependent_column_on_both_paths(monkeypatch,
 
 @pytest.mark.parametrize("formula", ["derived", "printed"])
 @pytest.mark.parametrize("residue, tag, message", [
+    # z^-1 planted in the Y of every unit family's pair: Y enters from
+    # n = 1, so column (a1, 1) is the first to hold it, as z^0
     pytest.param(Monomial(0, 0, 0), ("a1", 1), "u-free residue",
                  id="residue0-u-free residue"),
     # on a lambda column, which is not cut at u-degree 1
@@ -922,14 +925,22 @@ def test_build_rejects_stray_content(monkeypatch, formula, residue, tag,
     # z^3 u1^2 has xi-exponent -1)
     sigma = parse_sigma_spec("gen1", 1)
     assert residue not in obstruction_basis(1, 2)
-    name = f"_direction_entry_{formula}"
-    real = getattr(engine, name)
+    if tag[0] == "lambda":
+        name = f"_direction_entry_{formula}"
+        real = getattr(engine, name)
 
-    def planted(*args):
-        parts = real(*args)
-        if args[-1] == tag:
-            parts = [*parts, (LaurentPoly.monomial(*residue), (0, 0, 0), 1)]
-        return parts
+        def planted(*args):
+            parts = real(*args)
+            if args[-1] == tag:
+                parts = [*parts,
+                         (LaurentPoly.monomial(*residue), (0, 0, 0), 1)]
+            return parts
+    else:
+        name, real = "_family_parts", engine._family_parts
+
+        def planted(pair, n):
+            X, Y = pair
+            return real((X, Y + LaurentPoly.monomial(-1, 0, 0)), n)
 
     monkeypatch.setattr(engine, "_MASTERS", {})
     monkeypatch.setattr(engine, name, planted)
@@ -962,6 +973,47 @@ def test_stray_content_that_cancels_is_accepted(monkeypatch, formula, tag):
     monkeypatch.setattr(engine, name, planted)
     got = engine.cached(engine._build_master, 1, 2, sigma, formula)
     assert (got.columns, got.nonzero) == (want.columns, want.nonzero)
+
+
+@pytest.mark.parametrize("entry, fam", [((0, 0), "a1"), ((1, 1), "d1")])
+def test_unit_families_reject_a_classical_residue(entry, fam):
+    # a u-free term of t0 r0 stays at u-degree 1 in w t0 r0 for every
+    # unit w = z^n u_g, so the pair of the entry's first family raises,
+    # naming its first column, before any column is summed
+    sigma = parse_sigma_spec("gen1", 1)
+    frame = engine._build_frame(1, 3, sigma)
+    pieces = {ab: engine._leibniz_pieces(frame, *ab)
+              for ab in ((0, 0), (1, 1), (1, 0))}
+    assert set(engine._derived_pairs(pieces)) == {"a1", "a2", "d1", "d2"}
+    t0r0, A, B = pieces[entry]
+    pieces[entry] = (t0r0 + LaurentPoly.monomial(5, 0, 0), A, B)
+    with pytest.raises(AssertionError, match=re.escape(
+            f"classical upper-right residue for column {(fam, 0)}")):
+        engine._derived_pairs(pieces)
+
+
+def test_frame_rejects_a_right_inverse_off_minus_p(monkeypatch):
+    # R_01 = -p classically is what lets the frame take p's bracket
+    # pieces negated for R_01's; planted past a T * R = 1 check that is
+    # made to pass, it raises
+    sigma = parse_sigma_spec("gen1", 1)
+    real = engine.canonical_right_inverse
+
+    def shifted(sigma, j, q):
+        R = real(sigma, j, q)
+        rows = [list(row) for row in R.rows]
+        rows[0][1] = rows[0][1] + FormalFunction(
+            [LaurentPoly.monomial(-j, 0, 0)])
+        return type(R)(rows)
+
+    one, zero = FormalFunction([LaurentPoly.const(1)]), FormalFunction(
+        [LaurentPoly.zero()])
+    monkeypatch.setattr(engine, "canonical_right_inverse", shifted)
+    monkeypatch.setattr(engine, "star_matrix_mul", lambda *args: Matrix2(
+        [[one, zero], [zero, one]]))
+    with pytest.raises(AssertionError,
+                       match="right inverse failed: R_01 is not -p"):
+        engine._build_frame(1, 2, sigma)
 
 
 @pytest.mark.parametrize("order, message", [
@@ -1310,13 +1362,14 @@ PLANTED = {}
 
 
 @pytest.mark.parametrize("formula", ["derived", "printed"])
-@pytest.mark.parametrize("j", [2, 3, 4])
-@pytest.mark.parametrize("multiple", ["", "u1*"])
+@pytest.mark.parametrize("j", [2, 3, 4, 5])
+@pytest.mark.parametrize("multiple", ["", "u1*", "u2*"])
 @pytest.mark.parametrize("k, gen", CATALOG)
 def test_master_columns_match_the_shifted_sum_route(k, gen, multiple, j,
                                                     formula):
-    # each column summed straight into its rows, against its shifted sum
-    # walked term by term: the same coefficients, of the same types
+    # each column summed straight into its rows from its family's pair,
+    # against the shifted sum of its parts built tag by tag and walked
+    # term by term: the same coefficients, of the same types
     sigma = parse_sigma_spec(multiple + gen, k)
     master = engine.cached(engine._build_master, k, j, sigma, formula)
     point, columns = reference_master_columns(k, j, sigma, formula)
@@ -1674,6 +1727,26 @@ def test_entry_points_reject_j_below_2(entry):
     with pytest.raises(ValueError,
                        match="no moduli directions below j = 2, got j=1"):
         entry(parse_sigma_spec("gen1", 1))
+
+
+@pytest.mark.parametrize("entry", [
+    lambda sigma: build_cancellation_system(1, 3, sigma),
+    lambda sigma: stalk_dimension(1, 3, sigma, [1] * 8),
+    lambda sigma: verify_claims(1, 3, sigma, seed=1),
+    lambda sigma: certify_generic_rank(1, 3, sigma, seed=1),
+    lambda sigma: stratify(1, 3, sigma, seed=1),
+    lambda sigma: full_gauge_oracle(1, 3, sigma, [1] * 8, [1] * 8),
+], ids=["build_cancellation_system", "stalk_dimension", "verify_claims",
+        "certify_generic_rank", "stratify", "full_gauge_oracle"])
+def test_entry_points_reject_sigma_of_the_other_k(monkeypatch, entry):
+    # a bivector of W_2 on W_1 would give a full report (verify EXCEEDS,
+    # stalk 0, a certified rank); every master, frame and oracle system
+    # is built through engine.cached, which names both k
+    monkeypatch.setattr(engine, "_MASTERS", {})
+    with pytest.raises(ValueError, match=re.escape(
+            "sigma is a bivector on W_2, not on W_1")):
+        entry(parse_sigma_spec("gen4", 2))
+    assert engine._MASTERS == {}
 
 
 def test_oracle_rejects_outside_span():
