@@ -5,6 +5,7 @@ the generic rank, and the PASS/FAIL/EXCEEDS battery of one configuration.
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 
 from . import engine, linalg
@@ -24,7 +25,7 @@ from .engine import (
     require_directions,
     require_positive,
     single_coordinate_points,
-    stratum_bounds,
+    stratum_rank,
 )
 
 # ---------------------------------------------------------------------------
@@ -42,9 +43,10 @@ def _scan(k, j, sigma, seed, pattern_cap):
     """Rank every nonzero support pattern of the base point once: all of
     them when 2^dim - 1 <= pattern_cap, otherwise a seeded sample of
     pattern_cap - 1 patterns plus the full pattern and the dim
-    single-coordinate ones, where the top corank lies (_lattice).  A
-    closed stratum (stratum_bounds) takes its proved rank and no point
-    is drawn; an open one ranks its mask's point (point_rank).
+    single-coordinate ones, where the top corank lies (_lattice).  Each
+    pattern's rank is engine.stratum_rank's: a closed stratum draws no
+    point, and an open one ranks its mask's point.  A sample from more
+    than sys.maxsize patterns is drawn mask by mask.
 
     Returns the masks scanned and two dicts keyed by corank: its number
     of masks, and its first mask in ascending order.
@@ -56,14 +58,18 @@ def _scan(k, j, sigma, seed, pattern_cap):
     if total <= pattern_cap:
         masks = list(range(1, total + 1))
     else:
-        sample = random.Random(seed).sample(range(1, total), pattern_cap - 1)
+        rng, sample = random.Random(seed), set()
+        if total - 1 <= sys.maxsize:  # else range() has no len()
+            sample = set(rng.sample(range(1, total), pattern_cap - 1))
+        while len(sample) < pattern_cap - 1:
+            sample.add(rng.randrange(1, total))
         masks = sorted({*sample, total, *(1 << b for b in range(dim))})
     master = cached(_build_master, k, j, sigma, "derived")
     counts, first = {}, {}
     for mask in masks:
-        lower, upper = stratum_bounds(master, mask)
-        rank = lower if lower == upper else point_rank(
-            k, j, sigma, "derived", _draw(k, j, seed, mask))
+        rank = stratum_rank(master, mask)[0]
+        if rank is None:
+            rank = stratum_rank(master, mask, _draw(k, j, seed, mask))[0]
         counts[dim - rank] = counts.get(dim - rank, 0) + 1
         first.setdefault(dim - rank, mask)
     return masks, counts, first
@@ -80,11 +86,11 @@ def stratify(k, j, sigma, seed=DEFAULT_SEED, pattern_cap=4096):
     """Scan support patterns of the base point for stalk strata, and
     certify the generic rank.
 
-    Each pattern is ranked once (_scan): a closed stratum has the proved
-    rank (engine.stratum_bounds) and no point is drawn; an open one
-    ranks one point, seeded by (seed, pattern) (point_rank).  Each
-    stratum reports its number of patterns and its witness;
-    patterns_scanned below patterns_total marks a sampled scan.  The
+    Each pattern is ranked once (_scan, by engine.stratum_rank): a
+    closed stratum draws no point, and an open one ranks one point,
+    seeded by (seed, pattern).  Each stratum reports its number of
+    patterns and its witness; patterns_scanned below patterns_total
+    marks a sampled scan.  The
     report ends with the certificate of certify_generic_rank: one
     maximal minor, checked at a point.
     """
@@ -128,7 +134,7 @@ def certify_generic_rank(k, j, sigma, seed=DEFAULT_SEED):
     """
     rng = random.Random(seed)
     pt = random_point(k, j, rng)
-    master, ev, pivots, picked = point_pivots(k, j, sigma, "derived", pt)
+    master, ev, pivots, picked = point_pivots(k, j, sigma, pt)
     r, n = len(pivots), len(master.rows)
     upper = min(n, len(master.nonzero_narrow()))
     sub = [[col[p] for p in pivots]
@@ -162,19 +168,15 @@ def _lattice(master, dim):
     top corank lies on a single-coordinate mask, the lowest one first,
     and the least corank on the full mask.  One chain from that mask to
     the full one, adding the first coordinate in bit order whose mask is
-    closed (stratum_bounds) and raises g by at most 1, achieves every
-    corank in between.
+    closed and raises g by at most 1, achieves every corank in between.
+    Only closed strata are read, with no point (engine.stratum_rank).
 
     Returns (top, achieved, why): top is the max corank and the mask of
     its witness, and achieved the coranks from the full mask's up to it;
     each is None where a stratum it needs is open or no step of the
     chain is at most 1, and why names that mask or step.
     """
-    def proved(mask):
-        lower, upper = stratum_bounds(master, mask)
-        return lower if lower == upper else None
-
-    ranks = [proved(1 << b) for b in range(dim)]
+    ranks = [stratum_rank(master, 1 << b)[0] for b in range(dim)]
     if None in ranks:
         return None, None, f"stratum of mask {1 << ranks.index(None)} open"
     least = min(ranks)
@@ -186,7 +188,7 @@ def _lattice(master, dim):
             if mask >> b & 1:
                 continue
             step = mask | 1 << b
-            got = proved(step)
+            got = stratum_rank(master, step)[0]
             if got is not None and got - rank <= 1:
                 mask, rank = step, got
                 break
@@ -207,11 +209,11 @@ def verify_claims(k, j, sigma, seed=DEFAULT_SEED):
     deviation silently; EXCEEDS marks behaviour outside the scope the
     claims cover (special points, coranks beyond the stated bound).
 
-    The generic claims read the exact rank r at the random base point pt
-    (rand_fraction: it has full support) and the upper bound of the
-    full-support stratum (engine.stratum_bounds, cached when pt is
-    ranked).  The generic rank g lies in r <= g <= upper, and g <= #rows
-    = dim.  So generic-rigidity passes iff r == dim, with pt its witness
+    The generic claims read one query of the full-support stratum at the
+    random base point pt (engine.stratum_rank; rand_fraction gives pt
+    full support): the exact rank r at pt and the stratum's upper bound.
+    The generic rank g lies in r <= g <= upper, and g <= #rows = dim.
+    So generic-rigidity passes iff r == dim, with pt its witness
     otherwise; extremal-generic-stalk passes iff r == upper and
     dim - r == expected, and fails with pt its witness when
     dim - r != expected, or as open when r < upper.  No point but pt is
@@ -219,14 +221,11 @@ def verify_claims(k, j, sigma, seed=DEFAULT_SEED):
 
     The corank claims read the dim single-coordinate strata and one chain
     of them up to the full mask (_lattice), about dim + dim(dim+1)/2
-    stratum bounds.  Where the lattice does not decide, every support
+    closed strata.  Where the lattice does not decide, every support
     mask is scanned up to dim 16 (_scan); above that, the claims it
     leaves open FAIL, their detail naming the open mask or step.  No
     support mask is sampled.
     """
-    def rank_at(q):
-        return point_rank(k, j, sigma, "derived", q)
-
     claims = []
     derived = cached(_build_master, k, j, sigma, "derived")
     claims.append({
@@ -245,17 +244,17 @@ def verify_claims(k, j, sigma, seed=DEFAULT_SEED):
                   if same else "column mismatch between routes",
     })
 
+    dim = direction_dimension(k, j)
     rng = random.Random(seed)
     pt = random_point(k, j, rng)
-    base_rank = rank_at(pt)
-    s_rank = rank_at([Fraction(7, 3) * c for c in pt])
+    base_rank, upper = stratum_rank(derived, (1 << dim) - 1, pt)
+    s_rank = point_rank(k, j, sigma, [Fraction(7, 3) * c for c in pt])
     claims.append({
         "name": "scaling-invariance",
         "status": PASS if base_rank == s_rank else FAIL,
         "detail": f"rank {base_rank} at p and {s_rank} at (7/3)p",
     })
 
-    dim = direction_dimension(k, j)
     extremal = is_extremal(sigma, j)
     basic = sigma.gen_index is not None and sigma.multiplier is None
     expected = 2 * j - k - 1
@@ -271,7 +270,7 @@ def verify_claims(k, j, sigma, seed=DEFAULT_SEED):
         })
         special = []
         for pt1 in single_coordinate_points(k, j):
-            r = rank_at(pt1)
+            r = point_rank(k, j, sigma, pt1)
             if r != dim:
                 special.append({
                     "point": [str(c) for c in pt1],
@@ -285,7 +284,6 @@ def verify_claims(k, j, sigma, seed=DEFAULT_SEED):
         })
 
     if extremal:
-        _, upper = stratum_bounds(derived, (1 << dim) - 1)
         if dim - base_rank != expected:
             status, detail = FAIL, f"unexpected stalks at {witness}"
         elif base_rank < upper:
@@ -337,13 +335,9 @@ def verify_claims(k, j, sigma, seed=DEFAULT_SEED):
                 "detail": {"achieved": achieved},
             })
 
-    worst = PASS
-    for c in claims:
-        if c["status"] == FAIL:
-            worst = FAIL
-            break
-        if c["status"] == EXCEEDS:
-            worst = EXCEEDS
+    statuses = {c["status"] for c in claims}
+    worst = (FAIL if FAIL in statuses
+             else EXCEEDS if EXCEEDS in statuses else PASS)
     return {
         "k": k,
         "j": j,

@@ -24,15 +24,12 @@ columns of the stability window past the bump-0 window are zero, so the
 stability pass reads none of them there; a nonzero column planted in
 that window is still reduced, and raises if it enlarges the span.
 
-A rank query is answered on the support stratum of its point, the points
-with the same nonzero coordinates, where that is possible: a triangular
-submatrix with single-monomial diagonal entries bounds the rank from
-below at every point of the stratum, and the term rank of the entries
-that can be nonzero there bounds it from above (stratum_bounds).  Where
-the two meet, the stratum is closed, and its rank is proved with nothing
-evaluated; elsewhere a point's evaluation decides (point_rank).  The
-generic-rank certificate reads its minor off the same modular echelon
-where its leading pivots prove the exact ones (point_pivots).
+Every rank on a support stratum, the points with the same nonzero
+coordinates, is decided in one place, stratum_rank, which states why
+its answer is exact: proved where the stratum's bounds (stratum_bounds)
+meet, else from a point's evaluation.  The generic-rank certificate
+reads its minor off the modular echelon that query accepts, where its
+leading pivots prove the exact ones (point_pivots).
 
 A derived column, the hbar-part of (T_0a * W) * R_b1 for a monomial unit
 W, is not computed by star products: beyond bilinearity, the Leibniz rule
@@ -427,7 +424,7 @@ def _build_frame(k, j, sigma):
 
 @dataclass(frozen=True, slots=True)
 class MasterSystem:
-    """Direction matrix of one configuration.
+    """Direction matrix of one configuration (k, j).
 
     The cached master has entries symbolic in the base point and the
     columns of the stability window, the first `narrow` of them those of
@@ -443,6 +440,8 @@ class MasterSystem:
     row-major order (_zero_pattern).
     """
 
+    k: int
+    j: int
     rows: list
     tags: list
     windows: GaugeWindows
@@ -575,8 +574,8 @@ def _build_master(k, j, sigma, formula):
         raise AssertionError("identity shift column mismatch")
 
     nonzero = tuple(c for c, col in enumerate(columns) if any(col))
-    return MasterSystem(frame.rows, frame.tags, frame.windows, columns,
-                        frame.narrow, nonzero)
+    return MasterSystem(k, j, frame.rows, frame.tags, frame.windows,
+                        columns, frame.narrow, nonzero)
 
 
 _MASTERS = {}
@@ -608,9 +607,7 @@ def _coerce_point(k, j, point):
     dim = direction_dimension(k, j)
     vals = []
     for c in point:
-        if isinstance(c, str):
-            c = Fraction(c)
-        elif isinstance(c, int):
+        if isinstance(c, (str, int)):
             c = Fraction(c)
         elif not isinstance(c, Fraction):
             raise TypeError(f"bad coordinate {c!r}")
@@ -680,7 +677,7 @@ class PointSpace(NamedTuple):
     grew: list  # indices of the bump-0 columns that enlarged the span
 
 
-def _span(k, j, point, master, ev):
+def _span(master, ev, point):
     """The echelon span of the master's nonzero columns, checked, and
     the nonzero bump-0 columns that enlarged it, by column index.
 
@@ -699,7 +696,7 @@ def _span(k, j, point, master, ev):
     if space.rank != rank:
         raise WindowInstabilityError(
             f"rank moved {rank} -> {space.rank} under window bump "
-            f"(k={k}, j={j}, point={point})"
+            f"(k={master.k}, j={master.j}, point={point})"
         )
     return space, grew
 
@@ -710,7 +707,7 @@ def point_space(k, j, sigma, formula, point):
     over one denominator, which span what the columns of values span."""
     master = cached(_build_master, k, j, sigma, formula)
     ev = Evaluation(master.table, point)
-    return PointSpace(master, ev, *_span(k, j, point, master, ev))
+    return PointSpace(master, ev, *_span(master, ev, point))
 
 
 def _zero_pattern(master):
@@ -754,9 +751,8 @@ def stratum_bounds(master, support):
     such point; upper is linalg.term_rank of every nonzero column, so no
     point of the stratum gives the columns of the whole stability window
     a larger rank.  upper is not computed when lower is already #rows or
-    the number of nonzero columns, and is lower then.  When the two
-    meet, rank_Q(N) = rank_Q(window) = lower at every point of the
-    stratum: the rank is proved there and stable under the window bump.
+    the number of nonzero columns, and is lower then.  stratum_rank reads
+    them.
 
     master.pattern, the zero pattern of the nonzero columns as bitsets
     (_zero_pattern), is built with the first bounds of a master and kept
@@ -799,68 +795,80 @@ def _support(point):
     return sum(1 << r for r, c in enumerate(point) if c)
 
 
-def point_rank(k, j, sigma, formula, point):
-    """The rank point_space(k, j, sigma, formula, point).space.rank gives,
-    proved on the point's support stratum or certified modulo a prime.
+def stratum_rank(master, support, point=None):
+    """(rank, upper): the rank of the master on a support stratum, and
+    the stratum's upper bound from stratum_bounds.  Every rank on a
+    stratum is decided here.
 
-    On the stratum of the point, stratum_bounds gives lower <= rank_Q(N)
-    for the nonzero bump-0 columns N and rank_Q(window) <= upper for the
-    columns of the whole stability window.  Where lower == upper the
-    stratum is closed: that is the exact, window-stable rank, returned
-    with nothing evaluated.  On an open stratum, modulo the prime _PRIME
-    a minor of the integer columns can only vanish, so
-    rank_p(N) <= rank_Q(N) <= rank_Q(window) <= min(#rows, upper).
-    When rank_p(N) reaches #rows or upper, all are equal: it is the
-    exact rank, and no column of the stability window enlarges the span.
-    Otherwise (a pivot the prime kills, or a rank below upper) the exact
-    span of the same columns, read from the same Evaluation, decides
-    (_span), and raises WindowInstabilityError where point_space would.
-
-    The modular echelon reads the columns of N in order and stops at
-    full rank.  The certificate reads its pivots and columns from
-    point_pivots; stalk_dimension and the oracle read the exact span of
-    point_space.
+    For the nonzero bump-0 columns N and the columns of the whole
+    stability window, at every point of the stratum, with rank_p the
+    rank modulo the prime _PRIME of the integer columns of its
+    Evaluation,
+        lower <= rank_Q(N),
+        rank_p(N) <= rank_Q(N) <= rank_Q(window) <= min(#rows, upper):
+    lower and upper are stratum_bounds', and a minor of integer columns
+    can only vanish modulo a prime.  So where lower == upper the stratum
+    is closed: its rank is exact and window-stable at every point of it,
+    and is returned with nothing evaluated.  On an open stratum the rank
+    is None without a point, and with one it is the rank at the point:
+    rank_p(N) where it reaches #rows or upper, which makes every term of
+    the chain equal (_modular_echelon), else the exact span of the same
+    columns, read from the same Evaluation (_span), which raises
+    WindowInstabilityError where point_space would.
     """
-    master = cached(_build_master, k, j, sigma, formula)
-    lower, upper = stratum_bounds(master, _support(point))
+    lower, upper = stratum_bounds(master, support)
     if lower == upper:
-        return lower
-    ev, n = Evaluation(master.table, point), len(master.rows)
-    pivots, _ = linalg.rank_mod(
+        return lower, upper
+    if point is None:
+        return None, upper
+    ev = Evaluation(master.table, point)
+    echelon = _modular_echelon(master, ev, upper)
+    rank = len(echelon[0]) if echelon else _span(master, ev, point)[0].rank
+    return rank, upper
+
+
+def _modular_echelon(master, ev, upper):
+    """The pivot rows and grown columns of linalg.rank_mod on the nonzero
+    bump-0 columns of the evaluation ev, where their rank reaches #rows
+    or the stratum's upper bound, and so is the exact, window-stable rank
+    (stratum_rank); None where it falls short of both.  The echelon reads
+    the columns in order and stops at full rank."""
+    n = len(master.rows)
+    pivots, grew = linalg.rank_mod(
         (ev.column(c, n) for c in master.nonzero_narrow()), n, _PRIME)
-    rank = len(pivots)
-    if rank == n or rank == upper:
-        return rank
-    return _span(k, j, point, master, ev)[0].rank
+    return (pivots, grew) if len(pivots) in (n, upper) else None
 
 
-def point_pivots(k, j, sigma, formula, point):
+def point_rank(k, j, sigma, point):
+    """The rank point_space(k, j, sigma, "derived", point).space.rank
+    gives, by stratum_rank on the point's support stratum."""
+    master = cached(_build_master, k, j, sigma, "derived")
+    return stratum_rank(master, _support(point), point)[0]
+
+
+def point_pivots(k, j, sigma, point):
     """The master, its table's Evaluation at the point, and the pivot rows
     (ascending) and grown bump-0 columns of point_space's checked span,
-    read off the modular echelon of point_rank where it proves them.
+    read off the modular echelon that stratum_rank accepts where it
+    proves them.
 
-    linalg.rank_mod echelons the nonzero bump-0 columns N modulo _PRIME.
-    Where its first r columns grew, with the pivot of step s at row
-    s - 1, every leading principal minor of those integer columns is
+    Where the echelon's first r columns grew, with the pivot of step s at
+    row s - 1, every leading principal minor of those integer columns is
     nonzero modulo the prime, so nonzero over Q, and the exact forward
-    echelon (ColumnSpace) gives them the same pivots.  Where also r is #rows or
-    the upper bound of stratum_bounds on the point's support, r is
-    rank_Q(N) = rank_Q(window) (point_rank): no later column of N and no
-    column of the stability window enlarges the span.  Otherwise the
-    checked span of point_space, read from the same Evaluation, decides
-    (_span), WindowInstabilityError included.
+    echelon (ColumnSpace) gives them the same pivots; an accepted echelon
+    has the exact, window-stable rank r, so no later column enlarges the
+    span.  Otherwise the checked span of point_space, read from the same
+    Evaluation, decides (_span), WindowInstabilityError included.
     """
-    master = cached(_build_master, k, j, sigma, formula)
-    ev, n = Evaluation(master.table, point), len(master.rows)
-    narrow = master.nonzero_narrow()
-    pivots, grew = linalg.rank_mod((ev.column(c, n) for c in narrow), n,
-                                   _PRIME)
-    r = len(pivots)
-    lead = list(range(r))
-    if pivots == grew == lead and (
-            r == n or r == stratum_bounds(master, _support(point))[1]):
-        return master, ev, lead, list(narrow[:r])
-    space, grew = _span(k, j, point, master, ev)
+    master = cached(_build_master, k, j, sigma, "derived")
+    ev = Evaluation(master.table, point)
+    upper = stratum_rank(master, _support(point))[1]
+    echelon = _modular_echelon(master, ev, upper)
+    if echelon:
+        lead = list(range(len(echelon[0])))
+        if echelon[0] == echelon[1] == lead:
+            return master, ev, lead, list(master.nonzero_narrow()[:len(lead)])
+    space, grew = _span(master, ev, point)
     return master, ev, space.pivot_rows(), grew
 
 
@@ -914,6 +922,22 @@ def is_extremal(sigma, j=2):
     system vanishes identically, leaving only the shift columns.
     Deviates from the literal ideal-membership test
     (poisson.is_extremal_literal) on some multiplied bivectors.
+
+    The shift columns do not depend on sigma, so every extremal stratum
+    has one closed form.  lambda_m = p z^(m+j) puts p_(r+m) on row r
+    when r + m lies in r's block of the base point (u1: L1 = 2j - 1 - k
+    coordinates, then u2: L2 = 2j + k - 3), 0 otherwise: a nilpotent
+    shift inside each block.  So the rank at p is its Krylov index,
+    1 + the deepest in-block position q of a nonzero coordinate
+    (lambda_0 .. lambda_q are triangular there, and later shifts
+    vanish), the same at every point of a support stratum.  Full support
+    gives rank max(L1, L2), so the generic stalk is dim - max(L1, L2)
+    = 2j - k - 1; mask 1 gives rank 1, the max corank dim - 1 = 4j - 5
+    on both k; and corank dim - d, for d = 1 .. max(L1, L2), holds the
+    2^c(d) - 2^c(d-1) masks with c(d) = min(d, L1) + min(d, L2), so
+    every corank from 2j - k - 1 to 4j - 5 is achieved.  Rank 1 is all
+    an extremal sigma can reach at e_1, so W_2 exceeds its bound
+    4j - k - 4 = dim - 2 by one in this first-order model.
     """
     master = cached(_build_master, sigma.k, j, sigma, "derived")
     return all(master.tags[c][0] == "lambda"

@@ -383,10 +383,16 @@ def reference_certificate(k, j, sigma, seed):
 ZERO = Fraction(0)
 
 
-def reference_strata(k, j, sigma, seed, draws, rank_at=None):
+def reference_strata(k, j, sigma, seed, draws, rank_at=None, proved=None):
     """The strata, max corank and its witness of a scan of every support
     mask that draws `draws` points on each, seeded by (seed, mask, draw),
     and ranks every one: by rank_at, or by the exact span of point_space.
+
+    proved(mask), where given, is the rank that rank_at gives at every
+    point of the mask's stratum, or None: then a mask it proves ranks no
+    point, and draws one only as the witness of a corank not seen
+    before, which its first draw would be.  The scan is the one that
+    draws and ranks every point.
 
     A stratum's count is its number of masks at draw 0, and its witness
     its first point in (mask, draw) order."""
@@ -394,13 +400,20 @@ def reference_strata(k, j, sigma, seed, draws, rank_at=None):
     if rank_at is None:
         def rank_at(pt):
             return engine.point_space(k, j, sigma, "derived", pt).space.rank
+
+    def draw(mask, t):
+        rng = random.Random((seed * 1000003 + mask * 97 + t) % 2 ** 63)
+        return [engine.rand_fraction(rng) if mask >> r & 1 else ZERO
+                for r in range(dim)]
+
     strata = {}
     for mask in range(1, 1 << dim):
-        for t in range(draws):
-            rng = random.Random((seed * 1000003 + mask * 97 + t) % 2 ** 63)
-            pt = [engine.rand_fraction(rng) if mask >> r & 1 else ZERO
-                  for r in range(dim)]
-            corank = dim - rank_at(pt)
+        rank = None if proved is None else proved(mask)
+        for t in range(draws if rank is None else 1):
+            pt = None
+            if rank is None or dim - rank not in strata:
+                pt = draw(mask, t)
+            corank = dim - (rank_at(pt) if rank is None else rank)
             if corank not in strata:
                 strata[corank] = {"count": 0, "witness": {
                     "mask": mask, "point": [str(c) for c in pt]}}
@@ -409,6 +422,41 @@ def reference_strata(k, j, sigma, seed, draws, rank_at=None):
     top = max(strata)
     return ({str(c): strata[c] for c in sorted(strata)}, top,
             strata[top]["witness"])
+
+
+# Reference extremal strata, built without the engine.  For an extremal
+# sigma the only nonzero columns are the shifts lambda_m = p z^(m+j),
+# m >= 0, and row r of lambda_m holds p_(r+m) when r + m lies in r's
+# block, 0 otherwise: the u1 block of L1 = 2j - 1 - k coordinates, then
+# the u2 block of L2 = 2j + k - 3, each by descending z-degree.
+
+def extremal_blocks(k, j):
+    """(L1, L2): the lengths of the u1 and u2 blocks of the base point."""
+    return 2 * j - 1 - k, 2 * j + k - 3
+
+
+def reference_extremal_rank(k, j, mask):
+    """The rank on the stratum of a support mask for an extremal sigma: 1
+    + the deepest in-block position of a set bit.  Where that position
+    is q, lambda_0 .. lambda_q are triangular (lambda_m puts p_q on row
+    q - m) and every later shift is 0 on the stratum."""
+    l1, _ = extremal_blocks(k, j)
+    return 1 + max(r if r < l1 else r - l1
+                   for r in range(mask.bit_length()) if mask >> r & 1)
+
+
+def reference_extremal_counts(k, j):
+    """{corank: number of masks} over every nonzero support mask for an
+    extremal sigma.  A mask of rank at most d sets only bits of in-block
+    position below d, c(d) = min(d, L1) + min(d, L2) of them, so corank
+    dim - d holds 2^c(d) - 2^c(d-1) masks, for d = 1 .. max(L1, L2)."""
+    l1, l2 = extremal_blocks(k, j)
+
+    def c(d):
+        return min(d, l1) + min(d, l2)
+
+    return {l1 + l2 - d: 2 ** c(d) - 2 ** c(d - 1)
+            for d in range(1, max(l1, l2) + 1)}
 
 
 # Reference claims: the route claims.verify_claims takes off the base
@@ -421,13 +469,14 @@ def reference_verify_claims(k, j, sigma, seed):
     on every support mask (reference_strata).  Every point is ranked by
     point_rank, which reads a stratum's bounds, planted ones included,
     as verify does; the exact span of every draw would take minutes at
-    j = 4."""
+    j = 4.  On a closed stratum point_rank gives the proved rank at
+    every point, so the scan ranks no point there."""
     dim = engine.direction_dimension(k, j)
     derived = engine.cached(engine._build_master, k, j, sigma, "derived")
     printed = engine.cached(engine._build_master, k, j, sigma, "printed")
 
     def rank_at(q):
-        return engine.point_rank(k, j, sigma, "derived", q)
+        return engine.point_rank(k, j, sigma, q)
 
     same = derived.tags == printed.tags and all(
         all(a == b for a, b in zip(ca, cb))
@@ -475,8 +524,9 @@ def reference_verify_claims(k, j, sigma, seed):
             "detail": f"unexpected stalks at {bad[:3]}" if bad
                       else f"generic stalk {expected}"})
         bound = 4 * j - k - 4
-        strata, top, witness = reference_strata(k, j, sigma, seed, 2,
-                                                rank_at)
+        strata, top, witness = reference_strata(
+            k, j, sigma, seed, 2, rank_at,
+            lambda mask: engine.stratum_rank(derived, mask)[0])
         battery.append({
             "name": "max-corank-bound",
             "status": "PASS" if top <= bound else "EXCEEDS",

@@ -107,7 +107,7 @@ def test_clear_master_caches_drops_every_frame_and_table(bench,
     derived, printed = cold_pair()
     assert frame in engine._MASTERS
     # a rank query compiles the derived table; the printed one is unread
-    engine.point_rank(1, 3, sigma, "derived", [1] * 8)
+    engine.point_rank(1, 3, sigma, [1] * 8)
     assert derived._table is not None and printed._table is None
     workloads.clear_master_caches(ncbundles)
     assert not engine._MASTERS

@@ -284,6 +284,21 @@ def test_stratify_deterministic_bytes():
     assert set(rep["result"]["strata"]) == {"2", "3"}
 
 
+def test_stratify_samples_past_the_longest_range():
+    # at j = 17 there are 2^64 - 1 masks, more than a range can count
+    # (len() overflows), so the sample is drawn mask by mask; the top
+    # corank 4j - 5 lies on mask 1 and the generic stalk is 2j - k - 1
+    res = invoke("stratify", "--k", "1", "--j", "17", "--sigma", "u1*gen1",
+                 "--pattern-cap", "2")
+    assert res.exit_code == 0, res.stderr
+    rep = report_of(res)["result"]
+    assert rep["patterns_total"] == 2 ** 64 - 1
+    assert rep["patterns_scanned"] == 1 + 1 + 64
+    assert (rep["max_corank"], rep["max_corank_witness"]["mask"]) == (63, 1)
+    assert min(map(int, rep["strata"])) == 32
+    assert rep["certificate"]["certified"]
+
+
 STRATIFY = ("stratify", "--k", "1", "--j", "2", "--sigma", "u1*gen1")
 
 

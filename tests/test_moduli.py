@@ -5,6 +5,7 @@ import json
 import random
 import re
 from fractions import Fraction
+from functools import partial
 
 import jsonschema
 import pytest
@@ -50,6 +51,8 @@ from conftest import (
     form_values,
     fractions,
     reference_certificate,
+    reference_extremal_counts,
+    reference_extremal_rank,
     reference_form_numerators,
     reference_leibniz_pieces,
     reference_master_columns,
@@ -688,9 +691,9 @@ class SpanCalls:
         self.points = []
         real = engine._span
 
-        def spied(k, j, point, master, ev):
+        def spied(master, ev, point):
             self.points.append(point)
-            return real(k, j, point, master, ev)
+            return real(master, ev, point)
 
         monkeypatch.setattr(engine, "_span", spied)
 
@@ -727,8 +730,8 @@ def test_certificate_matches_the_exact_span_route(monkeypatch, j):
 def test_certificate_rejects_minor_singular_at_witness(monkeypatch):
     real = engine.point_pivots
 
-    def repeated_pick(k, j, sigma, formula, point):
-        master, ev, pivots, picked = real(k, j, sigma, formula, point)
+    def repeated_pick(k, j, sigma, point):
+        master, ev, pivots, picked = real(k, j, sigma, point)
         # the first grown column in place of the last: a minor with a
         # repeated column is singular
         return master, ev, pivots, picked[:-1] + picked[:1]
@@ -883,8 +886,8 @@ def test_certificate_rejects_a_dependent_column_on_both_paths(monkeypatch,
     real = engine.point_pivots
     picks = []
 
-    def dependent_pick(k, j, sigma, formula, point):
-        master, ev, pivots, picked = real(k, j, sigma, formula, point)
+    def dependent_pick(k, j, sigma, point):
+        master, ev, pivots, picked = real(k, j, sigma, point)
         last = picked[-1]
         dependent = next(c for c in range(last) if c not in picked)
         picks.append(dependent)
@@ -1189,9 +1192,9 @@ def test_point_rank_is_the_point_space_rank(monkeypatch, k, j, spec, prime):
     span = engine._span
     fell_back = []
 
-    def spied_span(k, j, point, master, ev):
+    def spied_span(master, ev, point):
         fell_back.append(point)
-        return span(k, j, point, master, ev)
+        return span(master, ev, point)
 
     monkeypatch.setattr(engine, "_span", spied_span)
     spy = EvaluationSpy(monkeypatch)
@@ -1204,7 +1207,7 @@ def test_point_rank_is_the_point_space_rank(monkeypatch, k, j, spec, prime):
         assert lower <= rank <= bound == pattern_rank(master, pt) <= upper
         fell_back.clear()
         spy.clear()
-        assert engine.point_rank(k, j, sigma, "derived", pt) == rank
+        assert engine.point_rank(k, j, sigma, pt) == rank
         if lower == bound:
             assert spy.made == [] and fell_back == []
             continue
@@ -1275,9 +1278,9 @@ def test_point_rank_falls_back_on_one_evaluation(monkeypatch):
     span = engine._span
     fell_back = []
 
-    def spied_span(k, j, point, master, ev):
+    def spied_span(master, ev, point):
         fell_back.append(point)
-        return span(k, j, point, master, ev)
+        return span(master, ev, point)
 
     def evaluate(master, point):
         raise AssertionError("point_rank evaluated the Fraction master")
@@ -1293,15 +1296,15 @@ def test_point_rank_falls_back_on_one_evaluation(monkeypatch):
     monkeypatch.setattr(engine, "_span", spied_span)
     monkeypatch.setattr(engine.MasterSystem, "evaluate", evaluate)
     monkeypatch.setattr(linalg.ColumnSpace, "add", add)
-    assert engine.point_rank(2, 3, sigma, "derived", axis) == want[axis]
+    assert engine.point_rank(2, 3, sigma, axis) == want[axis]
     assert spy.made == [] and fell_back == [] and reduced == []
-    assert engine.point_rank(2, 3, sigma, "derived", pair) == want[pair]
+    assert engine.point_rank(2, 3, sigma, pair) == want[pair]
     assert fell_back == [] and reduced == []
     spy.evaluated_once(pair)
 
     monkeypatch.setattr(engine, "_PRIME", 3)
     spy.clear()
-    assert engine.point_rank(2, 3, sigma, "derived", times3) == want[times3]
+    assert engine.point_rank(2, 3, sigma, times3) == want[times3]
     assert fell_back == [times3]
     ev = spy.evaluated_once(times3)
     # the modular pass read every nonzero bump-0 column, as a pass that
@@ -1336,9 +1339,10 @@ def test_exact_queries_evaluate_integer_numerators_once(monkeypatch):
     monkeypatch.setattr(engine.MasterSystem, "evaluate", fraction_view)
     lower, upper = engine.stratum_bounds(master23, support(open_pt))
     assert lower < upper == len(master23.rows)
-    for query in (engine.point_space, engine.point_rank):
+    for query in (partial(engine.point_space, 2, 3, sigma23, "derived"),
+                  partial(engine.point_rank, 2, 3, sigma23)):
         spy.clear()
-        query(2, 3, sigma23, "derived", open_pt)
+        query(open_pt)
         spy.evaluated_once(open_pt)
     for pt in points:
         spy.clear()
@@ -1347,7 +1351,7 @@ def test_exact_queries_evaluate_integer_numerators_once(monkeypatch):
         spy.clear()
         lower, upper = engine.stratum_bounds(master, support(pt))
         assert lower == upper
-        assert engine.point_rank(1, 2, sigma, "derived", pt) == lower
+        assert engine.point_rank(1, 2, sigma, pt) == lower
         assert spy.made == []
         full_gauge_oracle(1, 2, sigma, pt, delta)
         spy.evaluated_once(tuple(pt) + tuple(delta))
@@ -1523,7 +1527,7 @@ def test_term_rank_certificate_on_support_patterns(k, gen, multiple, j,
     space = engine.point_space(k, j, sigma, "derived", point).space
     assert space.rank <= engine.stratum_bounds(master, mask)[1] == (
         pattern_rank(master, point))
-    assert engine.point_rank(k, j, sigma, "derived", point) == space.rank
+    assert engine.point_rank(k, j, sigma, point) == space.rank
     if space.rank == len(master.rows):
         return  # no column can enlarge a full span
     row = data.draw(st.sampled_from(space.non_pivot_rows()))
@@ -1531,11 +1535,12 @@ def test_term_rank_certificate_on_support_patterns(k, gen, multiple, j,
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "_MASTERS", {key: planted_master(k, j, spec,
                                                             row)})
-        for query in (engine.point_rank, engine.point_space):
+        for query in (partial(engine.point_rank, k, j, sigma),
+                      partial(engine.point_space, k, j, sigma, "derived")):
             with pytest.raises(WindowInstabilityError,
                                match=f"rank moved {space.rank} -> "
                                      f"{space.rank + 1} "):
-                query(k, j, sigma, "derived", point)
+                query(point)
 
 
 @pytest.mark.parametrize("j", [2, 3, 4])
@@ -1604,7 +1609,7 @@ def test_two_live_monomials_make_no_diagonal(monkeypatch):
     # (the toy's table is compiled from its columns when first read)
     p0, p1 = (ParamPoly.variable(("p0", "p1"), v) for v in ("p0", "p1"))
     toy = engine.MasterSystem(
-        rows=["r0"], tags=[("lambda", 0)], windows=None,
+        k=1, j=2, rows=["r0"], tags=[("lambda", 0)], windows=None,
         columns=[[p0 + p1]], narrow=1, nonzero=(0,))
     assert engine.stratum_bounds(toy, 0b11) == (0, 1)
     assert engine.stratum_bounds(toy, 0b01) == (1, 1)
@@ -1613,7 +1618,7 @@ def test_two_live_monomials_make_no_diagonal(monkeypatch):
     monkeypatch.setattr(engine, "_MASTERS", {key: toy})
     for pt, rank in (((1, -1), 0), ((1, 2), 1), ((3, 0), 1)):
         pt = tuple(map(Fraction, pt))
-        assert engine.point_rank(1, 2, sigma, "derived", pt) == rank
+        assert engine.point_rank(1, 2, sigma, pt) == rank
         assert engine.point_space(1, 2, sigma, "derived", pt).space.rank == (
             rank)
 
@@ -1625,7 +1630,7 @@ def test_clearing_the_masters_drops_every_bound(monkeypatch):
     sigma = parse_sigma_spec("u1*gen1", 1)
     points = single_coordinate_points(1, 3)
     for pt in points:
-        engine.point_rank(1, 3, sigma, "derived", pt)
+        engine.point_rank(1, 3, sigma, pt)
     master = engine.cached(engine._build_master, 1, 3, sigma, "derived")
     assert sorted(master.bounds) == [1 << r for r in range(len(points))]
     engine._MASTERS.clear()
@@ -1657,9 +1662,9 @@ def test_point_rank_keeps_the_stability_check(monkeypatch):
     monkeypatch.setattr(engine, "_direction_entry_derived", planted)
     with pytest.raises(WindowInstabilityError,
                        match=f"rank moved {rep.rank} -> {rep.rank + 1} "):
-        engine.point_rank(1, 2, sigma, "derived", pt)
+        engine.point_rank(1, 2, sigma, pt)
     generic = random_point(1, 2, random.Random(5))
-    assert engine.point_rank(1, 2, sigma, "derived", generic) == 4 == (
+    assert engine.point_rank(1, 2, sigma, generic) == 4 == (
         engine.point_space(1, 2, sigma, "derived", generic).space.rank)
 
 
@@ -2022,15 +2027,17 @@ def test_verify_draws_only_its_base_point(monkeypatch, k, spec):
         calls.append(args)
         return random_point(*args)
 
+    bounds = engine.stratum_bounds
+
     def opened(master, support):
-        lower, upper = engine.stratum_bounds(master, support)
+        lower, upper = bounds(master, support)
         return (None, upper) if support == full else (lower, upper)
 
     monkeypatch.setattr(engine, "_MASTERS", {})
     monkeypatch.setattr(claims, "random_point", counted)
     rep = verify_claims(k, 3, sigma)
     assert len(calls) == 1
-    monkeypatch.setattr(claims, "stratum_bounds", opened)
+    monkeypatch.setattr(engine, "stratum_bounds", opened)
     assert verify_claims(k, 3, sigma) == rep
     assert len(calls) == 2
 
@@ -2138,8 +2145,51 @@ def test_verify_reads_the_corank_lattice_at_j5(k, spec, status, achieved):
 
 
 # the u1 and u2 multiples of the catalog generators: all 18 are extremal
-# at j = 3 and 4
+# at every j tested, 2 to 12
 EXTREMAL = [(k, m + gen) for k, gen in CATALOG for m in ("u1*", "u2*")]
+
+
+@pytest.mark.parametrize("j", [2, 3, 4])
+@pytest.mark.parametrize("k, spec", EXTREMAL)
+def test_extremal_strata_are_closed_at_the_shift_rank(k, spec, j):
+    # every support stratum of an extremal multiple is closed, at the rank
+    # of the closed form: 1 + the deepest in-block position of a set bit
+    sigma = parse_sigma_spec(spec, k)
+    assert is_extremal(sigma, j)
+    master = engine.cached(engine._build_master, k, j, sigma, "derived")
+    for mask in range(1, 1 << direction_dimension(k, j)):
+        rank = reference_extremal_rank(k, j, mask)
+        assert engine.stratum_rank(master, mask) == (rank, rank), mask
+
+
+@pytest.mark.parametrize("j", range(5, 13))
+@pytest.mark.parametrize("k, spec", EXTREMAL)
+def test_extremal_closed_form_holds_to_j12(k, spec, j):
+    # past the exhaustive range: every single-coordinate mask, the chain
+    # of masks 2^i - 1 and the full mask; mask 1 has the top corank
+    # 4j - 5 and the full mask the generic stalk 2j - k - 1
+    sigma = parse_sigma_spec(spec, k)
+    assert is_extremal(sigma, j)
+    master = engine.cached(engine._build_master, k, j, sigma, "derived")
+    dim = direction_dimension(k, j)
+    masks = [1 << r for r in range(dim)] + [(1 << i) - 1
+                                            for i in range(2, dim + 1)]
+    for mask in masks:
+        rank = reference_extremal_rank(k, j, mask)
+        assert engine.stratum_rank(master, mask) == (rank, rank), mask
+    assert dim - engine.stratum_rank(master, 1)[0] == 4 * j - 5
+    assert dim - engine.stratum_rank(master, (1 << dim) - 1)[0] == (
+        2 * j - k - 1)
+
+
+@pytest.mark.parametrize("k, spec", EXTREMAL)
+def test_exhaustive_stratify_counts_match_the_closed_form(k, spec):
+    # at j = 3 stratify scans all 255 masks, and corank dim - d holds
+    # 2^c(d) - 2^c(d - 1) of them, c(d) = min(d, L1) + min(d, L2)
+    rep = stratify(k, 3, parse_sigma_spec(spec, k), seed=1)
+    assert rep["patterns_scanned"] == rep["patterns_total"] == 255
+    assert {int(c): s["count"] for c, s in rep["strata"].items()} == (
+        reference_extremal_counts(k, 3))
 
 
 def test_the_corank_lattice_matches_the_scan_of_every_mask(monkeypatch):
