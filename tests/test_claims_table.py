@@ -1,7 +1,7 @@
-"""Pinned claims table: verify's verdicts on the whole catalog up to j = 7.
+"""Pinned claims table: verify's verdicts on the whole catalog up to j = 10.
 
 tests/claims_table.json holds one row per (k, j, sigma) for the catalog
-generators of W_1 and W_2 and their u1 and u2 multiples, at j = 2..7 and
+generators of W_1 and W_2 and their u1 and u2 multiples, at j = 2..10 and
 seed 1, each built cold (an empty master cache): every claim's status
 from verify_claims, the max corank and its witness mask, the achieved
 coranks, and the generic-rank certificate's rank, upper bound and
@@ -23,7 +23,7 @@ from ncbundles.poisson import parse_sigma_spec
 
 TABLE = Path(__file__).with_name("claims_table.json")
 SEED = 1
-JS = range(2, 8)
+JS = range(2, 11)
 GENERATORS = ([(1, f"gen{n}") for n in range(1, 5)]
               + [(2, f"gen{n}") for n in range(1, 6)])
 SIGMAS = GENERATORS + [(k, m + gen) for k, gen in GENERATORS
