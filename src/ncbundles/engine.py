@@ -35,26 +35,26 @@ A derived column, the hbar-part of (T_0a * W) * R_b1 for a monomial unit
 W, is not computed by star products: beyond bilinearity, the Leibniz rule
 for {t0 w, r0} and {f, w} = sum_d dw/dd P_d(f) (Bivector.bracket_pieces)
 make it a sum of monomial shifts of polynomials cached per gauge entry
-(_leibniz_pieces), with the parts of {f, w} from poisson.pairing_shifts.
-Both identities are exact.  For the c0 entry, whose classical parts are
-t0 = p and r0 = -p, the bracket parts drop out: the bracket is
-antisymmetric, so {t0, r0} = -{p, p} = 0, and the pieces are linear, so
-B_d = r0 P_d(t0) - t0 P_d(r0) = -p P_d(p) + p P_d(p) = 0.
+(_leibniz_pieces).  Both identities are exact.  For the c0 entry, whose
+classical parts are t0 = p and r0 = -p, the bracket parts drop out: the
+bracket is antisymmetric, so {t0, r0} = -{p, p} = 0, and the pieces are
+linear, so B_d = r0 P_d(t0) - t0 P_d(r0) = -p P_d(p) + p P_d(p) = 0.
 _leibniz_pieces checks r0 = -t0 exactly and then builds neither.  A
 printed column is such a sum too, and the frame holds the bracket pieces
 that both formulas pair, so each is computed once per configuration: R_01
 is -p classically, which the frame checks exactly, and the pieces are
 linear, so its pieces are those of p negated.
 
-A unit family g (a1, a2, d1, d2) is one polynomial pair per formula: its
-column (g, n), for the unit z^n u_g, is z^n (X_g + n Y_g), the Leibniz rule
-dw/dz = n z^-1 w and dw/du_g = z^n applied once for the whole family
-(_derived_pairs, _printed_pieces).  Each pair is built once per master and
-cut to the first neighbourhood: the cut of a column's part depends only
-on the u-degree of its shift, the same for every column of a family.  The
-parts of a column are summed in one pass straight into its rows
-(_entry_column): a term off the rows that the gauge absorbs is skipped
-before its coefficient is read.
+Every column family g (lambda, a1, a2, d1, d2, c0) is one polynomial pair
+(X_g, Y_g) per formula, built once per master (_derived_pairs,
+_printed_pieces): its column (g, n), for the unit z^n u_g, is
+z^n (X_g + n Y_g), the Leibniz rule dw/dz = n z^-1 w and dw/du_g = z^n
+applied once for the whole family (u_g = 1 for lambda and c0, and Y_g = 0
+where no bracket with the unit enters).  Each pair is cut to the first
+neighbourhood, and a shift by z^n keeps the u-degree, so no column needs
+another cut.  The two parts of a column are summed in one pass straight
+into its rows (_entry_column): a term off the rows that the gauge absorbs
+is skipped before its coefficient is read.
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
-from functools import partial
 from typing import NamedTuple
 
 from . import linalg
@@ -73,7 +72,7 @@ from .bundles import (
     star_matrix_mul,
     transition_matrix,
 )
-from .poisson import pairing_shifts, pieces_pairing
+from .poisson import pieces_pairing
 from .ring import (
     VARS,
     Evaluation,
@@ -94,6 +93,12 @@ STABILITY_BUMP = 2  # window bump of the stability check, engine and oracle
 
 class WindowInstabilityError(RuntimeError):
     """Raised when enlarging truncation windows changes a result."""
+
+
+def _point_text(point):
+    """The coordinates of a point as the CLI's --point takes them, so an
+    error that names the point can be pasted back: 1/2,1,0,0."""
+    return ",".join(str(c) for c in point)
 
 
 def require_positive(**counts):
@@ -180,7 +185,9 @@ def compute_windows(k, j, sigma, bump=0):
     )
 
 
-_UNITS = ("a1", "a2", "d1", "d2")  # the families of unit columns
+# the column families, in column order: the shifts, the units, c0
+_FAMILIES = ("lambda", "a1", "a2", "d1", "d2", "c0")
+_UNITS = _FAMILIES[1:5]
 
 
 def _column_tags(win):
@@ -215,8 +222,8 @@ def _leibniz_pieces(frame, a, b):
     B uses.  All three are cut to the first neighbourhood, and their
     products build no term past it (LaurentPoly.mul_truncated): a shift
     by a monomial never lowers the u-degree, so no term cut here reaches
-    a column.  The unit families of (0, 0) and (1, 1) take A and B into
-    one pair each (_derived_pairs); the c0 column pairs them itself.
+    a column.  Each family of the entry takes them into one pair
+    (_derived_pairs).
 
     Where r0 = -t0 exactly, as for the c0 entry (1, 0), whose R_01 is
     -T_01 classically, B and {t0, r0} vanish and are not built, and B is
@@ -237,42 +244,40 @@ def _leibniz_pieces(frame, a, b):
 
 
 def _unit(fam):
-    """The fibre coordinate u_g of a unit family g: its name and its
-    exponents."""
+    """The unit u_g of a family g with a classical part: its fibre
+    coordinate and exponents, u_g = 1 for c0, whose unit is z^n."""
+    if fam == "c0":
+        return None, (0, 0, 0)
     return ("u1", (0, 1, 0)) if fam[1] == "1" else ("u2", (0, 0, 1))
 
 
-def _family_parts(pair, n):
-    """The parts of column (g, n) of a unit family g with pair (X_g, Y_g),
-    z^n (X_g + n Y_g), to sum in _entry_column."""
-    X, Y = pair
-    if n:
-        return [(X, (n, 0, 0), 1), (Y, (n, 0, 0), n)]
-    return [(X, (n, 0, 0), 1)]
+def _derived_pairs(frame):
+    """The pair (X_g, Y_g) of each family g of the derived formula, from
+    the _leibniz_pieces of its gauge entry (a, b): (1, 1) for lambda, d1
+    and d2, (0, 0) for a1 and a2, (1, 0) for c0.
 
-
-def _derived_pairs(pieces):
-    """The pair (X_g, Y_g) of each unit family g of the derived formula,
-    from the pieces[a, a] (_leibniz_pieces) of its gauge entry: a = 0 for
-    a1 and a2, a = 1 for d1 and d2.
-
-    The column of the unit w = z^n u_g is w A + sum_d dw/dd B_d
-    (_direction_entry_derived) = z^n (X_g + n Y_g) with
-    X_g = u_g A + B_{u_g} and Y_g = z^-1 u_g B_z, both cut to the first
-    neighbourhood.  Its classical part w t0 r0 must vanish there: it is
-    one part, so no term of it can cancel, and a term of t0 r0 that u_g
-    leaves at u-degree 1 or less raises, naming the family's first
-    column; n moves no term's u-degree, so one check holds for every
-    column of the family.
+    T * R = 1 mod hbar^2, so by bilinearity of the star product a column
+    is the hbar-part of (T_0a * W) * R_b1 for its unit W.  For lambda,
+    W = hbar z^n, only w t0 r0 is left: X = t0 r0 and Y = 0.  For the
+    unit w = z^n u_g of any other family, w A + sum_d dw/dd B_d is
+    z^n (X_g + n Y_g) with X_g = u_g A + B_{u_g} and Y_g = z^-1 u_g B_z,
+    both cut to the first neighbourhood (u_g = 1 and no B_{u_g} for c0).
+    Its classical part w t0 r0 must vanish there: it is one part, so no
+    term of it can cancel, and a term of t0 r0 that u_g leaves at
+    u-degree 1 or less raises, naming the family's first column; n moves
+    no term's u-degree, so one check holds for every column of the
+    family.
     """
+    entry = {"a": (0, 0), "d": (1, 1), "c": (1, 0)}  # by family letter
+    leibniz = {ab: _leibniz_pieces(frame, *ab) for ab in entry.values()}
     zero = LaurentPoly.zero()
-    pairs = {}
-    for fam in _UNITS:
-        t0r0, A, B = pieces[(0, 0) if fam[0] == "a" else (1, 1)]
-        if any(i + s <= 0 for _, i, s in t0r0.monomials()):
+    pairs = {"lambda": (leibniz[1, 1][0], zero)}
+    for fam in _FAMILIES[1:]:
+        t0r0, A, B = leibniz[entry[fam[0]]]
+        ug, u = _unit(fam)
+        if any(i + s + u[1] + u[2] <= 1 for _, i, s in t0r0.monomials()):
             raise AssertionError(
                 f"classical upper-right residue for column {(fam, 0)}")
-        ug, u = _unit(fam)
         pairs[fam] = (
             LaurentPoly.shifted_sum(
                 [(A, u, 1), (B.get(ug, zero), (0, 0, 0), 1)], 1),
@@ -281,47 +286,21 @@ def _derived_pairs(pieces):
     return pairs
 
 
-def _direction_entry_derived(pieces, tag):
-    """The parts of the upper-right entry of T * (1 + W E_ab) * R for the
-    unit W of a column, to sum in _entry_column, from pieces, the gauge
-    entries' _leibniz_pieces and the families' _derived_pairs.
-
-    T * R = 1 mod hbar^2, so by bilinearity of the star product only
-    (T_0a * W) * R_b1 is left, built from the pieces of (a, b) as
-    w A + sum_d dw/dd B_d: a unit column's are its family's pair, and a
-    c0 column's (w = z^n, entry (1, 0)) are (A, w, 1) and the
-    pairing_shifts of B.  Its classical part w t0 r0 must vanish in the
-    first neighbourhood, and a term of t0 r0 that the shift by w leaves
-    at u-degree 1 or less raises (for a unit family, in _derived_pairs).
-    """
-    leibniz, pairs = pieces
-    fam, n = tag
-    if fam == "lambda":  # W = hbar z^n, so only w t0 r0 is left
-        return [(leibniz[1, 1][0], (n, 0, 0), 1)]
-    if fam in _UNITS:
-        return _family_parts(pairs[fam], n)
-    if fam != "c0":
-        raise ValueError(f"unknown column family {fam}")
-    t0r0, A, B = leibniz[1, 0]
-    if any(i + s <= 1 for _, i, s in t0r0.monomials()):
-        raise AssertionError(
-            f"classical upper-right residue for column {tag}"
-        )
-    w = (n, 0, 0)
-    return [(A, w, 1), *pairing_shifts(B, w)]
-
-
 def _printed_pieces(frame, j):
-    """The parts of the printed formula that no column changes: p,
-    2 p {z^j, p} and the pair (X_g, Y_g) of each unit family g.
+    """The pair (X_g, Y_g) of each family g of the printed closed form.
 
-    A unit e = z^n u_g gives z^j {p, e} - p {z^j, e} +- e {z^j, p} (+ for
-    a1 and a2), and {f, e} = sum_d de/dd P_d(f) for the frame's bracket
-    pieces, so the column is z^n (X_g + n Y_g) with
+    lambda is p z^(n+j) and c0 is 2 p z^(n-j) {z^j, p}, so X = z^j p and
+    X = 2 z^-j p {z^j, p}, both with Y = 0.  A unit e = z^n u_g gives
+    z^j {p, e} - p {z^j, e} +- e {z^j, p} (+ for a1 and a2), and
+    {f, e} = sum_d de/dd P_d(f) for the frame's bracket pieces, so the
+    column is z^n (X_g + n Y_g) with
     X_g = z^j P_{u_g}(p) - p P_{u_g}(z^j) +- u_g {z^j, p} and
     Y_g = z^-1 u_g (z^j P_z(p) - p P_z(z^j)), both cut to the first
     neighbourhood.  A monomial shift never lowers the u-degree, so the
-    products are built only up to it.
+    products are built only up to it.  The units' z^j {p, e} and
+    p {z^j, e} pair the pieces of p and of z^j with e, where the derived
+    route pairs those of the gauge entries of T and R, so the two routes
+    still compute every column by different formulas.
     """
     p_poly = frame.p_poly
     pzj, pp = frame.t_pieces  # P_d(z^j) and P_d(p)
@@ -335,7 +314,7 @@ def _printed_pieces(frame, j):
         return [(pp.get(d, zero), (l + j, i, s), 1),
                 (p_pzj.get(d, zero), shift, -1)]
 
-    pairs = {}
+    pairs = {"lambda": (p_poly.shift((j, 0, 0)), zero)}
     for fam in _UNITS:
         ug, u = _unit(fam)
         pairs[fam] = (
@@ -343,28 +322,8 @@ def _printed_pieces(frame, j):
                 [*brackets(ug, (0, 0, 0)),
                  (zjp, u, 1 if fam[0] == "a" else -1)], 1),
             LaurentPoly.shifted_sum(brackets("z", (-1, *u[1:])), 1))
-    return p_poly, p_poly.mul_truncated(zjp, 1).scale(2), pairs
-
-
-def _direction_entry_printed(j, pieces, tag):
-    """The parts of the printed closed form of a column, from
-    _printed_pieces, to sum in _entry_column.
-
-    lambda: p z^(n+j); a/d units: their family's pair; c0:
-    2 p z^(n-j) {z^j, p}.  The units' z^j {p, e} and p {z^j, e} pair the
-    pieces of p and of z^j with e, where the derived route pairs those of
-    the gauge entries of T and R, so the two routes still compute every
-    column by different formulas.
-    """
-    p_poly, quad, pairs = pieces
-    fam, n = tag
-    if fam == "lambda":
-        return [(p_poly, (n + j, 0, 0), 1)]
-    if fam == "c0":
-        return [(quad, (n - j, 0, 0), 1)]
-    if fam not in _UNITS:
-        raise ValueError(f"unknown column family {fam}")
-    return _family_parts(pairs[fam], n)
+    pairs["c0"] = (p_poly.mul_truncated(zjp, 1).shift((-j, 0, 0), 2), zero)
+    return pairs
 
 
 class MasterFrame(NamedTuple):
@@ -488,35 +447,30 @@ class MasterSystem:
         return out
 
 
-def _entry_column(k, j, parts, row_of, tag):
-    """The coefficients in the rows (row_of: monomial -> row) of the sum
-    of c * z^l u1^i u2^s * P over the parts (P, (l, i, s), c) of a
-    column, in one pass over their terms.
+def _entry_column(k, j, pair, row_of, tag):
+    """The coefficients in the rows (row_of: monomial -> row) of column
+    tag = (g, n), z^n (X_g + n Y_g) for the pair (X_g, Y_g) of its
+    family g, in one pass over the terms of X_g and then of n Y_g.
 
-    A unit column (a1, a2, d1, d2) is cut to the first neighbourhood, and
-    a term past the cut is skipped; lambda and c0 columns are not cut.  A
-    term on a row is added to that row's coefficient.  Every term off the
-    rows must be content the gauge absorbs: one that is u-free, or has a
-    negative xi-exponent below z^2j, goes into a residue that must cancel
-    to zero, and every other term is skipped before its coefficient is
-    read.  Terms are added in part order, each scaled as
+    A term on a row is added to that row's coefficient.  Every term off
+    the rows must be content the gauge absorbs: one that is u-free, or
+    has a negative xi-exponent below z^2j, goes into a residue that must
+    cancel to zero, and every other term is skipped before its
+    coefficient is read.  Terms are added in order, each scaled as
     LaurentPoly.shifted_sum scales it, so a row holds the coefficient of
     that sum.
     """
-    cut = 1 if tag[0] in _UNITS else None
+    n = tag[1]
     acc = {}  # row -> coefficient, and residue monomial -> coefficient
-    for poly, (l, i, s), c in parts:
-        top = None if cut is None else cut - i - s
-        if top is not None and top < 0:
-            continue
+    for poly, c in zip(pair, (1, n)):
+        if not c:
+            continue  # Y does not enter column n = 0
         scaled = c != 1
-        for (a, b, e), v in poly.items():
-            if top is not None and b + e > top:
-                continue
-            mon = (a + l, b + i, e + s)
+        for (l, u1, u2), v in poly.items():
+            z = l + n
+            mon = (z, u1, u2)
             key = row_of.get(mon)
             if key is None:
-                z, u1, u2 = mon
                 # absorbed by the gauge: not u-free, and at z^2j or past
                 # it or of xi-exponent -z + k u1 + (2 - k) u2 >= 0
                 # (geometry.v_exponent)
@@ -539,16 +493,11 @@ def _entry_column(k, j, parts, row_of, tag):
             acc[key] = v
     col = [0] * len(row_of)
     for key, v in acc.items():
-        if key.__class__ is int:
-            col[key] = v
-        elif key.degree_u() == 0:
+        if key.__class__ is not int:
+            kind = "unabsorbable" if key.degree_u() else "u-free"
             raise AssertionError(
-                f"u-free residue {key} in direction column {tag}"
-            )
-        else:
-            raise AssertionError(
-                f"unabsorbable residue {key} in direction column {tag}"
-            )
+                f"{kind} residue {key} in direction column {tag}")
+        col[key] = v
     return col
 
 
@@ -557,16 +506,10 @@ def _build_master(k, j, sigma, formula):
         raise ValueError(
             f"formula must be 'derived' or 'printed', got {formula!r}")
     frame = cached(_build_frame, k, j, sigma)
-    if formula == "derived":
-        leibniz = {ab: _leibniz_pieces(frame, *ab)
-                   for ab in ((0, 0), (1, 1), (1, 0))}
-        entry = partial(_direction_entry_derived,
-                        (leibniz, _derived_pairs(leibniz)))
-    else:
-        entry = partial(_direction_entry_printed, j,
-                        _printed_pieces(frame, j))
+    pairs = (_derived_pairs(frame) if formula == "derived"
+             else _printed_pieces(frame, j))
     row_of = {m: r for r, m in enumerate(frame.rows)}
-    columns = [_entry_column(k, j, entry(tag), row_of, tag)
+    columns = [_entry_column(k, j, pairs[tag[0]], row_of, tag)
                for tag in frame.tags]
 
     # the shift column of lowest degree must reproduce the base point
@@ -696,7 +639,7 @@ def _span(master, ev, point):
     if space.rank != rank:
         raise WindowInstabilityError(
             f"rank moved {rank} -> {space.rank} under window bump "
-            f"(k={master.k}, j={master.j}, point={point})"
+            f"(k={master.k}, j={master.j}, point={_point_text(point)})"
         )
     return space, grew
 

@@ -37,6 +37,7 @@ from .engine import (
     cached,
     direction_dimension,
     point_space,
+    _point_text,
     rand_fraction,
     random_point,
     require_directions,
@@ -296,7 +297,8 @@ def full_gauge_oracle(k, j, sigma, point, delta, check_stability=True):
             and system.plan(zero, wide).solvable(ints)):
         raise WindowInstabilityError(
             f"oracle decision flipped under window bump "
-            f"(k={k}, j={j}, point={pt}, delta={dl})"
+            f"(k={k}, j={j}, point={_point_text(pt)}, "
+            f"delta={_point_text(dl)})"
         )
     return OracleReport(
         k=k, j=j, sigma=sigma.describe(), point=pt, delta=dl,

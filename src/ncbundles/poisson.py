@@ -133,12 +133,13 @@ def pieces_pairing(pieces, g):
 
 
 def pairing_shifts(pieces, mon, c=1):
-    """The parts (P, shift, coefficient), as LaurentPoly.shifted_sum and
-    engine._entry_column sum them, that sum to c * sum_d dw/dd * pieces[d]
-    for the monomial w = z^l u1^i u2^s.
+    """The parts (P, shift, coefficient), as LaurentPoly.shifted_sum sums
+    them, that sum to c * sum_d dw/dd * pieces[d] for the monomial
+    w = z^l u1^i u2^s.
 
     With pieces = sigma.bracket_pieces(f) they sum to c {f, w}: dw/dd is
-    e w / d for the exponent e of d in w, one shift of pieces[d].
+    e w / d for the exponent e of d in w, one shift of pieces[d].  The
+    oracle's unit products (oracle._unit_product) are built from them.
     """
     l, i, s = mon
     out = []

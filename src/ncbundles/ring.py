@@ -602,8 +602,7 @@ class LaurentPoly:
         would scale it; a ParamPoly that meets an earlier term of its
         monomial is scaled as it is added (ParamPoly.add_scaled).  It
         builds the oracle's unit products (oracle._unit_product), whose
-        every term the oracle reads; engine._entry_column sums the parts
-        of a master column the same way, straight into its rows.
+        every term the oracle reads, and the engine's family pairs.
         """
         t = {}
         for poly, (l, i, s), c in parts:

@@ -13,7 +13,13 @@ import ncbundles
 from ncbundles import LaurentPoly, Monomial, engine, linalg
 from ncbundles.geometry import v_exponent
 from ncbundles.poisson import pairing_shifts, pieces_pairing
-from ncbundles.ring import VARS, Evaluation, _join_terms, _render_term
+from ncbundles.ring import (
+    VARS,
+    Evaluation,
+    ParamPoly,
+    _join_terms,
+    _render_term,
+)
 
 # CLI tests run `python -m ncbundles.cli` in child processes; they must
 # import the package this suite imports, also when it is not installed
@@ -348,6 +354,32 @@ def reference_master_columns(k, j, sigma, formula):
                          for tag in frame.tags]
 
 
+# Planted content: a master column is z^n (X_g + n Y_g) for the pair of
+# its family (engine._entry_column), so a test plants content in one
+# column by adding to the pair that column reads.
+
+def plant_in_pair(monkeypatch, tag, x=None, y=None):
+    """Make the master build sum column tag = (g, n) from the pair
+    (X_g + x, Y_g + y), every other column from its family's pair."""
+    real = engine._entry_column
+    zero = LaurentPoly.zero()
+
+    def planted(k, j, pair, row_of, t):
+        if t == tag:
+            pair = (pair[0] + (x or zero), pair[1] + (y or zero))
+        return real(k, j, pair, row_of, t)
+
+    monkeypatch.setattr(engine, "_entry_column", planted)
+
+
+def plant_row(monkeypatch, tag, row):
+    """Plant the obstruction row monomial in column tag = (g, n), one that
+    is zero on the rows: z^-n row added to X_g makes it the unit vector
+    of that row."""
+    plant_in_pair(monkeypatch, tag,
+                  x=LaurentPoly.monomial(row.l - tag[1], row.i, row.s))
+
+
 # Reference certificate: the route claims.certify_generic_rank takes off
 # one modular echelon, read off the exact span of point_space instead.
 
@@ -433,6 +465,18 @@ def reference_strata(k, j, sigma, seed, draws, rank_at=None, proved=None):
 def extremal_blocks(k, j):
     """(L1, L2): the lengths of the u1 and u2 blocks of the base point."""
     return 2 * j - 1 - k, 2 * j + k - 3
+
+
+def reference_extremal_columns(k, j):
+    """The shifts lambda_0 .. lambda_(max(L1, L2) - 1), the nonzero bump-0
+    columns of an extremal sigma, symbolic in the base point p_0 ..
+    p_(dim - 1): row r of lambda_m is p_(r+m) where r + m lies in r's
+    block, and 0 otherwise."""
+    l1, l2 = extremal_blocks(k, j)
+    params = tuple(f"p{r}" for r in range(l1 + l2))
+    ends = [l1] * l1 + [l1 + l2] * l2  # the end of each row's block
+    return [[ParamPoly.variable(params, f"p{r + m}") if r + m < ends[r]
+             else 0 for r in range(l1 + l2)] for m in range(max(l1, l2))]
 
 
 def reference_extremal_rank(k, j, mask):

@@ -8,8 +8,12 @@ import jsonschema
 import pytest
 from click.testing import CliRunner
 
-from ncbundles import WindowInstabilityError, cli
+from ncbundles import WindowInstabilityError, cli, engine
 from ncbundles.cli import REPORT_SCHEMA, main
+from ncbundles.engine import stalk_dimension
+from ncbundles.poisson import parse_sigma_spec
+
+from conftest import plant_row
 
 
 runner = CliRunner()
@@ -164,6 +168,25 @@ def test_error_kind_engine_failure(monkeypatch, exc, kind):
     assert res.exit_code == 1
     assert res.stdout == ""
     assert res.stderr == f"error ({kind}): {exc}\n"
+
+
+def test_instability_names_the_point_as_stalk_takes_it(monkeypatch):
+    # the plant of test_stability_check_can_fail: a column past the bump-0
+    # window that enlarges the span at the point; the error names the
+    # point in --point syntax, so it can be pasted back into stalk
+    sigma = parse_sigma_spec("u1*gen1", 1)
+    rep = stalk_dimension(1, 2, sigma, ["1/2", 1, 0, 0])
+    master = engine.cached(engine._build_master, 1, 2, sigma, "derived")
+    row = master.rows[[m.render() for m in master.rows].index(
+        rep.quotient_rows[0])]
+    monkeypatch.setattr(engine, "_MASTERS", {})
+    plant_row(monkeypatch, master.tags[master.narrow], row)
+    res = invoke("stalk", "--k", "1", "--j", "2", "--sigma", "u1*gen1",
+                 "--point", "1/2,1,0,0")
+    assert res.exit_code == 1
+    assert res.stdout == ""
+    assert res.stderr == ("error (instability): rank moved 2 -> 3 under "
+                          "window bump (k=1, j=2, point=1/2,1,0,0)\n")
 
 
 @pytest.mark.parametrize("name, args", [

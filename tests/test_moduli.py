@@ -50,7 +50,10 @@ from ncbundles.ring import Evaluation, FormTable, ParamPoly
 from conftest import (
     form_values,
     fractions,
+    plant_in_pair,
+    plant_row,
     reference_certificate,
+    reference_extremal_columns,
     reference_extremal_counts,
     reference_extremal_rank,
     reference_form_numerators,
@@ -471,12 +474,6 @@ def test_bump_outside_stability_window_rejected():
         build_cancellation_system(1, 2, parse_sigma_spec("gen1", 1), bump=1)
 
 
-def unit_column(mon):
-    """The parts (engine._entry_column) of a column whose one term is the
-    monomial mon."""
-    return [(LaurentPoly.const(1), mon, 1)]
-
-
 def test_stability_check_can_fail(monkeypatch):
     sigma = parse_sigma_spec("u1*gen1", 1)
     pt = [1, 1, 0, 0]
@@ -486,15 +483,8 @@ def test_stability_check_can_fail(monkeypatch):
     # is planted in the build, so it reaches the master's form table
     tag = master.tags[master.narrow]
     row = [m.render() for m in master.rows].index(rep.quotient_rows[0])
-    real = engine._direction_entry_derived
-
-    def planted(pieces, t):
-        if t == tag:
-            return unit_column(master.rows[row])
-        return real(pieces, t)
-
     monkeypatch.setattr(engine, "_MASTERS", {})
-    monkeypatch.setattr(engine, "_direction_entry_derived", planted)
+    plant_row(monkeypatch, tag, master.rows[row])
     with pytest.raises(WindowInstabilityError,
                        match=f"rank moved {rep.rank} -> {rep.rank + 1} "):
         stalk_dimension(1, 2, sigma, pt)
@@ -912,11 +902,12 @@ def test_certificate_rejects_a_dependent_column_on_both_paths(monkeypatch,
 
 @pytest.mark.parametrize("formula", ["derived", "printed"])
 @pytest.mark.parametrize("residue, tag, message", [
-    # z^-1 planted in the Y of every unit family's pair: Y enters from
-    # n = 1, so column (a1, 1) is the first to hold it, as z^0
+    # z^-1 planted in the Y of a unit family's pair: Y enters from n = 1,
+    # so column (a1, 1) holds it as z^0
     pytest.param(Monomial(0, 0, 0), ("a1", 1), "u-free residue",
                  id="residue0-u-free residue"),
-    # on a lambda column, which is not cut at u-degree 1
+    # z^3 u1^2 planted in the X of a lambda column: no column is cut at
+    # u-degree 1, so content past it is checked too
     pytest.param(Monomial(3, 2, 0), ("lambda", 0), "unabsorbable residue",
                  id="residue1-unabsorbable residue"),
 ])
@@ -928,71 +919,60 @@ def test_build_rejects_stray_content(monkeypatch, formula, residue, tag,
     # z^3 u1^2 has xi-exponent -1)
     sigma = parse_sigma_spec("gen1", 1)
     assert residue not in obstruction_basis(1, 2)
-    if tag[0] == "lambda":
-        name = f"_direction_entry_{formula}"
-        real = getattr(engine, name)
-
-        def planted(*args):
-            parts = real(*args)
-            if args[-1] == tag:
-                parts = [*parts,
-                         (LaurentPoly.monomial(*residue), (0, 0, 0), 1)]
-            return parts
-    else:
-        name, real = "_family_parts", engine._family_parts
-
-        def planted(pair, n):
-            X, Y = pair
-            return real((X, Y + LaurentPoly.monomial(-1, 0, 0)), n)
-
+    n = tag[1]
+    stray = LaurentPoly.monomial(residue.l - n, residue.i, residue.s)
     monkeypatch.setattr(engine, "_MASTERS", {})
-    monkeypatch.setattr(engine, name, planted)
+    if n:
+        plant_in_pair(monkeypatch, tag, y=stray.scale(Fraction(1, n)))
+    else:
+        plant_in_pair(monkeypatch, tag, x=stray)
     with pytest.raises(AssertionError, match=re.escape(
             f"{message} {residue} in direction column {tag}")):
         engine.cached(engine._build_master, 1, 2, sigma, formula)
 
 
 @pytest.mark.parametrize("formula", ["derived", "printed"])
-@pytest.mark.parametrize("tag", [("a1", 1), ("lambda", 0)])
+@pytest.mark.parametrize("tag", [("a1", 1), ("lambda", 2)])
 def test_stray_content_that_cancels_is_accepted(monkeypatch, formula, tag):
-    # the residue of a column is summed over its parts before it is
-    # checked: a stray term planted in one part and its negative in
-    # another cancel, so the master is unchanged
+    # the residue of a column is summed over its two parts before it is
+    # checked: a stray term planted in X and its negative in n Y cancel,
+    # so the master is unchanged (Y does not enter at n = 0, and at n = 2
+    # its terms are scaled as they are added)
     sigma = parse_sigma_spec("gen1", 1)
     want = engine._build_master(1, 2, sigma, formula)
     stray = Monomial(0, 0, 0) if tag[0] == "a1" else Monomial(3, 2, 0)
-    name = f"_direction_entry_{formula}"
-    real = getattr(engine, name)
-
-    def planted(*args):
-        parts = real(*args)
-        if args[-1] == tag:
-            parts = [(LaurentPoly.monomial(*stray, 3), (0, 0, 0), 1), *parts,
-                     (LaurentPoly.monomial(stray.l - 1, 0, 0),
-                      (1, stray.i, stray.s), -3)]
-        return parts
-
+    n = tag[1]
+    x = LaurentPoly.monomial(stray.l - n, stray.i, stray.s, 3)
     monkeypatch.setattr(engine, "_MASTERS", {})
-    monkeypatch.setattr(engine, name, planted)
+    plant_in_pair(monkeypatch, tag, x=x, y=x.scale(Fraction(-1, n)))
     got = engine.cached(engine._build_master, 1, 2, sigma, formula)
     assert (got.columns, got.nonzero) == (want.columns, want.nonzero)
 
 
-@pytest.mark.parametrize("entry, fam", [((0, 0), "a1"), ((1, 1), "d1")])
-def test_unit_families_reject_a_classical_residue(entry, fam):
-    # a u-free term of t0 r0 stays at u-degree 1 in w t0 r0 for every
-    # unit w = z^n u_g, so the pair of the entry's first family raises,
-    # naming its first column, before any column is summed
+@pytest.mark.parametrize("entry, fam", [((0, 0), "a1"), ((1, 1), "d1"),
+                                        ((1, 0), "c0")])
+def test_unit_families_reject_a_classical_residue(monkeypatch, entry, fam):
+    # a term of t0 r0 that the unit u_g leaves at u-degree 1 or less stays
+    # in w t0 r0 for every unit w = z^n u_g, so the pair of the entry's
+    # first family raises, naming its first column, before any column is
+    # summed; the planted term has the largest such u-degree, 0 for a
+    # unit family and 1 for c0 (u_g = 1)
     sigma = parse_sigma_spec("gen1", 1)
     frame = engine._build_frame(1, 3, sigma)
-    pieces = {ab: engine._leibniz_pieces(frame, *ab)
-              for ab in ((0, 0), (1, 1), (1, 0))}
-    assert set(engine._derived_pairs(pieces)) == {"a1", "a2", "d1", "d2"}
-    t0r0, A, B = pieces[entry]
-    pieces[entry] = (t0r0 + LaurentPoly.monomial(5, 0, 0), A, B)
+    assert set(engine._derived_pairs(frame)) == {
+        "lambda", "a1", "a2", "d1", "d2", "c0"}
+    real = engine._leibniz_pieces
+
+    def planted(frame, a, b):
+        t0r0, A, B = real(frame, a, b)
+        if (a, b) == entry:
+            t0r0 = t0r0 + LaurentPoly.monomial(5, int(fam == "c0"), 0)
+        return t0r0, A, B
+
+    monkeypatch.setattr(engine, "_leibniz_pieces", planted)
     with pytest.raises(AssertionError, match=re.escape(
             f"classical upper-right residue for column {(fam, 0)}")):
-        engine._derived_pairs(pieces)
+        engine._derived_pairs(frame)
 
 
 def test_frame_rejects_a_right_inverse_off_minus_p(monkeypatch):
@@ -1490,15 +1470,8 @@ def planted_master(k, j, spec, row):
         tag = next(master.tags[c] for c in range(master.narrow,
                                                  len(master.tags))
                    if c not in master.nonzero)
-        real = engine._direction_entry_derived
-
-        def planted(pieces, t):
-            if t == tag:
-                return unit_column(master.rows[row])
-            return real(pieces, t)
-
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(engine, "_direction_entry_derived", planted)
+            plant_row(mp, tag, master.rows[row])
             PLANTED[k, j, spec, row] = engine._build_master(
                 k, j, sigma, "derived")
     return PLANTED[k, j, spec, row]
@@ -1651,15 +1624,8 @@ def test_point_rank_keeps_the_stability_check(monkeypatch):
     master = engine.cached(engine._build_master, 1, 2, sigma, "derived")
     tag = master.tags[master.narrow]
     row = [m.render() for m in master.rows].index(rep.quotient_rows[0])
-    real = engine._direction_entry_derived
-
-    def planted(pieces, t):
-        if t == tag:
-            return unit_column(master.rows[row])
-        return real(pieces, t)
-
     monkeypatch.setattr(engine, "_MASTERS", {})
-    monkeypatch.setattr(engine, "_direction_entry_derived", planted)
+    plant_row(monkeypatch, tag, master.rows[row])
     with pytest.raises(WindowInstabilityError,
                        match=f"rank moved {rep.rank} -> {rep.rank + 1} "):
         engine.point_rank(1, 2, sigma, pt)
@@ -1901,8 +1867,10 @@ def test_oracle_stability_check_can_fail(monkeypatch):
                         planted)
     assert not full_gauge_oracle(1, 2, sigma, pt, delta,
                                  check_stability=False).decision
-    with pytest.raises(WindowInstabilityError,
-                       match="oracle decision flipped under window bump"):
+    # the error names both points as oracle-check and stalk take them
+    with pytest.raises(WindowInstabilityError, match=re.escape(
+            "oracle decision flipped under window bump "
+            "(k=1, j=2, point=1,0,0,0, delta=0,0,1,0)")):
         full_gauge_oracle(1, 2, sigma, pt, delta)
 
 
@@ -2147,6 +2115,23 @@ def test_verify_reads_the_corank_lattice_at_j5(k, spec, status, achieved):
 # the u1 and u2 multiples of the catalog generators: all 18 are extremal
 # at every j tested, 2 to 12
 EXTREMAL = [(k, m + gen) for k, gen in CATALOG for m in ("u1*", "u2*")]
+
+
+@pytest.mark.parametrize("k, spec", EXTREMAL)
+def test_extremal_masters_are_the_shift_matrix(k, spec):
+    # the lambda family symbolically, against a reference built without
+    # the engine: at j = 2..12 the nonzero bump-0 columns of an extremal
+    # multiple are lambda_0 .. lambda_(max(L1, L2) - 1), entry by entry
+    sigma = parse_sigma_spec(spec, k)
+    for j in range(2, 13):
+        master = engine.cached(engine._build_master, k, j, sigma, "derived")
+        narrow = master.nonzero_narrow()
+        want = reference_extremal_columns(k, j)
+        assert [master.tags[c] for c in narrow] == [
+            ("lambda", m) for m in range(len(want))], j
+        assert [[(type(e), e) for e in master.columns[c]]
+                for c in narrow] == [[(type(e), e) for e in col]
+                                     for col in want], j
 
 
 @pytest.mark.parametrize("j", [2, 3, 4])
