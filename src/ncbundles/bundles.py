@@ -17,6 +17,14 @@ from .geometry import cech_split
 from .ring import FormalFunction, LaurentPoly, Monomial
 
 
+def require_basis(k):
+    """Reject a k with no extension basis: there are bases on W_1 and W_2
+    only."""
+    if k not in (1, 2):
+        raise ValueError(f"extension bases exist only on W_1 and W_2, "
+                         f"got k={k}")
+
+
 def extension_basis(k, j, max_u=1, epsilon=None):
     """Monomial basis of the extension classes for the weight-j family.
 
@@ -26,9 +34,7 @@ def extension_basis(k, j, max_u=1, epsilon=None):
     i >= 1 - epsilon, s >= epsilon; None takes the union of both halves.
     Ordered by u-grade, then u2-degree, then descending z-degree.
     """
-    if k not in (1, 2):
-        raise ValueError(f"extension bases exist only on W_1 and W_2, "
-                         f"got k={k}")
+    require_basis(k)
     if j < 1:
         raise ValueError(f"need j >= 1, got {j}")
     if epsilon not in (None, 0, 1):
@@ -91,15 +97,22 @@ class Matrix2:
         return f"Matrix2({self.render()})"
 
 
-def star_matrix_mul(sigma, A, B, order=1):
-    """Entrywise star product of 2x2 matrices, truncated in hbar."""
+def star_matrix_mul(sigma, A, B, order=1, pieces=None):
+    """Entrywise star product of 2x2 matrices, truncated in hbar.
+
+    pieces, when given, holds sigma.bracket_pieces(A.entry(i, m)[0]) as
+    pieces[i][m] for every entry of A: each star product pairs them
+    (Bivector.star) instead of taking them again, so a caller that
+    already holds the pieces of A's classical entries passes them here.
+    """
     rows = []
     for i in range(2):
         line = []
         for j in range(2):
             acc = None
             for m in range(2):
-                term = sigma.star(A.entry(i, m), B.entry(m, j), order)
+                term = sigma.star(A.entry(i, m), B.entry(m, j), order,
+                                  None if pieces is None else pieces[i][m])
                 acc = term if acc is None else acc + term
             line.append(acc)
         rows.append(line)

@@ -43,7 +43,10 @@ _leibniz_pieces checks r0 = -t0 exactly and then builds neither.  A
 printed column is such a sum too, and the frame holds the bracket pieces
 that both formulas pair, so each is computed once per configuration: R_01
 is -p classically, which the frame checks exactly, and the pieces are
-linear, so its pieces are those of p negated.
+linear, so its pieces are those of p negated.  The frame's T * R = 1 check
+pairs the pieces of T's classical entries z^j, p and z^-j (star_matrix_mul
+takes them from the caller), so a cold configuration takes
+Bivector.bracket_pieces four times: those three and one in R.
 
 Every column family g (lambda, a1, a2, d1, d2, c0) is one polynomial pair
 (X_g, Y_g) per formula, built once per master (_derived_pairs,
@@ -69,6 +72,7 @@ from .bundles import (
     Matrix2,
     canonical_right_inverse,
     extension_basis,
+    require_basis,
     star_matrix_mul,
     transition_matrix,
 )
@@ -124,9 +128,7 @@ def direction_dimension(k, j):
     The size of extension_basis(k, j, 1), counted without building it:
     its u1 block has 2j - 1 - k monomials and its u2 block 2j + k - 3.
     """
-    if k not in (1, 2):
-        raise ValueError(f"extension bases exist only on W_1 and W_2, "
-                         f"got k={k}")
+    require_basis(k)
     if j < 1:
         raise ValueError(f"need j >= 1, got {j}")
     return max(0, 2 * j - 1 - k) + max(0, 2 * j + k - 3)
@@ -173,10 +175,17 @@ def compute_windows(k, j, sigma, bump=0):
     shift window [0, 2j] is a legality cap coming from V-holomorphy of
     the transformed lower-left entry, not a truncation, so the stability
     bump never widens it.
+
+    l_min, the lowest z-degree of extension_basis(k, j, 1), is read off
+    without building the basis, as direction_dimension counts it: a
+    block's z-degrees run from k i + (2 - k) s - j + 1 up to j - 1, so
+    the u1 block (i = 1) starts at k - j + 1 and the u2 block (s = 1) at
+    3 - k - j, and 3 - k - j <= k - j + 1 for k in {1, 2}.  For j >= 2
+    both blocks are nonempty, so l_min = 3 - k - j.
     """
     require_directions(j)
-    basis = extension_basis(k, j, 1)
-    l_min = min(m.l for m in basis)
+    require_basis(k)
+    l_min = 3 - k - j
     s_lo = j + l_min - 1 + _sigma_h_min(sigma)
     return GaugeWindows(
         lambda_hi=2 * j - 2 + bump,
@@ -333,7 +342,9 @@ class MasterFrame(NamedTuple):
     transition matrix T with its right inverse R, and the bracket pieces
     (Bivector.bracket_pieces) of the classical parts of T_0a (t_pieces)
     and of R_b1 (r_pieces), each polynomial's pieces computed once, and
-    those of R_01 = -p negated from p's."""
+    those of R_01 = -p negated from p's.  t_pieces, those of z^j and p,
+    are the ones the T * R = 1 check paired, with those of z^-j, which no
+    build reads and the frame does not keep."""
 
     point: list
     p_poly: LaurentPoly
@@ -354,14 +365,18 @@ def _build_frame(k, j, sigma):
     p_poly = LaurentPoly({m: c for m, c in zip(basis, coeffs)})
     # a column depends on its tag alone, so the bump-0 window is a prefix
     tags = _column_tags(compute_windows(k, j, sigma))
-    narrow = len(tags)
+    narrow, seen = len(tags), set(tags)
     win = compute_windows(k, j, sigma, STABILITY_BUMP)
-    tags += [t for t in _column_tags(win) if t not in tags]
+    tags += [t for t in _column_tags(win) if t not in seen]
 
-    # identity gauge sanity: T * R must be the identity mod hbar^2
+    # identity gauge sanity: T * R must be the identity mod hbar^2; it
+    # pairs the pieces of T's classical entries z^j, p and z^-j, and the
+    # builds pair those of row 0 again
     T = transition_matrix(j, p_poly)
     R = canonical_right_inverse(sigma, j, FormalFunction([p_poly]))
-    ident = star_matrix_mul(sigma, T, R, 1)
+    t_pieces = tuple(sigma.bracket_pieces(T.entry(0, a)[0]) for a in (0, 1))
+    ident = star_matrix_mul(sigma, T, R, 1, (
+        t_pieces, ({}, sigma.bracket_pieces(T.entry(1, 1)[0]))))
     for a in range(2):
         for b in range(2):
             want_cl = LaurentPoly.const(1) if a == b else LaurentPoly.zero()
@@ -372,7 +387,6 @@ def _build_frame(k, j, sigma):
     # T_00 = R_11 = z^j and T_01 = p: the derived build pairs the pieces
     # of z^j, p and R_01, and the printed build those of z^j and p; R_01
     # is -p, so its pieces are p's negated, as the pieces are linear
-    t_pieces = tuple(sigma.bracket_pieces(T.entry(0, a)[0]) for a in (0, 1))
     if not (R.entry(0, 1)[0] + T.entry(0, 1)[0]).is_zero():
         raise AssertionError("right inverse failed: R_01 is not -p")
     r_pieces = ({d: -piece for d, piece in t_pieces[1].items()},
@@ -419,8 +433,11 @@ class MasterSystem:
         """The ring.FormTable of the columns, compiled on the first read
         and kept on the master, as bounds and pattern are."""
         if self._table is None:
+            # a zero column has an empty segment, so it is not read
+            nonzero = set(self.nonzero)
             object.__setattr__(self, "_table", FormTable.compile(
-                dict(enumerate(col)) for col in self.columns))
+                dict(enumerate(col)) if c in nonzero else {}
+                for c, col in enumerate(self.columns)))
         return self._table
 
     def nonzero_narrow(self):

@@ -69,8 +69,14 @@ class Bivector:
                 pieces[d] = pieces[d] + piece if d in pieces else piece
         return {d: p for d, p in pieces.items() if not p.is_zero()}
 
-    def star(self, F, G, order=None):
-        """Truncated star product of two hbar-series."""
+    def star(self, F, G, order=None, pieces=None):
+        """Truncated star product of two hbar-series.
+
+        pieces, when given, must be bracket_pieces(F[0]): each bracket
+        {F[0], g} is then pieces_pairing(pieces, g), which is what bracket
+        computes, without taking the pieces again.  The brackets of F's
+        higher coefficients take their own.
+        """
         if isinstance(F, LaurentPoly):
             F = FormalFunction([F])
         if isinstance(G, LaurentPoly):
@@ -85,7 +91,11 @@ class Bivector:
                 if not (fa.is_zero() or gb.is_zero()):
                     acc = acc + fa * gb
             for a in range(n):
-                acc = acc + self.bracket(F[a], G[n - 1 - a])
+                fa, gb = F[a], G[n - 1 - a]
+                if pieces is None or a:
+                    acc = acc + self.bracket(fa, gb)
+                elif not (fa.is_zero() or gb.is_zero()):
+                    acc = acc + pieces_pairing(pieces, gb)
             coeffs.append(acc)
         return FormalFunction(coeffs)
 

@@ -210,6 +210,10 @@ class ParamPoly:
     __rmul__ = __mul__
 
     def __eq__(self, other):
+        # two ParamPolys, the case of every master compare, skip the
+        # scalar check
+        if other.__class__ is ParamPoly:
+            return self.params == other.params and self._terms == other._terms
         if isinstance(other, (int, Fraction)):
             other = ParamPoly.const(self.params, other)
         if not isinstance(other, ParamPoly):

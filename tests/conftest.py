@@ -11,8 +11,13 @@ from hypothesis import HealthCheck, settings, strategies as st
 
 import ncbundles
 from ncbundles import LaurentPoly, Monomial, engine, linalg
+from ncbundles.bundles import extension_basis
 from ncbundles.geometry import v_exponent
-from ncbundles.poisson import pairing_shifts, pieces_pairing
+from ncbundles.poisson import (
+    pairing_shifts,
+    parse_sigma_spec,
+    pieces_pairing,
+)
 from ncbundles.ring import (
     VARS,
     Evaluation,
@@ -64,6 +69,32 @@ def laurent_polys(draw, max_terms=4):
     return LaurentPoly(terms)
 
 
+PARAMS = ("p0", "p1", "p2")
+
+
+@st.composite
+def param_polys(draw):
+    acc = ParamPoly.const(PARAMS, draw(st.fractions(
+        min_value=Fraction(-5), max_value=Fraction(5), max_denominator=6)))
+    for name in draw(st.lists(st.sampled_from(PARAMS), max_size=3)):
+        acc = acc + ParamPoly.variable(PARAMS, name)
+    return acc
+
+
+@st.composite
+def mixed_laurent_polys(draw):
+    """Laurent polynomials with int, Fraction and ParamPoly coefficients."""
+    coeffs = st.one_of(rationals, param_polys())
+    return LaurentPoly(draw(st.dictionaries(monomials, coeffs, max_size=5)))
+
+
+# the 27 catalog bivectors: the generators of W_1 and W_2 and their u1
+# and u2 multiples
+CATALOG_SIGMAS = [
+    parse_sigma_spec(m + f"gen{n}", k) for k, top in ((1, 4), (2, 5))
+    for n in range(1, top + 1) for m in ("", "u1*", "u2*")]
+
+
 class DenseParamPoly:
     """Reference ParamPoly that keys each term by its exponent vector,
     aligned with params, as given: the dense encoding that ring.ParamPoly
@@ -113,6 +144,21 @@ class DenseParamPoly:
         return _join_terms([_render_term(c, [
             n if e == 1 else f"{n}^{e}" for n, e in zip(self.params, ev)
             if e]) for ev, c in self.terms()])
+
+
+def lowest_basis_degree(k, j):
+    """The lowest z-degree of extension_basis(k, j, 1), from the basis."""
+    return min(m.l for m in extension_basis(k, j, 1))
+
+
+def reference_windows(k, j, sigma, bump=0):
+    """compute_windows' windows from the lowest degree of the built
+    basis: units reach rows up to 2j - 1 from the lowest bracket degree
+    j + l_min - 1 + h_min, with a margin of 2."""
+    s_lo = j + lowest_basis_degree(k, j) - 1 + engine._sigma_h_min(sigma)
+    return engine.GaugeWindows(lambda_hi=2 * j - 2 + bump,
+                               unit_hi=(2 * j - 1) - s_lo + 2 + bump,
+                               shift_hi=2 * j)
 
 
 def reference_form_numerators(columns, coords):

@@ -22,6 +22,8 @@ from ncbundles import (
 )
 from ncbundles.poisson import Bivector
 
+from conftest import CATALOG_SIGMAS
+
 P = parse_poly
 
 
@@ -221,3 +223,22 @@ def test_normalize_recursion_identity():
         combo = zj * res.s_terms[n - 1] \
             + (res.a[n] + res.alpha[n]).scale(res.unit)
         assert combo.is_zero()
+
+
+def test_star_matrix_mul_with_pieces_is_the_product():
+    # the pieces of A's classical entries from the caller give the
+    # product without them, for T * R and R * T of every catalog sigma
+    rng = random.Random(13)
+    for sigma in CATALOG_SIGMAS:
+        for j in (2, 3):
+            q = FormalFunction([random_u_linear(rng, j, sigma.k),
+                                random_u_linear(rng, j, sigma.k)])
+            T = transition_matrix(j, q)
+            R = canonical_right_inverse(sigma, j, q)
+            for A, B in ((T, R), (R, T)):
+                pieces = [[sigma.bracket_pieces(A.entry(i, m)[0])
+                           for m in range(2)] for i in range(2)]
+                got = star_matrix_mul(sigma, A, B, 1, pieces)
+                want = star_matrix_mul(sigma, A, B, 1)
+                assert all(got.entry(i, c) == want.entry(i, c)
+                           for i in range(2) for c in range(2))

@@ -36,6 +36,7 @@ from ncbundles import claims, engine, linalg, oracle
 from ncbundles.cli import REPORT_SCHEMA, canonical_json, main, make_report
 from ncbundles.engine import (
     DEFAULT_SEED,
+    STABILITY_BUMP,
     _coerce_point,
     direction_dimension,
     rand_fraction,
@@ -48,8 +49,10 @@ from ncbundles.poisson import Bivector
 from ncbundles.ring import Evaluation, FormTable, ParamPoly
 
 from conftest import (
+    CATALOG_SIGMAS,
     form_values,
     fractions,
+    lowest_basis_degree,
     plant_in_pair,
     plant_row,
     reference_certificate,
@@ -62,6 +65,7 @@ from conftest import (
     reference_strata,
     reference_stratum_bounds,
     reference_verify_claims,
+    reference_windows,
 )
 
 
@@ -360,6 +364,32 @@ def test_windows_bump():
                             "shift": [0, 4]}
 
 
+@pytest.mark.parametrize("j", range(2, 13))
+def test_windows_match_the_basis(j):
+    # compute_windows reads l_min off in closed form; the reference takes
+    # it from the built basis
+    for sigma in CATALOG_SIGMAS:
+        for bump in (0, STABILITY_BUMP):
+            assert compute_windows(sigma.k, j, sigma, bump) == (
+                reference_windows(sigma.k, j, sigma, bump))
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_lowest_basis_degree_is_closed(k):
+    # l_min = 3 - k - j: the u2 block starts lowest, at every j
+    sigma = parse_sigma_spec("gen1", k)
+    for j in range(2, 65):
+        assert lowest_basis_degree(k, j) == 3 - k - j
+        assert compute_windows(k, j, sigma) == reference_windows(k, j, sigma)
+
+
+def test_windows_reject_a_k_without_basis():
+    sigma = Bivector(3, [(LaurentPoly.const(1), ("z", "u1"))])
+    with pytest.raises(ValueError, match=re.escape(
+            "extension bases exist only on W_1 and W_2, got k=3")):
+        compute_windows(3, 4, sigma)
+
+
 def test_window_instability_is_runtime_error():
     assert issubclass(WindowInstabilityError, RuntimeError)
 
@@ -380,21 +410,22 @@ def test_one_master_per_configuration(monkeypatch):
 ])
 def test_cold_builds_take_each_polynomials_bracket_pieces_once(
         monkeypatch, k, j, spec):
-    # a cold configuration takes Bivector.bracket_pieces 5 times in the
-    # frame's R and its T * R = 1 check, and once for each polynomial the
-    # two builds pair, z^j and p, which the frame holds for both; R_01 is
-    # -p, whose pieces are p's negated (14 calls when each build took its
-    # own)
+    # a cold configuration takes Bivector.bracket_pieces 4 times: once in
+    # the frame's R, and once for each classical entry of T, z^j, p and
+    # z^-j, whose pieces the T * R = 1 check (star_matrix_mul) pairs and
+    # the two builds pair again from the frame; R_01 is -p, whose pieces
+    # are p's negated (7 calls when the check took its own, 14 when each
+    # build took its own too)
     sigma = parse_sigma_spec(spec, k)
     bracket_pieces, calls, in_check = Bivector.bracket_pieces, [], []
 
     def counted(self, f):
-        calls.append((bool(in_check), f))
+        calls.append((in_check[-1] if in_check else None, f))
         return bracket_pieces(self, f)
 
-    def checking(fn):
+    def checking(name, fn):
         def run(*args):
-            in_check.append(fn)
+            in_check.append(name)
             try:
                 return fn(*args)
             finally:
@@ -403,7 +434,8 @@ def test_cold_builds_take_each_polynomials_bracket_pieces_once(
 
     monkeypatch.setattr(Bivector, "bracket_pieces", counted)
     for name in ("canonical_right_inverse", "star_matrix_mul"):
-        monkeypatch.setattr(engine, name, checking(getattr(engine, name)))
+        monkeypatch.setattr(engine, name,
+                            checking(name, getattr(engine, name)))
     counts = []
     for _ in range(2):
         monkeypatch.setattr(engine, "_MASTERS", {})
@@ -411,10 +443,15 @@ def test_cold_builds_take_each_polynomials_bracket_pieces_once(
         for formula in ("derived", "printed"):
             build_cancellation_system(k, j, sigma, formula=formula)
         counts.append(len(calls))
-        paired = [f for check, f in calls if not check]
-        assert len(paired) == 2
-        assert all(f != g for a, f in enumerate(paired) for g in paired[:a])
-    assert counts == [7, 7]
+        assert [name for name, _ in calls].count(
+            "canonical_right_inverse") == 1
+        assert "star_matrix_mul" not in [name for name, _ in calls]
+        paired = [f for name, f in calls if name is None]
+        assert paired == [LaurentPoly.monomial(j, 0, 0),
+                          engine.cached(engine._build_frame, k, j,
+                                        sigma).p_poly,
+                          LaurentPoly.monomial(-j, 0, 0)]
+    assert counts == [4, 4]
 
 
 def test_unknown_formula_is_rejected(monkeypatch):
@@ -1023,6 +1060,24 @@ def test_build_rejects_a_failing_right_inverse(monkeypatch, order, message):
         with pytest.raises(AssertionError, match=message):
             engine.cached(engine._build_master, 1, 2, sigma, formula)
     assert engine._MASTERS == {}
+
+
+@pytest.mark.parametrize("k, j, spec", [
+    (1, 2, "gen1"), (2, 3, "gen5"), (1, 3, "u1*gen1")])
+def test_t_times_r_check_rejects_a_wrong_piece(monkeypatch, k, j, spec):
+    # the check pairs the frame's pieces of T's classical entries; p's
+    # pieces given for entry (0, 0), z^j, leave T * R off the identity
+    # at order 1, where the brackets enter
+    real = engine.star_matrix_mul
+
+    def swapped(sigma, A, B, order, pieces):
+        (_, pp), row1 = pieces
+        return real(sigma, A, B, order, ((pp, pp), row1))
+
+    monkeypatch.setattr(engine, "star_matrix_mul", swapped)
+    with pytest.raises(AssertionError,
+                       match="right inverse failed at order 1"):
+        engine._build_frame(k, j, parse_sigma_spec(spec, k))
 
 
 @pytest.mark.parametrize("point", ["full-support", "axis"])
@@ -2147,9 +2202,7 @@ def test_extremal_strata_are_closed_at_the_shift_rank(k, spec, j):
         assert engine.stratum_rank(master, mask) == (rank, rank), mask
 
 
-@pytest.mark.parametrize("j", range(5, 13))
-@pytest.mark.parametrize("k, spec", EXTREMAL)
-def test_extremal_closed_form_holds_to_j12(k, spec, j):
+def check_extremal_closed_form(k, spec, j):
     # past the exhaustive range: every single-coordinate mask, the chain
     # of masks 2^i - 1 and the full mask; mask 1 has the top corank
     # 4j - 5 and the full mask the generic stalk 2j - k - 1
@@ -2165,6 +2218,19 @@ def test_extremal_closed_form_holds_to_j12(k, spec, j):
     assert dim - engine.stratum_rank(master, 1)[0] == 4 * j - 5
     assert dim - engine.stratum_rank(master, (1 << dim) - 1)[0] == (
         2 * j - k - 1)
+
+
+@pytest.mark.parametrize("j", range(5, 13))
+@pytest.mark.parametrize("k, spec", EXTREMAL)
+def test_extremal_closed_form_holds_to_j12(k, spec, j):
+    check_extremal_closed_form(k, spec, j)
+
+
+@pytest.mark.parametrize("j", range(13, 17))
+@pytest.mark.parametrize("k, spec", EXTREMAL)
+def test_extremal_closed_form_holds_to_j16(k, spec, j):
+    # the masks of CI's j = 16 verify, in Tier-1
+    check_extremal_closed_form(k, spec, j)
 
 
 @pytest.mark.parametrize("k, spec", EXTREMAL)

@@ -24,7 +24,13 @@ from ncbundles import (
 
 from ncbundles.poisson import pairing_shifts
 
-from conftest import fractions, laurent_polys, monomials
+from conftest import (
+    CATALOG_SIGMAS,
+    fractions,
+    laurent_polys,
+    mixed_laurent_polys,
+    monomials,
+)
 
 P = parse_poly
 
@@ -118,6 +124,17 @@ def test_star_with_self_classical():
     H = s2.star(F, F, 1)
     assert H[0] == P("z + u2") * P("z + u2")
     assert H[1].is_zero()
+
+
+series = st.lists(mixed_laurent_polys(), min_size=1, max_size=2).map(
+    FormalFunction)
+
+
+@given(st.sampled_from(CATALOG_SIGMAS), series, series)
+def test_star_with_given_pieces_is_the_star(sigma, F, G):
+    # the pieces of F[0] from the caller are paired as bracket pairs them
+    pieces = sigma.bracket_pieces(F[0])
+    assert sigma.star(F, G, 1, pieces=pieces) == sigma.star(F, G, 1)
 
 
 def all_sigmas():

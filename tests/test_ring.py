@@ -10,11 +10,14 @@ from ncbundles import FormalFunction, LaurentPoly, Monomial, parse_poly
 from ncbundles.ring import VARS, Evaluation, FormTable, ParamPoly
 
 from conftest import (
+    PARAMS,
     DenseParamPoly,
     form_values,
     fractions,
     laurent_polys,
+    mixed_laurent_polys,
     monomials,
+    param_polys,
     rationals,
 )
 
@@ -136,18 +139,6 @@ def test_shift_rejects_negative_fibre_exponent():
         parse_poly("z*u1").shift((0, -1, 0))
 
 
-PARAMS = ("p0", "p1", "p2")
-
-
-@st.composite
-def param_polys(draw):
-    acc = ParamPoly.const(PARAMS, draw(st.fractions(
-        min_value=Fraction(-5), max_value=Fraction(5), max_denominator=6)))
-    for name in draw(st.lists(st.sampled_from(PARAMS), max_size=3)):
-        acc = acc + ParamPoly.variable(PARAMS, name)
-    return acc
-
-
 @given(param_polys(), param_polys(), st.tuples(fractions, fractions, fractions))
 def test_param_specialization_commutes(A, B, vals):
     point = dict(zip(PARAMS, vals))
@@ -212,6 +203,14 @@ def test_param_arithmetic_across_equal_params_tuples(A, B):
         assert got.terms() == want.terms()
 
 
+def test_param_polys_over_other_params_differ():
+    # the same terms over another params tuple are another polynomial
+    A = ParamPoly.variable(PARAMS, "p0") + 1
+    B = ParamPoly(("q0", "q1", "q2"), dict(A.terms()))
+    assert A != B and B != A
+    assert A == ParamPoly(PARAMS, dict(A.terms()))
+
+
 def test_param_arithmetic_rejects_other_params():
     A = ParamPoly.variable(PARAMS, "p0") + 1
     for other in (ParamPoly.variable(("p0", "p1", "q2"), "q2"),
@@ -240,13 +239,6 @@ def test_direct_results_match_checked_constructor(f, d, n, c):
             assert got == LaurentPoly(terms)
             assert all(v for _, v in got.terms())
             assert all(m.i >= 0 and m.s >= 0 for m in got.monomials())
-
-
-@st.composite
-def mixed_laurent_polys(draw):
-    """Laurent polynomials with int, Fraction and ParamPoly coefficients."""
-    coeffs = st.one_of(rationals, param_polys())
-    return LaurentPoly(draw(st.dictionaries(monomials, coeffs, max_size=5)))
 
 
 @given(mixed_laurent_polys(), mixed_laurent_polys(), st.integers(0, 2))
