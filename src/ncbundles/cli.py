@@ -9,11 +9,11 @@ stderr with KIND one of usage, invariant or instability.
 
 from __future__ import annotations
 
-import json
 import os
 import random
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 import click
 
@@ -72,9 +72,55 @@ def make_report(kind, config, seed, result):
 
 
 def canonical_json(obj):
-    """Deterministic serialization: same report, same bytes."""
-    return json.dumps(obj, sort_keys=True, indent=2,
-                      separators=(",", ": ")) + "\n"
+    """Deterministic serialization: same report, same bytes.
+
+    The bytes of json.dumps(obj, sort_keys=True, indent=2,
+    separators=(",", ": ")) + "\n", written directly by _write_json:
+    json uses its C encoder only without an indent, and its pure-Python
+    one costs more.  A report is a tree of str-keyed dicts, lists,
+    tuples, str, int, bool and None; any other value or key (a float, a
+    set, an int key) raises TypeError.
+    """
+    out = []
+    _write_json(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(obj, newline, out):
+    """Append the json text of obj to out, as json.dumps writes it with
+    keys sorted and an indent of 2; newline is the line break and indent
+    of obj's depth.  Strings are escaped to ASCII (json's default)."""
+    if isinstance(obj, str):
+        out.append(_quote(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, (list, tuple, dict)):
+        is_dict = isinstance(obj, dict)
+        if not obj:
+            out.append("{}" if is_dict else "[]")
+            return
+        inner = newline + "  "
+        sep = ("{" if is_dict else "[") + inner
+        for item in sorted(obj) if is_dict else obj:
+            out.append(sep)
+            sep = "," + inner
+            if is_dict:
+                if not isinstance(item, str):
+                    raise TypeError(f"report key {item!r} is not a str")
+                out.append(_quote(item) + ": ")
+                item = obj[item]
+            _write_json(item, inner, out)
+        out.append(newline + ("}" if is_dict else "]"))
+    else:
+        raise TypeError(
+            f"a {type(obj).__name__} is not a report value: {obj!r}")
 
 
 def _resolve_seed(seed):

@@ -469,15 +469,19 @@ def _entry_column(k, j, pair, row_of, tag):
     tag = (g, n), z^n (X_g + n Y_g) for the pair (X_g, Y_g) of its
     family g, in one pass over the terms of X_g and then of n Y_g.
 
-    A term on a row is added to that row's coefficient.  Every term off
-    the rows must be content the gauge absorbs: one that is u-free, or
-    has a negative xi-exponent below z^2j, goes into a residue that must
-    cancel to zero, and every other term is skipped before its
-    coefficient is read.  Terms are added in order, each scaled as
-    LaurentPoly.shifted_sum scales it, so a row holds the coefficient of
-    that sum.
+    A term the gauge absorbs, one that is not u-free and lies at z^2j or
+    past it or has xi-exponent -z + k u1 + (2 - k) u2 >= 0
+    (geometry.v_exponent), is skipped first, before its row is looked up
+    or its coefficient read: no row lies there, since the rows have
+    u-degree 1 and run over z = k+1..2j-1 (u1) and z = 3-k..2j-1 (u2),
+    the blocks of compute_windows shifted by j.  Any other term is on a
+    row, where it is added to the row's coefficient, or goes into a
+    residue that must cancel to zero.  Terms are added in order, each
+    scaled as LaurentPoly.shifted_sum scales it, so a row holds the
+    coefficient of that sum.
     """
     n = tag[1]
+    top, k2 = 2 * j, 2 - k
     acc = {}  # row -> coefficient, and residue monomial -> coefficient
     for poly, c in zip(pair, (1, n)):
         if not c:
@@ -485,14 +489,11 @@ def _entry_column(k, j, pair, row_of, tag):
         scaled = c != 1
         for (l, u1, u2), v in poly.items():
             z = l + n
+            if u1 + u2 and (z >= top or z <= k * u1 + k2 * u2):
+                continue  # absorbed by the gauge
             mon = (z, u1, u2)
             key = row_of.get(mon)
             if key is None:
-                # absorbed by the gauge: not u-free, and at z^2j or past
-                # it or of xi-exponent -z + k u1 + (2 - k) u2 >= 0
-                # (geometry.v_exponent)
-                if u1 + u2 and (z >= 2 * j or z <= k * u1 + (2 - k) * u2):
-                    continue
                 key = Monomial(*mon)
             if key in acc:
                 old = acc[key]

@@ -302,18 +302,30 @@ class FormTable(NamedTuple):
         terms, so equal entries share a form id with no sorting of terms.
         Form ids are given in order of first use, column by column, and
         monomial ids in order of first use, form by form.
+
+        An entry object that sits in several columns is keyed once: its
+        form id is remembered by id(entry) for this call only.  The
+        columns hold every entry alive until compile returns (they are
+        listed first, so a generator's dicts are kept too), and no id is
+        reused for another entry meanwhile.
         """
+        columns = list(columns)
         start, rows, ids, keys = [0], [], [], {}  # keys: entry -> form id
+        seen = {}  # id(entry) -> form id
         for col in columns:
-            for r, key in col.items():
-                if not key:
+            for r, entry in col.items():
+                if not entry:
                     continue
-                if isinstance(key, ParamPoly):
-                    t = key._terms
-                    key = (frozenset(t.items()) if len(t) > 1 or any(t)
-                           else sum(t.values()))
+                f = seen.get(id(entry))
+                if f is None:
+                    key = entry
+                    if isinstance(key, ParamPoly):
+                        t = key._terms
+                        key = (frozenset(t.items()) if len(t) > 1 or any(t)
+                               else sum(t.values()))
+                    f = seen[id(entry)] = keys.setdefault(key, len(keys))
                 rows.append(r)
-                ids.append(keys.setdefault(key, len(keys)))
+                ids.append(f)
             start.append(len(rows))
         terms = [key if isinstance(key, frozenset) else [((), key)]
                  for key in keys]
@@ -543,13 +555,37 @@ class LaurentPoly:
         """(self * other).truncate_neighborhood(n), without the cut terms.
 
         u-degree adds under multiplication, so a pair of terms whose
-        u-degrees sum past n is skipped, not multiplied and then dropped.
+        u-degrees sum past n is skipped, not multiplied and then dropped;
+        a one-term factor is a shift of the other factor's terms below
+        the cut (_product).
         """
         return self._product(other, n)
 
     def _product(self, other, n):
         """The product with the polynomial other, cut at u-degree n unless
-        n is None."""
+        n is None.
+
+        A factor of one term c z^l u1^i u2^s is a shift: the other
+        factor's terms, those of u-degree up to n - i - s, move by
+        (l, i, s).  A shift keeps distinct monomials distinct, so nothing
+        merges or cancels, and a product of nonzero coefficients is
+        nonzero.  Each coefficient is the product c1 * c2 of the general
+        loop, in the same operand order, except that an int c = 1 shares
+        the other coefficient, which is immutable; a Fraction(1) or a
+        constant ParamPoly still multiplies, so that no coefficient
+        changes type.
+        """
+        if len(self._t) == 1 or len(other._t) == 1:
+            left = len(self._t) == 1
+            ((l, i, s), c), = (self if left else other)._t.items()
+            top = None if n is None else n - i - s
+            unit = c.__class__ is int and c == 1
+            t = {}
+            for (a, b, e), v in (other if left else self)._t.items():
+                if top is None or b + e <= top:
+                    t[_new(Monomial, (a + l, b + i, e + s))] = (
+                        v if unit else c * v if left else v * c)
+            return LaurentPoly._of(t)
         terms = other._t.items()
         if n is not None:  # the terms of other by u-degree: a prefix is kept
             terms = sorted(terms, key=lambda mc: mc[0][1] + mc[0][2])

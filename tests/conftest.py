@@ -146,6 +146,19 @@ class DenseParamPoly:
             if e]) for ev, c in self.terms()])
 
 
+def reference_product(f, g, n=None):
+    """The terms {monomial: coefficient} of f * g, built term by term:
+    every pair of terms multiplied as c1 * c2, summed per monomial, zeros
+    dropped, cut at u-degree n unless n is None."""
+    t = {}
+    for m1, c1 in f.terms():
+        for m2, c2 in g.terms():
+            m = Monomial(m1.l + m2.l, m1.i + m2.i, m1.s + m2.s)
+            if n is None or m.degree_u() <= n:
+                t[m] = t[m] + c1 * c2 if m in t else c1 * c2
+    return {m: c for m, c in t.items() if c}
+
+
 def lowest_basis_degree(k, j):
     """The lowest z-degree of extension_basis(k, j, 1), from the basis."""
     return min(m.l for m in extension_basis(k, j, 1))

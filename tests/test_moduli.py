@@ -10,7 +10,7 @@ from functools import partial
 import jsonschema
 import pytest
 from click.testing import CliRunner
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from ncbundles import (
     FormalFunction,
@@ -966,6 +966,16 @@ def test_build_rejects_stray_content(monkeypatch, formula, residue, tag,
     with pytest.raises(AssertionError, match=re.escape(
             f"{message} {residue} in direction column {tag}")):
         engine.cached(engine._build_master, 1, 2, sigma, formula)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_no_obstruction_row_lies_where_the_gauge_absorbs(k):
+    # _entry_column skips a term of u-degree >= 1 at z^2j or past it, or
+    # at z <= k u1 + (2 - k) u2, before it looks up its row: none is a row
+    for j in range(2, 65):
+        for m in obstruction_basis(k, j):
+            assert m.i + m.s == 1
+            assert k * m.i + (2 - k) * m.s < m.l < 2 * j
 
 
 @pytest.mark.parametrize("formula", ["derived", "printed"])
@@ -2397,3 +2407,29 @@ def test_canonical_json_bytes():
     assert a == b
     assert a.endswith("\n")
     json.loads(a)
+
+
+# report trees: str-keyed dicts, lists and tuples of str (control
+# characters and non-ASCII among them), big ints, bools and None
+json_trees = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(),
+              st.integers(min_value=-10**40, max_value=10**40), st.text()),
+    lambda kids: st.one_of(st.lists(kids, max_size=4),
+                           st.lists(kids, max_size=4).map(tuple),
+                           st.dictionaries(st.text(), kids, max_size=4)),
+    max_leaves=20)
+
+
+@given(json_trees)
+@example({"": [], "b": {}, "a": [(), {"\x00\x1f\"\\": " é☃\U0001F600"}],
+          "\ud800": [True, False, None, -2**100]})
+def test_canonical_json_writes_the_bytes_of_json_dumps(tree):
+    assert canonical_json(tree) == json.dumps(
+        tree, sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
+
+
+@pytest.mark.parametrize("tree", [1.5, {"a": [0.0]}, {1: "a"},
+                                  {"a": 1, 2: "b"}, {"a": {1, 2}}])
+def test_canonical_json_rejects_what_no_report_holds(tree):
+    with pytest.raises(TypeError):
+        canonical_json(tree)

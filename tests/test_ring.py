@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ncbundles import FormalFunction, LaurentPoly, Monomial, parse_poly
+from ncbundles import FormalFunction, LaurentPoly, Monomial, parse_poly, ring
 from ncbundles.ring import VARS, Evaluation, FormTable, ParamPoly
 
 from conftest import (
@@ -19,6 +19,7 @@ from conftest import (
     monomials,
     param_polys,
     rationals,
+    reference_product,
 )
 
 P = parse_poly
@@ -250,6 +251,25 @@ def test_mul_truncated_is_cut_product(f, g, n):
     assert got == (f * g).truncate_neighborhood(n)
     assert all(c for _, c in got.terms())
     assert all(m.degree_u() <= n for m in got.monomials())
+
+
+@given(mixed_laurent_polys(), monomials,
+       st.one_of(st.just(1), st.just(Fraction(1)),
+                 st.just(ParamPoly.const(PARAMS, 1)), rationals,
+                 param_polys().filter(bool)),
+       st.sampled_from([None, 0, 1, 2]), st.booleans())
+@example(P("2*u1 + 3/2*z"), Monomial(0, 0, 0), Fraction(1), None, True)
+@example(P("u1*u2 + z + u2^2"), Monomial(1, 1, 0), 1, 2, False)
+def test_product_with_a_one_term_factor_is_a_shift(f, mon, c, n, left):
+    # the one-term factor on either side, with and without the cut; an
+    # int 1 shares the other coefficients, any other c multiplies them,
+    # so that no coefficient changes type
+    one = LaurentPoly({mon: c})
+    a, b = (one, f) if left else (f, one)
+    got = a * b if n is None else a.mul_truncated(b, n)
+    want = reference_product(a, b, n)
+    assert {m: (type(v), v) for m, v in got.items()} == {
+        m: (type(v), v) for m, v in want.items()}
 
 
 @st.composite
@@ -501,3 +521,38 @@ def test_form_table_numbers_forms_and_monomials_in_column_order(columns,
     assert len(ev.ints) == len(table.forms)
     for c in range(len(columns)):
         assert ev.column(c, 6) == table.column(ev.ints, c, 6, 0)
+
+
+@given(st.lists(st.dictionaries(st.integers(0, 5), table_entries(),
+                                max_size=4), min_size=1, max_size=5),
+       st.lists(st.tuples(st.integers(0, 4), st.integers(0, 5)),
+                max_size=6))
+def test_form_table_of_shared_entries_equals_that_of_copies(columns, shares):
+    # entry objects put into other columns too, as a master's shared
+    # terms are, against the same columns with a distinct equal copy in
+    # every place
+    for c, r in shares:
+        c %= len(columns)
+        if columns[c]:
+            columns[-1 - c][r] = next(iter(columns[c].values()))
+    copies = [{r: e + 0 for r, e in col.items()} for col in columns]
+    assert FormTable.compile(columns) == FormTable.compile(copies)
+
+
+def test_form_table_keys_a_shared_entry_once(monkeypatch):
+    # a ParamPoly entry is keyed by the frozenset of its terms: once per
+    # entry object, however many columns hold it, and once per copy
+    made = []
+
+    class Counted(frozenset):
+        def __new__(cls, items):
+            made.append(1)
+            return super().__new__(cls, items)
+
+    monkeypatch.setattr(ring, "frozenset", Counted, raising=False)
+    p = ParamPoly(PARAMS, {(1, 0, 0): 2, (0, 1, 0): Fraction(1, 3)})
+    shared = FormTable.compile([{0: p, 1: p}, {2: p}, {0: p}])
+    assert len(made) == 1
+    copied = FormTable.compile([{0: p, 1: p + 0}, {2: p + 0}, {0: p + 0}])
+    assert len(made) == 5
+    assert shared == copied
