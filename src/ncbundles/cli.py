@@ -214,10 +214,10 @@ def h1_cmd(k, max_l, max_i, max_s):
     _emit(make_report("h1", config, None, result))
 
 
-def _random_poly(rng, allow_negative=True):
+def _random_poly(rng):
     terms = {}
     for _ in range(rng.randint(1, 4)):
-        l = rng.randint(-4 if allow_negative else 0, 4)
+        l = rng.randint(-4, 4)
         i = rng.randint(0, 2)
         s = rng.randint(0, 2)
         terms[Monomial(l, i, s)] = rand_fraction(rng)

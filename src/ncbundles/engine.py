@@ -323,7 +323,8 @@ def _printed_pieces(frame, j):
         return [(pp.get(d, zero), (l + j, i, s), 1),
                 (p_pzj.get(d, zero), shift, -1)]
 
-    pairs = {"lambda": (p_poly.shift((j, 0, 0)), zero)}
+    pairs = {"lambda": (LaurentPoly.shifted_sum([(p_poly, (j, 0, 0), 1)]),
+                        zero)}
     for fam in _UNITS:
         ug, u = _unit(fam)
         pairs[fam] = (
@@ -331,7 +332,8 @@ def _printed_pieces(frame, j):
                 [*brackets(ug, (0, 0, 0)),
                  (zjp, u, 1 if fam[0] == "a" else -1)], 1),
             LaurentPoly.shifted_sum(brackets("z", (-1, *u[1:])), 1))
-    pairs["c0"] = (p_poly.mul_truncated(zjp, 1).shift((-j, 0, 0), 2), zero)
+    pairs["c0"] = (LaurentPoly.shifted_sum(
+        [(p_poly.mul_truncated(zjp, 1), (-j, 0, 0), 2)]), zero)
     return pairs
 
 
@@ -395,7 +397,7 @@ def _build_frame(k, j, sigma):
                        win, T, R, t_pieces, r_pieces)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class MasterSystem:
     """Direction matrix of one configuration (k, j).
 
@@ -435,9 +437,9 @@ class MasterSystem:
         if self._table is None:
             # a zero column has an empty segment, so it is not read
             nonzero = set(self.nonzero)
-            object.__setattr__(self, "_table", FormTable.compile(
+            self._table = FormTable.compile(
                 dict(enumerate(col)) if c in nonzero else {}
-                for c, col in enumerate(self.columns)))
+                for c, col in enumerate(self.columns))
         return self._table
 
     def nonzero_narrow(self):
@@ -486,7 +488,7 @@ def _entry_column(k, j, pair, row_of, tag):
     for poly, c in zip(pair, (1, n)):
         if not c:
             continue  # Y does not enter column n = 0
-        scaled = c != 1
+        scaled = c.__class__ is not int or c != 1
         for (l, u1, u2), v in poly.items():
             z = l + n
             if u1 + u2 and (z >= top or z <= k * u1 + k2 * u2):
@@ -722,8 +724,7 @@ def stratum_bounds(master, support):
     got = master.bounds.get(support)
     if got is None:
         if master.pattern is None:
-            # a cache on the frozen master, as bounds is
-            object.__setattr__(master, "pattern", _zero_pattern(master))
+            master.pattern = _zero_pattern(master)
         by_col = once = twice = 0
         outside = ~support
         for need, col_bits, row_bits in master.pattern:
@@ -876,7 +877,7 @@ def single_coordinate_points(k, j):
             for r in range(dim)]
 
 
-def is_extremal(sigma, j=2):
+def is_extremal(sigma, j):
     """Operational extremality used by the moduli computations.
 
     True when every gauge-direction column of the bump-0 cancellation

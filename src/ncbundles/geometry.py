@@ -95,7 +95,7 @@ def h1_obstruction_basis(k, max_l=6, max_i=4, max_s=6):
     return out
 
 
-def global_monomials(k, max_u=1, max_z=None):
+def global_monomials(k, max_u=1):
     """All global monomials with total u-degree <= max_u.
 
     The z-range is bounded automatically: global needs 0 <= l <= k*i+(2-k)*s.
@@ -106,10 +106,7 @@ def global_monomials(k, max_u=1, max_z=None):
     out = []
     for i in range(max_u + 1):
         for s in range(max_u - i + 1):
-            hi = k * i + (2 - k) * s
-            if max_z is not None:
-                hi = min(hi, max_z)
-            for l in range(0, hi + 1):
+            for l in range(0, k * i + (2 - k) * s + 1):
                 mon = Monomial(l, i, s)
                 if classify(mon, k) == GLOBAL:
                     out.append(mon)

@@ -64,7 +64,7 @@ _SLOTS = (
 )
 
 
-def _oracle_families(k, j, bump):
+def _oracle_families(k, j):
     """Unknown inventory of the full intertwining system.
 
     U-side units are z^n times a u-grade; V-side units are xi^n times a
@@ -72,9 +72,10 @@ def _oracle_families(k, j, bump):
     z^(vdeg[g] - n) u_g with vdeg = (0, k, 2 - k).  Both sides carry
     classical and first-order slots in every matrix entry compatible
     with the gauge normalization (diagonal classical parts are pinned
-    to 1, the classical upper-right slots to 0).
+    to 1, the classical upper-right slots to 0).  The inventory is that
+    of the stability window.
     """
-    hi = _oracle_hi(j, bump)
+    hi = _oracle_hi(j, STABILITY_BUMP)
     vdeg = (0, k, 2 - k)
     fams = []
     for side in ("U", "V"):
@@ -216,15 +217,19 @@ def _build_oracle_system(k, j, sigma):
 
     # star is bilinear in the gauge entries, so the contribution of a
     # single unit w sitting at entry (ei, ej) is T * (w E) resp. (w E) * T,
-    # which only has one nonzero column resp. row
+    # which only has one nonzero column resp. row; T_q is T_p but for the
+    # hbar-part of entry (0, 1), so both pair the pieces of T_p's
+    # classical entries, each taken once
+    pieces = {(a, b): sigma.bracket_pieces(Tp.entry(a, b)[0])
+              for a in range(2) for b in range(2)}
+
     def with_pieces(T):
-        return {(a, b): (T.entry(a, b)[0], T.entry(a, b)[1],
-                         sigma.bracket_pieces(T.entry(a, b)[0]))
-                for a in range(2) for b in range(2)}
+        return {ab: (T.entry(*ab)[0], T.entry(*ab)[1], pieces[ab])
+                for ab in pieces}
 
     tp, tq = with_pieces(Tp), with_pieces(Tq)
     columns = {}
-    for key, (ui, uj), hord, w in _oracle_families(k, j, STABILITY_BUMP):
+    for key, (ui, uj), hord, w in _oracle_families(k, j):
         col = {}
         if key[0] == "U":
             for ei in range(2):

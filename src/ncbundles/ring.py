@@ -565,27 +565,13 @@ class LaurentPoly:
         """The product with the polynomial other, cut at u-degree n unless
         n is None.
 
-        A factor of one term c z^l u1^i u2^s is a shift: the other
-        factor's terms, those of u-degree up to n - i - s, move by
-        (l, i, s).  A shift keeps distinct monomials distinct, so nothing
-        merges or cancels, and a product of nonzero coefficients is
-        nonzero.  Each coefficient is the product c1 * c2 of the general
-        loop, in the same operand order, except that an int c = 1 shares
-        the other coefficient, which is immutable; a Fraction(1) or a
-        constant ParamPoly still multiplies, so that no coefficient
-        changes type.
+        A factor of one term c z^l u1^i u2^s is a shift of the other
+        factor (shifted_sum).
         """
         if len(self._t) == 1 or len(other._t) == 1:
-            left = len(self._t) == 1
-            ((l, i, s), c), = (self if left else other)._t.items()
-            top = None if n is None else n - i - s
-            unit = c.__class__ is int and c == 1
-            t = {}
-            for (a, b, e), v in (other if left else self)._t.items():
-                if top is None or b + e <= top:
-                    t[_new(Monomial, (a + l, b + i, e + s))] = (
-                        v if unit else c * v if left else v * c)
-            return LaurentPoly._of(t)
+            one, poly = (self, other) if len(self._t) == 1 else (other, self)
+            (mon, c), = one._t.items()
+            return LaurentPoly.shifted_sum([(poly, mon, c)], n)
         terms = other._t.items()
         if n is not None:  # the terms of other by u-degree: a prefix is kept
             terms = sorted(terms, key=lambda mc: mc[0][1] + mc[0][2])
@@ -613,36 +599,24 @@ class LaurentPoly:
         # a product of nonzero coefficients is nonzero
         return LaurentPoly._of({m: c * v for m, v in self._t.items()})
 
-    def shift(self, mon, c=1):
-        """self * c * z^l u1^i u2^s for mon = (l, i, s) and a rational c.
-
-        One pass over the terms: every monomial moves by mon and every
-        coefficient is scaled by c.
-        """
-        l, i, s = mon
-        if i < 0 or s < 0:
-            raise ValueError(f"negative fibre exponent in {mon}")
-        if not c:
-            return LaurentPoly.zero()
-        if c == 1:  # coefficients are immutable, so they can be shared
-            return LaurentPoly._of({_new(Monomial, (a + l, b + i, e + s)): v
-                                    for (a, b, e), v in self._t.items()})
-        return LaurentPoly._of({_new(Monomial, (a + l, b + i, e + s)): v * c
-                                for (a, b, e), v in self._t.items()})
-
     @staticmethod
     def shifted_sum(parts, n=None):
         """sum c * z^l u1^i u2^s * P over the triples (P, (l, i, s), c) of
-        parts, rational c, cut at u-degree n unless n is None.
+        parts, c rational or a ParamPoly, cut at u-degree n unless n is
+        None: the ring's one routine that moves terms by a monomial.
 
         One pass into one dict: a shift never lowers the u-degree, so the
         terms of P past n - i - s are skipped, not shifted and then cut,
         no polynomial is built per part, and a term that cancels to zero
-        is dropped.  The parts are added in order, each term as shift
-        would scale it; a ParamPoly that meets an earlier term of its
-        monomial is scaled as it is added (ParamPoly.add_scaled).  It
-        builds the oracle's unit products (oracle._unit_product), whose
-        every term the oracle reads, and the engine's family pairs.
+        is dropped.  The parts are added in order.  A term's coefficient v
+        becomes v * c, except that the int c = 1 shares v, which is
+        immutable; a Fraction(1) or a constant ParamPoly still
+        multiplies, so that no coefficient changes type.  A ParamPoly
+        that meets an earlier term of its monomial is scaled as it is
+        added (ParamPoly.add_scaled) when c is rational.  It builds the
+        products with a one-term factor (_product), the oracle's unit
+        products (oracle._unit_product), whose every term the oracle
+        reads, and the engine's family pairs.
         """
         t = {}
         for poly, (l, i, s), c in parts:
@@ -651,7 +625,7 @@ class LaurentPoly:
             top = None if n is None else n - i - s
             if not c or top is not None and top < 0:
                 continue
-            scaled = c != 1
+            scaled = c.__class__ is not int or c != 1
             for (a, b, e), v in poly._t.items():
                 if top is not None and b + e > top:
                     continue
@@ -660,7 +634,8 @@ class LaurentPoly:
                     old = t[mon]
                     if not scaled:
                         v = old + v
-                    elif old.__class__ is ParamPoly:
+                    elif (old.__class__ is ParamPoly
+                          and c.__class__ is not ParamPoly):
                         v = old.add_scaled(v, c)
                     else:
                         v = old + v * c

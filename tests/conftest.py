@@ -371,7 +371,9 @@ def reference_printed_pieces(frame, j):
     p_poly = frame.p_poly
     pzj, pp = frame.t_pieces
     zjp = pieces_pairing(pzj, p_poly)
-    zj_pp = {d: piece.shift((j, 0, 0)) for d, piece in pp.items()}
+    zj = LaurentPoly.monomial(j, 0, 0)
+    zj_pp = {d: LaurentPoly(reference_product(piece, zj))
+             for d, piece in pp.items()}
     p_pzj = {d: p_poly.mul_truncated(piece, 1) for d, piece in pzj.items()}
     return (p_poly, zjp, p_poly.mul_truncated(zjp, 1).scale(2), zj_pp,
             p_pzj)

@@ -597,6 +597,22 @@ def test_oracle_system_matches_star_route(monkeypatch, k, j, spec):
     assert oracle._build_oracle_system(k, j, sigma) == system
 
 
+@pytest.mark.parametrize("k, j, spec", [(1, 2, "gen3"), (2, 3, "u1*gen4")])
+def test_oracle_build_takes_each_entrys_bracket_pieces_once(monkeypatch, k,
+                                                            j, spec):
+    # T_q shares T_p's classical entries z^j, p, 0 and z^-j, so a cold
+    # build takes the pieces of each once (8 calls when T_q took its own)
+    bracket_pieces, calls = Bivector.bracket_pieces, []
+
+    def counted(self, f):
+        calls.append(f)
+        return bracket_pieces(self, f)
+
+    monkeypatch.setattr(Bivector, "bracket_pieces", counted)
+    oracle._build_oracle_system(k, j, parse_sigma_spec(spec, k))
+    assert len(calls) == 4
+
+
 @pytest.mark.parametrize("k, j, spec", [(1, 3, "gen1"), (2, 3, "u1*gen4")])
 def test_oracle_collects_only_first_neighbourhood_terms(monkeypatch, k, j,
                                                         spec):
